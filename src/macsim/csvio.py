@@ -19,8 +19,8 @@ _KIND_NAMES = {
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is not a number
+        return repr(float(value))
     return str(value)
 
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macsim import markov
 from macsim.markov import (
@@ -272,6 +274,82 @@ def test_chain_rows_stochastic_and_block_triangular():
             for to in chain.states:
                 if to.colliding_stations > frm.colliding_stations:
                     assert chain.pi[idx[frm], idx[to]] == 0.0
+
+
+#: ``test_acceptance.test_01``'s grid and stay probabilities.
+ORACLE_GRID = [(n, c) for n in range(2, 9) for c in range(n, 13)]
+ORACLE_GAMMAS = (0.1, 0.5, 0.9)
+
+
+def test_chain_diagonal_blocks_match_closed_form():
+    """The assembled diagonal blocks equal the closed-form route to 1e-12."""
+    worst = 0.0
+    for n, c in ORACLE_GRID:
+        for gamma in ORACLE_GAMMAS:
+            chain = build_chain(c, n, gamma)
+            for lo, hi in chain.block_ranges.values():
+                block_states = chain.states[lo - 1 : hi - 1]  # row 0 is the start
+                for i, frm in enumerate(block_states, start=lo):
+                    for j, to in enumerate(block_states, start=lo):
+                        want = transition_prob_formula(frm, to, c, n, gamma)
+                        worst = max(worst, abs(chain.pi[i, j] - want))
+    assert worst <= 1e-12
+
+
+def test_cached_layout_does_not_leak_between_gammas():
+    first = build_chain(9, 8, 0.3)
+    first_pi = first.pi.copy()
+    first.block_ranges.clear()  # a caller's edit must not reach later builds
+    warm = build_chain(9, 8, 0.7)
+    markov._chain_layout.cache_clear()
+    cold = build_chain(9, 8, 0.7)
+    assert np.array_equal(warm.pi, cold.pi)
+    assert warm.block_ranges == cold.block_ranges
+    assert np.array_equal(first.pi, first_pi)
+
+
+@st.composite
+def chain_params(draw):
+    schedule_len = draw(st.integers(2, 9))
+    n_stations = draw(st.integers(2, schedule_len))
+    gamma = draw(st.floats(0.01, 0.99))
+    return schedule_len, n_stations, gamma
+
+
+@settings(deadline=None)
+@given(chain_params())
+def test_chain_properties(params):
+    c, n, gamma = params
+    chain = build_chain(c, n, gamma)
+    assert np.max(np.abs(chain.pi.sum(axis=1) - 1.0)) <= 1e-12
+    # colliding stations per state: the start row may reach any state, and no
+    # row may return to the start
+    counts = [s.colliding_stations for s in chain.states]
+    from_count = np.array([n] + counts + [0])
+    to_count = np.array([n + 1] + counts + [0])
+    assert not chain.pi[from_count[:, None] < to_count[None, :]].any()
+
+    lam, k = second_eigenvalue(chain)
+    per_block = {b: markov._dominant_eigenvalue(chain.block(b)) for b in chain.block_ranges}
+    assert lam == max(per_block.values()) == per_block[k]
+    assert np.max(np.abs(np.linalg.eigvals(chain.block(k)))) == pytest.approx(
+        lam, abs=1e-12
+    )
+    for b, rho in per_block.items():
+        # the Perron root is an eigenvalue and lies between the row-sum extremes
+        block = chain.block(b)
+        shifted = block - rho * np.eye(len(block))
+        assert np.linalg.svd(shifted, compute_uv=False).min() <= 1e-9
+        sums = block.sum(axis=1)
+        assert sums.min() - 1e-12 <= rho <= sums.max() + 1e-12
+
+
+def test_build_chain_at_max_stations():
+    """C = N = MAX_STATIONS: 626 collision states, a cold build of about 5 s
+    and 125 MB peak memory on a 2-CPU x86-64 machine."""
+    n = markov.MAX_STATIONS
+    lam, _ = second_eigenvalue(build_chain(n, n, 0.5))
+    assert lam == pytest.approx(lambda_star_closed(n, n, 0.5), abs=1e-9)
 
 
 def test_build_chain_guards():

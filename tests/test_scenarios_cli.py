@@ -173,6 +173,31 @@ def test_cli_ftable(tmp_path):
     assert rows[0]["f"] == "1"
 
 
+def test_emitted_csv_cells_parse_as_numbers(tmp_path):
+    """Numeric cells read as plain numbers, never as ``np.float64(...)``."""
+    assert main(["reproduce-all", "--out", str(tmp_path), "--reps", "2",
+                 "--keys", "jain_fairness"]) == 0
+    assert main(["markov", "--c", "6", "--n", "5", "--gamma", "0.3,0.5",
+                 "--out", str(tmp_path / "markov.csv")]) == 0
+    assert main(["ftable", "--schedule-lengths", "2,4", "--reps", "1000",
+                 "--out", str(tmp_path / "ftable.csv")]) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert {"jain_fairness_summary.csv", "markov.csv", "ftable.csv"} <= {
+        p.name for p in paths
+    }
+    unparsed = []
+    for path in paths:
+        for row in read_csv(path):
+            for column, cell in row.items():
+                if column == "config_hash" or not cell:
+                    continue
+                try:
+                    float(cell)
+                except ValueError:
+                    unparsed.append((path.name, column, cell))
+    assert not unparsed, unparsed[:5]
+
+
 def test_cli_reproduce_all_subset(tmp_path):
     out = tmp_path / "repro"
     code = main(["reproduce-all", "--out", str(out), "--reps", "2",
