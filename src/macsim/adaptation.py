@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .protocols import Lmac, Lzc
 from .schedulesim import DEFAULT_SCHEDULE_CAP, converge
 
@@ -235,13 +236,12 @@ class FTable:
         return [self._entries[k] for k in sorted(self._entries)]
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["schedule_len", "f", "ci_low", "ci_high"])
-            for e in self.entries:
-                writer.writerow(
-                    [e.schedule_len, e.schedules_needed, e.ci_low, e.ci_high]
-                )
+        write_csv(
+            path,
+            ["schedule_len", "f", "ci_low", "ci_high"],
+            [[e.schedule_len, e.schedules_needed, e.ci_low, e.ci_high]
+             for e in self.entries],
+        )
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "FTable":

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .engine import EventRecord, Trace
 from .phy import SlotKind
+
+if TYPE_CHECKING:  # engine imports adaptation, which writes through this module
+    from .engine import EventRecord, Trace
 
 _KIND_NAMES = {
     int(SlotKind.IDLE): "idle",

@@ -1,43 +1,35 @@
-"""Slot-stepped network simulator.
+"""Event-stepped network simulator.
 
-Advances the shared medium one MAC slot at a time.  Stations whose backoff
-counter reached zero and that hold a packet transmit; zero transmitters make
-an idle slot, exactly one makes a success unless a channel error fires, two
-or more collide.  Every station observes the slot; stations running a
-schedule-based protocol keep a window of the last schedule's slots, update
-their slot choice when the window completes, and reload their counter so
-that the next transmission lands on the chosen position of the next window.
-Simulated time is the sum of slot durations and nothing else.
+Advances the shared medium one MAC slot at a time but touches a station
+only at its own events: its next transmission (``counter + 1`` slots after a
+DCF station's last one, slot ``effective_slot`` of a schedule station's
+window) and the end of its schedule window.  Due stations that hold a packet
+transmit; zero transmitters make an idle slot, exactly one a success unless
+a channel error fires, two or more collide.  A DCF station whose counter ran
+out with an empty queue waits on a list checked every slot.  The per-slot
+trace is the one medium history: at a window end a station reads its idle
+positions, collision flag and own outcome back from it.  Poisson arrivals
+are pulled at a station's events, before its random draws, so every random
+stream is consumed as if stations were stepped every slot.  Simulated time
+is the sum of slot durations and nothing else.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adaptation import AlmacAdapter, AlzcAdapter, WindowSummary, txop_packets
-from .phy import PhyParams, SlotKind, slot_duration
+from .phy import PhyParams, SlotKind
 from .protocols import Dcf, ScheduleProtocol
 
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Resolution of one MAC slot."""
-
-    kind: SlotKind
-    transmitters: tuple[int, ...]
-    packets: int
-    duration_us: float
-
-    def __post_init__(self) -> None:
-        if self.kind == SlotKind.COLLISION and len(self.transmitters) < 2:
-            raise ValueError("a collision involves at least two transmitters")
-        if self.kind in (SlotKind.SUCCESS, SlotKind.ERROR) and len(self.transmitters) != 1:
-            raise ValueError("success and error slots have exactly one transmitter")
-        if self.kind == SlotKind.IDLE and self.transmitters:
-            raise ValueError("idle slots have no transmitter")
+_IDLE = int(SlotKind.IDLE)
+_SUCCESS = int(SlotKind.SUCCESS)
+_COLLISION = int(SlotKind.COLLISION)
+_ERROR = int(SlotKind.ERROR)
 
 
 @dataclass
@@ -78,7 +70,12 @@ class EventRecord:
 
 
 class Station:
-    """A transmitter: protocol state, traffic queue, backoff counter, window."""
+    """A transmitter: protocol state, traffic queue and backoff counter.
+
+    ``counter`` counts the slots between the station's last event (its last
+    DCF transmission, or the start of its schedule window) and its next
+    transmission.
+    """
 
     def __init__(
         self,
@@ -123,18 +120,13 @@ class Station:
             self.txop_m = (
                 txop_packets(self.window_len, txop_base) if txop_base else 1
             )
-        self.window: list[int] = []
-        self.pending_success: bool | None = None
         self.in_probe = False
         self.schedule_index = 0
+        self.position = 0  # index in the simulator's station list
+        self.window_start = 0
+        self.tx_slot = 0
 
     # -- queue ----------------------------------------------------------
-
-    def has_packet(self) -> bool:
-        return self.saturated or bool(self.queue)
-
-    def queue_len(self) -> int:
-        return len(self.queue)
 
     def packets_ready(self) -> int:
         if self.saturated:
@@ -172,47 +164,17 @@ class Station:
             if self.head_since_us is None:
                 self.head_since_us = arrival
 
-    # -- slot bookkeeping -------------------------------------------------
+    # -- schedule windows -------------------------------------------------
 
-    def end_of_slot(
+    def close_window(
         self,
-        kind: SlotKind,
-        transmitted: bool,
-        own_success: bool,
-        now_us: float,
+        success: bool,
+        idle_positions: list[int],
+        saw_collision: bool,
         events: list[EventRecord],
     ) -> None:
-        if self.is_dcf:
-            if transmitted:
-                counter, dropped = self.protocol.on_transmission(own_success, self.rng)
-                if dropped:
-                    self.drop_head(now_us)
-                self.counter = counter
-            elif self.counter > 0:
-                self.counter -= 1
-            return
-
-        self.window.append(int(kind))
-        pos = len(self.window)
-        if self.counter == 0:
-            if transmitted:
-                self.pending_success = own_success
-            else:
-                self.pending_success = kind == SlotKind.IDLE
-            self.counter = self.window_len - pos
-        elif self.counter > 0:
-            self.counter -= 1
-        if pos == self.window_len:
-            self._end_of_window(events)
-
-    def _end_of_window(self, events: list[EventRecord]) -> None:
+        """Log the finished window, update the slot choice, plan the next one."""
         proto: ScheduleProtocol = self.protocol
-        assert self.pending_success is not None, "window ended without own outcome"
-        success = self.pending_success
-        window = self.window
-        idle_positions = [
-            i + 1 for i, k in enumerate(window) if k == int(SlotKind.IDLE)
-        ]
         held_slot = (
             (proto.current_slot() - 1) % self.window_len + 1
             if self.in_probe
@@ -236,10 +198,7 @@ class Station:
             summary = WindowSummary(
                 idle_count=len(idle_positions),
                 busy_count=self.window_len - len(idle_positions),
-                saw_collision=any(
-                    k in (int(SlotKind.COLLISION), int(SlotKind.ERROR))
-                    for k in window
-                ),
+                saw_collision=saw_collision,
                 own_success=success,
                 was_probe=self.in_probe,
             )
@@ -254,46 +213,8 @@ class Station:
         self.in_probe = probe
         self.window_len = next_len
         self.txop_m = txop_packets(next_len, self.txop_base) if self.txop_base else 1
-        self.window = []
-        self.pending_success = None
         self.counter = effective_slot - 1
         self.schedule_index += 1
-
-
-class _RollingWindow:
-    """Counts slot kinds over the last ``length`` slots."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self._kinds: deque[int] = deque()
-        self.n_success = 0
-        self.n_collision = 0
-        self.n_error = 0
-
-    def push(self, kind: SlotKind) -> None:
-        self._kinds.append(int(kind))
-        if kind == SlotKind.SUCCESS:
-            self.n_success += 1
-        elif kind == SlotKind.COLLISION:
-            self.n_collision += 1
-        elif kind == SlotKind.ERROR:
-            self.n_error += 1
-        if len(self._kinds) > self.length:
-            old = self._kinds.popleft()
-            if old == int(SlotKind.SUCCESS):
-                self.n_success -= 1
-            elif old == int(SlotKind.COLLISION):
-                self.n_collision -= 1
-            elif old == int(SlotKind.ERROR):
-                self.n_error -= 1
-
-    def collision_free_schedule(self, n_stations: int) -> bool:
-        return (
-            len(self._kinds) == self.length
-            and self.n_success == n_stations
-            and self.n_collision == 0
-            and self.n_error == 0
-        )
 
 
 class Simulator:
@@ -305,90 +226,189 @@ class Simulator:
         phy: PhyParams,
         error_rate: float = 0.0,
         channel_rng: np.random.Generator | None = None,
-        record_trace: bool = True,
     ):
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError("error rate must be in [0, 1]")
         if error_rate > 0.0 and channel_rng is None:
             raise ValueError("channel errors need a channel RNG")
-        self.stations = list(stations)
+        self.stations: list[Station] = []
         self.phy = phy
         self.error_rate = error_rate
         self.channel_rng = channel_rng
-        self.record_trace = record_trace
         self.trace = Trace()
         self.events: list[EventRecord] = []
         self.clock_us = 0.0
         self.slot_index = 0
+        self._tx_due: dict[int, list[Station]] = {}
+        self._end_due: dict[int, list[Station]] = {}
+        self._waiting: list[Station] = []
+        self._success_us: dict[int, float] = {}
+        for st in stations:
+            self.add_station(st)
 
     def add_station(self, station: Station) -> None:
-        """A new transmitter joins; its schedule phase starts at the next slot."""
+        """A transmitter joins; its schedule phase starts at the next slot."""
+        station.position = len(self.stations)
         self.stations.append(station)
+        self._plan(station, self.slot_index)
 
-    def step(self) -> SlotOutcome:
-        transmitters = [
-            st for st in self.stations if st.counter == 0 and st.has_packet()
-        ]
-        phy = self.phy
+    def _plan(self, st: Station, start: int) -> None:
+        """Book the next transmission (and window end) counted from ``start``."""
+        tx = start + st.counter
+        self._tx_due.setdefault(tx, []).append(st)
+        if not st.is_dcf:
+            st.window_start = start
+            st.tx_slot = tx
+            self._end_due.setdefault(start + st.window_len - 1, []).append(st)
 
-        if not transmitters:
-            kind = SlotKind.IDLE
-            packets = 0
-            duration = phy.sigma_us
-            tx_ids: tuple[int, ...] = ()
-        elif len(transmitters) == 1:
-            st = transmitters[0]
-            packets = st.packets_ready()
-            if self.error_rate > 0.0 and self.channel_rng.random() < self.error_rate:
-                kind = SlotKind.ERROR
-                duration = phy.t_collision
-                packets = 0
-            else:
-                kind = SlotKind.SUCCESS
-                duration = phy.success_duration(packets)
-            tx_ids = (st.sid,)
-        else:
-            kind = SlotKind.COLLISION
-            packets = 0
-            duration = phy.t_collision
-            tx_ids = tuple(st.sid for st in transmitters)
-
-        now = self.clock_us + duration
-        if kind == SlotKind.SUCCESS:
-            transmitters[0].deliver(packets, now)
-
-        if self.record_trace:
-            tr = self.trace
-            tr.kinds.append(int(kind))
-            tr.durations.append(duration)
-            tr.packets.append(packets if kind == SlotKind.SUCCESS else 0)
-            if kind in (SlotKind.SUCCESS, SlotKind.ERROR):
-                tr.tx_station.append(tx_ids[0])
-                tr.coll_sizes.append(0)
-            elif kind == SlotKind.COLLISION:
-                tr.tx_station.append(-1)
-                tr.coll_sizes.append(len(tx_ids))
-                tr.colliders[self.slot_index] = tx_ids
-            else:
-                tr.tx_station.append(-1)
-                tr.coll_sizes.append(0)
-
-        tx_set = set(tx_ids)
-        success = kind == SlotKind.SUCCESS
-        for st in self.stations:
-            st.end_of_slot(kind, st.sid in tx_set, success, now, self.events)
-            if not st.saturated and st.lambda_pps > 0.0:
-                st.pull_arrivals(now)
-
-        self.clock_us = now
-        self.slot_index += 1
-        return SlotOutcome(kind, tx_ids, packets, duration)
+    def step(self) -> None:
+        self.run(until_slot=self.slot_index + 1)
 
     def run_slots(self, n_slots: int) -> None:
-        for _ in range(n_slots):
-            self.step()
+        if n_slots > 0:
+            self.run(until_slot=self.slot_index + n_slots)
 
-    def run_seconds(self, seconds: float) -> None:
-        target = seconds * 1e6
-        while self.clock_us < target:
-            self.step()
+    def run(
+        self,
+        until_slot: float = math.inf,
+        until_us: float = math.inf,
+        watch_n: int | None = None,
+        watch_len: int = 0,
+        watch_from: int = 0,
+    ) -> bool:
+        """Advance at least one slot, until a bound or a collision-free schedule.
+
+        Stops after the slot that reaches ``until_slot`` slots or
+        ``until_us`` of simulated time.  With ``watch_n`` set it also stops,
+        returning True, once the last ``watch_len`` slots, all at or after
+        ``watch_from``, hold exactly ``watch_n`` successes and no collision
+        or error.
+        """
+        phy, success_us = self.phy, self._success_us
+        sigma, t_coll = phy.sigma_us, phy.t_collision
+        error_rate, channel_rng = self.error_rate, self.channel_rng
+        tx_due, end_due, waiting = self._tx_due, self._end_due, self._waiting
+        tr = self.trace
+        kinds = tr.kinds
+        add_kind = kinds.append
+        add_duration = tr.durations.append
+        add_tx = tr.tx_station.append
+        add_packets = tr.packets.append
+        add_size = tr.coll_sizes.append
+
+        watching = watch_n is not None
+        n_good = n_bad = 0
+        if watching:
+            for k in kinds[max(watch_from, self.slot_index - watch_len) :]:
+                n_good += k == _SUCCESS
+                n_bad += k >= _COLLISION
+
+        s = self.slot_index
+        clock = self.clock_us
+        hit = False
+        while True:
+            due = tx_due.pop(s, None)
+            before = clock
+            kind, duration, sid, packets, size = _IDLE, sigma, -1, 0, 0
+            if due is not None or waiting:
+                transmitters = []
+                if waiting:
+                    transmitters = [
+                        st for st in waiting if st.queue or st.next_arrival_us <= clock
+                    ]
+                    if transmitters:
+                        for st in transmitters:
+                            st.pull_arrivals(clock)
+                        waiting[:] = [st for st in waiting if not st.queue]
+                for st in due or ():
+                    if not st.saturated:
+                        st.pull_arrivals(clock)
+                    if st.saturated or st.queue:
+                        transmitters.append(st)
+                    elif st.is_dcf:
+                        waiting.append(st)
+                if len(transmitters) == 1:
+                    sid = transmitters[0].sid
+                    if error_rate > 0.0 and channel_rng.random() < error_rate:
+                        kind, duration = _ERROR, t_coll
+                    else:
+                        kind = _SUCCESS
+                        packets = transmitters[0].packets_ready()
+                        duration = success_us.get(packets)
+                        if duration is None:
+                            duration = success_us[packets] = phy.success_duration(packets)
+                elif transmitters:
+                    kind, duration, size = _COLLISION, t_coll, len(transmitters)
+                    transmitters.sort(key=_position)
+                    tr.colliders[s] = tuple(st.sid for st in transmitters)
+            clock += duration
+            add_kind(kind)
+            add_duration(duration)
+            add_tx(sid)
+            add_packets(packets)
+            add_size(size)
+            if kind != _IDLE:
+                if packets:
+                    transmitters[0].deliver(packets, clock)
+                for st in transmitters:
+                    if st.is_dcf:
+                        counter, dropped = st.protocol.on_transmission(
+                            kind == _SUCCESS, st.rng
+                        )
+                        if dropped:
+                            st.drop_head(clock)
+                        st.counter = counter
+                        self._plan(st, s + 1)
+            ending = end_due.pop(s, None)
+            if ending is not None:
+                self._close_windows(ending, s, before)
+            s += 1
+            if watching:
+                n_good += kind == _SUCCESS
+                n_bad += kind >= _COLLISION
+                if s - watch_len > watch_from:
+                    old = kinds[s - watch_len - 1]
+                    n_good -= old == _SUCCESS
+                    n_bad -= old >= _COLLISION
+                if s - watch_from >= watch_len and n_good == watch_n and n_bad == 0:
+                    hit = True
+                    break
+            if s >= until_slot or clock >= until_us:
+                break
+
+        self.slot_index = s
+        self.clock_us = clock
+        for st in self.stations:
+            if not st.saturated:
+                st.pull_arrivals(clock)
+        return hit
+
+    def _close_windows(self, ending: list[Station], s: int, before_us: float) -> None:
+        """Window ends at slot ``s``: read each window back from the trace."""
+        if len(ending) > 1:
+            ending.sort(key=_position)
+        tr = self.trace
+        kinds = tr.kinds
+        seen: dict[int, tuple[list[int], bool]] = {}
+        for st in ending:
+            if not st.saturated:
+                st.pull_arrivals(before_us)
+            start = st.window_start
+            view = seen.get(start)
+            if view is None:
+                window = kinds[start : s + 1]
+                view = seen[start] = (
+                    [i + 1 for i, k in enumerate(window) if k == _IDLE],
+                    max(window) >= _COLLISION,
+                )
+            own = st.tx_slot
+            own_kind = kinds[own]
+            success = own_kind == _IDLE or (
+                own_kind == _SUCCESS and tr.tx_station[own] == st.sid
+            )
+            st.close_window(success, view[0], view[1], self.events)
+            self._plan(st, s + 1)
+
+
+def _position(st: Station) -> int:
+    return st.position

@@ -165,19 +165,6 @@ def mean_access_delay_us(result: RunResult, station: int | None = None) -> float
     return float(np.mean(delays))
 
 
-def conservation_holds(trace: Trace) -> bool:
-    """Successes + errors + summed collision sizes equals total attempts."""
-    attempts = 0
-    singles = 0
-    for i, kind in enumerate(trace.kinds):
-        if kind in (int(SlotKind.SUCCESS), int(SlotKind.ERROR)):
-            singles += 1
-            attempts += 1
-        elif kind == int(SlotKind.COLLISION):
-            attempts += trace.coll_sizes[i]
-    return singles + sum(trace.coll_sizes) == attempts
-
-
 def station_rho(result: RunResult, lambda_pps: float) -> list[float]:
     """Per-station traffic intensity estimates: arrival rate times mean service time."""
     rhos = []

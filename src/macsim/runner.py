@@ -9,14 +9,15 @@ trace is identical byte for byte.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adaptation import AlmacAdapter, AlzcAdapter, FTable
 from .config import SimConfig, derive_seed
-from .engine import EventRecord, Simulator, Station, Trace, _RollingWindow
-from .phy import PhyParams, SlotKind
+from .engine import EventRecord, Simulator, Station, Trace
+from .phy import PhyParams
 from .protocols import init_protocol
 
 
@@ -54,10 +55,6 @@ def default_f_table() -> FTable:
     ref = importlib.resources.files("macsim.data").joinpath("ftable_b16.csv")
     with importlib.resources.as_file(ref) as path:
         return FTable.load_csv(path)
-
-
-def _make_phy(cfg: SimConfig) -> PhyParams:
-    return PhyParams(payload_bytes=cfg.payload_bytes)
 
 
 def _make_station(
@@ -99,14 +96,6 @@ def _make_station(
     )
 
 
-def _horizon_slots(cfg: SimConfig) -> int | None:
-    if cfg.horizon_slots is not None:
-        return cfg.horizon_slots
-    if cfg.horizon_schedules is not None:
-        return cfg.horizon_schedules * cfg.schedule_len
-    return None
-
-
 def run_simulation(
     cfg: SimConfig,
     rep_index: int = 0,
@@ -126,7 +115,6 @@ def run_simulation(
         f_table = FTable.load_csv(cfg.f_table) if cfg.f_table else default_f_table()
 
     run_seed = derive_seed(cfg.seed, rep_index)
-    phy = _make_phy(cfg)
     channel_rng = (
         np.random.default_rng(np.random.SeedSequence(derive_seed(run_seed, "channel")))
         if cfg.error_rate > 0.0
@@ -142,87 +130,75 @@ def run_simulation(
         _make_station(cfg, sid, run_seed, kinds[sid], f_table) for sid in range(cfg.n)
     ]
     sim = Simulator(
-        stations, phy, error_rate=cfg.error_rate, channel_rng=channel_rng
+        stations,
+        PhyParams(payload_bytes=cfg.payload_bytes),
+        error_rate=cfg.error_rate,
+        channel_rng=channel_rng,
     )
-
-    horizon_slots = _horizon_slots(cfg)
-    horizon_us = (
-        cfg.horizon_seconds * 1e6 if cfg.horizon_seconds is not None else None
-    )
-    if horizon_slots is None and horizon_us is None:
-        raise ValueError("config sets no horizon (slots, schedules or seconds)")
-
-    def reached_horizon() -> bool:
-        if horizon_slots is not None and sim.slot_index >= horizon_slots:
-            return True
-        if horizon_us is not None and sim.clock_us >= horizon_us:
-            return True
-        return False
 
     schedule_len = cfg.schedule_len
-    watch = _RollingWindow(schedule_len)
-    converged_slot: int | None = None
-    converged_time: float | None = None
-    join_slot: int | None = None
-    join_time: float | None = None
-    reconverged_slot: int | None = None
-    reconverged_time: float | None = None
+    if cfg.horizon_slots is not None:
+        until_slot = cfg.horizon_slots
+    elif cfg.horizon_schedules is not None:
+        until_slot = cfg.horizon_schedules * schedule_len
+    elif cfg.horizon_seconds is None:
+        raise ValueError("config sets no horizon (slots, schedules or seconds)")
+    else:
+        until_slot = math.inf
+    until_us = math.inf if cfg.horizon_seconds is None else cfg.horizon_seconds * 1e6
+
+    converged_slot = converged_time = join_slot = join_time = None
+    reconverged_slot = reconverged_time = None
 
     n_active = cfg.n
     join_pending = cfg.join_n > 0
-    join_at_us = None
-    if join_pending and cfg.join_when != "converged":
-        join_at_us = float(cfg.join_when) * 1e6
+    timed_join = join_pending and cfg.join_when != "converged"
+    join_at_us = float(cfg.join_when) * 1e6 if timed_join else math.inf
+    watch_from = 0  # the collision-free watch restarts when stations join
+    durations = sim.trace.durations
+    while sim.slot_index < until_slot and sim.clock_us < until_us:
+        watching = converged_slot is None or (
+            join_slot is not None and reconverged_slot is None
+        )
+        hit = sim.run(
+            until_slot=until_slot,
+            until_us=min(until_us, join_at_us),
+            watch_n=n_active if watching else None,
+            watch_len=schedule_len,
+            watch_from=watch_from,
+        )
 
-    extra_slots_left: int | None = None
-    while not reached_horizon():
-        outcome = sim.step()
-        watch.push(outcome.kind)
-
-        if converged_slot is None and watch.collision_free_schedule(n_active):
+        settled = False
+        if hit and converged_slot is None:
             converged_slot = sim.slot_index - schedule_len
-            converged_time = sim.clock_us - sum(
-                sim.trace.durations[converged_slot : sim.slot_index]
-            )
-            if stop_after_converged_schedules is not None and not join_pending:
-                extra_slots_left = stop_after_converged_schedules * schedule_len
+            converged_time = sum(durations[:converged_slot])
+            settled = not join_pending
 
-        if join_pending:
-            do_join = False
-            if join_at_us is not None:
-                do_join = sim.clock_us >= join_at_us
-            else:
-                do_join = converged_slot is not None
-            if do_join:
-                join_pending = False
-                join_slot = sim.slot_index
-                join_time = sim.clock_us
-                for k in range(cfg.join_n):
-                    sid = cfg.n + k
-                    sim.add_station(
-                        _make_station(
-                            cfg, sid, run_seed, cfg.protocol, f_table, sim.clock_us
-                        )
-                    )
-                n_active += cfg.join_n
-                watch = _RollingWindow(schedule_len)
-
-        if (
-            join_slot is not None
-            and reconverged_slot is None
-            and watch.collision_free_schedule(n_active)
+        if join_pending and (
+            sim.clock_us >= join_at_us if timed_join else converged_slot is not None
         ):
-            reconverged_slot = sim.slot_index - schedule_len
-            reconverged_time = sim.clock_us - sum(
-                sim.trace.durations[reconverged_slot : sim.slot_index]
-            )
-            if stop_after_converged_schedules is not None:
-                extra_slots_left = stop_after_converged_schedules * schedule_len
+            join_pending = False
+            join_at_us = math.inf
+            join_slot = sim.slot_index
+            join_time = sim.clock_us
+            for k in range(cfg.join_n):
+                sim.add_station(
+                    _make_station(
+                        cfg, cfg.n + k, run_seed, cfg.protocol, f_table, sim.clock_us
+                    )
+                )
+            n_active += cfg.join_n
+            watch_from = join_slot
+            hit = False
 
-        if extra_slots_left is not None:
-            extra_slots_left -= 1
-            if extra_slots_left <= 0:
-                break
+        if hit and join_slot is not None and reconverged_slot is None:
+            reconverged_slot = sim.slot_index - schedule_len
+            reconverged_time = join_time + sum(durations[join_slot:reconverged_slot])
+            settled = True
+
+        if settled and stop_after_converged_schedules is not None:
+            extra = max(stop_after_converged_schedules * schedule_len - 1, 0)
+            until_slot = min(until_slot, sim.slot_index + extra)
 
     station_stats = [
         StationStats(

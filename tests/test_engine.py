@@ -1,10 +1,14 @@
 """Slot engine mechanics: resolution, observation windows, counters, traffic."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from macsim.config import SimConfig
-from macsim.engine import Simulator, SlotOutcome, Station
+from macsim.config import PROTOCOLS, SimConfig, derive_seed
+from macsim.engine import Simulator, Station
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
 from macsim.protocols import Dcf, Lmac, Lzc, backoff_from_slots
 from macsim.runner import run_simulation
@@ -39,47 +43,41 @@ def test_two_ready_stations_collide():
     ]
     for st in sts:
         st.counter = 0
-    out = make_sim(sts).step()
-    assert out.kind == SlotKind.COLLISION
-    assert set(out.transmitters) == {1, 2}
-    assert out.duration_us == pytest.approx(TABLE_PHY.t_collision)
+    sim = make_sim(sts)
+    sim.step()
+    assert sim.trace.kinds == [SlotKind.COLLISION]
+    assert set(sim.trace.transmitters_of(0)) == {1, 2}
+    assert sim.trace.durations[0] == pytest.approx(TABLE_PHY.t_collision)
 
 
 def test_single_ready_station_succeeds():
     sts = [Station(1, pinned_lzc(4, 1, 3), rng(13))]
     sts[0].counter = 0
-    out = make_sim(sts).step()
-    assert out.kind == SlotKind.SUCCESS
-    assert out.transmitters == (1,)
-    assert out.packets == 1
-    assert out.duration_us == pytest.approx(896.0, abs=1e-9)
+    sim = make_sim(sts)
+    sim.step()
+    assert sim.trace.kinds == [SlotKind.SUCCESS]
+    assert sim.trace.transmitters_of(0) == (1,)
+    assert sim.trace.packets == [1]
+    assert sim.trace.durations[0] == pytest.approx(896.0, abs=1e-9)
 
 
 def test_no_ready_station_idles():
     sts = [Station(1, pinned_lzc(4, 2, 4), rng(14))]
     sts[0].counter = 3
-    out = make_sim(sts).step()
-    assert out.kind == SlotKind.IDLE
-    assert out.duration_us == 20.0
+    sim = make_sim(sts)
+    sim.step()
+    assert sim.trace.kinds == [SlotKind.IDLE]
+    assert sim.trace.durations == [20.0]
 
 
 def test_error_rate_one_turns_success_into_error():
     sts = [Station(1, pinned_lzc(4, 1, 5), rng(15))]
     sts[0].counter = 0
     sim = make_sim(sts, error_rate=1.0, channel_rng=rng(16))
-    out = sim.step()
-    assert out.kind == SlotKind.ERROR
-    assert out.duration_us == pytest.approx(TABLE_PHY.t_collision)
+    sim.step()
+    assert sim.trace.kinds == [SlotKind.ERROR]
+    assert sim.trace.durations[0] == pytest.approx(TABLE_PHY.t_collision)
     assert sts[0].delivered == 0
-
-
-def test_slot_outcome_validation():
-    with pytest.raises(ValueError):
-        SlotOutcome(SlotKind.COLLISION, (1,), 0, 1.0)
-    with pytest.raises(ValueError):
-        SlotOutcome(SlotKind.SUCCESS, (1, 2), 1, 1.0)
-    with pytest.raises(ValueError):
-        SlotOutcome(SlotKind.IDLE, (1,), 0, 1.0)
 
 
 # --- observation window ------------------------------------------------------
@@ -107,11 +105,28 @@ class RecordingProtocol:
 
 
 def drive_window(kinds, slot, saturated=False):
-    proto = RecordingProtocol(len(kinds), slot)
+    """One window of a watched station while helper stations make ``kinds``.
+
+    A success or error position gets one saturated helper holding it, a
+    collision position two; errors come from a channel that fails every
+    single transmission.
+    """
+    length = len(kinds)
+    proto = RecordingProtocol(length, slot)
     st = Station(0, proto, rng(17), saturated=saturated)
-    for k in kinds:
-        transmitted = st.counter == 0 and st.has_packet()
-        st.end_of_slot(k, transmitted, k == SlotKind.SUCCESS, 0.0, [])
+    senders = {SlotKind.SUCCESS: 1, SlotKind.ERROR: 1, SlotKind.COLLISION: 2}
+    helpers = []
+    for pos, kind in enumerate(kinds, start=1):
+        for _ in range(senders.get(kind, 0)):
+            helper = RecordingProtocol(length, pos)
+            helpers.append(Station(len(helpers) + 1, helper, rng(18)))
+    errors = SlotKind.ERROR in kinds
+    assert not (errors and SlotKind.SUCCESS in kinds)
+    sim = make_sim(
+        [st] + helpers, error_rate=1.0 if errors else 0.0, channel_rng=rng(19)
+    )
+    sim.run_slots(length)
+    assert sim.trace.kinds == [int(k) for k in kinds]
     return proto, st
 
 
@@ -213,7 +228,7 @@ def test_clock_equals_sum_of_durations():
 def test_conservation_of_attempts():
     for seed in range(5):
         cfg = SimConfig(protocol="lbeb", n=6, c=8, horizon_slots=1000, seed=seed)
-        assert metrics.conservation_holds(run_simulation(cfg).trace)
+        assert ledger_violations(run_simulation(cfg)) == []
 
 
 def test_absorption_after_convergence():
@@ -277,7 +292,7 @@ def test_dcf_saturated_run_is_sane():
     res = run_simulation(cfg)
     norm, _ = metrics.throughput(res.trace, PhyParams(payload_bytes=1000))
     assert 0.2 < norm < 0.95
-    assert metrics.conservation_holds(res.trace)
+    assert ledger_violations(res) == []
 
 
 def test_dcf_idle_wait_until_arrival():
@@ -289,8 +304,8 @@ def test_dcf_idle_wait_until_arrival():
     assert all(k == int(SlotKind.IDLE) for k in sim.trace.kinds)
     st.queue.append(0.0)
     st.head_since_us = 0.0
-    out = sim.step()
-    assert out.kind == SlotKind.SUCCESS
+    sim.step()
+    assert sim.trace.kinds[-1] == SlotKind.SUCCESS
 
 
 # --- joins -----------------------------------------------------------------------
@@ -343,3 +358,148 @@ def test_missing_horizon_rejected():
     cfg = SimConfig(protocol="lmac", n=4, c=8, horizon_slots=None, seed=38)
     with pytest.raises(ValueError):
         run_simulation(cfg)
+
+
+def test_reconvergence_never_precedes_join():
+    # new-entrants runs; several of them reconverge in the window that starts
+    # at the join slot, where the reconvergence time is exactly zero
+    exact = 0
+    for base in (1, 100):
+        for k in (2, 4):
+            for rep in range(4):
+                cfg = SimConfig(protocol="lmac", n=8, c=16, join_n=k,
+                                horizon_slots=40000,
+                                seed=derive_seed(base, "join", k, rep))
+                res = run_simulation(cfg, stop_after_converged_schedules=2)
+                assert res.reconverged_time_us is not None
+                assert res.reconverged_time_us >= res.join_time_us
+                if res.reconverged_slot == res.join_slot:
+                    assert res.reconverged_time_us == res.join_time_us
+                    exact += 1
+    assert exact >= 3
+
+
+# --- ledger: stations, trace and event log agree ------------------------------
+
+
+def _slot_violations(tr, phy, sids):
+    bad = []
+    n = len(tr.kinds)
+    if not (len(tr.durations) == len(tr.tx_station) == len(tr.packets)
+            == len(tr.coll_sizes) == n):
+        return ["trace columns differ in length"]
+    collisions = {i for i, k in enumerate(tr.kinds) if k == SlotKind.COLLISION}
+    if set(tr.colliders) != collisions:
+        bad.append("colliders not keyed by exactly the collision slots")
+    for i, kind in enumerate(tr.kinds):
+        tx, pk, size, dur = tr.tx_station[i], tr.packets[i], tr.coll_sizes[i], tr.durations[i]
+        if kind == SlotKind.IDLE:
+            ok = tx == -1 and pk == 0 and size == 0 and dur == phy.sigma_us
+        elif kind == SlotKind.SUCCESS:
+            ok = (tx in sids and pk >= 1 and size == 0
+                  and dur == phy.success_duration(pk))
+        elif kind == SlotKind.ERROR:
+            ok = tx in sids and pk == 0 and size == 0 and dur == phy.t_collision
+        elif kind == SlotKind.COLLISION:
+            who = tr.colliders.get(i, ())
+            ok = (tx == -1 and pk == 0 and size == len(who) >= 2
+                  and len(set(who)) == len(who) and set(who) <= sids
+                  and dur == phy.t_collision)
+        else:
+            ok = False
+        if not ok:
+            bad.append(f"slot {i}: kind {kind}, tx {tx}, packets {pk}, size {size}")
+    return bad
+
+
+def ledger_violations(result):
+    """Everything the stations, the trace and the event log disagree on.
+
+    * every slot's kind, transmitter, packets, collision size, colliders and
+      duration agree with each other;
+    * each station delivered exactly the packets the trace credits to it;
+    * on fixed-length runs each schedule station logged one event per window
+      it completed, transmitted only at its logged slots (at every one of
+      them when saturated), and logged a success exactly when that slot was
+      idle or held its own success.
+    """
+    cfg = result.config
+    tr = result.trace
+    phy = PhyParams(payload_bytes=cfg.payload_bytes)
+    sids = {st.sid for st in result.stations}
+    bad = _slot_violations(tr, phy, sids)
+
+    credited = Counter()
+    sent_at: dict[int, set[int]] = {sid: set() for sid in sids}
+    for i, kind in enumerate(tr.kinds):
+        for sid in tr.transmitters_of(i):
+            sent_at[sid].add(i)
+        if kind == SlotKind.SUCCESS:
+            credited[tr.tx_station[i]] += tr.packets[i]
+    for st in result.stations:
+        if st.delivered != credited[st.sid]:
+            bad.append(f"station {st.sid} delivered {st.delivered}, "
+                       f"trace credits {credited[st.sid]}")
+
+    if cfg.adaptation != "none":
+        return bad
+    length = cfg.c
+    logged: dict[int, list] = {sid: [] for sid in sids}
+    for ev in result.events:
+        logged[ev.station].append(ev)
+    for st in result.stations:
+        if st.protocol == "dcf":
+            if logged[st.sid]:
+                bad.append(f"DCF station {st.sid} logged schedule events")
+            continue
+        start = 0 if st.sid < cfg.n else result.join_slot
+        evs = logged[st.sid]
+        if len(evs) != (len(tr.kinds) - start) // length:
+            bad.append(f"station {st.sid}: {len(evs)} events for "
+                       f"{(len(tr.kinds) - start) // length} windows")
+        own_slots = set()
+        for k, ev in enumerate(evs):
+            slot = start + k * length + ev.chosen_slot - 1
+            own_slots.add(slot)
+            kind = tr.kinds[slot]
+            won = kind == SlotKind.IDLE or (
+                kind == SlotKind.SUCCESS and tr.tx_station[slot] == st.sid
+            )
+            if ev.schedule_index != k or ev.outcome != ("success" if won else "failure"):
+                bad.append(f"station {st.sid} window {k}: logged {ev}, slot kind {kind}")
+        closed = start + len(evs) * length
+        sent = {i for i in sent_at[st.sid] if i < closed}
+        if not sent <= own_slots or (cfg.traffic == "saturated" and sent != own_slots):
+            bad.append(f"station {st.sid} sent in {sorted(sent ^ own_slots)[:5]}")
+    return bad
+
+
+@hst.composite
+def small_configs(draw):
+    protocol = draw(hst.sampled_from(PROTOCOLS))
+    n = draw(hst.integers(1, 8))
+    coexist_k = draw(hst.integers(0, n))
+    poisson = draw(hst.booleans())
+    join_n = draw(hst.integers(0, 2))
+    return SimConfig(
+        protocol=protocol,
+        n=n,
+        c=draw(hst.integers(2, 8)),
+        gamma=0.5,
+        traffic="poisson" if poisson else "saturated",
+        lambda_pps=draw(hst.sampled_from((300.0, 3000.0))) if poisson else 0.0,
+        buffer=draw(hst.integers(1, 4)),
+        error_rate=draw(hst.sampled_from((0.0, 0.2))),
+        coexist_k=coexist_k,
+        coexist_protocol=draw(hst.sampled_from(PROTOCOLS)) if coexist_k else None,
+        join_n=join_n,
+        join_when=draw(hst.sampled_from(("converged", "0.002"))),
+        horizon_slots=draw(hst.integers(1, 400)),
+        seed=draw(hst.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_configs())
+def test_ledger_holds_on_random_configs(cfg):
+    assert ledger_violations(run_simulation(cfg)) == []

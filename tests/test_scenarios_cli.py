@@ -174,7 +174,8 @@ def test_cli_ftable(tmp_path):
 
 
 def test_emitted_csv_cells_parse_as_numbers(tmp_path):
-    """Numeric cells read as plain numbers, never as ``np.float64(...)``."""
+    """Numeric cells read as plain numbers, never as ``np.float64(...)``,
+    and every CSV ends its lines with a bare LF."""
     assert main(["reproduce-all", "--out", str(tmp_path), "--reps", "2",
                  "--keys", "jain_fairness"]) == 0
     assert main(["markov", "--c", "6", "--n", "5", "--gamma", "0.3,0.5",
@@ -185,6 +186,7 @@ def test_emitted_csv_cells_parse_as_numbers(tmp_path):
     assert {"jain_fairness_summary.csv", "markov.csv", "ftable.csv"} <= {
         p.name for p in paths
     }
+    assert [p.name for p in paths if b"\r" in p.read_bytes()] == []
     unparsed = []
     for path in paths:
         for row in read_csv(path):
