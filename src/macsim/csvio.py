@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
+from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -19,34 +22,36 @@ _KIND_NAMES = {
 }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):  # np.float64 too, whose repr is not a number
-        return repr(float(value))
-    return str(value)
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Write a header and rows with LF line ends.
 
-
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    ``csv`` writes None as an empty cell and every other value with
+    ``str()``, which prints a float, ``np.float64`` included, as its
+    shortest round-trip repr.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def trace_to_csv(trace: Trace, path: str | Path) -> None:
-    rows = []
-    t = 0.0
-    for i, kind in enumerate(trace.kinds):
-        tx = "|".join(str(s) for s in trace.transmitters_of(i))
-        rows.append([i, t, _KIND_NAMES[kind], tx, trace.durations[i]])
-        t += trace.durations[i]
-    write_csv(path, ["slot_index", "sim_time_us", "kind", "transmitters", "duration_us"], rows)
+    # the running time adds durations left to right, exactly as the engine's clock
+    times = accumulate(trace.durations, initial=0.0)
+    transmitters = ["" if sid < 0 else str(sid) for sid in trace.tx_station]
+    for i, who in trace.colliders.items():
+        transmitters[i] = "|".join(map(str, who))
+    kinds = map(_KIND_NAMES.__getitem__, trace.kinds)
+    write_csv(
+        path,
+        ["slot_index", "sim_time_us", "kind", "transmitters", "duration_us"],
+        zip(range(len(trace.kinds)), times, kinds, transmitters, trace.durations),
+    )
 
 
 def events_to_csv(events: list[EventRecord], path: str | Path) -> None:
-    rows = [
-        [ev.station, ev.schedule_index, ev.chosen_slot, ev.outcome] for ev in events
-    ]
-    write_csv(path, ["station", "schedule_index", "chosen_slot", "outcome"], rows)
+    write_csv(
+        path,
+        ["station", "schedule_index", "chosen_slot", "outcome"],
+        map(attrgetter("station", "schedule_index", "chosen_slot", "outcome"), events),
+    )

@@ -11,7 +11,12 @@ trace is the one medium history: at a window end a station reads its idle
 positions, collision flag and own outcome back from it.  Poisson arrivals
 are pulled at a station's events, before its random draws, so every random
 stream is consumed as if stations were stepped every slot.  Simulated time
-is the sum of slot durations and nothing else.
+is the sum of slot durations, added left to right, and nothing else.
+
+Once every station holds its own slot, the schedule repeats unchanged: a
+saturated schedule station that succeeds draws nothing and keeps its slot.
+When such a window closes on an error-free channel and the caller is not
+watching for convergence, ``run`` appends whole copies of it in one step.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -30,6 +37,15 @@ _IDLE = int(SlotKind.IDLE)
 _SUCCESS = int(SlotKind.SUCCESS)
 _COLLISION = int(SlotKind.COLLISION)
 _ERROR = int(SlotKind.ERROR)
+
+
+def elapsed_us(durations) -> float:
+    """Sum of slot durations added left to right, as the engine's clock adds them.
+
+    Built-in ``sum`` of floats is compensated from Python 3.12 on, so it can
+    differ from the clock in the last bits.
+    """
+    return reduce(add, durations, 0.0)
 
 
 @dataclass
@@ -48,7 +64,7 @@ class Trace:
 
     @property
     def sim_time_us(self) -> float:
-        return float(sum(self.durations))
+        return elapsed_us(self.durations)
 
     def transmitters_of(self, slot_index: int) -> tuple[int, ...]:
         kind = self.kinds[slot_index]
@@ -361,7 +377,9 @@ class Simulator:
                         self._plan(st, s + 1)
             ending = end_due.pop(s, None)
             if ending is not None:
-                self._close_windows(ending, s, before)
+                absorbed = self._close_windows(ending, s, before)
+                if absorbed and not watching:
+                    s, clock = self._replay(s, clock, until_slot, until_us)
             s += 1
             if watching:
                 n_good += kind == _SUCCESS
@@ -383,13 +401,20 @@ class Simulator:
                 st.pull_arrivals(clock)
         return hit
 
-    def _close_windows(self, ending: list[Station], s: int, before_us: float) -> None:
-        """Window ends at slot ``s``: read each window back from the trace."""
+    def _close_windows(self, ending: list[Station], s: int, before_us: float) -> bool:
+        """Window ends at slot ``s``: read each window back from the trace.
+
+        Returns True when the window is absorbed: the channel is error-free,
+        every station is a saturated schedule station without adapter or
+        probe, all of them end this window from one shared start, and every
+        one succeeded.  The next window then repeats this one exactly.
+        """
         if len(ending) > 1:
             ending.sort(key=_position)
         tr = self.trace
         kinds = tr.kinds
         seen: dict[int, tuple[list[int], bool]] = {}
+        absorbed = self.error_rate == 0.0 and len(ending) == len(self.stations)
         for st in ending:
             if not st.saturated:
                 st.pull_arrivals(before_us)
@@ -406,8 +431,54 @@ class Simulator:
             success = own_kind == _IDLE or (
                 own_kind == _SUCCESS and tr.tx_station[own] == st.sid
             )
+            absorbed = absorbed and (
+                success and st.saturated and st.adapter is None and not st.in_probe
+            )
             st.close_window(success, view[0], view[1], self.events)
             self._plan(st, s + 1)
+        return absorbed and len(seen) == 1
+
+    def _replay(
+        self, s: int, clock: float, until_slot: float, until_us: float
+    ) -> tuple[int, float]:
+        """Append whole copies of the absorbed window that ended at slot ``s``.
+
+        Copies stop before the one that would reach ``until_slot`` or
+        ``until_us``, so the stepped loop plays the rest.  Returns the last
+        replayed slot and the clock after it.
+        """
+        stations = self.stations
+        length = stations[0].window_len
+        start = s + 1 - length
+        windows = math.inf if until_slot == math.inf else (until_slot - 1 - s) // length
+        tr = self.trace
+        durations = tr.durations[start : s + 1]
+        k = 0
+        while k < windows:
+            after = reduce(add, durations, clock)
+            if after >= until_us:
+                break
+            clock = after
+            k += 1
+        if k == 0:
+            return s, clock
+        for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets, tr.coll_sizes):
+            column.extend(column[start : s + 1] * k)
+        held = [(st.sid, st.schedule_index, st.protocol.current_slot()) for st in stations]
+        self.events.extend(
+            EventRecord(sid, index + j, slot, "success")
+            for j in range(k)
+            for sid, index, slot in held
+        )
+        # every station's only pending events are the ones planned from s + 1
+        self._tx_due.clear()
+        self._end_due.clear()
+        s += k * length
+        for st in stations:
+            st.delivered += k * st.txop_m
+            st.schedule_index += k
+            self._plan(st, s + 1)
+        return s, clock
 
 
 def _position(st: Station) -> int:

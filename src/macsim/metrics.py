@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SimConfig
-from .engine import EventRecord, Trace
+from .engine import EventRecord, Trace, elapsed_us
 from .phy import PhyParams, SlotKind
 from .runner import RunResult, run_simulation
 
@@ -48,7 +48,7 @@ def detect_convergence(
                 ok = False
                 break
         if ok and len(stations_seen) == n_stations:
-            seconds = sum(trace.durations[:start]) / 1e6
+            seconds = elapsed_us(trace.durations[:start]) / 1e6
             return k, seconds
         k += 1
     return None, None
@@ -118,15 +118,10 @@ def collision_rate(trace: Trace) -> float | None:
     Frame errors count as attempts but not as collisions.  None when the
     trace holds no attempts at all.
     """
-    attempts = 0
-    collided = 0
-    for i, kind in enumerate(trace.kinds):
-        if kind == int(SlotKind.COLLISION):
-            size = trace.coll_sizes[i]
-            attempts += size
-            collided += size
-        elif kind in (int(SlotKind.SUCCESS), int(SlotKind.ERROR)):
-            attempts += 1
+    kinds = np.asarray(trace.kinds)
+    collided = int(np.asarray(trace.coll_sizes)[kinds == SlotKind.COLLISION].sum())
+    singles = np.count_nonzero((kinds == SlotKind.SUCCESS) | (kinds == SlotKind.ERROR))
+    attempts = collided + int(singles)
     if attempts == 0:
         return None
     return collided / attempts
@@ -140,12 +135,12 @@ def throughput(
 ) -> tuple[float, float]:
     """(normalised, Mbit/s) payload throughput over a slot range."""
     stop = len(trace.kinds) if end_slot is None else end_slot
-    elapsed_us = sum(trace.durations[start_slot:stop])
-    if elapsed_us <= 0.0:
+    elapsed = elapsed_us(trace.durations[start_slot:stop])
+    if elapsed <= 0.0:
         raise ValueError("throughput needs a nonempty slot range")
     payload_bits = sum(trace.packets[start_slot:stop]) * phy.payload_bytes * 8
-    norm = payload_bits / (phy.data_rate * elapsed_us / 1e6)
-    mbps = payload_bits / elapsed_us
+    norm = payload_bits / (phy.data_rate * elapsed / 1e6)
+    mbps = payload_bits / elapsed
     return norm, mbps
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adaptation import AlmacAdapter, AlzcAdapter, FTable
 from .config import SimConfig, derive_seed
-from .engine import EventRecord, Simulator, Station, Trace
+from .engine import EventRecord, Simulator, Station, Trace, elapsed_us
 from .phy import PhyParams
 from .protocols import init_protocol
 
@@ -171,7 +171,7 @@ def run_simulation(
         settled = False
         if hit and converged_slot is None:
             converged_slot = sim.slot_index - schedule_len
-            converged_time = sum(durations[:converged_slot])
+            converged_time = elapsed_us(durations[:converged_slot])
             settled = not join_pending
 
         if join_pending and (
@@ -193,7 +193,9 @@ def run_simulation(
 
         if hit and join_slot is not None and reconverged_slot is None:
             reconverged_slot = sim.slot_index - schedule_len
-            reconverged_time = join_time + sum(durations[join_slot:reconverged_slot])
+            reconverged_time = join_time + elapsed_us(
+                durations[join_slot:reconverged_slot]
+            )
             settled = True
 
         if settled and stop_after_converged_schedules is not None:

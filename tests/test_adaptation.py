@@ -1,5 +1,7 @@
 """Schedule-length control: announced scheme, doubling/halving, probes, tables."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,14 @@ def test_packaged_table_is_monotone():
     values = [table.lookup(c) for c in (16, 32, 64)]
     assert values[0] >= 1
     assert values == sorted(values)
+
+
+def test_packaged_table_bytes_are_what_save_csv_writes(tmp_path):
+    # LF line endings, like every CSV the package writes
+    table = default_f_table()
+    table.save_csv(tmp_path / "ftable.csv")
+    packaged = importlib.resources.files("macsim.data") / "ftable_b16.csv"
+    assert packaged.read_bytes() == (tmp_path / "ftable.csv").read_bytes()
 
 
 # --- engine integration --------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from macsim.config import PROTOCOLS, SimConfig, derive_seed
-from macsim.engine import Simulator, Station
+from macsim.engine import Simulator, Station, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
-from macsim.protocols import Dcf, Lmac, Lzc, backoff_from_slots
+from macsim.protocols import Dcf, Lmac, Lzc, backoff_from_slots, init_protocol
 from macsim.runner import run_simulation
 from macsim import metrics
 
@@ -220,9 +220,13 @@ def test_single_station_never_collides():
 
 
 def test_clock_equals_sum_of_durations():
+    # left to right, bit for bit; built-in sum() compensates from Python 3.12
+    assert elapsed_us([1e16, 1.0, -1e16]) == 0.0
     cfg = SimConfig(protocol="zc", n=5, c=8, horizon_slots=1500, seed=25)
     res = run_simulation(cfg)
-    assert res.sim_time_us == pytest.approx(res.trace.sim_time_us, rel=1e-12)
+    assert res.converged_slot is not None  # the rest of the run is replayed
+    assert res.sim_time_us == elapsed_us(res.trace.durations)
+    assert res.sim_time_us == res.trace.sim_time_us
 
 
 def test_conservation_of_attempts():
@@ -261,6 +265,109 @@ def test_station_streams_independent_of_population():
         if ev.schedule_index == 0 and ev.station < 2:
             first3[ev.station] = ev.chosen_slot
     assert first2 == first3
+
+
+# --- absorbed-schedule replay ------------------------------------------------------
+
+
+def replay_sim(protocol, n, c, seed):
+    """``n`` saturated stations; ``c`` is one schedule length or one per station."""
+    lengths = [c] * n if isinstance(c, int) else c
+    stations = []
+    for sid in range(n):
+        station_rng = rng(derive_seed(seed, sid))
+        proto = init_protocol(protocol, lengths[sid], station_rng, gamma=0.5)
+        stations.append(Station(sid, proto, station_rng))
+    return Simulator(stations, TABLE_PHY)
+
+
+def sim_state(sim):
+    tr = sim.trace
+    return {
+        "trace": (tr.kinds, tr.durations, tr.tx_station, tr.packets, tr.coll_sizes,
+                  tr.colliders),
+        "events": sim.events,
+        "clock": sim.clock_us,
+        "slot": sim.slot_index,
+        "stations": [
+            (st.delivered, st.schedule_index, st.counter, st.window_len,
+             st.window_start, st.tx_slot, st.protocol.current_slot(),
+             getattr(st.protocol, "p", np.zeros(0)).tolist(),
+             st.rng.bit_generator.state)
+            for st in sim.stations
+        ],
+    }
+
+
+@pytest.fixture
+def close_calls(monkeypatch):
+    """Window starts of every ``Station.close_window`` call, in call order."""
+    starts = []
+    close_window = Station.close_window
+
+    def counted(st, *args):
+        starts.append(st.window_start)
+        return close_window(st, *args)
+
+    monkeypatch.setattr(Station, "close_window", counted)
+    return starts
+
+
+@pytest.mark.parametrize("protocol, n, c, seed, bounds", [
+    ("lbeb", 1, 4, 1, (203,)),
+    ("lbeb", 3, 8, 2, (1001, 2403)),
+    ("zc", 5, 8, 3, (999, 1600)),
+    ("lzc", 8, 8, 4, (1203,)),
+    ("lmac", 1, 2, 5, (99,)),
+    ("lmac", 6, 8, 6, (517, 1800)),
+])
+def test_replay_matches_stepping(protocol, n, c, seed, bounds, close_calls):
+    stepped = replay_sim(protocol, n, c, seed)
+    while stepped.slot_index < bounds[-1]:
+        stepped.step()
+    stepped_calls = len(close_calls)
+    replayed = replay_sim(protocol, n, c, seed)
+    for bound in bounds:
+        replayed.run(until_slot=bound)
+    assert sim_state(replayed) == sim_state(stepped)
+    assert len(close_calls) - stepped_calls < stepped_calls / 2
+
+
+def test_no_replay_across_unequal_windows(close_calls):
+    # lengths 4 and 8 end windows together at every eighth slot, from
+    # different starts, so the shared trace never repeats window by window
+    stepped = replay_sim("lbeb", 2, (4, 8), 8)
+    while stepped.slot_index < 800:
+        stepped.step()
+    stepped_calls = len(close_calls)
+    replayed = replay_sim("lbeb", 2, (4, 8), 8)
+    replayed.run(until_slot=800)
+    assert stepped.trace.kinds[-8:].count(SlotKind.SUCCESS) == 3  # settled
+    assert sim_state(replayed) == sim_state(stepped)
+    assert len(close_calls) == 2 * stepped_calls
+
+
+def test_replay_stops_before_time_bound(close_calls):
+    stepped = replay_sim("lzc", 4, 8, 7)
+    replayed = replay_sim("lzc", 4, 8, 7)
+    until_us = 1.5e5 + 3.0
+    while stepped.clock_us < until_us:
+        stepped.step()
+    replayed.run(until_us=until_us)
+    assert sim_state(replayed) == sim_state(stepped)
+    assert len(close_calls) < 1.5 * len(stepped.events)
+
+
+def test_replay_fires_after_convergence(close_calls):
+    n = c = 16
+    res = run_simulation(SimConfig(protocol="lmac", n=n, c=c, horizon_slots=20000,
+                                   seed=3))
+    assert res.converged_slot is not None and res.converged_slot < 2000
+    assert len(res.events) == n * 20000 // c
+    # the first collision-free window is watched, the next one is stepped and
+    # found absorbed, and every later window is replayed
+    assert sum(start > res.converged_slot for start in close_calls) <= n
+    assert ledger_violations(res) == []
 
 
 # --- traffic ---------------------------------------------------------------------

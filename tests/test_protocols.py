@@ -303,3 +303,21 @@ def test_resize_remaps_slot():
     lmac.resize(32)
     assert lmac.slot == 3
     assert np.allclose(lmac.probabilities, 1 / 32)
+
+
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
+def test_repeated_success_keeps_state_and_draws_nothing(kind):
+    # the engine replays absorbed windows without calling the protocol
+    r = rng(7)
+    proto = init_protocol(kind, 8, r, gamma=0.5)
+    slot = proto.current_slot()
+    state = r.bit_generator.state
+    proto.on_schedule_end(True, [1, 2, 3], r)
+    assert proto.current_slot() == slot
+    p = getattr(proto, "p", None)
+    proto.on_schedule_end(True, [1, 2, 3], r)
+    assert proto.current_slot() == slot
+    assert r.bit_generator.state == state
+    if kind == "lmac":
+        assert np.array_equal(proto.p, p)
+        assert proto.p[slot - 1] == 1.0 and proto.p.sum() == 1.0

@@ -1,13 +1,16 @@
 """Scenario orchestration and the command-line surface."""
 
 import csv
+import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from macsim import markov
+from macsim import markov, scenarios
 from macsim.cli import main
 from macsim.config import SimConfig
+from macsim.csvio import write_csv
 from macsim.scenarios import (
     SCENARIOS,
     converge_sweep,
@@ -200,6 +203,13 @@ def test_emitted_csv_cells_parse_as_numbers(tmp_path):
     assert not unparsed, unparsed[:5]
 
 
+def test_write_csv_cell_format(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b"], [[None, 0.1, np.float64(0.1), np.float64(1e16), 3,
+                                  np.int64(4), "1|2", 1e-05]])
+    assert path.read_bytes() == b"a,b\n,0.1,0.1,1e+16,3,4,1|2,1e-05\n"
+
+
 def test_cli_reproduce_all_subset(tmp_path):
     out = tmp_path / "repro"
     code = main(["reproduce-all", "--out", str(out), "--reps", "2",
@@ -209,3 +219,21 @@ def test_cli_reproduce_all_subset(tmp_path):
     values = {r["value"] for r in rows}
     assert len(values) == 9  # default grid 0.1..0.9
     assert all(int(r["rep"]) in (0, 1) for r in rows)
+
+
+def test_reproduce_all_logs_failing_key_traceback(tmp_path, monkeypatch, caplog):
+    def boom(base, reps):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(scenarios, "_jain_fairness", boom)
+    with caplog.at_level(logging.ERROR, logger="macsim.scenarios"):
+        code = main(["reproduce-all", "--out", str(tmp_path), "--reps", "1",
+                     "--keys", "jain_fairness,achievable_rate_vs_beta"])
+    assert code == 1
+    failed = [r for r in caplog.records if r.exc_info]
+    assert len(failed) == 1
+    assert "jain_fairness" in failed[0].getMessage()
+    assert failed[0].exc_info[0] is RuntimeError
+    assert "Traceback" in caplog.text and "boom" in caplog.text
+    assert (tmp_path / "achievable_rate_vs_beta.csv").exists()
+    assert not (tmp_path / "jain_fairness.csv").exists()
