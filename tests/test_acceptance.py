@@ -5,6 +5,7 @@ criterion.  Everything is seeded, so pass/fail is reproducible bit for bit.
 """
 
 import filecmp
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -424,9 +425,59 @@ def test_14_two_schedule_bound_holds():
     )
 
 
+#: SHA-256 per reproduce-all key over its data, summary and config files at
+#: ``reps=2, seed=1``, recorded from the scenario layer that wrote one summary
+#: loop per family.
+REPRODUCE_ALL_GOLDEN = {
+    "achievable_rate_vs_beta": (
+        "8d59109be87757020bd82bc760c0c8e3ff7448414df6f624160fd44d35b0ba1a"
+    ),
+    "adaptive_throughput_vs_n": (
+        "9007ae9538e6372200d8c14ab8695ad54fb62ea7e398f5828d5fe0afe44f8d68"
+    ),
+    "beta_convergence": (
+        "d84bc4877ef41e902f471b5feb6cc0b1d92c3703de8f823e01880f23d836ada5"
+    ),
+    "coexist_aggregate": (
+        "4327ea9de353cad1b38465e381fc8ecc933461ae80ff18d7aad9d7321ecc3826"
+    ),
+    "coexist_dcf_share": (
+        "35cb611a621a33ffc7f3155ff48cff468723ef0306bcfabbbe576c4924cfca1d"
+    ),
+    "collision_rate_vs_n": (
+        "54884364b2c9414e65407946f94f0e7890b5d27b1581b21ecbd78a8ca4770ee7"
+    ),
+    "convergence_time_vs_load": (
+        "98fd0a294869476d41e37814b76f277bc403cdfa2e24faf4fa78eff650ffdfc3"
+    ),
+    "delay_vs_n": (
+        "b6e54fb7a4bd4512e5f146f62f799780f7530e45a79d86d993e58cc85c2af6a6"
+    ),
+    "error_robustness": (
+        "8cfaad09de7c883ea9243d519cc147ec94a4c9d0596d9383a9cddda07c340a1f"
+    ),
+    "gamma_convergence_theory_vs_sim": (
+        "a561a694079e95160548bb4f187a7d36e2c97418114231d933ed6c2de6aa2c61"
+    ),
+    "jain_fairness": (
+        "29e0839368ab118bc5e128f8e4dc00eeec7697bcef83d24e1b259c9fcd56c1f3"
+    ),
+    "new_entrants": (
+        "50d637e39d033ff877921de0e515c601959c2cd332b21eafff9407c9e6feded1"
+    ),
+    "throughput_model_vs_sim": (
+        "528a4dd83df598d39b19aa8bb3fb1656cf0d18c2ccb4454e2f6beeef70534a45"
+    ),
+    "throughput_vs_n": (
+        "3eb7d527081b515221ca7176d941e9688e91ed2e62cb73b6b61cc854145f6079"
+    ),
+}
+
+
 def test_15_report_generation_contract(tmp_path):
     """Full dataset emission: every key produced with two replications per
-    point, byte-identical on re-run, and the headline comparison holds."""
+    point, byte-identical on re-run and to the recorded digests, and the
+    headline comparison holds."""
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     results_a = reproduce_all(out_a, reps=2, seed=1)
@@ -441,6 +492,16 @@ def test_15_report_generation_contract(tmp_path):
         with open(pa) as fh:
             n_rows = sum(1 for _ in fh) - 1
         assert n_rows >= 2, key
+    digests, hashed = {}, set()
+    for key in results_a:
+        h = hashlib.sha256()
+        for name in (f"{key}.csv", f"{key}_summary.csv", f"{key}_config.txt"):
+            if (out_a / name).exists():
+                h.update(name.encode() + b"\0" + (out_a / name).read_bytes() + b"\0")
+                hashed.add(name)
+        digests[key] = h.hexdigest()
+    assert hashed == {p.name for p in out_a.iterdir()}
+    assert digests == REPRODUCE_ALL_GOLDEN
     import csv
 
     with open(out_a / "throughput_vs_n.csv", newline="") as fh:

@@ -1,11 +1,14 @@
-"""Golden outputs: fixed-seed ``macsim sim`` runs hash to recorded digests.
+"""Golden outputs: fixed-seed ``macsim sim`` and ``macsim scenario`` runs hash
+to recorded digests.
 
-Each case writes one small config, runs ``macsim sim`` on it and hashes every
-file the command wrote (per-slot traces, event logs, metrics rows and the
-config echo).  The digests were recorded from the slot engine that stepped
-every station through every slot, so any change to the engine that moves a
-single slot, event, delay or metric cell fails here.  A change that means to
-alter outputs re-records them and says why.
+Each case writes one small config, runs the command on it and hashes every
+file the command wrote (per-slot traces, event logs, metrics rows, scenario
+rows and summaries, and the config echo).  The ``sim`` digests were recorded
+from the slot engine that stepped every station through every slot, and the
+scenario digests from the scenario layer that wrote one summary loop per
+family, so any change that moves a single slot, event, delay, metric cell or
+summary cell fails here.  A change that means to alter outputs re-records
+them and says why.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import hashlib
 import pytest
 
 from macsim.cli import main
+from macsim.scenarios import SCENARIOS
 
 CASES = {
     "lbeb": "protocol = lbeb\nn = 6\nc = 8\nhorizon_slots = 600\nseed = 11\n",
@@ -134,3 +138,73 @@ def run_case(tmp_path, name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sim_output_matches_golden_digest(tmp_path, name):
     assert run_case(tmp_path, name) == GOLDEN[name]
+
+
+#: One small config per scenario kind, run with ``--reps 2``.
+SCENARIO_CASES = {
+    "converge-sweep": (
+        "protocol = lzc\nn = 4\nc = 6\nsweep = gamma\nsweep_values = 0.3,0.6\nseed = 31\n"
+    ),
+    "throughput-vs-n": (
+        "protocol = lmac\nn = 4\nc = 8\nn_values = 4,8\nhorizon_slots = 400\nseed = 32\n"
+    ),
+    "delay-vs-n": (
+        "protocol = lmac\nn = 4\nc = 8\nlambda_pps = 300\nn_values = 4\n"
+        "horizon_slots = 800\nseed = 33\n"
+    ),
+    "error-robustness": (
+        "protocol = lmac\nn = 6\nc = 8\nn_values = 6\nerror_rates = 0.1\n"
+        "horizon_slots = 400\nseed = 34\n"
+    ),
+    "new-entrants": (
+        "protocol = lmac\nn = 4\nc = 8\nk_values = 2\nhorizon_slots = 3000\nseed = 35\n"
+    ),
+    "coexist": (
+        "protocol = lzc\nn = 4\nc = 8\nk_values = 2,3\nhorizon_slots = 500\nseed = 36\n"
+    ),
+}
+
+SCENARIO_GOLDEN = {
+    "coexist": (
+        "220f95b3a755d30d461f0177acdc5874d82ce40f0ad61fd231d012d3b4955832"
+    ),
+    "converge-sweep": (
+        "35783f642534b32f87aca8042768f1b45976ea42b682f7da1c729d58f6940ea3"
+    ),
+    "delay-vs-n": (
+        "b18d6b57a0da71b75fed49c77a77a430815cf9fe63f399bebe5ebc462c380861"
+    ),
+    "error-robustness": (
+        "8aa96a5cc87065d9afe1b31e566b91d627b6571db863635651a34e454f197d92"
+    ),
+    "new-entrants": (
+        "a4a62e1f1d079a0dd2a1255bb37a3c45df28639bae8c8f9813cd4b7bcdeb49ab"
+    ),
+    "throughput-vs-n": (
+        "9b03616ea7df0e4284f90a666f24a6ff0fb2cf2eaa83ccdc6e4dca8d1c1a5a2d"
+    ),
+}
+
+#: ``reproduce-all --keys jain_fairness --reps 4`` on this seed leaves two of
+#: the 30 (beta, m) summary groups without a value: every beta = 0.95 run
+#: converges before it makes 9 * 16 successes, so m = 9 and 10 are empty.
+JAIN_SEED = 37997357201
+JAIN_GOLDEN = "daf6fbe00fbcc6e9d55b1ad5aa4f093d864413bf7f0cdfe52c91aa2b9d67ec48"
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_scenario_output_matches_golden_digest(tmp_path, kind):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SCENARIO_CASES[kind])
+    out = tmp_path / "out"
+    assert main(["scenario", kind, "--config", str(cfg), "--reps", "2",
+                 "--out", str(out)]) == 0
+    assert _digest(out) == SCENARIO_GOLDEN[kind]
+
+
+def test_jain_summary_without_empty_groups_matches_golden_digest(tmp_path):
+    assert main(["reproduce-all", "--keys", "jain_fairness", "--reps", "4",
+                 "--seed", str(JAIN_SEED), "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "jain_fairness_summary.csv").read_text().splitlines()
+    assert len(summary) - 1 == 28
+    assert _digest(tmp_path) == JAIN_GOLDEN
