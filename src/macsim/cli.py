@@ -100,7 +100,11 @@ def _cmd_ftable(args) -> int:
 
 def _cmd_reproduce_all(args) -> int:
     keys = args.keys.split(",") if args.keys else None
-    results = reproduce_all(args.out, reps=args.reps, seed=args.seed, keys=keys)
+    try:
+        results = reproduce_all(args.out, reps=args.reps, seed=args.seed, keys=keys)
+    except ValueError as err:
+        print(f"reproduce-all error: {err}", file=sys.stderr)
+        return 2
     failed = 0
     for key in sorted(results):
         print(f"{key}: {results[key]}")

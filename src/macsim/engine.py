@@ -280,10 +280,6 @@ class Simulator:
     def step(self) -> None:
         self.run(until_slot=self.slot_index + 1)
 
-    def run_slots(self, n_slots: int) -> None:
-        if n_slots > 0:
-            self.run(until_slot=self.slot_index + n_slots)
-
     def run(
         self,
         until_slot: float = math.inf,

@@ -105,18 +105,3 @@ TABLE_PHY = PhyParams()
 #: Parameter set used by the simulation experiments (1000-byte payload).
 EXPERIMENT_PHY = PhyParams(payload_bytes=1000)
 
-
-def slot_duration(kind: SlotKind, phy: PhyParams, packets: int = 1) -> float:
-    """Duration in microseconds of a slot of the given kind.
-
-    ``packets`` only matters for SUCCESS slots; collisions and errors occupy
-    the medium for one failed exchange regardless of how many packets the
-    transmitter intended to send.
-    """
-    if kind == SlotKind.IDLE:
-        return phy.sigma_us
-    if kind == SlotKind.SUCCESS:
-        return phy.success_duration(packets)
-    if kind in (SlotKind.COLLISION, SlotKind.ERROR):
-        return phy.t_collision
-    raise ValueError(f"unknown slot kind: {kind!r}")

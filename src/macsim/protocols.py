@@ -178,9 +178,14 @@ class Lmac(ScheduleProtocol):
         self.beta = beta
         self.p = np.full(schedule_len, 1.0 / schedule_len)
         self.slot = sample_slot(self.p, rng)
+        #: True while ``p`` is the point mass on ``slot`` that a success left.
+        self.settled = False
 
     def on_schedule_end(self, success, idle_positions, rng):
+        if success and self.settled:
+            return self.slot  # the update would rebuild the same point mass
         self.p = updated_probabilities(self.p, self.slot, self.beta, success)
+        self.settled = success
         if not success:
             self.slot = sample_slot(self.p, rng)
         return self.slot
@@ -190,11 +195,8 @@ class Lmac(ScheduleProtocol):
             raise ValueError("learning update needs at least 2 slots")
         self.schedule_len = new_len
         self.p = np.full(new_len, 1.0 / new_len)
+        self.settled = False
         self.slot = (self.slot - 1) % new_len + 1
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.p.copy()
 
 
 class Dcf:

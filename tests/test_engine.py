@@ -125,7 +125,7 @@ def drive_window(kinds, slot, saturated=False):
     sim = make_sim(
         [st] + helpers, error_rate=1.0 if errors else 0.0, channel_rng=rng(19)
     )
-    sim.run_slots(length)
+    sim.run(until_slot=sim.slot_index + length)
     assert sim.trace.kinds == [int(k) for k in kinds]
     return proto, st
 
@@ -248,7 +248,7 @@ def test_absorption_after_convergence():
 def test_no_packets_means_all_idle():
     st = Station(0, Lzc(4, 0.5, rng(26)), rng(27), saturated=False, lambda_pps=0.0)
     sim = make_sim([st])
-    sim.run_slots(50)
+    sim.run(until_slot=sim.slot_index + 50)
     assert all(k == int(SlotKind.IDLE) for k in sim.trace.kinds)
 
 
@@ -407,7 +407,7 @@ def test_dcf_idle_wait_until_arrival():
     st = Station(0, dcf, rng(33), saturated=False, lambda_pps=0.0)
     st.counter = 0
     sim = make_sim([st])
-    sim.run_slots(5)
+    sim.run(until_slot=sim.slot_index + 5)
     assert all(k == int(SlotKind.IDLE) for k in sim.trace.kinds)
     st.queue.append(0.0)
     st.head_since_us = 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from macsim.phy import EXPERIMENT_PHY, TABLE_PHY, PhyParams, SlotKind, slot_duration
+from macsim.phy import EXPERIMENT_PHY, TABLE_PHY, PhyParams
 
 # Hand arithmetic, 11 Mbps / 24+32 byte headers / 1020 byte payload:
 #   header = (32*8 + 24*8) / 11 us = 448/11
@@ -19,6 +19,7 @@ TC_US = 120 + 8608 / 11
 
 def test_reference_durations():
     phy = TABLE_PHY
+    assert phy.sigma_us == 20.0
     assert phy.header_us == pytest.approx(HEADER_US, abs=1e-9)
     assert phy.ack_us == pytest.approx(ACK_US, abs=1e-9)
     assert phy.payload_us == pytest.approx(EP_US, abs=1e-9)
@@ -39,16 +40,9 @@ def test_multi_packet_duration_is_affine():
         assert phy.success_duration(m) == pytest.approx(expect, abs=1e-9)
 
 
-def test_slot_duration_dispatch():
-    assert slot_duration(SlotKind.IDLE, TABLE_PHY) == 20.0
-    assert slot_duration(SlotKind.SUCCESS, TABLE_PHY) == pytest.approx(TS_US)
-    assert slot_duration(SlotKind.COLLISION, TABLE_PHY) == pytest.approx(TC_US)
-    assert slot_duration(SlotKind.ERROR, TABLE_PHY) == pytest.approx(TC_US)
-
-
 def test_zero_packet_success_rejected():
     with pytest.raises(ValueError):
-        slot_duration(SlotKind.SUCCESS, TABLE_PHY, packets=0)
+        TABLE_PHY.success_duration(0)
 
 
 def test_duration_ordering():

@@ -267,7 +267,7 @@ def test_init_protocol_defaults_and_validation():
     proto = init_protocol("lmac", 16, rng(28))
     assert isinstance(proto, Lmac)
     assert proto.beta == 0.95
-    assert np.allclose(proto.probabilities, 1 / 16)
+    assert np.allclose(proto.p, 1 / 16)
     dcf = init_protocol("dcf", None, rng(29))
     assert dcf.cw == 32
     with pytest.raises(ValueError):
@@ -302,7 +302,7 @@ def test_resize_remaps_slot():
     lmac.p[2] = 1.0
     lmac.resize(32)
     assert lmac.slot == 3
-    assert np.allclose(lmac.probabilities, 1 / 32)
+    assert np.allclose(lmac.p, 1 / 32)
 
 
 @pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
@@ -321,3 +321,22 @@ def test_repeated_success_keeps_state_and_draws_nothing(kind):
     if kind == "lmac":
         assert np.array_equal(proto.p, p)
         assert proto.p[slot - 1] == 1.0 and proto.p.sum() == 1.0
+
+
+@pytest.mark.parametrize("c,beta", [(2, 0.5), (2, 0.99), (8, 0.9)])
+def test_lmac_settled_success_skip_matches_full_update(c, beta):
+    # a success on a settled station keeps its p object; a station that
+    # always runs the full update must end every schedule in the same state
+    fast, full = Lmac(c, beta, rng(40)), Lmac(c, beta, rng(40))
+    r_fast, r_full, outcomes = rng(41), rng(41), rng(42)
+    skipped = 0
+    for _ in range(2000):
+        success = bool(outcomes.random() < 0.7)
+        before = fast.p
+        full.settled = False
+        assert fast.on_schedule_end(success, [], r_fast) == full.on_schedule_end(
+            success, [], r_full)
+        skipped += fast.p is before
+        assert np.array_equal(fast.p, full.p)
+    assert r_fast.bit_generator.state == r_full.bit_generator.state
+    assert skipped > 100

@@ -1,13 +1,14 @@
 """Scenario orchestration and the command-line surface."""
 
 import csv
+import functools
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macsim import markov, scenarios
+from macsim import markov, scenarios, schedulesim
 from macsim.cli import main
 from macsim.config import SimConfig
 from macsim.csvio import write_csv
@@ -40,6 +41,35 @@ def test_converge_sweep_rows_and_theory():
         assert by_value[value][-1] == pytest.approx(markov.mean_convergence(chain))
 
 
+def test_censored_groups_are_left_out(tmp_path, monkeypatch):
+    # six stations never share four slots, so every capped run is censored
+    monkeypatch.setattr(schedulesim, "converge",
+                        functools.partial(schedulesim.converge, cap=2))
+    cfg = SimConfig(protocol="lmac", n=6, c=4, sweep="beta", sweep_values=(0.5, 0.9),
+                    seed=5)
+    report = converge_sweep(cfg, reps=2)
+    assert [row[3:5] for row in report.rows] == [[None, None]] * 4
+    assert report.summary_rows == []
+    report.write(tmp_path, "capped")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.csv", "capped_config.txt"]
+
+
+def test_summarise_counts_values_and_leaves_out_empty_groups():
+    rows = [
+        ["b", 0, None, 1.0],
+        ["a", 0, 1.0, 2.0],
+        ["a", 1, 3.0, None],
+        ["c", 0, 7.0, 8.0],
+        ["a", 2, 5.0, 4.0],
+        ["b", 1, None, None],
+    ]
+    summary = scenarios._summarise(rows, (0,), (2, 3), lambda group: [group[0] * 2])
+    assert summary == [
+        ["a", 2, 3.0, pytest.approx(1.96 * 2.0), 3.0, pytest.approx(1.96), "aa"],
+        ["c", 1, 7.0, 0.0, 8.0, 0.0, "cc"],
+    ]
+
+
 def test_converge_sweep_rejects_mismatched_protocol():
     cfg = SimConfig(protocol="lmac", n=3, c=4, sweep="gamma")
     with pytest.raises(ValueError):
@@ -54,7 +84,7 @@ def test_unknown_scenario_kind():
 def test_throughput_scenario_report(tmp_path):
     cfg = SimConfig(protocol="lmac", n=8, c=8, horizon_slots=2500, seed=6)
     report = throughput_vs_n(cfg, reps=2, protocols=("lmac", "dcf"), n_values=(4, 8))
-    path = report.write(tmp_path)
+    path = report.write(tmp_path, "throughput-vs-n")
     rows = read_csv(path)
     assert len(rows) == 8
     assert {r["protocol"] for r in rows} == {"lmac", "dcf"}
@@ -68,8 +98,8 @@ def test_scenario_rows_are_deterministic(tmp_path):
     a = throughput_vs_n(cfg, reps=2, protocols=("lzc",), n_values=(4,))
     b = throughput_vs_n(cfg, reps=2, protocols=("lzc",), n_values=(4,))
     assert a.rows == b.rows
-    p1 = a.write(tmp_path / "x")
-    p2 = b.write(tmp_path / "y")
+    p1 = a.write(tmp_path / "x", "t")
+    p2 = b.write(tmp_path / "y", "t")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -219,6 +249,17 @@ def test_cli_reproduce_all_subset(tmp_path):
     values = {r["value"] for r in rows}
     assert len(values) == 9  # default grid 0.1..0.9
     assert all(int(r["rep"]) in (0, 1) for r in rows)
+
+
+def test_cli_reproduce_all_rejects_unknown_keys(tmp_path, capsys):
+    out = tmp_path / "repro"
+    code = main(["reproduce-all", "--out", str(out), "--reps", "1",
+                 "--keys", "throughput_vs_nn,jain_fairness,bogus"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown keys throughput_vs_nn, bogus;" in err
+    assert all(key in err for key in scenarios.REPRODUCE_ALL)
+    assert not out.exists()
 
 
 def test_reproduce_all_logs_failing_key_traceback(tmp_path, monkeypatch, caplog):
