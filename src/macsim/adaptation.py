@@ -32,6 +32,9 @@ from .schedulesim import DEFAULT_SCHEDULE_CAP, converge
 #: Default ceiling on per-station schedule length, as a multiple of the base.
 MAX_LEN_FACTOR = 2**10
 
+#: Share of f-table runs that must have converged by the tabulated count.
+F_CONFIDENCE = 0.95
+
 
 def ap_adapt(schedule_len: int, idle_count: int) -> int:
     """Announced single-slot adjustment from the observed idle-slot count.
@@ -255,30 +258,22 @@ class FTable:
         return cls(entries)
 
 
-def _quantile_count(sorted_counts: list[int], confidence: float) -> int:
-    """Smallest schedule count covering the requested fraction of runs."""
+def _quantile_count(sorted_counts: list[int]) -> int:
+    """Smallest schedule count covering ``F_CONFIDENCE`` of the runs."""
     import math
 
-    idx = math.ceil(confidence * len(sorted_counts)) - 1
+    idx = math.ceil(F_CONFIDENCE * len(sorted_counts)) - 1
     return sorted_counts[idx]
 
 
-def build_f_table(
-    schedule_lengths: list[int],
-    reps: int = 1000,
-    seed: int = 1,
-    confidence: float = 0.95,
-    beta: float = 0.95,
-    cap: int = DEFAULT_SCHEDULE_CAP,
-    bootstrap: int = 1000,
-) -> FTable:
+def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) -> FTable:
     """Monte Carlo tabulation of convergence horizons.
 
-    For each length C, runs C-1 learning stations from uniform starts and
-    records the smallest schedule count by which the requested fraction of
-    replications had reached a collision-free schedule.  Runs that hit the
-    cap count as never converging.  Confidence bounds come from a bootstrap
-    over the replications.
+    For each length C, runs C-1 learning stations (beta 0.95) from uniform
+    starts and records the smallest schedule count by which ``F_CONFIDENCE``
+    of the replications had reached a collision-free schedule.  Runs that hit
+    the schedule cap count as never converging.  Confidence bounds come from
+    1000 bootstrap resamples of the replications.
     """
     if reps < 1000:
         raise ValueError("tabulation needs at least 1000 replications")
@@ -295,25 +290,25 @@ def build_f_table(
                 continue
             ss = np.random.SeedSequence([seed, c, r])
             rngs = [np.random.default_rng(child) for child in ss.spawn(n)]
-            protos = [Lmac(c, beta, rngs[i]) for i in range(n)]
-            run = converge(protos, rngs, cap=cap)
+            protos = [Lmac(c, 0.95, rngs[i]) for i in range(n)]
+            run = converge(protos, rngs)
             if run.schedules is None:
                 failures += 1
-                counts.append(cap + 1)
+                counts.append(DEFAULT_SCHEDULE_CAP + 1)
             else:
                 counts.append(run.schedules)
-        if failures > (1.0 - confidence) * reps:
+        if failures > (1.0 - F_CONFIDENCE) * reps:
             raise RuntimeError(
                 f"too many non-convergent runs ({failures}/{reps}) at C={c}"
             )
         counts.sort()
-        f_value = _quantile_count(counts, confidence)
+        f_value = _quantile_count(counts)
         boot_rng = np.random.default_rng(np.random.SeedSequence([seed, c, 10**9]))
         arr = np.array(counts)
         boots = []
-        for _ in range(bootstrap):
+        for _ in range(1000):
             sample = np.sort(arr[boot_rng.integers(0, reps, size=reps)])
-            boots.append(_quantile_count(list(sample), confidence))
+            boots.append(_quantile_count(list(sample)))
         lo, hi = np.percentile(boots, [2.5, 97.5])
         entries[c] = FEntry(c, int(f_value), int(lo), int(hi))
     return FTable(entries)

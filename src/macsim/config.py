@@ -74,6 +74,15 @@ class SimConfig:
         assert self.b is not None
         return self.b
 
+    @property
+    def runs_dcf(self) -> bool:
+        """Whether any station, joiners included, runs DCF."""
+        base = self.coexist_k < self.n or self.join_n > 0
+        partner = self.coexist_k > 0
+        return (base and self.protocol == "dcf") or (
+            partner and self.coexist_protocol == "dcf"
+        )
+
     def echo(self) -> str:
         """Canonical effective-config text used for provenance and hashing."""
         lines = []
@@ -311,6 +320,10 @@ def _cross_validate(cfg: SimConfig, gamma_auto: bool) -> list[Diagnostic]:
         diags.append(Diagnostic("sweep", "gamma", "gamma sweeps need protocol lzc"))
     if cfg.sweep == "beta" and cfg.protocol != "lmac":
         diags.append(Diagnostic("sweep", "beta", "beta sweeps need protocol lmac"))
+    if cfg.join_n > 0 and cfg.join_when == "converged" and cfg.runs_dcf:
+        diags.append(
+            Diagnostic("join_when", "converged", "DCF never converges; give a time")
+        )
     if cfg.traffic == "poisson" and cfg.lambda_pps <= 0.0:
         diags.append(
             Diagnostic("lambda_pps", str(cfg.lambda_pps), "poisson traffic needs a rate")

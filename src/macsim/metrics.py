@@ -1,8 +1,9 @@
 """Derived quantities over traces: convergence, fairness, throughput, delay.
 
 Convergence counting convention: ``detect_convergence`` returns the 0-based
-index of the first schedule-aligned window in which every station transmits
-successfully, so a single station yields 0.  The schedule-synchronous
+index of the first collision-free schedule, read from the engine's
+convergence watch (``RunResult.converged_slot``) rather than from a second
+scan of the trace, so a single station yields 0.  The schedule-synchronous
 simulator and the chain analysis count schedules played through the first
 collision-free one instead (a single station yields 1); add one to the index
 reported here when comparing against those.
@@ -20,38 +21,34 @@ from .phy import PhyParams, SlotKind
 from .runner import RunResult, run_simulation
 
 
-def detect_convergence(
-    trace: Trace, n_stations: int, schedule_len: int, phase: int = 0
-) -> tuple[int | None, float | None]:
-    """First collision-free schedule window and the simulated time before it.
+def detect_convergence(result: RunResult) -> tuple[int | None, float | None]:
+    """First collision-free schedule and the simulated time before it.
 
-    Scans windows of ``schedule_len`` slots aligned to ``phase``.  A window
-    counts as collision-free when it holds exactly one successful slot per
-    station and nothing else but idle slots.  Returns (None, None) when the
-    trace ends first.
+    Reads the engine's watch: ``converged_slot`` starts the first run of C
+    slots holding N successes and no collision or error.  On an aligned,
+    saturated, error-free run, such a window that ends inside schedule k + 1
+    makes schedule k + 1 collision-free, and no earlier schedule is, so the
+    0-based schedule index is ``ceil(converged_slot / C)``.  Returns
+    (None, None) outside that absorbing regime (fixed length, saturated,
+    error-free, no DCF station, no joins), when the run never converged, or
+    when the horizon cuts that schedule short.
     """
-    kinds = trace.kinds
-    n_slots = len(kinds)
-    success = int(SlotKind.SUCCESS)
-    idle = int(SlotKind.IDLE)
-    k = 0
-    while phase + (k + 1) * schedule_len <= n_slots:
-        start = phase + k * schedule_len
-        stop = start + schedule_len
-        stations_seen = set()
-        ok = True
-        for i in range(start, stop):
-            kind = kinds[i]
-            if kind == success:
-                stations_seen.add(trace.tx_station[i])
-            elif kind != idle:
-                ok = False
-                break
-        if ok and len(stations_seen) == n_stations:
-            seconds = elapsed_us(trace.durations[:start]) / 1e6
-            return k, seconds
-        k += 1
-    return None, None
+    cfg = result.config
+    absorbing = (
+        cfg.adaptation == "none"
+        and cfg.traffic == "saturated"
+        and cfg.error_rate == 0.0
+        and cfg.join_n == 0
+        and cfg.protocol != "dcf"
+        and cfg.coexist_k == 0
+    )
+    if not absorbing or result.converged_slot is None:
+        return None, None
+    c = cfg.c
+    kappa = -(-result.converged_slot // c)
+    if (kappa + 1) * c > len(result.trace):
+        return None, None
+    return kappa, elapsed_us(result.trace.durations[: kappa * c]) / 1e6
 
 
 def detect_convergence_from_events(
@@ -61,7 +58,7 @@ def detect_convergence_from_events(
 
     Works off the per-station event log of aligned stations: schedule k is
     collision-free when all stations report success there with pairwise
-    distinct slots.  Used to cross-check the window scan.
+    distinct slots.  Test oracle for ``detect_convergence``.
     """
     by_schedule: dict[int, list[EventRecord]] = {}
     for ev in events:
@@ -178,30 +175,18 @@ def achievable_rate(
     lam_hi: float,
     seed: int = 1,
     iterations: int = 10,
-    lam_grid: list[float] | None = None,
-    rho_threshold: float = 1.0,
 ) -> float:
     """Largest symmetric arrival rate keeping every station's load below one.
 
-    Either scans an explicit rate grid or bisects between ``lam_lo``
-    (expected stable) and ``lam_hi`` (expected unstable).  Each probe runs
-    one seeded replication of ``base_cfg`` with Poisson arrivals at the
-    probed rate and estimates per-station load as arrival rate times mean
-    measured service time.
+    Bisects between ``lam_lo`` (expected stable) and ``lam_hi`` (expected
+    unstable).  Each probe runs one seeded replication of ``base_cfg`` with
+    Poisson arrivals at the probed rate and estimates per-station load as
+    arrival rate times mean measured service time.
     """
 
     def stable(lam: float) -> bool:
         cfg = replace(base_cfg, traffic="poisson", lambda_pps=lam, seed=seed)
-        result = run_simulation(cfg)
-        rhos = station_rho(result, lam)
-        return max(rhos) < rho_threshold
-
-    if lam_grid is not None:
-        best = 0.0
-        for lam in sorted(lam_grid):
-            if stable(lam):
-                best = lam
-        return best
+        return max(station_rho(run_simulation(cfg), lam)) < 1.0
 
     lo, hi = lam_lo, lam_hi
     if not stable(lo):
@@ -256,28 +241,16 @@ class RunMetrics:
 def compute_run_metrics(result: RunResult) -> RunMetrics:
     """Assemble the standard per-run metrics row.
 
-    Convergence (and pre-convergence fairness) is only defined for the
-    absorbing regime: fixed schedule length, saturated, error-free, no
-    mid-run joins.
+    Convergence and pre-convergence fairness are left empty where
+    ``detect_convergence`` finds no collision-free schedule.
     """
     cfg = result.config
-    phy = PhyParams(payload_bytes=cfg.payload_bytes)
-    absorbing = (
-        cfg.adaptation == "none"
-        and cfg.traffic == "saturated"
-        and cfg.error_rate == 0.0
-        and cfg.join_n == 0
-        and cfg.protocol != "dcf"
-        and cfg.coexist_k == 0
-    )
-    kappa = None
-    conv_seconds = None
+    kappa, conv_seconds = detect_convergence(result)
     jain: list[float | None] = [None] * 10
-    if absorbing:
-        kappa, conv_seconds = detect_convergence(result.trace, cfg.n, cfg.c)
-        if kappa is not None:
-            seq = success_sequence(result.trace, upto_slot=kappa * cfg.c)
-            jain = [jain_index(seq, cfg.n, m) for m in range(1, 11)]
+    if kappa is not None:
+        seq = success_sequence(result.trace, upto_slot=kappa * cfg.c)
+        jain = [jain_index(seq, cfg.n, m) for m in range(1, 11)]
+    phy = PhyParams(payload_bytes=cfg.payload_bytes)
     thr_norm, thr_mbps = throughput(result.trace, phy)
     return RunMetrics(
         seed=cfg.seed,

@@ -15,6 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
+#: DCF contention window bounds and the retries before a packet is dropped.
+CW_MIN, CW_MAX, RETRY_LIMIT = 32, 1024, 7
+
 
 def backoff_from_slots(current_slot: int, next_slot: int, schedule_len: int) -> int:
     """Backoff counter, in MAC slots, between transmissions in consecutive schedules.
@@ -203,25 +206,14 @@ class Dcf:
     """Binary exponential backoff with a doubling contention window.
 
     The counter is drawn uniformly in ``[0, CW - 1]``; the window doubles on
-    failure up to ``cw_max`` and resets to ``cw_min`` after a success or
-    after the retry limit drops the packet.
+    failure up to ``CW_MAX`` and resets to ``CW_MIN`` after a success or
+    after ``RETRY_LIMIT`` retries drop the packet.
     """
 
     kind = "dcf"
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        cw_min: int = 32,
-        cw_max: int = 1024,
-        retry_limit: int = 7,
-    ):
-        if cw_min < 1 or cw_max < cw_min:
-            raise ValueError("need 1 <= cw_min <= cw_max")
-        self.cw_min = cw_min
-        self.cw_max = cw_max
-        self.retry_limit = retry_limit
-        self.cw = cw_min
+    def __init__(self, rng: np.random.Generator):
+        self.cw = CW_MIN
         self.retries = 0
         self.counter = int(rng.integers(0, self.cw))
 
@@ -231,16 +223,16 @@ class Dcf:
         """Update state after a transmission; returns (new counter, dropped)."""
         dropped = False
         if success:
-            self.cw = self.cw_min
+            self.cw = CW_MIN
             self.retries = 0
         else:
             self.retries += 1
-            if self.retries > self.retry_limit:
+            if self.retries > RETRY_LIMIT:
                 dropped = True
-                self.cw = self.cw_min
+                self.cw = CW_MIN
                 self.retries = 0
             else:
-                self.cw = min(2 * self.cw, self.cw_max)
+                self.cw = min(2 * self.cw, CW_MAX)
         self.counter = int(rng.integers(0, self.cw))
         return self.counter, dropped
 
@@ -251,13 +243,10 @@ def init_protocol(
     rng: np.random.Generator,
     beta: float | None = None,
     gamma: float | None = None,
-    cw_min: int = 32,
-    cw_max: int = 1024,
-    retry_limit: int = 7,
 ):
     """Build a protocol instance of the given kind with validated parameters."""
     if kind == "dcf":
-        return Dcf(rng, cw_min=cw_min, cw_max=cw_max, retry_limit=retry_limit)
+        return Dcf(rng)
     if schedule_len is None:
         raise ValueError(f"protocol {kind!r} needs a schedule length")
     if kind == "lbeb":

@@ -43,7 +43,6 @@ class RunResult:
     stations: list[StationStats]
     sim_time_us: float
     converged_slot: int | None
-    converged_time_us: float | None
     join_slot: int | None
     join_time_us: float | None
     reconverged_slot: int | None
@@ -147,7 +146,7 @@ def run_simulation(
         until_slot = math.inf
     until_us = math.inf if cfg.horizon_seconds is None else cfg.horizon_seconds * 1e6
 
-    converged_slot = converged_time = join_slot = join_time = None
+    converged_slot = join_slot = join_time = None
     reconverged_slot = reconverged_time = None
 
     n_active = cfg.n
@@ -155,10 +154,11 @@ def run_simulation(
     timed_join = join_pending and cfg.join_when != "converged"
     join_at_us = float(cfg.join_when) * 1e6 if timed_join else math.inf
     watch_from = 0  # the collision-free watch restarts when stations join
+    can_converge = not cfg.runs_dcf  # DCF has no schedule to converge to
     durations = sim.trace.durations
     while sim.slot_index < until_slot and sim.clock_us < until_us:
-        watching = converged_slot is None or (
-            join_slot is not None and reconverged_slot is None
+        watching = can_converge and (
+            converged_slot is None or (join_slot is not None and reconverged_slot is None)
         )
         hit = sim.run(
             until_slot=until_slot,
@@ -171,7 +171,6 @@ def run_simulation(
         settled = False
         if hit and converged_slot is None:
             converged_slot = sim.slot_index - schedule_len
-            converged_time = elapsed_us(durations[:converged_slot])
             settled = not join_pending
 
         if join_pending and (
@@ -224,7 +223,6 @@ def run_simulation(
         stations=station_stats,
         sim_time_us=sim.clock_us,
         converged_slot=converged_slot,
-        converged_time_us=converged_time,
         join_slot=join_slot,
         join_time_us=join_time,
         reconverged_slot=reconverged_slot,

@@ -266,6 +266,8 @@ def new_entrants(
 
     points = [((k,), ("join", k), replace(cfg, join_n=k, join_when="converged"))
               for k in k_values]
+    if any(point.runs_dcf for _, _, point in points):
+        raise ValueError("new-entrants needs schedule stations; DCF never converges")
     rows = _grid(cfg.seed, points, reps or cfg.reps,
                  _simulated(measure, stop_after_converged_schedules=2))
     return _report(cfg, rows, ["joiners", "rep", "reconverge_seconds", "config_hash"],

@@ -10,6 +10,7 @@ than the slot-stepped engine, which it complements for convergence studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,18 +35,47 @@ class ConvergenceRun:
     seconds_before: float | None
 
 
-def _schedule_seconds(
-    occupancy: list[int], schedule_len: int, phy: PhyParams
-) -> float:
+def _schedule_seconds(occupancy: list[int], phy: PhyParams) -> float:
     n_success = sum(1 for o in occupancy[1:] if o == 1)
     n_collision = sum(1 for o in occupancy[1:] if o >= 2)
-    n_idle = schedule_len - n_success - n_collision
+    n_idle = len(occupancy) - 1 - n_success - n_collision
     us = (
         n_success * phy.t_success
         + n_collision * phy.t_collision
         + n_idle * phy.sigma_us
     )
     return us / 1e6
+
+
+def _play(
+    protocols: list[ScheduleProtocol],
+    rngs: list[np.random.Generator],
+    cap: int,
+    visit: Callable[[list[int], list[int]], None] | None,
+) -> int | None:
+    """Play shared schedules until the stations' slots are all distinct.
+
+    Returns the schedule count through the first collision-free schedule, or
+    None when ``cap`` schedules pass first.  ``visit(slots, occupancy)`` sees
+    every schedule before that one; ``occupancy[j]`` counts the stations in
+    slot j.
+    """
+    c = protocols[0].schedule_len
+    if any(p.schedule_len != c for p in protocols):
+        raise ValueError("stations must share one schedule length")
+    slots = [p.current_slot() for p in protocols]
+    for k in range(1, cap + 1):
+        occupancy = [0] * (c + 1)
+        for s in slots:
+            occupancy[s] += 1
+        if all(occupancy[s] == 1 for s in slots):
+            return k
+        if visit is not None:
+            visit(slots, occupancy)
+        idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
+        for i, proto in enumerate(protocols):
+            slots[i] = proto.on_schedule_end(occupancy[slots[i]] == 1, idle, rngs[i])
+    return None
 
 
 def converge(
@@ -59,23 +89,16 @@ def converge(
     Stations must share one schedule length.  Timing is accumulated only when
     ``phy`` is given.
     """
-    c = protocols[0].schedule_len
-    if any(p.schedule_len != c for p in protocols):
-        raise ValueError("stations must share one schedule length")
-    slots = [p.current_slot() for p in protocols]
     seconds = 0.0
-    for k in range(1, cap + 1):
-        occupancy = [0] * (c + 1)
-        for s in slots:
-            occupancy[s] += 1
-        if all(occupancy[s] == 1 for s in slots):
-            return ConvergenceRun(k, seconds if phy is not None else None)
-        if phy is not None:
-            seconds += _schedule_seconds(occupancy, c, phy)
-        idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
-        for i, proto in enumerate(protocols):
-            slots[i] = proto.on_schedule_end(occupancy[slots[i]] == 1, idle, rngs[i])
-    return ConvergenceRun(None, None)
+
+    def add_time(slots: list[int], occupancy: list[int]) -> None:
+        nonlocal seconds
+        seconds += _schedule_seconds(occupancy, phy)
+
+    k = _play(protocols, rngs, cap, None if phy is None else add_time)
+    if k is None or phy is None:
+        return ConvergenceRun(k, None)
+    return ConvergenceRun(k, seconds)
 
 
 def converge_lbeb_batch(
@@ -143,22 +166,12 @@ def success_sequence_until_converged(
     with the convergence schedule count (``None`` when the cap was hit, in
     which case the sequence covers the whole capped run).
     """
-    c = protocols[0].schedule_len
-    if any(p.schedule_len != c for p in protocols):
-        raise ValueError("stations must share one schedule length")
-    slots = [p.current_slot() for p in protocols]
     seq: list[int] = []
-    for k in range(1, cap + 1):
-        occupancy = [0] * (c + 1)
-        for s in slots:
-            occupancy[s] += 1
-        if all(occupancy[s] == 1 for s in slots):
-            return seq, k
+
+    def add_successes(slots: list[int], occupancy: list[int]) -> None:
         by_slot = sorted(
             (slots[i], i + 1) for i in range(len(slots)) if occupancy[slots[i]] == 1
         )
         seq.extend(sid for _, sid in by_slot)
-        idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
-        for i, proto in enumerate(protocols):
-            slots[i] = proto.on_schedule_end(occupancy[slots[i]] == 1, idle, rngs[i])
-    return seq, None
+
+    return seq, _play(protocols, rngs, cap, add_successes)

@@ -199,7 +199,7 @@ def test_07_throughput_model_agreement():
         cfg = SimConfig(protocol="lmac", n=n, c=c, payload_bytes=1020,
                         horizon_slots=60000, seed=11)
         res = run_simulation(cfg, stop_after_converged_schedules=120)
-        k, _ = metrics.detect_convergence(res.trace, n, c)
+        k, _ = metrics.detect_convergence(res)
         assert k is not None
         start = k * c
         stop = start + 100 * c

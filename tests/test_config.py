@@ -102,6 +102,13 @@ def test_join_when_forms():
     assert cfg.join_when == "1.5"
     with pytest.raises(ConfigError):
         parse("protocol = lmac\nn = 4\nc = 8\njoin_when = soon\n")
+    # DCF never converges, so it can only join at a time
+    for text in ("protocol = dcf\nn = 4\nc = 8\njoin_n = 2\n",
+                 "protocol = lmac\nn = 4\nc = 8\ncoexist_k = 1\ncoexist_protocol = dcf\n"
+                 "join_n = 2\n"):
+        with pytest.raises(ConfigError, match="join_when"):
+            parse(text)
+    assert parse("protocol = dcf\nn = 4\nc = 8\njoin_n = 2\njoin_when = 0.5\n").join_n == 2
 
 
 def test_list_values():

@@ -115,6 +115,8 @@ def test_new_entrants_scenario():
     report = new_entrants(cfg, reps=2, k_values=(2,))
     times = [row[2] for row in report.rows]
     assert all(t is not None and t > 0 for t in times)
+    with pytest.raises(ValueError, match="DCF"):
+        new_entrants(SimConfig(protocol="dcf", n=4, c=8, horizon_slots=3000, seed=9))
 
 
 def test_coexist_scenario_shares():
