@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_csv
-from .protocols import Lmac, Lzc
+from .protocols import DEFAULT_BETA, Lmac, Lzc
 from .schedulesim import DEFAULT_SCHEDULE_CAP, converge
 
 #: Default ceiling on per-station schedule length, as a multiple of the base.
@@ -269,7 +269,7 @@ def _quantile_count(sorted_counts: list[int]) -> int:
 def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) -> FTable:
     """Monte Carlo tabulation of convergence horizons.
 
-    For each length C, runs C-1 learning stations (beta 0.95) from uniform
+    For each length C, runs C-1 learning stations (``DEFAULT_BETA``) from uniform
     starts and records the smallest schedule count by which ``F_CONFIDENCE``
     of the replications had reached a collision-free schedule.  Runs that hit
     the schedule cap count as never converging.  Confidence bounds come from
@@ -290,7 +290,7 @@ def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) 
                 continue
             ss = np.random.SeedSequence([seed, c, r])
             rngs = [np.random.default_rng(child) for child in ss.spawn(n)]
-            protos = [Lmac(c, 0.95, rngs[i]) for i in range(n)]
+            protos = [Lmac(c, DEFAULT_BETA, rngs[i]) for i in range(n)]
             run = converge(protos, rngs)
             if run.schedules is None:
                 failures += 1

@@ -48,7 +48,11 @@ def _cmd_scenario(args) -> int:
     cfg = _load(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    path = run_scenario(args.kind, cfg, args.out, reps=args.reps)
+    try:
+        path = run_scenario(args.kind, cfg, args.out, reps=args.reps)
+    except ValueError as err:
+        print(f"scenario error: {err}", file=sys.stderr)
+        return 2
     print(f"wrote {path}")
     return 0
 
@@ -56,6 +60,8 @@ def _cmd_scenario(args) -> int:
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         lo, hi, step = (float(v) for v in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"grid step must be positive, got {step}")
         values = []
         v = lo
         while v <= hi + 1e-12:
@@ -66,16 +72,19 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_markov(args) -> int:
-    gammas = _parse_grid(args.gamma)
     rows = []
-    for gamma in gammas:
-        chain = markov.build_chain(args.c, args.n, gamma)
-        lam_num, block = markov.second_eigenvalue(chain)
-        rows.append(
-            [args.c, args.n, gamma,
-             markov.lambda_star_closed(args.c, args.n, gamma),
-             lam_num, block, markov.mean_convergence(chain)]
-        )
+    try:
+        for gamma in _parse_grid(args.gamma):
+            chain = markov.build_chain(args.c, args.n, gamma)
+            lam_num, block = markov.second_eigenvalue(chain)
+            rows.append(
+                [args.c, args.n, gamma,
+                 markov.lambda_star_closed(args.c, args.n, gamma),
+                 lam_num, block, markov.mean_convergence(chain)]
+            )
+    except ValueError as err:
+        print(f"markov error: {err}", file=sys.stderr)
+        return 2
     write_csv(
         args.out,
         ["c", "n", "gamma", "lambda_closed", "lambda_numeric",

@@ -1,7 +1,9 @@
 """Experiment configuration: flat key-value files, validation, seeding.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments
-allowed.  Unknown keys are rejected.  Every run echoes its effective
+allowed.  Each key is read by its parser in ``PARSERS``; unknown keys,
+empty values and values out of range are rejected before anything runs,
+with one diagnostic per offending key.  Every run echoes its effective
 configuration (defaults resolved) so outputs carry full provenance, and a
 short hash of that echo tags every CSV row.
 """
@@ -9,7 +11,11 @@ short hash of that echo tags every CSV row.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
+
+from .protocols import DEFAULT_BETA
 
 PROTOCOLS = ("dcf", "lbeb", "zc", "lzc", "lmac")
 ADAPTATIONS = ("none", "alzc", "almac")
@@ -108,40 +114,130 @@ def derive_seed(*parts) -> int:
     return int(hashlib.sha256(text.encode()).hexdigest()[:32], 16)
 
 
-def _parse_bool_free_float(key, raw, diags, lo=None, hi=None, open_lo=False, open_hi=False):
-    try:
-        value = float(raw)
-    except ValueError:
-        diags.append(Diagnostic(key, raw, "must be a number"))
-        return None
-    if lo is not None and (value <= lo if open_lo else value < lo):
-        bound = "(" if open_lo else "["
-        diags.append(Diagnostic(key, raw, f"must be in {bound}{lo}, ...]"))
-        return None
-    if hi is not None and (value >= hi if open_hi else value > hi):
-        diags.append(Diagnostic(key, raw, f"must be at most {hi}" if not open_hi else f"must be below {hi}"))
-        return None
-    return value
+Parser = Callable[[str], object]
 
 
-def _parse_int(key, raw, diags, lo=None):
+def _float(raw: str) -> float:
+    """``raw`` as a float; NaN, which fails every bound, when it is no number."""
     try:
-        value = int(raw)
+        return float(raw)
     except ValueError:
-        diags.append(Diagnostic(key, raw, "must be an integer"))
-        return None
-    if lo is not None and value < lo:
-        diags.append(Diagnostic(key, raw, f"must be at least {lo}"))
-        return None
-    return value
+        return math.nan
+
+
+def _integer(lo: int | None) -> Parser:
+    """Integer of at least ``lo`` (unbounded when None)."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError("must be an integer") from None
+        if lo is not None and value < lo:
+            raise ValueError(f"must be at least {lo}")
+        return value
+
+    return parse
+
+
+def _number(lo: float, hi: float = math.inf) -> Parser:
+    """Finite number in the closed interval [lo, hi]."""
+
+    def parse(raw: str) -> float:
+        value = _float(raw)
+        if not (lo <= value <= hi and math.isfinite(value)):
+            raise ValueError(f"must be a finite number in [{lo}, {hi}]")
+        return value
+
+    return parse
+
+
+def _unit(raw: str) -> float:
+    """Number in the open interval (0, 1)."""
+    if not 0.0 < _float(raw) < 1.0:
+        raise ValueError("must be in the open interval (0, 1)")
+    return float(raw)
+
+
+def _gamma(raw: str) -> float | None:
+    """Stay probability; ``auto`` gives None, resolved to 1 / (c - n + 2)."""
+    return None if raw == "auto" else _unit(raw)
+
+
+def _choice(*options: str) -> Parser:
+    """One of ``options``, kept as written."""
+
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"must be one of {options}")
+        return raw
+
+    return parse
+
+
+def _list(item: Parser) -> Parser:
+    """Comma-separated values, each read by ``item``."""
+
+    def parse(raw: str) -> tuple:
+        values = []
+        for text in (part.strip() for part in raw.split(",")):
+            try:
+                values.append(item(text))
+            except ValueError as err:
+                raise ValueError(f"item {text!r} {err}") from None
+        return tuple(values)
+
+    return parse
+
+
+def _join_when(raw: str) -> str:
+    """``converged`` or a join time in seconds, kept as written."""
+    if raw != "converged" and not 0.0 <= _float(raw) < math.inf:
+        raise ValueError("must be 'converged' or a finite time in seconds >= 0")
+    return raw
+
+
+#: How each config key is read; exactly the fields of ``SimConfig``.
+PARSERS: dict[str, Parser] = {
+    "protocol": _choice(*PROTOCOLS),
+    "n": _integer(1),
+    "c": _integer(1),
+    "b": _integer(1),
+    "adaptation": _choice(*ADAPTATIONS),
+    "beta": _unit,
+    "gamma": _gamma,
+    "traffic": _choice("saturated", "poisson"),
+    "lambda_pps": _number(0),
+    "buffer": _integer(1),
+    "error_rate": _number(0, 1),
+    "horizon_slots": _integer(1),
+    "horizon_seconds": _number(0),
+    "horizon_schedules": _integer(1),
+    "payload_bytes": _integer(1),
+    "reps": _integer(1),
+    "seed": _integer(None),
+    "join_n": _integer(0),
+    "join_when": _join_when,
+    "coexist_k": _integer(0),
+    "coexist_protocol": _choice(*PROTOCOLS),
+    "probe_period": _integer(1),
+    "c_max_exp": _integer(0),
+    "f_table": str,
+    "sweep": _choice("gamma", "beta"),
+    "sweep_values": _list(_unit),
+    "n_values": _list(_integer(1)),
+    "error_rates": _list(_number(0, 1)),
+    "k_values": _list(_integer(1)),
+}
 
 
 def validate_config(text: str) -> SimConfig:
     """Parse and validate a flat key-value config; raises ConfigError.
 
-    Applies the documented defaults: the learning strength defaults to 0.95,
-    and a missing stay probability for the jump-to-idle learner is derived
-    as 1 / (C - N + 2) when the geometry allows it.
+    Every value goes through its key's parser in ``PARSERS``; an empty value
+    is rejected.  Applies the documented defaults: the learning strength
+    defaults to ``DEFAULT_BETA``, and a missing (or ``auto``) stay
+    probability for the jump-to-idle learner is derived as 1 / (C - N + 2).
     """
     diags: list[Diagnostic] = []
     raw: dict[str, str] = {}
@@ -160,207 +256,73 @@ def validate_config(text: str) -> SimConfig:
             continue
         raw[key] = value
 
-    known = {f.name for f in fields(SimConfig)}
-    for key in raw:
-        if key not in known:
-            diags.append(Diagnostic(key, raw[key], "unknown key"))
-    if diags:
-        raise ConfigError(diags)
-
-    out: dict[str, object] = {}
-
-    def take(key):
-        return raw.pop(key, None)
-
-    protocol = take("protocol") or "lmac"
-    if protocol not in PROTOCOLS:
-        diags.append(Diagnostic("protocol", protocol, f"must be one of {PROTOCOLS}"))
-    out["protocol"] = protocol
-
-    adaptation = take("adaptation") or "none"
-    if adaptation not in ADAPTATIONS:
-        diags.append(
-            Diagnostic("adaptation", adaptation, f"must be one of {ADAPTATIONS}")
-        )
-    out["adaptation"] = adaptation
-
-    for key, lo in (("n", 1), ("buffer", 1), ("reps", 1), ("probe_period", 1),
-                    ("c_max_exp", 0), ("join_n", 0), ("coexist_k", 0),
-                    ("payload_bytes", 1)):
-        value = take(key)
-        if value is not None:
-            parsed = _parse_int(key, value, diags, lo=lo)
-            if parsed is not None:
-                out[key] = parsed
-
-    for key in ("c", "b", "horizon_slots", "horizon_schedules", "seed"):
-        value = take(key)
-        if value is not None:
-            parsed = _parse_int(key, value, diags, lo=1 if key != "seed" else None)
-            if parsed is not None:
-                out[key] = parsed
-
-    def open_unit(key: str, raw_value: str) -> float | None:
-        try:
-            value = float(raw_value)
-        except ValueError:
-            value = None
-        if value is None or not 0.0 < value < 1.0:
-            diags.append(
-                Diagnostic(key, raw_value, "must be in the open interval (0, 1)")
-            )
-            return None
-        return value
-
-    beta_raw = take("beta")
-    if beta_raw is not None:
-        parsed = open_unit("beta", beta_raw)
-        if parsed is not None:
-            out["beta"] = parsed
-
-    gamma_raw = take("gamma")
-    gamma_auto = gamma_raw is None or gamma_raw == "auto"
-    if not gamma_auto:
-        parsed = open_unit("gamma", gamma_raw)
-        if parsed is not None:
-            out["gamma"] = parsed
-
-    traffic = take("traffic") or "saturated"
-    if traffic not in ("saturated", "poisson"):
-        diags.append(Diagnostic("traffic", traffic, "must be saturated or poisson"))
-    out["traffic"] = traffic
-
-    for key in ("lambda_pps", "error_rate", "horizon_seconds"):
-        value = take(key)
-        if value is not None:
-            lo, hi = (0.0, 1.0) if key == "error_rate" else (0.0, None)
-            parsed = _parse_bool_free_float(key, value, diags, lo=lo, hi=hi)
-            if parsed is not None:
-                out[key] = parsed
-
-    join_when = take("join_when")
-    if join_when is not None:
-        if join_when != "converged":
+    values: dict[str, object] = {}
+    for key, value in raw.items():
+        parse = PARSERS.get(key)
+        if parse is None:
+            diags.append(Diagnostic(key, value, "unknown key"))
+        elif not value:
+            diags.append(Diagnostic(key, value, "must not be empty"))
+        else:
             try:
-                float(join_when)
-            except ValueError:
-                diags.append(
-                    Diagnostic(
-                        "join_when", join_when, "must be 'converged' or a time in seconds"
-                    )
-                )
-        out["join_when"] = join_when
-
-    coexist_protocol = take("coexist_protocol")
-    if coexist_protocol is not None:
-        if coexist_protocol not in PROTOCOLS:
-            diags.append(
-                Diagnostic(
-                    "coexist_protocol", coexist_protocol, f"must be one of {PROTOCOLS}"
-                )
-            )
-        out["coexist_protocol"] = coexist_protocol
-
-    sweep = take("sweep")
-    if sweep is not None:
-        if sweep not in ("gamma", "beta"):
-            diags.append(Diagnostic("sweep", sweep, "must be gamma or beta"))
-        out["sweep"] = sweep
-
-    for key, caster in (
-        ("sweep_values", float),
-        ("error_rates", float),
-        ("n_values", int),
-        ("k_values", int),
-    ):
-        value = take(key)
-        if value is not None:
-            try:
-                out[key] = tuple(caster(v.strip()) for v in value.split(",") if v.strip())
-            except ValueError:
-                diags.append(Diagnostic(key, value, "must be a comma-separated list"))
-
-    f_table = take("f_table")
-    if f_table is not None:
-        out["f_table"] = f_table
-
+                values[key] = parse(value)
+            except ValueError as err:
+                diags.append(Diagnostic(key, value, str(err)))
     if diags:
         raise ConfigError(diags)
 
-    cfg = SimConfig(**out)
-    diags.extend(_cross_validate(cfg, gamma_auto))
+    cfg = SimConfig(**values)
+    diags = _cross_validate(cfg)
     if diags:
         raise ConfigError(diags)
-    return _resolve_defaults(cfg, gamma_auto)
+    return _resolve_defaults(cfg)
 
 
-def _cross_validate(cfg: SimConfig, gamma_auto: bool) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    if cfg.adaptation == "none":
-        if cfg.c is None:
-            diags.append(Diagnostic("c", "None", "fixed-length runs need c"))
-    else:
-        if cfg.b is None:
-            diags.append(Diagnostic("b", "None", "adaptive runs need a base length b"))
-        if cfg.protocol not in ("lzc", "lmac", "zc"):
-            diags.append(
-                Diagnostic(
-                    "adaptation", cfg.adaptation, f"not available for {cfg.protocol}"
-                )
-            )
-        if cfg.adaptation == "almac" and cfg.protocol != "lmac":
-            diags.append(Diagnostic("adaptation", "almac", "requires protocol lmac"))
-        if cfg.adaptation == "alzc" and cfg.protocol not in ("lzc", "zc"):
-            diags.append(Diagnostic("adaptation", "alzc", "requires protocol lzc or zc"))
-    if cfg.beta is not None and cfg.protocol not in ("lmac",):
-        diags.append(Diagnostic("beta", str(cfg.beta), "only meaningful for lmac"))
-    if cfg.gamma is not None and cfg.protocol != "lzc":
-        diags.append(Diagnostic("gamma", str(cfg.gamma), "only meaningful for lzc"))
-    if cfg.sweep == "gamma" and cfg.protocol != "lzc":
-        diags.append(Diagnostic("sweep", "gamma", "gamma sweeps need protocol lzc"))
-    if cfg.sweep == "beta" and cfg.protocol != "lmac":
-        diags.append(Diagnostic("sweep", "beta", "beta sweeps need protocol lmac"))
-    if cfg.join_n > 0 and cfg.join_when == "converged" and cfg.runs_dcf:
-        diags.append(
-            Diagnostic("join_when", "converged", "DCF never converges; give a time")
-        )
-    if cfg.traffic == "poisson" and cfg.lambda_pps <= 0.0:
-        diags.append(
-            Diagnostic("lambda_pps", str(cfg.lambda_pps), "poisson traffic needs a rate")
-        )
-    if cfg.protocol == "lzc" and cfg.adaptation == "none" and gamma_auto:
-        assert cfg.c is not None
-        if cfg.n > cfg.c:
-            diags.append(
-                Diagnostic(
-                    "gamma",
-                    "auto",
-                    "auto stay probability needs n <= c; set gamma explicitly",
-                )
-            )
-    return diags
+def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
+    """Diagnostics for values that are valid alone but do not fit together."""
+    length_key = "c" if cfg.adaptation == "none" else "b"
+    length = getattr(cfg, length_key)
+    runs_lmac = cfg.protocol == "lmac" or (cfg.coexist_k > 0 and cfg.coexist_protocol == "lmac")
+    checks = (
+        (cfg.adaptation != "none" and cfg.b is None, "b", "adaptive runs need a base length b"),
+        (cfg.adaptation == "almac" and cfg.protocol != "lmac",
+         "adaptation", "requires protocol lmac"),
+        (cfg.adaptation == "alzc" and cfg.protocol not in ("lzc", "zc"),
+         "adaptation", "requires protocol lzc or zc"),
+        (runs_lmac and length is not None and length < 2,
+         length_key, "lmac needs a schedule length of at least 2"),
+        (cfg.beta is not None and cfg.protocol != "lmac", "beta", "only meaningful for lmac"),
+        (cfg.gamma is not None and cfg.protocol != "lzc", "gamma", "only meaningful for lzc"),
+        (cfg.sweep == "gamma" and cfg.protocol != "lzc", "sweep", "gamma sweeps need protocol lzc"),
+        (cfg.sweep == "beta" and cfg.protocol != "lmac", "sweep", "beta sweeps need protocol lmac"),
+        (cfg.coexist_k > 0 and cfg.coexist_protocol is None,
+         "coexist_protocol", "coexist_k > 0 needs a partner protocol"),
+        (cfg.coexist_k > cfg.n, "coexist_k", f"must be at most n = {cfg.n}"),
+        (cfg.join_n > 0 and cfg.join_when == "converged" and cfg.runs_dcf,
+         "join_when", "DCF never converges; give a time"),
+        (cfg.horizon_seconds == 0.0, "horizon_seconds", "must be greater than 0"),
+        (cfg.traffic == "poisson" and cfg.lambda_pps <= 0.0,
+         "lambda_pps", "poisson traffic needs a rate"),
+        (cfg.protocol == "lzc" and cfg.adaptation == "none" and cfg.gamma is None
+         and cfg.n > cfg.c,
+         "gamma", "auto stay probability needs n <= c; set gamma explicitly"),
+    )
+    return [Diagnostic(key, str(getattr(cfg, key)), text) for bad, key, text in checks if bad]
 
 
-def _resolve_defaults(cfg: SimConfig, gamma_auto: bool) -> SimConfig:
+def _resolve_defaults(cfg: SimConfig) -> SimConfig:
     updates: dict[str, object] = {}
     if cfg.protocol == "lmac" and cfg.beta is None:
-        updates["beta"] = 0.95
+        updates["beta"] = DEFAULT_BETA
     if cfg.protocol == "lzc" and cfg.gamma is None:
-        if cfg.adaptation == "none" and gamma_auto:
-            updates["gamma"] = auto_gamma(cfg.c, cfg.n)
-        else:
-            updates["gamma"] = 0.5
+        updates["gamma"] = auto_gamma(cfg.c, cfg.n) if cfg.adaptation == "none" else 0.5
     if (
         cfg.horizon_slots is None
         and cfg.horizon_seconds is None
         and cfg.horizon_schedules is None
     ):
         updates["horizon_slots"] = 20000
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg
+    return replace(cfg, **updates)
 
 
 def auto_gamma(schedule_len: int, n_stations: int) -> float:

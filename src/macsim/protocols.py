@@ -18,6 +18,9 @@ import numpy as np
 #: DCF contention window bounds and the retries before a packet is dropped.
 CW_MIN, CW_MAX, RETRY_LIMIT = 32, 1024, 7
 
+#: L-MAC learning strength when none is given.
+DEFAULT_BETA = 0.95
+
 
 def backoff_from_slots(current_slot: int, next_slot: int, schedule_len: int) -> int:
     """Backoff counter, in MAC slots, between transmissions in consecutive schedules.
@@ -258,5 +261,5 @@ def init_protocol(
             raise ValueError("lzc needs an explicit stay probability gamma")
         return Lzc(schedule_len, gamma, rng)
     if kind == "lmac":
-        return Lmac(schedule_len, 0.95 if beta is None else beta, rng)
+        return Lmac(schedule_len, DEFAULT_BETA if beta is None else beta, rng)
     raise ValueError(f"unknown protocol kind: {kind!r}")

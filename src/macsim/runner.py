@@ -30,7 +30,6 @@ class StationStats:
     lost_arrivals: int
     delays_us: list[float]
     final_len: int
-    final_slot: int | None
 
 
 @dataclass
@@ -107,8 +106,8 @@ def run_simulation(
     collision-free schedule (or the configured join time passes) and the
     joiners then enter together at the next slot.  With
     ``stop_after_converged_schedules`` the run ends that many schedules after
-    convergence instead of at the full horizon, which the fixed-length
-    throughput scenarios use to skip dead air.
+    (re)convergence instead of at the full horizon, which the new-entrants
+    scenario uses to skip dead air.
     """
     if cfg.adaptation == "almac" and f_table is None:
         f_table = FTable.load_csv(cfg.f_table) if cfg.f_table else default_f_table()
@@ -122,7 +121,6 @@ def run_simulation(
 
     kinds = [cfg.protocol] * cfg.n
     if cfg.coexist_k > 0:
-        assert cfg.coexist_protocol is not None
         kinds = [cfg.coexist_protocol] * cfg.coexist_k + kinds[cfg.coexist_k :]
 
     stations = [
@@ -210,7 +208,6 @@ def run_simulation(
             lost_arrivals=st.lost_arrivals,
             delays_us=st.delays_us,
             final_len=st.window_len if not st.is_dcf else 0,
-            final_slot=None if st.is_dcf else st.protocol.current_slot(),
         )
         for st in sim.stations
     ]

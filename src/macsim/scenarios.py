@@ -19,7 +19,7 @@ from . import markov, metrics, schedulesim, throughput
 from .config import SimConfig, auto_gamma, derive_seed
 from .csvio import write_csv
 from .phy import PhyParams
-from .protocols import init_protocol
+from .protocols import DEFAULT_BETA, init_protocol
 from .runner import default_f_table, run_simulation
 
 
@@ -83,7 +83,7 @@ def _protocol_params(protocol: str, n: int, c: int) -> dict:
     """Per-protocol learning parameters for a grid point."""
     params: dict = {"beta": None, "gamma": None}
     if protocol == "lmac":
-        params["beta"] = 0.95
+        params["beta"] = DEFAULT_BETA
     elif protocol == "lzc":
         params["gamma"] = auto_gamma(c, n) if n <= c else 0.5
     return params

@@ -1,8 +1,14 @@
 """Config parsing, validation diagnostics, defaults, seeding."""
 
+import math
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from macsim.config import (
+    PARSERS,
     ConfigError,
     SimConfig,
     auto_gamma,
@@ -145,3 +151,49 @@ def test_schedule_len_property():
     assert fixed.schedule_len == 8
     adaptive = SimConfig(protocol="lmac", n=4, c=None, b=16, adaptation="almac")
     assert adaptive.schedule_len == 16
+
+
+@pytest.mark.parametrize("text, key", [
+    ("protocol = lmac\nn = 4\nc = 8\nhorizon_seconds = inf\n", "horizon_seconds"),
+    ("protocol = lmac\nn = 4\nc = 8\ntraffic = poisson\nlambda_pps = inf\n", "lambda_pps"),
+    ("protocol = lmac\nn = 4\nc = 8\ncoexist_k = 2\n", "coexist_protocol"),
+    ("protocol = lmac\nn = 1\nc = 1\n", "c"),
+    ("protocol = lmac\nn = 4\nb = 1\nadaptation = almac\n", "b"),
+    ("protocol = lmac\nn = 4\nc = 8\nhorizon_seconds = 0\n", "horizon_seconds"),
+    ("protocol = lmac\nn = 4\nc = 8\nsweep = beta\nsweep_values = 1.5\n", "sweep_values"),
+    ("protocol = lmac\nn = 4\nc = 8\ncoexist_k = 6\ncoexist_protocol = dcf\n", "coexist_k"),
+    ("protocol =\nn = 4\nc = 8\n", "protocol"),
+    ("protocol = lmac\nn = 4\nc = 8\nerror_rate = nan\n", "error_rate"),
+    ("protocol = lmac\nn = 4\nc = 8\nn_values = 0\n", "n_values"),
+    ("protocol = lmac\nn = 4\nc = 8\nk_values = -1\n", "k_values"),
+    ("protocol = lmac\nn = 4\nc = 8\njoin_n = 2\njoin_when = inf\n", "join_when"),
+])
+def test_bad_values_rejected_before_running(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse(text)
+    assert key in diag_keys(err)
+
+
+def test_parsers_cover_exactly_the_config_fields():
+    assert list(PARSERS) == [f.name for f in fields(SimConfig)]
+
+
+VALUES = ["inf", "-inf", "nan", "-1", "0", "", "1", "2", "4", "16", "0.5", "1.5", "1e400",
+          "auto", "converged", "lmac", "lzc", "zc", "dcf", "almac", "alzc", "poisson",
+          "beta", "2,4", "0.5, nan", "4,,8", "1,-1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.dictionaries(hst.sampled_from([*PARSERS, "whatever"]), hst.sampled_from(VALUES),
+                        max_size=8))
+def test_random_configs_parse_finite_or_raise_config_error(entries):
+    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    try:
+        cfg = validate_config(text)
+    except ConfigError:
+        return
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(item, float) or math.isfinite(item), f.name
+    assert cfg.join_when == "converged" or math.isfinite(float(cfg.join_when))

@@ -187,6 +187,17 @@ def test_cli_scenario_roundtrip(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("kind, text, message", [
+    ("new-entrants", "protocol = dcf\nn = 4\nc = 8\n",
+     "new-entrants needs schedule stations; DCF never converges"),
+    ("converge-sweep", "protocol = zc\nn = 3\nc = 4\n", "beta sweeps need protocol lmac"),
+])
+def test_cli_scenario_reports_value_errors(tmp_path, capsys, kind, text, message):
+    cfg = write_config(tmp_path, text)
+    assert main(["scenario", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
 def test_cli_markov_table(tmp_path):
     out = tmp_path / "markov.csv"
     assert main(["markov", "--c", "8", "--n", "6", "--gamma", "0.3,0.5",
@@ -198,6 +209,18 @@ def test_cli_markov_table(tmp_path):
             float(row["lambda_numeric"]), abs=1e-9
         )
         assert float(row["mean_schedules"]) > 1.0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "21", "--gamma", "0.5"], "state space too large beyond N=20"),
+    (["--n", "6", "--gamma", "1.5"], "gamma must be in (0, 1)"),
+    (["--n", "6", "--gamma", "0.1:0.9:0"], "grid step must be positive, got 0.0"),
+])
+def test_cli_markov_reports_value_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "markov.csv"
+    assert main(["markov", "--c", "8", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"markov error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_ftable(tmp_path):
