@@ -96,8 +96,8 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_ftable(args) -> int:
-    lengths = [int(v) for v in args.schedule_lengths.split(",")]
     try:
+        lengths = [int(v) for v in args.schedule_lengths.split(",")]
         table = build_f_table(lengths, reps=args.reps, seed=args.seed)
     except ValueError as err:
         print(f"ftable error: {err}", file=sys.stderr)

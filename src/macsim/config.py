@@ -154,9 +154,10 @@ def _number(lo: float, hi: float = math.inf) -> Parser:
 
 def _unit(raw: str) -> float:
     """Number in the open interval (0, 1)."""
-    if not 0.0 < _float(raw) < 1.0:
+    value = _float(raw)
+    if not 0.0 < value < 1.0:
         raise ValueError("must be in the open interval (0, 1)")
-    return float(raw)
+    return value
 
 
 def _gamma(raw: str) -> float | None:

@@ -229,6 +229,8 @@ def test_cli_ftable(tmp_path):
                  "--out", str(out)]) == 0
     rows = read_csv(out)
     assert rows[0]["f"] == "1"
+    for lengths in ("x", "1"):
+        assert main(["ftable", "--schedule-lengths", lengths, "--out", str(out)]) == 2
 
 
 def test_emitted_csv_cells_parse_as_numbers(tmp_path):
