@@ -29,9 +29,6 @@ from .csvio import write_csv
 from .protocols import DEFAULT_BETA, Lmac, Lzc
 from .schedulesim import DEFAULT_SCHEDULE_CAP, converge
 
-#: Default ceiling on per-station schedule length, as a multiple of the base.
-MAX_LEN_FACTOR = 2**10
-
 #: Share of f-table runs that must have converged by the tabulated count.
 F_CONFIDENCE = 0.95
 
@@ -101,17 +98,6 @@ def txop_packets(schedule_len: int, base_len: int) -> int:
     return ratio
 
 
-@dataclass(frozen=True)
-class WindowSummary:
-    """What a station saw during one completed schedule window."""
-
-    idle_count: int
-    busy_count: int
-    saw_collision: bool
-    own_success: bool
-    was_probe: bool = False
-
-
 class AlzcAdapter:
     """Doubling/halving driven directly by observed idle slots.
 
@@ -121,22 +107,26 @@ class AlzcAdapter:
     slot assignment is still churning.
     """
 
-    def __init__(self, base_len: int, max_len: int | None = None):
+    def __init__(self, base_len: int, max_len: int):
         if base_len < 1:
             raise ValueError("base length must be at least 1")
         self.base_len = base_len
-        self.max_len = max_len if max_len is not None else base_len * MAX_LEN_FACTOR
+        self.max_len = max_len
         self.current_len = base_len
         self._busy_history: deque[int] = deque(maxlen=2)
 
-    def plan_next(self, summary: WindowSummary) -> tuple[int, bool]:
-        self._busy_history.append(summary.busy_count)
+    def plan_next(
+        self, idle_count: int, saw_collision: bool, own_success: bool
+    ) -> tuple[int, bool]:
+        """Length of the next window after one of ``current_len`` slots, and
+        whether it is a probe (never, here)."""
         c = self.current_len
-        if summary.idle_count == 0 and c * 2 <= self.max_len:
+        self._busy_history.append(c - idle_count)
+        if idle_count == 0 and c * 2 <= self.max_len:
             self.current_len = c * 2
             self._busy_history.clear()
         elif (
-            summary.idle_count >= c // 2
+            idle_count >= c // 2
             and len(self._busy_history) == 2
             and self._busy_history[0] == self._busy_history[1]
             and c // 2 >= self.base_len
@@ -159,13 +149,7 @@ class AlmacAdapter:
     within the configured budget even when every probe fails.
     """
 
-    def __init__(
-        self,
-        base_len: int,
-        f_table: "FTable",
-        probe_period: int = 10,
-        max_len: int | None = None,
-    ):
+    def __init__(self, base_len: int, f_table: "FTable", probe_period: int, max_len: int):
         if probe_period < 1:
             raise ValueError("probe period must be at least 1")
         if not f_table.covers(base_len):
@@ -173,20 +157,20 @@ class AlmacAdapter:
         self.base_len = base_len
         self.f_table = f_table
         self.probe_period = probe_period
-        self.max_len = max_len if max_len is not None else base_len * MAX_LEN_FACTOR
+        self.max_len = max_len
         self.current_len = base_len
         self._since_check = 0
         self._clean_checkpoints = 0
         self._probe_origin: int | None = None
 
-    def plan_next(self, summary: WindowSummary) -> tuple[int, bool]:
-        if summary.was_probe:
-            origin = self._probe_origin
-            assert origin is not None
-            if summary.own_success:
-                self.current_len = origin // 2
-            else:
-                self.current_len = origin
+    def plan_next(
+        self, idle_count: int, saw_collision: bool, own_success: bool
+    ) -> tuple[int, bool]:
+        """Length of the next window and whether it is a probe.  A window
+        planned as a probe is judged by ``own_success`` alone."""
+        origin = self._probe_origin
+        if origin is not None:
+            self.current_len = origin // 2 if own_success else origin
             self._probe_origin = None
             self._since_check = 0
             self._clean_checkpoints = 0
@@ -196,7 +180,7 @@ class AlmacAdapter:
         self._since_check += 1
         if self._since_check >= self.f_table.lookup(c):
             self._since_check = 0
-            if summary.saw_collision:
+            if saw_collision:
                 grown = c * 2
                 if grown <= self.max_len and self.f_table.covers(grown):
                     self.current_len = grown

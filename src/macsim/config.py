@@ -20,6 +20,10 @@ from .protocols import DEFAULT_BETA
 PROTOCOLS = ("dcf", "lbeb", "zc", "lzc", "lmac")
 ADAPTATIONS = ("none", "alzc", "almac")
 
+#: Highest per-station arrival rate, one packet per microsecond.  Far above it
+#: an arrival gap falls below the resolution of the simulated clock.
+MAX_LAMBDA_PPS = 10**6
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -208,7 +212,7 @@ PARSERS: dict[str, Parser] = {
     "beta": _unit,
     "gamma": _gamma,
     "traffic": _choice("saturated", "poisson"),
-    "lambda_pps": _number(0),
+    "lambda_pps": _number(0, MAX_LAMBDA_PPS),
     "buffer": _integer(1),
     "error_rate": _number(0, 1),
     "horizon_slots": _integer(1),

@@ -29,7 +29,7 @@ from operator import add
 
 import numpy as np
 
-from .adaptation import AlmacAdapter, AlzcAdapter, WindowSummary, txop_packets
+from .adaptation import AlmacAdapter, AlzcAdapter, txop_packets
 from .phy import PhyParams, SlotKind
 from .protocols import Dcf, ScheduleProtocol
 
@@ -57,7 +57,6 @@ class Trace:
     tx_station: list[int] = field(default_factory=list)  # -1 unless success/error
     packets: list[int] = field(default_factory=list)  # delivered packets, success only
     colliders: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    coll_sizes: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -211,14 +210,9 @@ class Station:
         next_len = self.window_len
         probe = False
         if self.adapter is not None:
-            summary = WindowSummary(
-                idle_count=len(idle_positions),
-                busy_count=self.window_len - len(idle_positions),
-                saw_collision=saw_collision,
-                own_success=success,
-                was_probe=self.in_probe,
+            next_len, probe = self.adapter.plan_next(
+                len(idle_positions), saw_collision, success
             )
-            next_len, probe = self.adapter.plan_next(summary)
             if not probe and next_len != proto.schedule_len:
                 proto.resize(next_len)
 
@@ -306,7 +300,6 @@ class Simulator:
         add_duration = tr.durations.append
         add_tx = tr.tx_station.append
         add_packets = tr.packets.append
-        add_size = tr.coll_sizes.append
 
         watching = watch_n is not None
         n_good = n_bad = 0
@@ -321,7 +314,7 @@ class Simulator:
         while True:
             due = tx_due.pop(s, None)
             before = clock
-            kind, duration, sid, packets, size = _IDLE, sigma, -1, 0, 0
+            kind, duration, sid, packets = _IDLE, sigma, -1, 0
             if due is not None or waiting:
                 transmitters = []
                 if waiting:
@@ -350,7 +343,7 @@ class Simulator:
                         if duration is None:
                             duration = success_us[packets] = phy.success_duration(packets)
                 elif transmitters:
-                    kind, duration, size = _COLLISION, t_coll, len(transmitters)
+                    kind, duration = _COLLISION, t_coll
                     transmitters.sort(key=_position)
                     tr.colliders[s] = tuple(st.sid for st in transmitters)
             clock += duration
@@ -358,7 +351,6 @@ class Simulator:
             add_duration(duration)
             add_tx(sid)
             add_packets(packets)
-            add_size(size)
             if kind != _IDLE:
                 if packets:
                     transmitters[0].deliver(packets, clock)
@@ -458,7 +450,7 @@ class Simulator:
             k += 1
         if k == 0:
             return s, clock
-        for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets, tr.coll_sizes):
+        for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets):
             column.extend(column[start : s + 1] * k)
         held = [(st.sid, st.schedule_index, st.protocol.current_slot()) for st in stations]
         self.events.extend(

@@ -116,7 +116,7 @@ def collision_rate(trace: Trace) -> float | None:
     trace holds no attempts at all.
     """
     kinds = np.asarray(trace.kinds)
-    collided = int(np.asarray(trace.coll_sizes)[kinds == SlotKind.COLLISION].sum())
+    collided = sum(map(len, trace.colliders.values()))
     singles = np.count_nonzero((kinds == SlotKind.SUCCESS) | (kinds == SlotKind.ERROR))
     attempts = collided + int(singles)
     if attempts == 0:

@@ -8,6 +8,7 @@ trace is identical byte for byte.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
@@ -48,39 +49,37 @@ class RunResult:
     reconverged_time_us: float | None
 
 
+@functools.cache
 def default_f_table() -> FTable:
-    """Packaged convergence-horizon table for base length 16."""
+    """Packaged convergence-horizon table for base length 16, loaded once."""
     ref = importlib.resources.files("macsim.data").joinpath("ftable_b16.csv")
     with importlib.resources.as_file(ref) as path:
         return FTable.load_csv(path)
 
 
-def _make_station(
-    cfg: SimConfig,
-    sid: int,
-    run_seed: int,
-    protocol_kind: str,
-    f_table: FTable | None,
-    start_time_us: float = 0.0,
-) -> Station:
+def station_protocol(cfg: SimConfig, run_seed: int, sid: int, kind: str | None = None):
+    """Station ``sid``'s random stream, drawn from ``(run_seed, sid)``, and the
+    protocol of ``kind`` (default ``cfg.protocol``) it starts with."""
     rng = np.random.default_rng(np.random.SeedSequence(derive_seed(run_seed, sid)))
+    protocol = init_protocol(
+        kind or cfg.protocol, cfg.schedule_len, rng, beta=cfg.beta, gamma=cfg.gamma
+    )
+    return protocol, rng
+
+
+def _make_station(
+    cfg: SimConfig, sid: int, run_seed: int, start_time_us: float = 0.0
+) -> Station:
+    kind = cfg.coexist_protocol if sid < cfg.coexist_k else cfg.protocol
+    protocol, rng = station_protocol(cfg, run_seed, sid, kind)
     adapter = None
-    txop_base = None
-    schedule_len = cfg.c
-    if cfg.adaptation != "none" and protocol_kind != "dcf":
-        schedule_len = cfg.b
-        txop_base = cfg.b
+    if cfg.adaptation != "none" and kind != "dcf":
         max_len = cfg.b * 2**cfg.c_max_exp
         if cfg.adaptation == "alzc":
-            adapter = AlzcAdapter(cfg.b, max_len=max_len)
+            adapter = AlzcAdapter(cfg.b, max_len)
         else:
-            assert f_table is not None
-            adapter = AlmacAdapter(
-                cfg.b, f_table, probe_period=cfg.probe_period, max_len=max_len
-            )
-    protocol = init_protocol(
-        protocol_kind, schedule_len, rng, beta=cfg.beta, gamma=cfg.gamma
-    )
+            f_table = FTable.load_csv(cfg.f_table) if cfg.f_table else default_f_table()
+            adapter = AlmacAdapter(cfg.b, f_table, cfg.probe_period, max_len)
     return Station(
         sid,
         protocol,
@@ -89,7 +88,7 @@ def _make_station(
         lambda_pps=cfg.lambda_pps,
         buffer_packets=cfg.buffer,
         adapter=adapter,
-        txop_base=txop_base,
+        txop_base=None if adapter is None else cfg.b,
         start_time_us=start_time_us,
     )
 
@@ -97,21 +96,24 @@ def _make_station(
 def run_simulation(
     cfg: SimConfig,
     rep_index: int = 0,
-    f_table: FTable | None = None,
     stop_after_converged_schedules: int | None = None,
 ) -> RunResult:
-    """One seeded replication of the configured experiment.
+    """One seeded replication of the configured experiment, played in phases.
 
-    With ``join_n`` set, the first ``n`` stations run until they reach a
-    collision-free schedule (or the configured join time passes) and the
-    joiners then enter together at the next slot.  With
-    ``stop_after_converged_schedules`` the run ends that many schedules after
-    (re)convergence instead of at the full horizon, which the new-entrants
-    scenario uses to skip dead air.
+    1. converge: run until the first ``n`` stations hold a collision-free
+       schedule, or until the join time;
+    2. join: the ``join_n`` joiners enter together at the next slot, at the
+       join time or on convergence;
+    3. reconverge: run until all ``n + join_n`` stations, watched from the
+       join slot, hold a collision-free schedule;
+    4. trim: with ``stop_after_converged_schedules`` the run ends that many
+       schedules after (re)convergence, which the new-entrants scenario uses
+       to skip dead air;
+    5. run on to the horizon.
+
+    DCF stations have no schedule to converge to, so runs with any are never
+    watched.
     """
-    if cfg.adaptation == "almac" and f_table is None:
-        f_table = FTable.load_csv(cfg.f_table) if cfg.f_table else default_f_table()
-
     run_seed = derive_seed(cfg.seed, rep_index)
     channel_rng = (
         np.random.default_rng(np.random.SeedSequence(derive_seed(run_seed, "channel")))
@@ -119,13 +121,7 @@ def run_simulation(
         else None
     )
 
-    kinds = [cfg.protocol] * cfg.n
-    if cfg.coexist_k > 0:
-        kinds = [cfg.coexist_protocol] * cfg.coexist_k + kinds[cfg.coexist_k :]
-
-    stations = [
-        _make_station(cfg, sid, run_seed, kinds[sid], f_table) for sid in range(cfg.n)
-    ]
+    stations = [_make_station(cfg, sid, run_seed) for sid in range(cfg.n)]
     sim = Simulator(
         stations,
         PhyParams(payload_bytes=cfg.payload_bytes),
@@ -144,60 +140,50 @@ def run_simulation(
         until_slot = math.inf
     until_us = math.inf if cfg.horizon_seconds is None else cfg.horizon_seconds * 1e6
 
-    converged_slot = join_slot = join_time = None
-    reconverged_slot = reconverged_time = None
-
-    n_active = cfg.n
-    join_pending = cfg.join_n > 0
-    timed_join = join_pending and cfg.join_when != "converged"
-    join_at_us = float(cfg.join_when) * 1e6 if timed_join else math.inf
-    watch_from = 0  # the collision-free watch restarts when stations join
-    can_converge = not cfg.runs_dcf  # DCF has no schedule to converge to
-    durations = sim.trace.durations
-    while sim.slot_index < until_slot and sim.clock_us < until_us:
-        watching = can_converge and (
-            converged_slot is None or (join_slot is not None and reconverged_slot is None)
-        )
+    def play(stop_us: float = math.inf, watch_n: int | None = None, watch_from: int = 0):
+        """Unless the horizon is reached, run at least one slot, on to the
+        horizon or ``stop_us``; watching ``watch_n`` stations from
+        ``watch_from``, stop early and return the first slot of the first
+        collision-free schedule."""
+        if sim.slot_index >= until_slot or sim.clock_us >= until_us:
+            return None
         hit = sim.run(
             until_slot=until_slot,
-            until_us=min(until_us, join_at_us),
-            watch_n=n_active if watching else None,
+            until_us=min(until_us, stop_us),
+            watch_n=None if cfg.runs_dcf else watch_n,
             watch_len=schedule_len,
             watch_from=watch_from,
         )
+        return sim.slot_index - schedule_len if hit else None
 
-        settled = False
-        if hit and converged_slot is None:
-            converged_slot = sim.slot_index - schedule_len
-            settled = not join_pending
+    join_at_us = math.inf  # a join on convergence has no time of its own
+    if cfg.join_n > 0 and cfg.join_when != "converged":
+        join_at_us = float(cfg.join_when) * 1e6
+    join_slot = join_time = reconverged_slot = reconverged_time = None
 
-        if join_pending and (
-            sim.clock_us >= join_at_us if timed_join else converged_slot is not None
-        ):
-            join_pending = False
-            join_at_us = math.inf
-            join_slot = sim.slot_index
-            join_time = sim.clock_us
-            for k in range(cfg.join_n):
-                sim.add_station(
-                    _make_station(
-                        cfg, cfg.n + k, run_seed, cfg.protocol, f_table, sim.clock_us
-                    )
-                )
-            n_active += cfg.join_n
-            watch_from = join_slot
-            hit = False
-
-        if hit and join_slot is not None and reconverged_slot is None:
-            reconverged_slot = sim.slot_index - schedule_len
+    converged_slot = play(join_at_us, cfg.n)
+    if sim.clock_us < join_at_us < math.inf:
+        play(join_at_us)  # converged early: wait out the join time unwatched
+    if cfg.join_n > 0 and (
+        sim.clock_us >= join_at_us
+        or (cfg.join_when == "converged" and converged_slot is not None)
+    ):
+        join_slot, join_time = sim.slot_index, sim.clock_us
+        for sid in range(cfg.n, cfg.n + cfg.join_n):
+            sim.add_station(_make_station(cfg, sid, run_seed, join_time))
+        reconverged_slot = play(watch_n=cfg.n + cfg.join_n, watch_from=join_slot)
+        if reconverged_slot is not None:
+            if converged_slot is None:  # joined before the first convergence
+                converged_slot = reconverged_slot
             reconverged_time = join_time + elapsed_us(
-                durations[join_slot:reconverged_slot]
+                sim.trace.durations[join_slot:reconverged_slot]
             )
-            settled = True
 
-        if settled and stop_after_converged_schedules is not None:
-            extra = max(stop_after_converged_schedules * schedule_len - 1, 0)
-            until_slot = min(until_slot, sim.slot_index + extra)
+    settled_slot = reconverged_slot if cfg.join_n > 0 else converged_slot
+    if settled_slot is not None and stop_after_converged_schedules is not None:
+        extra = max(stop_after_converged_schedules * schedule_len - 1, 0)
+        until_slot = min(until_slot, sim.slot_index + extra)
+    play()
 
     station_stats = [
         StationStats(

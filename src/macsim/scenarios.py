@@ -19,8 +19,8 @@ from . import markov, metrics, schedulesim, throughput
 from .config import SimConfig, auto_gamma, derive_seed
 from .csvio import write_csv
 from .phy import PhyParams
-from .protocols import DEFAULT_BETA, init_protocol
-from .runner import default_f_table, run_simulation
+from .protocols import DEFAULT_BETA
+from .runner import run_simulation, station_protocol
 
 
 @dataclass
@@ -90,15 +90,10 @@ def _protocol_params(protocol: str, n: int, c: int) -> dict:
 
 
 def _schedule_protocols(cfg: SimConfig, run_seed: int):
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(derive_seed(run_seed, j)))
-        for j in range(cfg.n)
-    ]
-    protos = [
-        init_protocol(cfg.protocol, cfg.schedule_len, rngs[j], beta=cfg.beta, gamma=cfg.gamma)
-        for j in range(cfg.n)
-    ]
-    return protos, rngs
+    """The protocols and random streams of ``cfg``'s stations, as the engine
+    would start them on ``run_seed``."""
+    protos, rngs = zip(*(station_protocol(cfg, run_seed, j) for j in range(cfg.n)))
+    return list(protos), list(rngs)
 
 
 def _grid(seed: int, points, reps: int, run) -> list[list]:
@@ -243,8 +238,7 @@ def delay_vs_n(
 
     points = [((label, n), (label, n), point(label, n))
               for label in protocols for n in n_values]
-    rows = _grid(cfg.seed, points, reps or cfg.reps,
-                 _simulated(measure, f_table=default_f_table()))
+    rows = _grid(cfg.seed, points, reps or cfg.reps, _simulated(measure))
     return _report(cfg, rows,
                    ["protocol", "n", "rep", "mean_delay_us", "delivered", "config_hash"],
                    ["protocol", "n", "reps", "delay_us_mean", "delay_us_ci95"],
@@ -279,16 +273,17 @@ def coexist(
     cfg: SimConfig,
     reps: int | None = None,
     k_values: tuple[int, ...] | None = None,
-    partner: str = "dcf",
 ) -> ScenarioReport:
     """Mixed population: K stations of the base protocol share the channel
-    with K stations of ``partner``; reports total and partner-only throughput."""
+    with K stations of the partner, ``coexist_protocol`` (default DCF);
+    reports total and partner-only throughput."""
     return _coexist(cfg, (cfg.protocol,), reps or cfg.reps,
-                    k_values or cfg.k_values or (4, 8, 16), partner)
+                    k_values or cfg.k_values or (4, 8, 16))
 
 
-def _coexist(cfg, protocols, reps, k_values, partner) -> ScenarioReport:
+def _coexist(cfg, protocols, reps, k_values) -> ScenarioReport:
     bits = cfg.payload_bytes * 8
+    partner = cfg.coexist_protocol or "dcf"
 
     def measure(result):
         total = sum(st.delivered for st in result.stations) * bits / result.sim_time_us
@@ -408,7 +403,7 @@ def _adaptive_throughput(base: SimConfig, reps: int) -> ScenarioReport:
         for n in (8, 16, 24, 32)
     ]
     rows = _grid(base.seed, points, reps, _simulated(
-        lambda result: metrics.throughput(result.trace, phy), f_table=default_f_table()))
+        lambda result: metrics.throughput(result.trace, phy)))
     return _report(base, rows,
                    ["scheme", "n", "rep", "thr_norm", "thr_mbps", "config_hash"],
                    ["scheme", "n", "reps", "thr_norm_mean", "thr_norm_ci95"], (0, 1), (3,))
@@ -419,7 +414,7 @@ def _coexist_runs(seed: int, reps: int, shared: dict) -> ScenarioReport:
     ``reproduce_all`` and read by both coexist keys."""
     if "coexist" not in shared:
         shared["coexist"] = _coexist(_base(seed, protocol="dcf", horizon_slots=8000),
-                                     ("dcf", "lmac", "lzc"), reps, (4, 8, 16), "dcf")
+                                     ("dcf", "lmac", "lzc"), reps, (4, 8, 16))
     return shared["coexist"]
 
 

@@ -10,7 +10,6 @@ from macsim.adaptation import (
     AlzcAdapter,
     FEntry,
     FTable,
-    WindowSummary,
     ap_adapt,
     build_f_table,
     run_ap_announced,
@@ -63,40 +62,53 @@ def test_txop_packets_values():
 # --- per-station doubling and halving -------------------------------------------
 
 
-def summary(idle, busy, coll=False, own=True, probe=False):
-    return WindowSummary(idle, busy, coll, own, probe)
+#: Length ceiling for the adapters below: the base times 2**10, as c_max_exp = 10.
+CAP = 16 * 2**10
+
+
+def plan(ad, idle, coll=False, own=True):
+    """``ad``'s plan after a window of its current length with ``idle`` idle slots."""
+    return ad.plan_next(idle, coll, own)
 
 
 def test_alzc_doubles_when_full():
-    ad = AlzcAdapter(16)
-    assert ad.plan_next(summary(idle=0, busy=16)) == (32, False)
+    ad = AlzcAdapter(16, CAP)
+    assert plan(ad, idle=0) == (32, False)
 
 
 def test_alzc_halves_only_after_stable_busy_count():
-    ad = AlzcAdapter(16)
+    ad = AlzcAdapter(16, CAP)
     ad.current_len = 32
-    # one quiet window is not enough
-    assert ad.plan_next(summary(idle=16, busy=16)) == (32, False)
+    # one quiet window (16 busy) is not enough
+    assert plan(ad, idle=16) == (32, False)
     # a second with the same busy count triggers the halving
-    assert ad.plan_next(summary(idle=16, busy=16)) == (16, False)
+    assert plan(ad, idle=16) == (16, False)
+
+
+def test_alzc_halving_needs_equal_busy_counts():
+    ad = AlzcAdapter(16, CAP)
+    ad.current_len = 32
+    assert plan(ad, idle=16) == (32, False)  # 16 busy
+    assert plan(ad, idle=17) == (32, False)  # 15 busy: still churning
+    assert plan(ad, idle=17) == (16, False)
 
 
 def test_alzc_ignores_moderate_idle():
-    ad = AlzcAdapter(16)
-    assert ad.plan_next(summary(idle=4, busy=12)) == (16, False)
-    assert ad.plan_next(summary(idle=4, busy=12)) == (16, False)
+    ad = AlzcAdapter(16, CAP)
+    assert plan(ad, idle=4) == (16, False)
+    assert plan(ad, idle=4) == (16, False)
 
 
 def test_alzc_floors_at_base():
-    ad = AlzcAdapter(16)
-    assert ad.plan_next(summary(idle=9, busy=7)) == (16, False)
-    assert ad.plan_next(summary(idle=9, busy=7)) == (16, False)
+    ad = AlzcAdapter(16, CAP)
+    assert plan(ad, idle=9) == (16, False)
+    assert plan(ad, idle=9) == (16, False)
 
 
 def test_alzc_respects_cap():
     ad = AlzcAdapter(16, max_len=32)
-    assert ad.plan_next(summary(idle=0, busy=16)) == (32, False)
-    assert ad.plan_next(summary(idle=0, busy=32)) == (32, False)
+    assert plan(ad, idle=0) == (32, False)
+    assert plan(ad, idle=0) == (32, False)
 
 
 def stub_table(f=3):
@@ -104,44 +116,44 @@ def stub_table(f=3):
 
 
 def test_almac_checkpoint_doubles_on_collision():
-    ad = AlmacAdapter(16, stub_table(f=3), probe_period=10)
-    assert ad.plan_next(summary(idle=2, busy=14, coll=True)) == (16, False)
-    assert ad.plan_next(summary(idle=2, busy=14, coll=True)) == (16, False)
+    ad = AlmacAdapter(16, stub_table(f=3), 10, CAP)
+    assert plan(ad, idle=2, coll=True) == (16, False)
+    assert plan(ad, idle=2, coll=True) == (16, False)
     # third window is the checkpoint
-    assert ad.plan_next(summary(idle=2, busy=14, coll=True)) == (32, False)
+    assert plan(ad, idle=2, coll=True) == (32, False)
 
 
 def test_almac_clean_checkpoints_lead_to_probe_and_commit():
-    ad = AlmacAdapter(16, stub_table(f=1), probe_period=3)
+    ad = AlmacAdapter(16, stub_table(f=1), 3, CAP)
     ad.current_len = 32
-    assert ad.plan_next(summary(idle=16, busy=16)) == (32, False)
-    assert ad.plan_next(summary(idle=16, busy=16)) == (32, False)
+    assert plan(ad, idle=16) == (32, False)
+    assert plan(ad, idle=16) == (32, False)
     # third clean checkpoint: probe at half length
-    nxt, probe = ad.plan_next(summary(idle=16, busy=16))
+    nxt, probe = plan(ad, idle=16)
     assert (nxt, probe) == (16, True)
     # own transmission survived the probe: commit
-    assert ad.plan_next(summary(idle=1, busy=15, own=True, probe=True)) == (16, False)
+    assert plan(ad, idle=1, own=True) == (16, False)
     assert ad.current_len == 16
 
 
 def test_almac_probe_failure_reverts():
-    ad = AlmacAdapter(16, stub_table(f=1), probe_period=1)
+    ad = AlmacAdapter(16, stub_table(f=1), 1, CAP)
     ad.current_len = 32
-    nxt, probe = ad.plan_next(summary(idle=20, busy=12))
+    nxt, probe = plan(ad, idle=20)
     assert (nxt, probe) == (16, True)
-    assert ad.plan_next(summary(idle=0, busy=16, own=False, probe=True)) == (32, False)
+    assert plan(ad, idle=0, own=False) == (32, False)
     assert ad.current_len == 32
 
 
 def test_almac_stops_doubling_at_table_edge():
-    ad = AlmacAdapter(16, stub_table(f=1), probe_period=100)
+    ad = AlmacAdapter(16, stub_table(f=1), 100, CAP)
     ad.current_len = 64
-    assert ad.plan_next(summary(idle=0, busy=64, coll=True)) == (64, False)
+    assert plan(ad, idle=0, coll=True) == (64, False)
 
 
 def test_almac_requires_covered_base():
     with pytest.raises(ValueError):
-        AlmacAdapter(8, stub_table())
+        AlmacAdapter(8, stub_table(), 10, CAP)
 
 
 # --- convergence-horizon table ----------------------------------------------------

@@ -156,6 +156,8 @@ def test_schedule_len_property():
 @pytest.mark.parametrize("text, key", [
     ("protocol = lmac\nn = 4\nc = 8\nhorizon_seconds = inf\n", "horizon_seconds"),
     ("protocol = lmac\nn = 4\nc = 8\ntraffic = poisson\nlambda_pps = inf\n", "lambda_pps"),
+    ("protocol = lmac\nn = 4\nc = 8\ntraffic = poisson\nlambda_pps = 1e300\n", "lambda_pps"),
+    ("protocol = lmac\nn = 4\nc = 8\ntraffic = poisson\nlambda_pps = 1000001\n", "lambda_pps"),
     ("protocol = lmac\nn = 4\nc = 8\ncoexist_k = 2\n", "coexist_protocol"),
     ("protocol = lmac\nn = 1\nc = 1\n", "c"),
     ("protocol = lmac\nn = 4\nb = 1\nadaptation = almac\n", "b"),
@@ -172,6 +174,12 @@ def test_bad_values_rejected_before_running(text, key):
     with pytest.raises(ConfigError) as err:
         parse(text)
     assert key in diag_keys(err)
+
+
+@pytest.mark.parametrize("rate", ["62.5", "4000", "1e6"])
+def test_arrival_rates_up_to_one_per_microsecond_parse(rate):
+    cfg = parse(f"protocol = lmac\nn = 4\nc = 8\ntraffic = poisson\nlambda_pps = {rate}\n")
+    assert cfg.lambda_pps == float(rate)
 
 
 def test_parsers_cover_exactly_the_config_fields():

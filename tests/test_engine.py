@@ -284,8 +284,7 @@ def replay_sim(protocol, n, c, seed):
 def sim_state(sim):
     tr = sim.trace
     return {
-        "trace": (tr.kinds, tr.durations, tr.tx_station, tr.packets, tr.coll_sizes,
-                  tr.colliders),
+        "trace": (tr.kinds, tr.durations, tr.tx_station, tr.packets, tr.colliders),
         "events": sim.events,
         "clock": sim.clock_us,
         "slot": sim.slot_index,
@@ -455,6 +454,25 @@ def test_join_at_fixed_time():
     assert res.join_time_us >= 0.05 * 1e6
 
 
+def test_join_at_time_zero_enters_after_the_first_slot():
+    cfg = SimConfig(protocol="lmac", n=4, c=8, join_n=2, join_when="0",
+                    horizon_slots=2000, seed=35)
+    res = run_simulation(cfg)
+    assert res.join_slot == 1
+    assert res.join_time_us == res.trace.durations[0]
+    assert len(res.stations) == 6
+
+
+def test_timed_join_before_convergence_converges_once():
+    # the joiners enter at slot 4, long before the first six stations
+    # settle, so the first collision-free schedule already holds all eight
+    cfg = SimConfig(protocol="lmac", n=6, c=8, join_n=2, join_when="0.002",
+                    horizon_slots=2000, seed=3)
+    res = run_simulation(cfg)
+    assert res.join_slot == 4
+    assert res.converged_slot == res.reconverged_slot == 48
+
+
 # --- horizons ----------------------------------------------------------------
 
 
@@ -505,38 +523,36 @@ def test_reconvergence_never_precedes_join():
 def _slot_violations(tr, phy, sids):
     bad = []
     n = len(tr.kinds)
-    if not (len(tr.durations) == len(tr.tx_station) == len(tr.packets)
-            == len(tr.coll_sizes) == n):
+    if not len(tr.durations) == len(tr.tx_station) == len(tr.packets) == n:
         return ["trace columns differ in length"]
     collisions = {i for i, k in enumerate(tr.kinds) if k == SlotKind.COLLISION}
     if set(tr.colliders) != collisions:
         bad.append("colliders not keyed by exactly the collision slots")
     for i, kind in enumerate(tr.kinds):
-        tx, pk, size, dur = tr.tx_station[i], tr.packets[i], tr.coll_sizes[i], tr.durations[i]
+        tx, pk, dur = tr.tx_station[i], tr.packets[i], tr.durations[i]
+        who = tr.colliders.get(i, ())
         if kind == SlotKind.IDLE:
-            ok = tx == -1 and pk == 0 and size == 0 and dur == phy.sigma_us
+            ok = tx == -1 and pk == 0 and dur == phy.sigma_us
         elif kind == SlotKind.SUCCESS:
-            ok = (tx in sids and pk >= 1 and size == 0
-                  and dur == phy.success_duration(pk))
+            ok = tx in sids and pk >= 1 and dur == phy.success_duration(pk)
         elif kind == SlotKind.ERROR:
-            ok = tx in sids and pk == 0 and size == 0 and dur == phy.t_collision
+            ok = tx in sids and pk == 0 and dur == phy.t_collision
         elif kind == SlotKind.COLLISION:
-            who = tr.colliders.get(i, ())
-            ok = (tx == -1 and pk == 0 and size == len(who) >= 2
+            ok = (tx == -1 and pk == 0 and len(who) >= 2
                   and len(set(who)) == len(who) and set(who) <= sids
                   and dur == phy.t_collision)
         else:
             ok = False
         if not ok:
-            bad.append(f"slot {i}: kind {kind}, tx {tx}, packets {pk}, size {size}")
+            bad.append(f"slot {i}: kind {kind}, tx {tx}, packets {pk}, colliders {who}")
     return bad
 
 
 def ledger_violations(result):
     """Everything the stations, the trace and the event log disagree on.
 
-    * every slot's kind, transmitter, packets, collision size, colliders and
-      duration agree with each other;
+    * every slot's kind, transmitter, packets, colliders and duration agree
+      with each other;
     * each station delivered exactly the packets the trace credits to it;
     * on fixed-length runs each schedule station logged one event per window
       it completed, transmitted only at its logged slots (at every one of

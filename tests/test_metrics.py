@@ -23,27 +23,23 @@ def make_trace(slots):
             tr.durations.append(phy.sigma_us)
             tr.tx_station.append(-1)
             tr.packets.append(0)
-            tr.coll_sizes.append(0)
         elif entry == "error":
             tr.kinds.append(int(SlotKind.ERROR))
             tr.durations.append(phy.t_collision)
             tr.tx_station.append(0)
             tr.packets.append(0)
-            tr.coll_sizes.append(0)
         elif entry[0] == "succ":
             _, sid, m = entry
             tr.kinds.append(int(SlotKind.SUCCESS))
             tr.durations.append(phy.success_duration(m))
             tr.tx_station.append(sid)
             tr.packets.append(m)
-            tr.coll_sizes.append(0)
         else:
             _, ids = entry
             tr.kinds.append(int(SlotKind.COLLISION))
             tr.durations.append(phy.t_collision)
             tr.tx_station.append(-1)
             tr.packets.append(0)
-            tr.coll_sizes.append(len(ids))
             tr.colliders[i] = tuple(ids)
     return tr
 

@@ -3,12 +3,17 @@
 import csv
 import functools
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import macsim
 from macsim import markov, scenarios, schedulesim
+from macsim.adaptation import FEntry, FTable
 from macsim.cli import main
 from macsim.config import SimConfig
 from macsim.csvio import write_csv
@@ -173,6 +178,49 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         main(["sim", "--config", cfg, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "beta" in capsys.readouterr().err
+
+
+def test_cli_delay_vs_n_almac_rows_use_the_configured_f_table(tmp_path):
+    # a table with f = 2 everywhere checks and doubles far sooner than the
+    # packaged one; only the almac rows may move
+    table = tmp_path / "tiny.csv"
+    FTable({c: FEntry(c, 2, 2, 2) for c in (16, 32, 64)}).save_csv(table)
+    text = "protocol = lmac\nn = 4\nc = 8\nlambda_pps = 300\nn_values = 20\nseed = 33\n"
+    rows = {}
+    for name, extra in (("packaged", ""), ("tiny", f"f_table = {table}\n")):
+        cfg = write_config(tmp_path, text + "horizon_slots = 2000\n" + extra)
+        out = tmp_path / name
+        assert main(["scenario", "delay-vs-n", "--config", cfg, "--out", str(out)]) == 0
+        rows[name] = {row["protocol"]: (row["mean_delay_us"], row["delivered"])
+                      for row in read_csv(out / "delay-vs-n.csv")}
+    assert rows["tiny"]["almac"] != rows["packaged"]["almac"]
+    for protocol in ("dcf", "lmac", "lzc"):
+        assert rows["tiny"][protocol] == rows["packaged"][protocol]
+
+
+def test_cli_coexist_partner_comes_from_the_config(tmp_path):
+    cfg = write_config(tmp_path, "protocol = lmac\nn = 4\nc = 8\ncoexist_protocol = lbeb\n"
+                                 "k_values = 2,3\nhorizon_slots = 600\nseed = 36\n")
+    out = tmp_path / "out"
+    assert main(["scenario", "coexist", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "coexist.csv")
+    assert [row["partner"] for row in rows] == ["lbeb", "lbeb"]
+    assert all(float(row["thr_partner_mbps"]) > 0.0 for row in rows)
+
+
+def test_cli_sim_rejects_an_arrival_rate_beyond_the_clock(tmp_path):
+    # at 1e300 packets/s an arrival gap is below the clock's resolution; the
+    # run must be refused, not started (in a child process, so a hang fails)
+    cfg = write_config(tmp_path, "protocol = lmac\nn = 2\nc = 4\ntraffic = poisson\n"
+                                 "lambda_pps = 1e300\nhorizon_slots = 10\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(macsim.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "macsim.cli", "sim", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "config error: lambda_pps = '1e300': must be a finite number in [0, 1000000]"]
 
 
 def test_cli_scenario_roundtrip(tmp_path):
