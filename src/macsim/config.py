@@ -288,6 +288,7 @@ def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
     length_key = "c" if cfg.adaptation == "none" else "b"
     length = getattr(cfg, length_key)
     runs_lmac = cfg.protocol == "lmac" or (cfg.coexist_k > 0 and cfg.coexist_protocol == "lmac")
+    runs_lzc = _runs_lzc(cfg)
     checks = (
         (cfg.adaptation != "none" and cfg.b is None, "b", "adaptive runs need a base length b"),
         (cfg.adaptation == "almac" and cfg.protocol != "lmac",
@@ -297,7 +298,7 @@ def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
         (runs_lmac and length is not None and length < 2,
          length_key, "lmac needs a schedule length of at least 2"),
         (cfg.beta is not None and cfg.protocol != "lmac", "beta", "only meaningful for lmac"),
-        (cfg.gamma is not None and cfg.protocol != "lzc", "gamma", "only meaningful for lzc"),
+        (cfg.gamma is not None and not runs_lzc, "gamma", "only meaningful for lzc"),
         (cfg.sweep == "gamma" and cfg.protocol != "lzc", "sweep", "gamma sweeps need protocol lzc"),
         (cfg.sweep == "beta" and cfg.protocol != "lmac", "sweep", "beta sweeps need protocol lmac"),
         (cfg.coexist_k > 0 and cfg.coexist_protocol is None,
@@ -308,18 +309,22 @@ def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
         (cfg.horizon_seconds == 0.0, "horizon_seconds", "must be greater than 0"),
         (cfg.traffic == "poisson" and cfg.lambda_pps <= 0.0,
          "lambda_pps", "poisson traffic needs a rate"),
-        (cfg.protocol == "lzc" and cfg.adaptation == "none" and cfg.gamma is None
-         and cfg.n > cfg.c,
+        (runs_lzc and cfg.adaptation == "none" and cfg.gamma is None and cfg.n > cfg.c,
          "gamma", "auto stay probability needs n <= c; set gamma explicitly"),
     )
     return [Diagnostic(key, str(getattr(cfg, key)), text) for bad, key, text in checks if bad]
+
+
+def _runs_lzc(cfg: SimConfig) -> bool:
+    """Whether the base protocol or the coexist partner is lzc."""
+    return cfg.protocol == "lzc" or (cfg.coexist_k > 0 and cfg.coexist_protocol == "lzc")
 
 
 def _resolve_defaults(cfg: SimConfig) -> SimConfig:
     updates: dict[str, object] = {}
     if cfg.protocol == "lmac" and cfg.beta is None:
         updates["beta"] = DEFAULT_BETA
-    if cfg.protocol == "lzc" and cfg.gamma is None:
+    if _runs_lzc(cfg) and cfg.gamma is None:
         updates["gamma"] = auto_gamma(cfg.c, cfg.n) if cfg.adaptation == "none" else 0.5
     if (
         cfg.horizon_slots is None

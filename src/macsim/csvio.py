@@ -5,14 +5,13 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterable
 from itertools import accumulate
-from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .phy import SlotKind
 
 if TYPE_CHECKING:  # engine imports adaptation, which writes through this module
-    from .engine import EventRecord, Trace
+    from .engine import Event, Trace
 
 _KIND_NAMES = {
     int(SlotKind.IDLE): "idle",
@@ -49,9 +48,5 @@ def trace_to_csv(trace: Trace, path: str | Path) -> None:
     )
 
 
-def events_to_csv(events: list[EventRecord], path: str | Path) -> None:
-    write_csv(
-        path,
-        ["station", "schedule_index", "chosen_slot", "outcome"],
-        map(attrgetter("station", "schedule_index", "chosen_slot", "outcome"), events),
-    )
+def events_to_csv(events: list[Event], path: str | Path) -> None:
+    write_csv(path, ["station", "schedule_index", "chosen_slot", "outcome"], events)

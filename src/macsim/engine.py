@@ -1,22 +1,27 @@
 """Event-stepped network simulator.
 
 Advances the shared medium one MAC slot at a time but touches a station
-only at its own events: its next transmission (``counter + 1`` slots after a
-DCF station's last one, slot ``effective_slot`` of a schedule station's
-window) and the end of its schedule window.  Due stations that hold a packet
-transmit; zero transmitters make an idle slot, exactly one a success unless
-a channel error fires, two or more collide.  A DCF station whose counter ran
-out with an empty queue waits on a list checked every slot.  The per-slot
-trace is the one medium history: at a window end a station reads its idle
-positions, collision flag and own outcome back from it.  Poisson arrivals
-are pulled at a station's events, before its random draws, so every random
-stream is consumed as if stations were stepped every slot.  Simulated time
-is the sum of slot durations, added left to right, and nothing else.
+only at its own events.  A DCF station is booked in a due table at its next
+transmission, ``counter + 1`` slots after its last one.  A schedule station
+books nothing: ``window_start``, ``tx_slot`` and ``window_len`` say when it
+transmits and when its window ends.  A run is played in segments, each up to
+the next window end, whose schedule transmitters are looked up by slot.
+Due stations that hold a packet transmit; zero transmitters make an idle
+slot, exactly one a success unless a channel error fires, two or more
+collide.  A DCF station whose counter ran out with an empty queue waits on a
+list checked every slot.  The per-slot trace is the one medium history: at
+a window end a station reads its idle positions, collision flag and own
+outcome back from it.  Poisson arrivals are pulled at a station's events,
+before its random draws, so every random stream is consumed as if stations
+were stepped every slot.  Simulated time is the sum of slot durations, added
+left to right, and nothing else.
 
-Once every station holds its own slot, the schedule repeats unchanged: a
-saturated schedule station that succeeds draws nothing and keeps its slot.
-When such a window closes on an error-free channel and the caller is not
-watching for convergence, ``run`` appends whole copies of it in one step.
+When every station is a saturated schedule station, each slot takes a lean
+path whose only draw is the channel's.  Once every station holds its own
+slot, the schedule repeats unchanged: a saturated schedule station that
+succeeds draws nothing and keeps its slot.  When such a window closes on an
+error-free channel and the caller is not watching for convergence, ``run``
+appends whole copies of it in one step.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from operator import add
 import numpy as np
 
 from .adaptation import AlmacAdapter, AlzcAdapter, txop_packets
+from .config import MAX_LAMBDA_PPS
 from .phy import PhyParams, SlotKind
 from .protocols import Dcf, ScheduleProtocol
 
@@ -65,23 +71,10 @@ class Trace:
     def sim_time_us(self) -> float:
         return elapsed_us(self.durations)
 
-    def transmitters_of(self, slot_index: int) -> tuple[int, ...]:
-        kind = self.kinds[slot_index]
-        if kind in (SlotKind.SUCCESS, SlotKind.ERROR):
-            return (self.tx_station[slot_index],)
-        if kind == SlotKind.COLLISION:
-            return self.colliders[slot_index]
-        return ()
 
-
-@dataclass
-class EventRecord:
-    """One schedule of one station: which slot it held and how it went."""
-
-    station: int
-    schedule_index: int
-    chosen_slot: int
-    outcome: str  # "success" or "failure"
+#: One schedule of one station: (station, schedule_index, chosen_slot,
+#: outcome), the outcome "success" or "failure".
+Event = tuple[int, int, int, str]
 
 
 class Station:
@@ -89,7 +82,8 @@ class Station:
 
     ``counter`` counts the slots between the station's last event (its last
     DCF transmission, or the start of its schedule window) and its next
-    transmission.
+    transmission.  A schedule station's current window starts at slot
+    ``window_start`` and it transmits in slot ``tx_slot`` of the run.
     """
 
     def __init__(
@@ -104,6 +98,8 @@ class Station:
         txop_base: int | None = None,
         start_time_us: float = 0.0,
     ):
+        if not 0.0 <= lambda_pps <= MAX_LAMBDA_PPS:
+            raise ValueError(f"lambda_pps must be in [0, {MAX_LAMBDA_PPS}] packets/s")
         self.sid = sid
         self.protocol = protocol
         self.rng = rng
@@ -186,28 +182,22 @@ class Station:
         success: bool,
         idle_positions: list[int],
         saw_collision: bool,
-        events: list[EventRecord],
+        events: list[Event],
+        next_start: int,
     ) -> None:
-        """Log the finished window, update the slot choice, plan the next one."""
+        """Log the finished window, update the slot choice and start the next
+        window at slot ``next_start``."""
         proto: ScheduleProtocol = self.protocol
-        held_slot = (
-            (proto.current_slot() - 1) % self.window_len + 1
-            if self.in_probe
-            else proto.current_slot()
-        )
+        held_slot = proto.current_slot()
+        if self.in_probe:
+            held_slot = (held_slot - 1) % self.window_len + 1
         events.append(
-            EventRecord(
-                self.sid,
-                self.schedule_index,
-                held_slot,
-                "success" if success else "failure",
-            )
+            (self.sid, self.schedule_index, held_slot, "success" if success else "failure")
         )
 
         if not self.in_probe:
             proto.on_schedule_end(success, idle_positions, self.rng)
 
-        next_len = self.window_len
         probe = False
         if self.adapter is not None:
             next_len, probe = self.adapter.plan_next(
@@ -215,16 +205,18 @@ class Station:
             )
             if not probe and next_len != proto.schedule_len:
                 proto.resize(next_len)
+            if next_len != self.window_len:
+                self.window_len = next_len
+                self.txop_m = txop_packets(next_len, self.txop_base) if self.txop_base else 1
 
+        effective_slot = proto.current_slot()
         if probe:
-            effective_slot = (proto.current_slot() - 1) % next_len + 1
-        else:
-            effective_slot = proto.current_slot()
+            effective_slot = (effective_slot - 1) % self.window_len + 1
         self.in_probe = probe
-        self.window_len = next_len
-        self.txop_m = txop_packets(next_len, self.txop_base) if self.txop_base else 1
         self.counter = effective_slot - 1
         self.schedule_index += 1
+        self.window_start = next_start
+        self.tx_slot = next_start + self.counter
 
 
 class Simulator:
@@ -246,11 +238,10 @@ class Simulator:
         self.error_rate = error_rate
         self.channel_rng = channel_rng
         self.trace = Trace()
-        self.events: list[EventRecord] = []
+        self.events: list[Event] = []
         self.clock_us = 0.0
         self.slot_index = 0
-        self._tx_due: dict[int, list[Station]] = {}
-        self._end_due: dict[int, list[Station]] = {}
+        self._tx_due: dict[int, list[Station]] = {}  # DCF stations only
         self._waiting: list[Station] = []
         self._success_us: dict[int, float] = {}
         for st in stations:
@@ -260,16 +251,15 @@ class Simulator:
         """A transmitter joins; its schedule phase starts at the next slot."""
         station.position = len(self.stations)
         self.stations.append(station)
-        self._plan(station, self.slot_index)
+        if station.is_dcf:
+            self._plan(station, self.slot_index)
+        else:
+            station.window_start = self.slot_index
+            station.tx_slot = self.slot_index + station.counter
 
     def _plan(self, st: Station, start: int) -> None:
-        """Book the next transmission (and window end) counted from ``start``."""
-        tx = start + st.counter
-        self._tx_due.setdefault(tx, []).append(st)
-        if not st.is_dcf:
-            st.window_start = start
-            st.tx_slot = tx
-            self._end_due.setdefault(start + st.window_len - 1, []).append(st)
+        """Book a DCF station's next transmission, counted from ``start``."""
+        self._tx_due.setdefault(start + st.counter, []).append(st)
 
     def step(self) -> None:
         self.run(until_slot=self.slot_index + 1)
@@ -293,13 +283,17 @@ class Simulator:
         phy, success_us = self.phy, self._success_us
         sigma, t_coll = phy.sigma_us, phy.t_collision
         error_rate, channel_rng = self.error_rate, self.channel_rng
-        tx_due, end_due, waiting = self._tx_due, self._end_due, self._waiting
+        tx_due, waiting = self._tx_due, self._waiting
         tr = self.trace
-        kinds = tr.kinds
+        kinds, colliders = tr.kinds, tr.colliders
         add_kind = kinds.append
         add_duration = tr.durations.append
         add_tx = tr.tx_station.append
         add_packets = tr.packets.append
+        sched = [st for st in self.stations if not st.is_dcf]
+        # with saturated schedule stations only, each slot takes the lean path:
+        # no waiting list, arrivals, DCF updates or queue bookkeeping
+        lean = len(sched) == len(self.stations) and all(st.saturated for st in sched)
 
         watching = watch_n is not None
         n_good = n_bad = 0
@@ -310,48 +304,70 @@ class Simulator:
 
         s = self.slot_index
         clock = self.clock_us
+        end, sched_due = self._segment(sched, s)
         hit = False
         while True:
-            due = tx_due.pop(s, None)
             before = clock
-            kind, duration, sid, packets = _IDLE, sigma, -1, 0
-            if due is not None or waiting:
-                transmitters = []
-                if waiting:
-                    transmitters = [
-                        st for st in waiting if st.queue or st.next_arrival_us <= clock
-                    ]
-                    if transmitters:
-                        for st in transmitters:
-                            st.pull_arrivals(clock)
-                        waiting[:] = [st for st in waiting if not st.queue]
-                for st in due or ():
-                    if not st.saturated:
-                        st.pull_arrivals(clock)
-                    if st.saturated or st.queue:
-                        transmitters.append(st)
-                    elif st.is_dcf:
-                        waiting.append(st)
-                if len(transmitters) == 1:
-                    sid = transmitters[0].sid
+            if lean:
+                transmitters = sched_due.get(s)
+                if transmitters is None:
+                    kind, duration, sid, packets = _IDLE, sigma, -1, 0
+                elif len(transmitters) > 1:
+                    kind, duration, sid, packets = _COLLISION, t_coll, -1, 0
+                    colliders[s] = tuple([st.sid for st in transmitters])
+                else:
+                    st = transmitters[0]
+                    sid, packets = st.sid, 0
                     if error_rate > 0.0 and channel_rng.random() < error_rate:
                         kind, duration = _ERROR, t_coll
                     else:
-                        kind = _SUCCESS
-                        packets = transmitters[0].packets_ready()
+                        kind, packets = _SUCCESS, st.txop_m
                         duration = success_us.get(packets)
                         if duration is None:
                             duration = success_us[packets] = phy.success_duration(packets)
-                elif transmitters:
-                    kind, duration = _COLLISION, t_coll
-                    transmitters.sort(key=_position)
-                    tr.colliders[s] = tuple(st.sid for st in transmitters)
+                        st.delivered += packets
+            else:
+                due = tx_due.pop(s, None)
+                if s in sched_due:
+                    due = sched_due[s] if due is None else due + sched_due[s]
+                kind, duration, sid, packets = _IDLE, sigma, -1, 0
+                if due is not None or waiting:
+                    transmitters = []
+                    if waiting:
+                        transmitters = [
+                            st for st in waiting if st.queue or st.next_arrival_us <= clock
+                        ]
+                        if transmitters:
+                            for st in transmitters:
+                                st.pull_arrivals(clock)
+                            waiting[:] = [st for st in waiting if not st.queue]
+                    for st in due or ():
+                        if not st.saturated:
+                            st.pull_arrivals(clock)
+                        if st.saturated or st.queue:
+                            transmitters.append(st)
+                        elif st.is_dcf:
+                            waiting.append(st)
+                    if len(transmitters) == 1:
+                        sid = transmitters[0].sid
+                        if error_rate > 0.0 and channel_rng.random() < error_rate:
+                            kind, duration = _ERROR, t_coll
+                        else:
+                            kind = _SUCCESS
+                            packets = transmitters[0].packets_ready()
+                            duration = success_us.get(packets)
+                            if duration is None:
+                                duration = success_us[packets] = phy.success_duration(packets)
+                    elif transmitters:
+                        kind, duration = _COLLISION, t_coll
+                        transmitters.sort(key=_position)
+                        colliders[s] = tuple(st.sid for st in transmitters)
             clock += duration
             add_kind(kind)
             add_duration(duration)
             add_tx(sid)
             add_packets(packets)
-            if kind != _IDLE:
+            if kind != _IDLE and not lean:
                 if packets:
                     transmitters[0].deliver(packets, clock)
                 for st in transmitters:
@@ -363,11 +379,10 @@ class Simulator:
                             st.drop_head(clock)
                         st.counter = counter
                         self._plan(st, s + 1)
-            ending = end_due.pop(s, None)
-            if ending is not None:
-                absorbed = self._close_windows(ending, s, before)
-                if absorbed and not watching:
+            if s == end:
+                if self._close_windows(sched, s, before) and not watching:
                     s, clock = self._replay(s, clock, until_slot, until_us)
+                end, sched_due = self._segment(sched, s + 1)
             s += 1
             if watching:
                 n_good += kind == _SUCCESS
@@ -389,16 +404,27 @@ class Simulator:
                 st.pull_arrivals(clock)
         return hit
 
-    def _close_windows(self, ending: list[Station], s: int, before_us: float) -> bool:
-        """Window ends at slot ``s``: read each window back from the trace.
+    def _segment(self, sched: list[Station], s: int) -> tuple[float, dict[int, list[Station]]]:
+        """The segment from slot ``s`` up to the first window end among
+        ``sched``: its last slot, and the pending transmissions of ``sched``
+        by slot, in position order."""
+        end = min([st.window_start + st.window_len for st in sched], default=math.inf) - 1
+        due: dict[int, list[Station]] = {}
+        for st in sched:
+            if st.tx_slot >= s:
+                due.setdefault(st.tx_slot, []).append(st)
+        return end, due
+
+    def _close_windows(self, sched: list[Station], s: int, before_us: float) -> bool:
+        """Close the windows of ``sched`` that end at slot ``s``, in position
+        order, each read back from the trace.
 
         Returns True when the window is absorbed: the channel is error-free,
         every station is a saturated schedule station without adapter or
         probe, all of them end this window from one shared start, and every
         one succeeded.  The next window then repeats this one exactly.
         """
-        if len(ending) > 1:
-            ending.sort(key=_position)
+        ending = [st for st in sched if st.window_start + st.window_len - 1 == s]
         tr = self.trace
         kinds = tr.kinds
         seen: dict[int, tuple[list[int], bool]] = {}
@@ -422,8 +448,7 @@ class Simulator:
             absorbed = absorbed and (
                 success and st.saturated and st.adapter is None and not st.in_probe
             )
-            st.close_window(success, view[0], view[1], self.events)
-            self._plan(st, s + 1)
+            st.close_window(success, view[0], view[1], self.events, s + 1)
         return absorbed and len(seen) == 1
 
     def _replay(
@@ -454,19 +479,15 @@ class Simulator:
             column.extend(column[start : s + 1] * k)
         held = [(st.sid, st.schedule_index, st.protocol.current_slot()) for st in stations]
         self.events.extend(
-            EventRecord(sid, index + j, slot, "success")
-            for j in range(k)
-            for sid, index, slot in held
+            (sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held
         )
-        # every station's only pending events are the ones planned from s + 1
-        self._tx_due.clear()
-        self._end_due.clear()
-        s += k * length
+        shift = k * length
         for st in stations:
             st.delivered += k * st.txop_m
             st.schedule_index += k
-            self._plan(st, s + 1)
-        return s, clock
+            st.window_start += shift
+            st.tx_slot += shift
+        return s + shift, clock
 
 
 def _position(st: Station) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SimConfig
-from .engine import EventRecord, Trace, elapsed_us
+from .engine import Trace, elapsed_us
 from .phy import PhyParams, SlotKind
 from .runner import RunResult, run_simulation
 
@@ -49,29 +49,6 @@ def detect_convergence(result: RunResult) -> tuple[int | None, float | None]:
     if (kappa + 1) * c > len(result.trace):
         return None, None
     return kappa, elapsed_us(result.trace.durations[: kappa * c]) / 1e6
-
-
-def detect_convergence_from_events(
-    events: list[EventRecord], n_stations: int
-) -> int | None:
-    """Alternative detector: first schedule where stations hold distinct slots.
-
-    Works off the per-station event log of aligned stations: schedule k is
-    collision-free when all stations report success there with pairwise
-    distinct slots.  Test oracle for ``detect_convergence``.
-    """
-    by_schedule: dict[int, list[EventRecord]] = {}
-    for ev in events:
-        by_schedule.setdefault(ev.schedule_index, []).append(ev)
-    k = 0
-    while True:
-        rows = by_schedule.get(k)
-        if not rows or len(rows) < n_stations:
-            return None
-        slots = {ev.chosen_slot for ev in rows}
-        if len(slots) == n_stations and all(ev.outcome == "success" for ev in rows):
-            return k
-        k += 1
 
 
 def success_sequence(trace: Trace, upto_slot: int | None = None) -> list[int]:

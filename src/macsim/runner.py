@@ -17,7 +17,7 @@ import numpy as np
 
 from .adaptation import AlmacAdapter, AlzcAdapter, FTable
 from .config import SimConfig, derive_seed
-from .engine import EventRecord, Simulator, Station, Trace, elapsed_us
+from .engine import Event, Simulator, Station, Trace, elapsed_us
 from .phy import PhyParams
 from .protocols import init_protocol
 
@@ -39,7 +39,7 @@ class RunResult:
     rep_index: int
     run_seed: int
     trace: Trace
-    events: list[EventRecord]
+    events: list[Event]
     stations: list[StationStats]
     sim_time_us: float
     converged_slot: int | None

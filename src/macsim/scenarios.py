@@ -290,12 +290,15 @@ def _coexist(cfg, protocols, reps, k_values) -> ScenarioReport:
         sent = sum(st.delivered for st in result.stations if st.protocol == partner)
         return [total, sent * bits / result.sim_time_us, result.sim_time_us / 1e6]
 
-    points = [
-        ((p, partner, k), ("coexist", k),
-         replace(cfg, protocol=p, n=2 * k, coexist_k=k, coexist_protocol=partner,
-                 **_protocol_params(p, 2 * k, cfg.c or 16)))
-        for p in protocols for k in k_values
-    ]
+    def point(p: str, k: int) -> SimConfig:
+        params = _protocol_params(p, 2 * k, cfg.c or 16)
+        if partner == "lzc" and params["gamma"] is None:  # the partner's stay probability
+            params["gamma"] = cfg.gamma
+        return replace(cfg, protocol=p, n=2 * k, coexist_k=k, coexist_protocol=partner,
+                       **params)
+
+    points = [((p, partner, k), ("coexist", k), point(p, k))
+              for p in protocols for k in k_values]
     rows = _grid(cfg.seed, points, reps, _simulated(measure))
     return _report(cfg, rows,
                    ["protocol", "partner", "k", "rep", "thr_total_mbps",

@@ -40,6 +40,15 @@ def test_gamma_auto_resolution():
     assert cfg2.gamma == pytest.approx(0.5)
 
 
+def test_lzc_partner_stay_probability():
+    text = "protocol = lmac\nn = 4\nc = 8\ncoexist_k = 2\ncoexist_protocol = lzc\n"
+    assert parse(text).gamma == pytest.approx(auto_gamma(8, 4))
+    assert parse(text + "gamma = 0.3\n").gamma == pytest.approx(0.3)
+    with pytest.raises(ConfigError) as err:
+        parse(text.replace("n = 4", "n = 12"))
+    assert "gamma" in diag_keys(err)
+
+
 def test_gamma_auto_rejected_when_overloaded():
     with pytest.raises(ConfigError) as err:
         parse("protocol = lzc\nn = 20\nc = 16\n")

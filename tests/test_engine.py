@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from macsim.config import PROTOCOLS, SimConfig, derive_seed
+from macsim.adaptation import AlmacAdapter, AlzcAdapter
+from macsim.config import MAX_LAMBDA_PPS, PROTOCOLS, SimConfig, derive_seed
 from macsim.engine import Simulator, Station, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
 from macsim.protocols import Dcf, Lmac, Lzc, backoff_from_slots, init_protocol
-from macsim.runner import run_simulation
+from macsim.runner import default_f_table, run_simulation
 from macsim import metrics
+from oracles import transmitters_of
 
 
 def rng(seed):
@@ -46,7 +48,7 @@ def test_two_ready_stations_collide():
     sim = make_sim(sts)
     sim.step()
     assert sim.trace.kinds == [SlotKind.COLLISION]
-    assert set(sim.trace.transmitters_of(0)) == {1, 2}
+    assert set(transmitters_of(sim.trace, 0)) == {1, 2}
     assert sim.trace.durations[0] == pytest.approx(TABLE_PHY.t_collision)
 
 
@@ -56,7 +58,7 @@ def test_single_ready_station_succeeds():
     sim = make_sim(sts)
     sim.step()
     assert sim.trace.kinds == [SlotKind.SUCCESS]
-    assert sim.trace.transmitters_of(0) == (1,)
+    assert transmitters_of(sim.trace, 0) == (1,)
     assert sim.trace.packets == [1]
     assert sim.trace.durations[0] == pytest.approx(896.0, abs=1e-9)
 
@@ -165,16 +167,16 @@ def test_backoff_gap_between_transmissions():
     tr = result.trace
     tx_slots: dict[int, list[int]] = {}
     for i, kind in enumerate(tr.kinds):
-        for sid in tr.transmitters_of(i):
+        for sid in transmitters_of(tr, i):
             tx_slots.setdefault(sid, []).append(i)
-    by_station: dict[int, list] = {}
-    for ev in result.events:
-        by_station.setdefault(ev.station, []).append(ev)
+    chosen: dict[int, list[int]] = {}
+    for sid, _, slot, _ in result.events:
+        chosen.setdefault(sid, []).append(slot)
     for sid, slots in tx_slots.items():
-        evs = by_station[sid]
+        held = chosen[sid]
         for k in range(len(slots) - 1):
             gap = slots[k + 1] - slots[k]
-            want = backoff_from_slots(evs[k].chosen_slot, evs[k + 1].chosen_slot, 8)
+            want = backoff_from_slots(held[k], held[k + 1], 8)
             assert gap == want
             assert 1 <= gap <= 15
 
@@ -186,7 +188,7 @@ def test_station_transmits_once_per_schedule_when_saturated():
     for start in range(0, 600 - 6, 6):
         counts: dict[int, int] = {}
         for i in range(start, start + 6):
-            for sid in tr.transmitters_of(i):
+            for sid in transmitters_of(tr, i):
                 counts[sid] = counts.get(sid, 0) + 1
         assert all(v == 1 for v in counts.values())
         assert len(counts) == 3
@@ -245,6 +247,15 @@ def test_absorption_after_convergence():
         assert all(kk != int(SlotKind.COLLISION) for kk in post)
 
 
+def test_station_rejects_an_arrival_rate_beyond_the_clock():
+    # above the bound an arrival gap falls below the clock's resolution and
+    # pull_arrivals would never return; the station is refused when built
+    for rate in (1e300, 2.0 * MAX_LAMBDA_PPS, float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match="lambda_pps"):
+            Station(0, Lzc(4, 0.5, rng(1)), rng(2), saturated=False, lambda_pps=rate)
+    Station(0, Lzc(4, 0.5, rng(1)), rng(2), saturated=False, lambda_pps=MAX_LAMBDA_PPS)
+
+
 def test_no_packets_means_all_idle():
     st = Station(0, Lzc(4, 0.5, rng(26)), rng(27), saturated=False, lambda_pps=0.0)
     sim = make_sim([st])
@@ -257,43 +268,55 @@ def test_station_streams_independent_of_population():
     cfg2 = SimConfig(protocol="lzc", n=2, c=8, gamma=0.5, horizon_slots=64, seed=28)
     cfg3 = SimConfig(protocol="lzc", n=3, c=8, gamma=0.5, horizon_slots=64, seed=28)
     first2 = {}
-    for ev in run_simulation(cfg2).events:
-        if ev.schedule_index == 0:
-            first2[ev.station] = ev.chosen_slot
+    for sid, index, slot, _ in run_simulation(cfg2).events:
+        if index == 0:
+            first2[sid] = slot
     first3 = {}
-    for ev in run_simulation(cfg3).events:
-        if ev.schedule_index == 0 and ev.station < 2:
-            first3[ev.station] = ev.chosen_slot
+    for sid, index, slot, _ in run_simulation(cfg3).events:
+        if index == 0 and sid < 2:
+            first3[sid] = slot
     assert first2 == first3
 
 
 # --- absorbed-schedule replay ------------------------------------------------------
 
 
-def replay_sim(protocol, n, c, seed):
-    """``n`` saturated stations; ``c`` is one schedule length or one per station."""
+def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none"):
+    """``n`` saturated stations; ``c`` is one schedule length or one per
+    station, and the base length under ``adaptation``."""
     lengths = [c] * n if isinstance(c, int) else c
     stations = []
     for sid in range(n):
         station_rng = rng(derive_seed(seed, sid))
         proto = init_protocol(protocol, lengths[sid], station_rng, gamma=0.5)
-        stations.append(Station(sid, proto, station_rng))
-    return Simulator(stations, TABLE_PHY)
+        adapter = None
+        if adaptation == "alzc":
+            adapter = AlzcAdapter(c, 16 * c)
+        elif adaptation == "almac":
+            adapter = AlmacAdapter(c, default_f_table(), 1, 16 * c)
+        stations.append(Station(sid, proto, station_rng, adapter=adapter,
+                                txop_base=None if adapter is None else c))
+    channel_rng = rng(derive_seed(seed, "channel")) if error_rate else None
+    return Simulator(stations, TABLE_PHY, error_rate=error_rate, channel_rng=channel_rng)
 
 
-def sim_state(sim):
+def sim_state(sim, sids=None):
+    """Everything a run leaves behind, for the stations ``sids`` (default all)."""
     tr = sim.trace
+    sids = range(len(sim.stations)) if sids is None else sids
     return {
         "trace": (tr.kinds, tr.durations, tr.tx_station, tr.packets, tr.colliders),
-        "events": sim.events,
+        "events": [ev for ev in sim.events if ev[0] in sids],
         "clock": sim.clock_us,
         "slot": sim.slot_index,
+        "channel": sim.channel_rng and sim.channel_rng.bit_generator.state,
         "stations": [
             (st.delivered, st.schedule_index, st.counter, st.window_len,
-             st.window_start, st.tx_slot, st.protocol.current_slot(),
+             st.window_start, st.tx_slot, st.txop_m, st.in_probe,
+             st.protocol.current_slot(),
              getattr(st.protocol, "p", np.zeros(0)).tolist(),
              st.rng.bit_generator.state)
-            for st in sim.stations
+            for st in sim.stations if st.sid in sids
         ],
     }
 
@@ -312,24 +335,101 @@ def close_calls(monkeypatch):
     return starts
 
 
-@pytest.mark.parametrize("protocol, n, c, seed, bounds", [
-    ("lbeb", 1, 4, 1, (203,)),
-    ("lbeb", 3, 8, 2, (1001, 2403)),
-    ("zc", 5, 8, 3, (999, 1600)),
-    ("lzc", 8, 8, 4, (1203,)),
-    ("lmac", 1, 2, 5, (99,)),
-    ("lmac", 6, 8, 6, (517, 1800)),
-])
-def test_replay_matches_stepping(protocol, n, c, seed, bounds, close_calls):
-    stepped = replay_sim(protocol, n, c, seed)
+STEPPING_CASES = [
+    ("lbeb", 1, 4, 1, (203,), {}),
+    ("lbeb", 3, 8, 2, (1001, 2403), {}),
+    ("zc", 5, 8, 3, (999, 1600), {}),
+    ("lzc", 8, 8, 4, (1203,), {}),
+    ("lmac", 1, 2, 5, (99,), {}),
+    ("lmac", 6, 8, 6, (517, 1800), {}),
+    ("zc", 1, 8, 7, (301,), {}),
+    ("lzc", 20, 16, 8, (707, 1500), {}),
+    ("lmac", 20, 16, 9, (1500,), {}),
+    ("lbeb", 6, 8, 10, (333, 1200), {"error_rate": 0.1}),
+    ("lmac", 8, 8, 11, (1200,), {"error_rate": 0.1}),
+    ("lzc", 20, 16, 12, (901, 3000), {"adaptation": "alzc"}),
+    ("lmac", 20, 16, 13, (2222, 6000), {"adaptation": "almac"}),
+]
+
+
+def stepping_case_id(index, case):
+    """pytest's default id with the options appended, so a case without
+    options keeps pytest's default id."""
+    protocol, n, c, seed, _, kw = case
+    options = "".join(f"-{key}={value}" for key, value in kw.items())
+    return f"{protocol}-{n}-{c}-{seed}-bounds{index}{options}"
+
+
+@pytest.mark.parametrize("protocol, n, c, seed, bounds, kw", STEPPING_CASES,
+                         ids=[stepping_case_id(*case) for case in enumerate(STEPPING_CASES)])
+def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls):
+    stepped = replay_sim(protocol, n, c, seed, **kw)
     while stepped.slot_index < bounds[-1]:
         stepped.step()
     stepped_calls = len(close_calls)
-    replayed = replay_sim(protocol, n, c, seed)
+    replayed = replay_sim(protocol, n, c, seed, **kw)
     for bound in bounds:
         replayed.run(until_slot=bound)
     assert sim_state(replayed) == sim_state(stepped)
-    assert len(close_calls) - stepped_calls < stepped_calls / 2
+    if kw or n > c:  # nothing is absorbed, so every window is closed one by one
+        assert len(close_calls) == 2 * stepped_calls
+    else:
+        assert len(close_calls) - stepped_calls < stepped_calls / 2
+
+
+@pytest.mark.parametrize("protocol, n, seed, kw", [
+    ("lmac", 10, 14, {}),
+    ("lzc", 10, 15, {"error_rate": 0.1}),
+    ("lzc", 20, 16, {"adaptation": "alzc"}),
+    ("lmac", 20, 17, {"adaptation": "almac"}),
+])
+def test_lean_body_matches_general_body(protocol, n, seed, kw):
+    # a schedule station without traffic sends nothing but puts the run on
+    # the general slot path; the medium and everyone else must not notice
+    c = 16
+    lean = replay_sim(protocol, n, c, seed, **kw)
+    general = replay_sim(protocol, n, c, seed, **kw)
+    silent_rng = rng(derive_seed(seed, n))
+    general.add_station(Station(n, init_protocol(protocol, c, silent_rng, gamma=0.5),
+                                silent_rng, saturated=False, lambda_pps=0.0))
+    for sim in (lean, general):
+        sim.run(until_slot=6000, watch_n=n, watch_len=c)
+        if sim.slot_index < 6000:
+            sim.run(until_slot=6000)
+    assert sim_state(general, range(n)) == sim_state(lean)
+    assert len(general.events) > len(lean.events)
+
+
+@pytest.mark.parametrize("kw", [{}, {"error_rate": 0.1}])
+def test_time_bound_inside_a_window(kw):
+    # the bound is reached in the fourth slot of window 40: the rest of the
+    # window's transmissions, deliveries and channel draws stay pending
+    probe = replay_sim("lzc", 8, 8, 18, **kw)
+    probe.run(until_slot=8 * 40 + 4)
+    until_us = probe.clock_us - 1.0
+    stepped = replay_sim("lzc", 8, 8, 18, **kw)
+    while stepped.clock_us < until_us:
+        stepped.step()
+    bounded = replay_sim("lzc", 8, 8, 18, **kw)
+    bounded.run(until_us=until_us)
+    assert bounded.slot_index == stepped.slot_index == 8 * 40 + 4
+    assert sim_state(bounded) == sim_state(stepped)
+    for sim in (bounded, stepped):
+        sim.run(until_slot=1000)
+    assert sim_state(bounded) == sim_state(stepped)
+
+
+def test_watch_hit_inside_a_window():
+    stepped = replay_sim("lmac", 6, 8, 19)
+    while not stepped.run(until_slot=stepped.slot_index + 1, watch_n=6, watch_len=8):
+        assert stepped.slot_index < 1000
+    watched = replay_sim("lmac", 6, 8, 19)
+    assert watched.run(watch_n=6, watch_len=8)
+    assert watched.slot_index % 8 != 0  # the watched span straddles two windows
+    assert sim_state(watched) == sim_state(stepped)
+    for sim in (watched, stepped):
+        sim.run(until_slot=1000)
+    assert sim_state(watched) == sim_state(stepped)
 
 
 def test_no_replay_across_unequal_windows(close_calls):
@@ -568,7 +668,7 @@ def ledger_violations(result):
     credited = Counter()
     sent_at: dict[int, set[int]] = {sid: set() for sid in sids}
     for i, kind in enumerate(tr.kinds):
-        for sid in tr.transmitters_of(i):
+        for sid in transmitters_of(tr, i):
             sent_at[sid].add(i)
         if kind == SlotKind.SUCCESS:
             credited[tr.tx_station[i]] += tr.packets[i]
@@ -582,7 +682,7 @@ def ledger_violations(result):
     length = cfg.c
     logged: dict[int, list] = {sid: [] for sid in sids}
     for ev in result.events:
-        logged[ev.station].append(ev)
+        logged[ev[0]].append(ev)
     for st in result.stations:
         if st.protocol == "dcf":
             if logged[st.sid]:
@@ -595,13 +695,14 @@ def ledger_violations(result):
                        f"{(len(tr.kinds) - start) // length} windows")
         own_slots = set()
         for k, ev in enumerate(evs):
-            slot = start + k * length + ev.chosen_slot - 1
+            _, index, chosen_slot, outcome = ev
+            slot = start + k * length + chosen_slot - 1
             own_slots.add(slot)
             kind = tr.kinds[slot]
             won = kind == SlotKind.IDLE or (
                 kind == SlotKind.SUCCESS and tr.tx_station[slot] == st.sid
             )
-            if ev.schedule_index != k or ev.outcome != ("success" if won else "failure"):
+            if index != k or outcome != ("success" if won else "failure"):
                 bad.append(f"station {st.sid} window {k}: logged {ev}, slot kind {kind}")
         closed = start + len(evs) * length
         sent = {i for i in sent_at[st.sid] if i < closed}

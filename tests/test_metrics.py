@@ -10,6 +10,7 @@ from macsim.config import SimConfig
 from macsim.engine import Trace
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
 from macsim.runner import run_simulation
+from oracles import detect_convergence_from_events
 
 
 def make_trace(slots):
@@ -62,14 +63,14 @@ def test_detectors_agree_on_engine_runs():
                                 horizon_slots=3000, seed=seed)
                 res = run_simulation(cfg)
                 k, _ = metrics.detect_convergence(res)
-                assert k == metrics.detect_convergence_from_events(res.events, n)
+                assert k == detect_convergence_from_events(res.events, n)
                 if k is None:
                     continue
                 unaligned += res.converged_slot % c != 0
                 for horizon in (res.converged_slot + c, (k + 1) * c):
                     cut = run_simulation(replace(cfg, horizon_slots=horizon))
                     got, _ = metrics.detect_convergence(cut)
-                    assert got == metrics.detect_convergence_from_events(cut.events, n), (
+                    assert got == detect_convergence_from_events(cut.events, n), (
                         protocol, n, seed, horizon)
     assert unaligned > 0  # some windows start mid-schedule, so the rounding shows
 

@@ -208,6 +208,20 @@ def test_cli_coexist_partner_comes_from_the_config(tmp_path):
     assert all(float(row["thr_partner_mbps"]) > 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("gamma", ["", "gamma = 0.5\n"])
+def test_cli_lzc_partner_gets_a_stay_probability(tmp_path, gamma):
+    # an lzc partner of an lmac base takes the configured gamma, or auto_gamma
+    text = ("protocol = lmac\nn = 4\nc = 8\ncoexist_k = 2\ncoexist_protocol = lzc\n"
+            "k_values = 2,3\nhorizon_slots = 600\nseed = 37\n" + gamma)
+    cfg = write_config(tmp_path, text)
+    assert main(["sim", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "out"
+    assert main(["scenario", "coexist", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "coexist.csv")
+    assert [(row["protocol"], row["partner"]) for row in rows] == [("lmac", "lzc")] * 2
+    assert all(float(row["thr_partner_mbps"]) > 0.0 for row in rows)
+
+
 def test_cli_sim_rejects_an_arrival_rate_beyond_the_clock(tmp_path):
     # at 1e300 packets/s an arrival gap is below the clock's resolution; the
     # run must be refused, not started (in a child process, so a hang fails)
