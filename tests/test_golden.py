@@ -1,5 +1,5 @@
-"""Golden outputs: fixed-seed ``macsim sim`` and ``macsim scenario`` runs hash
-to recorded digests.
+"""Golden outputs: fixed-seed ``macsim sim``, ``scenario``, ``markov`` and
+``ftable`` runs hash to recorded digests.
 
 Each case writes one small config, runs the command on it and hashes every
 file the command wrote (per-slot traces, event logs, metrics rows, scenario
@@ -7,7 +7,9 @@ rows and summaries, and the config echo).  The ``sim`` digests were recorded
 from the slot engine that stepped every station through every slot, and the
 scenario digests from the scenario layer that wrote one summary loop per
 family, so any change that moves a single slot, event, delay, metric cell or
-summary cell fails here.  A change that means to alter outputs re-records
+summary cell fails here.  The ``markov`` digest pins every printed chain
+value to the bit, and the ``ftable`` digest the horizon and its bootstrap
+bounds.  A change that means to alter outputs re-records
 them and says why.
 """
 
@@ -208,3 +210,25 @@ def test_jain_summary_without_empty_groups_matches_golden_digest(tmp_path):
     summary = (tmp_path / "jain_fairness_summary.csv").read_text().splitlines()
     assert len(summary) - 1 == 28
     assert _digest(tmp_path) == JAIN_GOLDEN
+
+
+#: Fixed-input ``markov`` and ``ftable`` commands; each writes one CSV.
+COMMAND_CASES = {
+    "markov": ["markov", "--c", "16", "--n", "14", "--gamma", "0.1:0.9:0.1"],
+    "ftable": ["ftable", "--schedule-lengths", "8", "--reps", "1000", "--seed", "1"],
+}
+
+COMMAND_GOLDEN = {
+    "ftable": (
+        "3548eb6c6247f9455e1443903d2410c6a2ba8896bf64e21ac2d8c081f37f9836"
+    ),
+    "markov": (
+        "14538bae7a4533b285367790e2ee71a20ccea0f4e63fdb6a36f44a7a7ef0c646"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_command_output_matches_golden_digest(tmp_path, name):
+    assert main([*COMMAND_CASES[name], "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert _digest(tmp_path) == COMMAND_GOLDEN[name]
