@@ -15,6 +15,14 @@ from .runner import run_simulation
 from .scenarios import SCENARIOS, reproduce_all, run_scenario
 
 
+def positive_int(text: str) -> int:
+    """A replication count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load(path: str):
     try:
         return load_config(path)
@@ -67,6 +75,8 @@ def _parse_grid(text: str) -> list[float]:
         while v <= hi + 1e-12:
             values.append(round(v, 10))
             v += step
+        if not values:
+            raise ValueError(f"grid {text} is empty: lo exceeds hi")
         return values
     return [float(v) for v in text.split(",")]
 
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", help="run replications of one config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--reps", type=positive_int)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_sim)
 
@@ -140,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("kind", choices=sorted(SCENARIOS))
     p_sc.add_argument("--config", required=True)
     p_sc.add_argument("--seed", type=int)
-    p_sc.add_argument("--reps", type=int)
+    p_sc.add_argument("--reps", type=positive_int)
     p_sc.add_argument("--out", required=True)
     p_sc.set_defaults(func=_cmd_scenario)
 
@@ -155,14 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft = sub.add_parser("ftable", help="tabulate convergence horizons")
     p_ft.add_argument("--schedule-lengths", required=True,
                       help="comma-separated lengths, e.g. 16,32,64")
-    p_ft.add_argument("--reps", type=int, default=1000)
+    p_ft.add_argument("--reps", type=positive_int, default=1000)
     p_ft.add_argument("--seed", type=int, default=1)
     p_ft.add_argument("--out", required=True)
     p_ft.set_defaults(func=_cmd_ftable)
 
     p_ra = sub.add_parser("reproduce-all", help="emit the full result datasets")
     p_ra.add_argument("--out", required=True)
-    p_ra.add_argument("--reps", type=int, default=2)
+    p_ra.add_argument("--reps", type=positive_int, default=2)
     p_ra.add_argument("--seed", type=int, default=1)
     p_ra.add_argument("--keys", help="comma-separated subset of dataset keys")
     p_ra.set_defaults(func=_cmd_reproduce_all)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
+from .adaptation import default_f_table, load_f_table
 from .protocols import DEFAULT_BETA
 
 PROTOCOLS = ("dcf", "lbeb", "zc", "lzc", "lmac")
@@ -23,6 +24,9 @@ ADAPTATIONS = ("none", "alzc", "almac")
 #: Highest per-station arrival rate, one packet per microsecond.  Far above it
 #: an arrival gap falls below the resolution of the simulated clock.
 MAX_LAMBDA_PPS = 10**6
+
+#: Base length of the almac rows ``delay-vs-n`` adds to a config's runs.
+SCENARIO_BASE_LEN = 16
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,7 @@ def validate_config(text: str) -> SimConfig:
         raise ConfigError(diags)
 
     cfg = SimConfig(**values)
-    diags = _cross_validate(cfg)
+    diags = _cross_validate(cfg) or _f_table_diagnostics(cfg)
     if diags:
         raise ConfigError(diags)
     return _resolve_defaults(cfg)
@@ -313,6 +317,24 @@ def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
          "gamma", "auto stay probability needs n <= c; set gamma explicitly"),
     )
     return [Diagnostic(key, str(getattr(cfg, key)), text) for bad, key, text in checks if bad]
+
+
+def _f_table_diagnostics(cfg: SimConfig) -> list[Diagnostic]:
+    """The f-table of the config's almac runs (``f_table``, else the packaged
+    one) must load and cover their base length: ``b`` for an almac config,
+    ``SCENARIO_BASE_LEN`` for the almac rows a scenario adds."""
+    if cfg.f_table is None and cfg.adaptation != "almac":
+        return []
+    try:
+        table = load_f_table(cfg.f_table) if cfg.f_table else default_f_table()
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        return [Diagnostic("f_table", cfg.f_table, f"cannot be read as an f-table: {err}")]
+    base = cfg.b if cfg.adaptation == "almac" else SCENARIO_BASE_LEN
+    if table.covers(base):
+        return []
+    if cfg.f_table:
+        return [Diagnostic("f_table", cfg.f_table, f"does not cover base length {base}")]
+    return [Diagnostic("b", str(base), "not covered by the packaged f-table; set f_table")]
 
 
 def _runs_lzc(cfg: SimConfig) -> bool:

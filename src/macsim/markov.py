@@ -11,13 +11,16 @@ number of colliding stations never increases, so the transition matrix is
 block upper triangular and its subdominant eigenvalue is the largest
 dominant eigenvalue over the diagonal blocks.
 
-Every entry of the chain comes from one route: the gamma-free coefficients
-of the exact enumeration of joint stay/jump outcomes (``_transition_coeffs``,
-also behind ``transition_distribution`` / ``transition_prob_exact``).  They
-are laid out as arrays once per (C, N), so each stay probability costs one
-vectorised polynomial evaluation.  The closed-form sum over which collision
-slots keep some of their occupants (``transition_prob_formula``) is an
-independent derivation of the diagonal blocks, kept as the tests' oracle.
+Every row of the chain comes from one count, ``_jump_outcomes``: the number
+of ways some stations land on some empty slots, by collision multiset.  The
+start row places all N stations on the C slots; a collision state's row
+combines who stays in each collision slot (``_stay_outcomes``) with how the
+jumpers land on the idle slots (``_transition_coeffs``).  The gamma-free
+coefficients are laid out as arrays once per (C, N) by ``_chain_layout``, so
+each stay probability costs one vectorised polynomial evaluation
+(``build_chain``).  The closed-form sum over which collision slots keep some
+of their occupants (``transition_prob_formula``) is an independent
+derivation of the diagonal blocks, kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -74,34 +77,13 @@ class CollisionState:
         return f"S{self.parts}"
 
 
-def _partitions_min2(total: int, smallest: int = 2):
-    """Yield ascending partitions of ``total`` into parts of size >= 2."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(smallest, total + 1):
-        if total - first == 1:
-            continue
-        for rest in _partitions_min2(total - first, first):
-            yield (first,) + rest
-
-
 def collision_states_for(n_colliding: int) -> list[CollisionState]:
     """All collision states with exactly ``n_colliding`` colliding stations."""
     if n_colliding < 2:
         return []
-    return [CollisionState(p) for p in sorted(_partitions_min2(n_colliding))]
-
-
-def enumerate_states(n_stations: int) -> list[CollisionState]:
-    """All collision states reachable with ``n_stations`` stations.
-
-    Empty for fewer than two stations.
-    """
-    states: list[CollisionState] = []
-    for k in range(2, n_stations + 1):
-        states.extend(collision_states_for(k))
-    return states
+    return [
+        CollisionState(p) for p in sorted(_bounded_partitions(n_colliding, n_colliding, 2))
+    ]
 
 
 def _validate_context(state: CollisionState, schedule_len: int, n_stations: int):
@@ -170,28 +152,33 @@ def _bounded_partitions(total: int, max_parts: int, smallest: int = 1):
 
 @lru_cache(maxsize=None)
 def _jump_outcomes(movers: int, n_idle: int) -> tuple:
-    """Distribution of the occupancy multiset built by uniform jumps.
+    """Placements of ``movers`` labelled stations on ``n_idle`` empty slots.
 
-    ``movers`` stations each pick one of ``n_idle`` labelled slots uniformly.
-    Returns tuples ``(collision_parts, probability)`` keyed by the multiset of
-    resulting occupancies of size >= 2 (slots that end with a single jumper
-    become successful and drop out).
+    Returns tuples ``(collision_parts, ways)``: of the ``n_idle**movers``
+    placements, ``ways`` leave the multiset ``collision_parts`` of
+    occupancies >= 2 (slots holding a single station become successful and
+    drop out).  Each multiset comes from exactly one occupancy partition,
+    since the number of singletons is ``movers - sum(collision_parts)``.
     """
     if movers == 0:
-        return (((), 1.0),)
+        return (((), 1),)
     if n_idle == 0:
         raise ValueError("jumping stations need at least one idle slot")
-    acc: dict[tuple[int, ...], float] = {}
-    denom = float(n_idle) ** movers
+    out = []
     for lam in _bounded_partitions(movers, n_idle):
         station_ways = factorial(movers)
         for c in lam:
             station_ways //= factorial(c)
         slot_ways = _falling(n_idle, len(lam)) // _multiset_perms(lam)
-        prob = station_ways * slot_ways / denom
-        key = tuple(p for p in lam if p >= 2)
-        acc[key] = acc.get(key, 0.0) + prob
-    return tuple(acc.items())
+        out.append((tuple(p for p in lam if p >= 2), station_ways * slot_ways))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _jump_probs(movers: int, n_idle: int) -> tuple:
+    """``_jump_outcomes`` as probabilities ``ways / n_idle**movers``."""
+    denom = float(n_idle) ** movers
+    return tuple((parts, ways / denom) for parts, ways in _jump_outcomes(movers, n_idle))
 
 
 def _transition_coeffs(
@@ -209,55 +196,13 @@ def _transition_coeffs(
     """
     acc: dict[tuple[int, ...], dict[int, float]] = {}
     for kept, stay, w in _stay_outcomes(parts):
-        movers = sum(parts) - stay
-        for jump_parts, jump_prob in _jump_outcomes(movers, n_idle):
+        for jump_parts, jump_prob in _jump_probs(sum(parts) - stay, n_idle):
             nxt = tuple(sorted(kept + jump_parts))
             per_b = acc.setdefault(nxt, {})
             per_b[stay] = per_b.get(stay, 0.0) + w * jump_prob
     return tuple(
         (nxt, tuple(sorted(per_b.items()))) for nxt, per_b in sorted(acc.items())
     )
-
-
-def transition_distribution(
-    state: CollisionState, schedule_len: int, n_stations: int, gamma: float
-) -> tuple[dict[CollisionState, float], float]:
-    """Exact next-schedule distribution out of ``state``.
-
-    Enumerates every joint outcome of the per-station stay/jump draws,
-    grouped by sufficient statistics (how many stay in each collision slot,
-    how the jumpers spread over the idle slots).  Returns a dict over next
-    collision states plus the probability of absorbing into a collision-free
-    schedule.
-    """
-    _validate_context(state, schedule_len, n_stations)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
-    n_idle = state.idle_slots(schedule_len, n_stations)
-    n_colliding = state.colliding_stations
-    dist: dict[CollisionState, float] = {}
-    absorbed = 0.0
-    for nxt, coeffs in _transition_coeffs(state.parts, n_idle):
-        prob = 0.0
-        for stay, coeff in coeffs:
-            prob += coeff * gamma**stay * (1.0 - gamma) ** (n_colliding - stay)
-        if nxt:
-            dist[CollisionState(nxt)] = prob
-        else:
-            absorbed = prob
-    return dist, absorbed
-
-
-def transition_prob_exact(
-    from_state: CollisionState,
-    to_state: CollisionState,
-    schedule_len: int,
-    n_stations: int,
-    gamma: float,
-) -> float:
-    """Exact transition probability via full outcome enumeration."""
-    dist, _ = transition_distribution(from_state, schedule_len, n_stations, gamma)
-    return dist.get(to_state, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -327,42 +272,6 @@ def transition_prob_formula(
     return total
 
 
-def initial_probs(
-    schedule_len: int, n_stations: int
-) -> tuple[dict[CollisionState, float], float]:
-    """Distribution over collision states when stations pick slots uniformly.
-
-    Counts the slot assignments producing each occupancy multiset: choose and
-    fill the singleton slots, then place the collision groups on ordered
-    distinct slots (divided by the symmetry of equal group sizes) and split
-    the colliding stations among them.  Also returns the probability that the
-    uniform choice is already collision-free.
-    """
-    if n_stations < 1:
-        raise ValueError("need at least one station")
-    if n_stations > schedule_len:
-        raise ValueError("analysis requires N <= C")
-    denom = schedule_len**n_stations
-    dist: dict[CollisionState, float] = {}
-    for state in enumerate_states(n_stations):
-        n_col = state.colliding_stations
-        n_slots = state.collision_slots
-        singles = n_stations - n_col
-        ways = comb(schedule_len, singles) * _falling(n_stations, singles)
-        ways *= _falling(schedule_len - singles, n_slots) // _multiset_perms(
-            state.parts
-        )
-        split = factorial(n_col)
-        for part in state.parts:
-            split //= factorial(part)
-        dist[state] = ways * split / denom
-    absorbed = _falling(schedule_len, n_stations) / denom
-    total = sum(dist.values()) + absorbed
-    if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"initial distribution sums to {total}")
-    return dist, absorbed
-
-
 @dataclass
 class ChainModel:
     """Assembled absorbing chain for given (C, N, gamma).
@@ -428,10 +337,11 @@ def _chain_layout(schedule_len: int, n_stations: int) -> _ChainLayout:
 
     colliding = np.zeros(size, dtype=np.int64)
     coef = np.zeros((n_stations + 1, size, size))
-    start_dist, start_absorbed = initial_probs(schedule_len, n_stations)
-    for state, prob in start_dist.items():
-        coef[0, 0, index[state.parts]] = prob
-    coef[0, 0, absorb] = start_absorbed
+    # the start row: every station picks one of the C empty slots uniformly;
+    # an exact count over the integer C**N rounds once
+    starts = schedule_len**n_stations
+    for parts, ways in _jump_outcomes(n_stations, schedule_len):
+        coef[0, 0, index[parts]] = ways / starts
     coef[0, absorb, absorb] = 1.0
     for row, state in enumerate(states, start=1):
         colliding[row] = state.colliding_stations
@@ -516,13 +426,6 @@ def lambda_star_closed(schedule_len: int, n_stations: int, gamma: float) -> floa
     if n_stations > schedule_len:
         raise ValueError("analysis requires N <= C")
     return gamma**2 + (1.0 - gamma) ** 2 / (schedule_len - n_stations + 1)
-
-
-def gamma_opt(schedule_len: int, n_stations: int) -> float:
-    """Stay probability minimising the closed-form subdominant eigenvalue."""
-    if n_stations > schedule_len:
-        raise ValueError("analysis requires N <= C")
-    return 1.0 / (schedule_len - n_stations + 2)
 
 
 def mean_convergence(chain: ChainModel) -> float:

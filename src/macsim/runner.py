@@ -8,14 +8,12 @@ trace is identical byte for byte.
 
 from __future__ import annotations
 
-import functools
-import importlib.resources
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import AlmacAdapter, AlzcAdapter, FTable
+from .adaptation import AlmacAdapter, AlzcAdapter, default_f_table, load_f_table
 from .config import SimConfig, derive_seed
 from .engine import Event, Simulator, Station, Trace, elapsed_us
 from .phy import PhyParams
@@ -49,14 +47,6 @@ class RunResult:
     reconverged_time_us: float | None
 
 
-@functools.cache
-def default_f_table() -> FTable:
-    """Packaged convergence-horizon table for base length 16, loaded once."""
-    ref = importlib.resources.files("macsim.data").joinpath("ftable_b16.csv")
-    with importlib.resources.as_file(ref) as path:
-        return FTable.load_csv(path)
-
-
 def station_protocol(cfg: SimConfig, run_seed: int, sid: int, kind: str | None = None):
     """Station ``sid``'s random stream, drawn from ``(run_seed, sid)``, and the
     protocol of ``kind`` (default ``cfg.protocol``) it starts with."""
@@ -78,7 +68,7 @@ def _make_station(
         if cfg.adaptation == "alzc":
             adapter = AlzcAdapter(cfg.b, max_len)
         else:
-            f_table = FTable.load_csv(cfg.f_table) if cfg.f_table else default_f_table()
+            f_table = load_f_table(cfg.f_table) if cfg.f_table else default_f_table()
             adapter = AlmacAdapter(cfg.b, f_table, cfg.probe_period, max_len)
     return Station(
         sid,

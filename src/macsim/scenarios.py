@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import markov, metrics, schedulesim, throughput
-from .config import SimConfig, auto_gamma, derive_seed
+from .config import SCENARIO_BASE_LEN, SimConfig, auto_gamma, derive_seed
 from .csvio import write_csv
 from .phy import PhyParams
 from .protocols import DEFAULT_BETA
@@ -226,7 +226,7 @@ def delay_vs_n(
 
     def point(label: str, n: int) -> SimConfig:
         protocol = "lmac" if label == "almac" else label
-        length = (dict(adaptation="almac", b=16, c=None) if label == "almac"
+        length = (dict(adaptation="almac", b=SCENARIO_BASE_LEN, c=None) if label == "almac"
                   else dict(adaptation="none", b=None))
         return replace(cfg, protocol=protocol, n=n, traffic="poisson",
                        lambda_pps=cfg.lambda_pps or 62.5, **length,

@@ -242,6 +242,24 @@ def test_runner_uses_f_table_from_config(tmp_path):
     assert all(st.final_len % 8 == 0 for st in res.stations)
 
 
+def test_configured_f_table_loads_once_per_path(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    FTable({8: FEntry(8, 4, 4, 4), 16: FEntry(16, 8, 8, 8)}).save_csv(path)
+    loads = []
+    load_csv = FTable.load_csv.__func__
+
+    def counting(cls, table_path):
+        loads.append(table_path)
+        return load_csv(cls, table_path)
+
+    monkeypatch.setattr(FTable, "load_csv", classmethod(counting))
+    cfg = SimConfig(protocol="lmac", adaptation="almac", b=8, c=None, n=6,
+                    f_table=str(path), horizon_slots=200, seed=65)
+    for rep in range(2):
+        run_simulation(cfg, rep_index=rep)
+    assert loads == [str(path)]
+
+
 def test_txop_goodput_equalised_after_adaptation():
     cfg = SimConfig(protocol="lzc", adaptation="alzc", b=16, c=None, n=24,
                     gamma=0.5, horizon_slots=10000, seed=63)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from macsim.adaptation import FEntry, FTable
 from macsim.config import (
     PARSERS,
     ConfigError,
@@ -178,11 +179,30 @@ def test_schedule_len_property():
     ("protocol = lmac\nn = 4\nc = 8\nn_values = 0\n", "n_values"),
     ("protocol = lmac\nn = 4\nc = 8\nk_values = -1\n", "k_values"),
     ("protocol = lmac\nn = 4\nc = 8\njoin_n = 2\njoin_when = inf\n", "join_when"),
+    ("protocol = lmac\nn = 4\nb = 16\nadaptation = almac\nf_table = missing-ftable.csv\n",
+     "f_table"),
 ])
 def test_bad_values_rejected_before_running(text, key):
     with pytest.raises(ConfigError) as err:
         parse(text)
     assert key in diag_keys(err)
+
+
+@pytest.mark.parametrize("text, key", [
+    # an almac config's table must cover its b
+    ("protocol = lmac\nn = 4\nb = 16\nadaptation = almac\nf_table = {table}\n", "f_table"),
+    # delay-vs-n's almac rows run at base length 16 whatever the config's own runs
+    ("protocol = lmac\nn = 4\nc = 8\nf_table = {table}\n", "f_table"),
+    # without f_table the packaged table (16, 32, 64) must cover b
+    ("protocol = lmac\nn = 4\nb = 8\nadaptation = almac\n", "b"),
+])
+def test_f_table_must_cover_the_base_length(tmp_path, text, key):
+    table = tmp_path / "b8.csv"
+    FTable({8: FEntry(8, 4, 4, 4)}).save_csv(table)
+    with pytest.raises(ConfigError) as err:
+        parse(text.format(table=table))
+    assert [d.key for d in err.value.diagnostics] == [key]
+    assert parse(f"protocol = lmac\nn = 4\nb = 8\nadaptation = almac\nf_table = {table}\n")
 
 
 @pytest.mark.parametrize("rate", ["62.5", "4000", "1e6"])

@@ -1,4 +1,5 @@
-"""Chain analysis: state enumeration, transition oracles, eigenvalues, hitting times."""
+"""Chain analysis: state enumeration, chain rows against independent oracles,
+eigenvalues, hitting times."""
 
 import itertools
 
@@ -8,26 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macsim import markov
+from macsim.config import auto_gamma
 from macsim.markov import (
-    ChainModel,
     CollisionState,
     build_chain,
     collision_states_for,
-    enumerate_states,
-    gamma_opt,
-    initial_probs,
     lambda_star_closed,
     lmac_bound,
     mean_convergence,
     second_eigenvalue,
-    transition_distribution,
-    transition_prob_exact,
     transition_prob_formula,
 )
 
 
 def S(*parts):
     return CollisionState(tuple(parts))
+
+
+def chain_row(chain, row: int) -> dict[tuple[int, ...], float]:
+    """Nonzero entries of ``chain.pi[row]`` keyed by the next state's parts;
+    ``()`` is the absorbing state.  Row 0 is the start state."""
+    parts = [None] + [s.parts for s in chain.states] + [()]
+    return {parts[j]: float(p) for j, p in enumerate(chain.pi[row]) if p != 0.0}
+
+
+def state_row(chain, *parts) -> int:
+    return 1 + chain.states.index(S(*parts))
 
 
 # --- state enumeration -------------------------------------------------------
@@ -64,8 +71,8 @@ def test_states_match_brute_force_oracle():
 
 
 def test_enumerate_states_counts_and_bounds():
-    assert enumerate_states(1) == []
-    states = enumerate_states(8)
+    assert build_chain(4, 1, 0.5).states == ()
+    states = build_chain(8, 8, 0.5).states
     assert len(states) == sum(len(brute_force_partitions(k)) for k in range(2, 9))
     assert all(2 <= st.colliding_stations <= 8 for st in states)
 
@@ -123,21 +130,15 @@ def literal_walker(parts, n_idle, gamma):
     ],
 )
 def test_grouped_enumerator_matches_literal_walker(parts, n_stations, schedule_len):
-    state = S(*parts)
-    n_idle = state.idle_slots(schedule_len, n_stations)
+    n_idle = S(*parts).idle_slots(schedule_len, n_stations)
     for gamma in (0.2, 0.5, 0.8):
         want, want_abs = literal_walker(parts, n_idle, gamma)
-        got, got_abs = transition_distribution(state, schedule_len, n_stations, gamma)
-        assert got_abs == pytest.approx(want_abs, abs=1e-12)
-        assert {st.parts for st in got} == set(want)
-        for st, prob in got.items():
-            assert prob == pytest.approx(want[st.parts], abs=1e-12)
-
-
-def test_distribution_sums_to_one():
-    for parts, n, c in [((2,), 2, 2), ((2, 2, 2), 6, 8), ((4,), 6, 8), ((2, 3), 7, 9)]:
-        dist, absorbed = transition_distribution(S(*parts), c, n, 0.37)
-        assert absorbed + sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        want[()] = want_abs
+        chain = build_chain(schedule_len, n_stations, gamma)
+        got = chain_row(chain, state_row(chain, *parts))
+        assert set(got) == {p for p, prob in want.items() if prob > 0}
+        for nxt, prob in got.items():
+            assert prob == pytest.approx(want[nxt], abs=1e-12)
 
 
 # --- hand-checked transition values ------------------------------------------
@@ -145,40 +146,24 @@ def test_distribution_sums_to_one():
 
 def test_pair_state_hand_values():
     # two colliding stations, one spare slot: stay or both jump to it
-    assert transition_prob_exact(S(2), S(2), 16, 16, 0.5) == pytest.approx(0.5, abs=1e-12)
-    _, absorbed = transition_distribution(S(2), 16, 16, 0.5)
-    assert absorbed == pytest.approx(0.5, abs=1e-12)
+    chain = build_chain(16, 16, 0.5)
+    row = state_row(chain, 2)
+    assert chain_row(chain, row) == pytest.approx({(2,): 0.5, (): 0.5}, abs=1e-12)
     # three spare slots
-    assert transition_prob_exact(S(2), S(2), 16, 14, 0.25) == pytest.approx(
-        0.25, abs=1e-12
-    )
+    chain = build_chain(16, 14, 0.25)
+    row = state_row(chain, 2)
+    assert chain.pi[row, row] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_pair_state_sticky_limit():
     # as the stay probability grows the pair state becomes almost absorbing
-    probs = [
-        transition_prob_exact(S(2), S(2), 16, 16, g) for g in (0.9, 0.99, 0.999)
-    ]
+    probs = []
+    for g in (0.9, 0.99, 0.999):
+        chain = build_chain(16, 16, g)
+        row = state_row(chain, 2)
+        probs.append(chain.pi[row, row])
     assert probs == sorted(probs)
     assert probs[-1] > 0.995
-
-
-def test_colliding_count_never_increases():
-    dist, _ = transition_distribution(S(2, 3), 16, 16, 0.5)
-    assert all(st.colliding_stations <= 5 for st in dist)
-
-
-def test_formula_matches_exact_on_small_grid():
-    for n in range(2, 7):
-        for c in range(n, 9):
-            states = enumerate_states(n)
-            for frm in states:
-                same = [s for s in states if s.colliding_stations == frm.colliding_stations]
-                for to in same:
-                    for gamma in (0.3, 0.6):
-                        a = transition_prob_formula(frm, to, c, n, gamma)
-                        b = transition_prob_exact(frm, to, c, n, gamma)
-                        assert a == pytest.approx(b, abs=1e-12), (frm, to, c, n, gamma)
 
 
 def test_formula_rejects_cross_block():
@@ -186,47 +171,40 @@ def test_formula_rejects_cross_block():
         transition_prob_formula(S(2, 2), S(3,), 8, 8, 0.5)
 
 
-# --- initial distribution -----------------------------------------------------
+# --- start row: uniform initial slot choices ------------------------------------
 
 
 def exhaustive_initial(n, c):
-    """Direct count over all c**n uniform slot assignments."""
-    dist: dict[tuple[int, ...], int] = {}
-    absorbed = 0
+    """Direct count over all c**n uniform slot assignments; ``()`` is the
+    collision-free outcome."""
+    counts: dict[tuple[int, ...], int] = {}
     for assign in itertools.product(range(c), repeat=n):
         occupancy = [0] * c
         for s in assign:
             occupancy[s] += 1
         parts = tuple(sorted(o for o in occupancy if o >= 2))
-        if parts:
-            dist[parts] = dist.get(parts, 0) + 1
-        else:
-            absorbed += 1
+        counts[parts] = counts.get(parts, 0) + 1
     total = c**n
-    return {k: v / total for k, v in dist.items()}, absorbed / total
+    return {k: v / total for k, v in counts.items()}
 
 
 @pytest.mark.parametrize("n,c", [(2, 2), (3, 3), (3, 4), (4, 4), (4, 6), (5, 5)])
 def test_initial_probs_match_exhaustive_count(n, c):
-    want, want_abs = exhaustive_initial(n, c)
-    got, got_abs = initial_probs(c, n)
-    assert got_abs == pytest.approx(want_abs, abs=1e-12)
-    got_nonzero = {st.parts: p for st, p in got.items() if p > 0}
-    assert set(got_nonzero) == set(want)
-    for parts, p in want.items():
-        assert got_nonzero[parts] == pytest.approx(p, abs=1e-12)
+    # both divide an exact count by c**n, so they agree to the bit
+    assert chain_row(build_chain(c, n, 0.5), 0) == exhaustive_initial(n, c)
 
 
 def test_initial_probs_hand_case():
-    dist, absorbed = initial_probs(2, 2)
-    assert dist[S(2)] == pytest.approx(0.5, abs=1e-12)
-    assert absorbed == pytest.approx(0.5, abs=1e-12)
+    # three stations on three slots: 3! collision-free orders, 3 ways to
+    # share one slot, and the remaining 18 of 27 leave one pair
+    start = chain_row(build_chain(3, 3, 0.5), 0)
+    assert start == pytest.approx({(): 6 / 27, (2,): 18 / 27, (3,): 3 / 27}, abs=1e-12)
 
 
 def test_initial_probs_single_station():
-    dist, absorbed = initial_probs(4, 1)
-    assert dist == {}
-    assert absorbed == 1.0
+    chain = build_chain(4, 1, 0.5)
+    assert chain.states == ()
+    assert chain.pi[0].tolist() == [0.0, 1.0]
 
 
 def test_initial_probs_monte_carlo():
@@ -234,22 +212,17 @@ def test_initial_probs_monte_carlo():
     runs = 200_000
     rng = np.random.default_rng(99)
     counts: dict[tuple[int, ...], int] = {}
-    absorbed = 0
     for _ in range(runs):
         occupancy = np.bincount(rng.integers(0, c, size=n), minlength=c)
         parts = tuple(sorted(int(o) for o in occupancy if o >= 2))
-        if parts:
-            counts[parts] = counts.get(parts, 0) + 1
-        else:
-            absorbed += 1
-    dist, p_abs = initial_probs(c, n)
-    sigma = np.sqrt(p_abs * (1 - p_abs) / runs)
-    assert abs(absorbed / runs - p_abs) <= 3.5 * sigma
-    for st, p in dist.items():
+        counts[parts] = counts.get(parts, 0) + 1
+    start = chain_row(build_chain(c, n, 0.5), 0)
+    assert () in start
+    for parts, p in start.items():
         if p < 1e-4:
             continue
         sigma = np.sqrt(p * (1 - p) / runs)
-        assert abs(counts.get(st.parts, 0) / runs - p) <= 3.5 * sigma
+        assert abs(counts.get(parts, 0) / runs - p) <= 3.5 * sigma
 
 
 # --- chain assembly ------------------------------------------------------------
@@ -265,7 +238,8 @@ def test_build_chain_shape_and_structure():
 
 
 def test_chain_rows_stochastic_and_block_triangular():
-    for n, c, gamma in [(4, 6, 0.3), (6, 8, 0.5), (8, 10, 0.7), (6, 6, 0.5)]:
+    for n, c, gamma in [(4, 6, 0.3), (6, 8, 0.5), (8, 10, 0.7), (6, 6, 0.5), (2, 2, 0.37),
+                        (6, 8, 0.37), (7, 9, 0.37), (16, 16, 0.5)]:
         chain = build_chain(c, n, gamma)
         assert np.max(np.abs(chain.pi.sum(axis=1) - 1.0)) <= 1e-12
         # no transitions to a larger colliding count
@@ -276,9 +250,10 @@ def test_chain_rows_stochastic_and_block_triangular():
                     assert chain.pi[idx[frm], idx[to]] == 0.0
 
 
-#: ``test_acceptance.test_01``'s grid and stay probabilities.
+#: ``test_acceptance.test_01``'s grid; that test covers stay probabilities
+#: 0.1, 0.5 and 0.9.
 ORACLE_GRID = [(n, c) for n in range(2, 9) for c in range(n, 13)]
-ORACLE_GAMMAS = (0.1, 0.5, 0.9)
+ORACLE_GAMMAS = (0.3, 0.6)
 
 
 def test_chain_diagonal_blocks_match_closed_form():
@@ -392,13 +367,11 @@ def test_lambda_below_one():
 
 
 def test_gamma_opt():
-    assert gamma_opt(16, 16) == pytest.approx(0.5)
-    assert gamma_opt(16, 14) == pytest.approx(0.25)
-    # minimiser of the closed form on a fine grid agrees
+    # the automatic stay probability minimises the closed-form eigenvalue
     for n, c in [(16, 16), (14, 16), (10, 16)]:
         grid = np.linspace(0.01, 0.99, 981)
         vals = [lambda_star_closed(c, n, g) for g in grid]
-        assert grid[int(np.argmin(vals))] == pytest.approx(gamma_opt(c, n), abs=2e-3)
+        assert grid[int(np.argmin(vals))] == pytest.approx(auto_gamma(c, n), abs=2e-3)
 
 
 # --- hitting times ----------------------------------------------------------------

@@ -222,6 +222,39 @@ def test_cli_lzc_partner_gets_a_stay_probability(tmp_path, gamma):
     assert all(float(row["thr_partner_mbps"]) > 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("command", [["sim"], ["scenario", "delay-vs-n"]])
+@pytest.mark.parametrize("table", ["missing", "uncovered"])
+def test_cli_rejects_a_bad_f_table(tmp_path, capsys, command, table):
+    path = tmp_path / f"{table}.csv"
+    if table == "uncovered":
+        FTable({8: FEntry(8, 2, 2, 2)}).save_csv(path)
+    cfg = write_config(tmp_path, "protocol = lmac\nn = 4\nc = 8\nlambda_pps = 300\n"
+                                 f"n_values = 4\nf_table = {path}\n")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", cfg, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: f_table = '{path}': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--config", "{cfg}", "--reps", "-2", "--out", "{out}"],
+    ["scenario", "throughput-vs-n", "--config", "{cfg}", "--reps", "-1", "--out", "{out}"],
+    ["reproduce-all", "--reps", "0", "--keys", "jain_fairness", "--out", "{out}"],
+    ["ftable", "--schedule-lengths", "4", "--reps", "x", "--out", "{out}"],
+])
+def test_cli_rejects_bad_replication_counts(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, "protocol = lmac\nn = 4\nc = 8\nn_values = 4\n")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg, out=out) for a in argv])
+    assert exc.value.code == 2
+    assert "error: argument --reps: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sim_rejects_an_arrival_rate_beyond_the_clock(tmp_path):
     # at 1e300 packets/s an arrival gap is below the clock's resolution; the
     # run must be refused, not started (in a child process, so a hang fails)
@@ -277,6 +310,7 @@ def test_cli_markov_table(tmp_path):
     (["--n", "21", "--gamma", "0.5"], "state space too large beyond N=20"),
     (["--n", "6", "--gamma", "1.5"], "gamma must be in (0, 1)"),
     (["--n", "6", "--gamma", "0.1:0.9:0"], "grid step must be positive, got 0.0"),
+    (["--n", "6", "--gamma", "0.9:0.1:0.1"], "grid 0.9:0.1:0.1 is empty: lo exceeds hi"),
 ])
 def test_cli_markov_reports_value_errors(tmp_path, capsys, args, message):
     out = tmp_path / "markov.csv"
