@@ -238,8 +238,7 @@ def test_build_chain_shape_and_structure():
 
 
 def test_chain_rows_stochastic_and_block_triangular():
-    for n, c, gamma in [(4, 6, 0.3), (6, 8, 0.5), (8, 10, 0.7), (6, 6, 0.5), (2, 2, 0.37),
-                        (6, 8, 0.37), (7, 9, 0.37), (16, 16, 0.5)]:
+    for n, c, gamma in [(4, 6, 0.3), (6, 8, 0.5), (8, 10, 0.7), (6, 6, 0.5)]:
         chain = build_chain(c, n, gamma)
         assert np.max(np.abs(chain.pi.sum(axis=1) - 1.0)) <= 1e-12
         # no transitions to a larger colliding count
@@ -250,10 +249,39 @@ def test_chain_rows_stochastic_and_block_triangular():
                     assert chain.pi[idx[frm], idx[to]] == 0.0
 
 
-#: ``test_acceptance.test_01``'s grid; that test covers stay probabilities
-#: 0.1, 0.5 and 0.9.
+def test_distribution_sums_to_one():
+    for parts, n, c in [((2,), 2, 2), ((2, 2, 2), 6, 8), ((4,), 6, 8), ((2, 3), 7, 9)]:
+        chain = build_chain(c, n, 0.37)
+        row = chain_row(chain, state_row(chain, *parts))
+        assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_colliding_count_never_increases():
+    chain = build_chain(16, 16, 0.5)
+    row = chain_row(chain, state_row(chain, 2, 3))
+    assert all(sum(parts) <= 5 for parts in row)
+
+
+def test_formula_matches_exact_on_small_grid():
+    """Closed form against the chain rows, which come from the exact
+    placement count, within each colliding-count block."""
+    for n in range(2, 7):
+        for c in range(n, 9):
+            for gamma in (0.3, 0.6):
+                chain = build_chain(c, n, gamma)
+                for frm in chain.states:
+                    row = chain_row(chain, state_row(chain, *frm.parts))
+                    same = [s for s in chain.states
+                            if s.colliding_stations == frm.colliding_stations]
+                    for to in same:
+                        a = transition_prob_formula(frm, to, c, n, gamma)
+                        b = row.get(to.parts, 0.0)
+                        assert a == pytest.approx(b, abs=1e-12), (frm, to, c, n, gamma)
+
+
+#: ``test_acceptance.test_01``'s grid and stay probabilities.
 ORACLE_GRID = [(n, c) for n in range(2, 9) for c in range(n, 13)]
-ORACLE_GAMMAS = (0.3, 0.6)
+ORACLE_GAMMAS = (0.1, 0.5, 0.9)
 
 
 def test_chain_diagonal_blocks_match_closed_form():
