@@ -45,8 +45,9 @@ def _cmd_sim(args) -> int:
         result = run_simulation(cfg, rep_index=rep)
         trace_to_csv(result.trace, out / f"trace_rep{rep}.csv")
         events_to_csv(result.events, out / f"events_rep{rep}.csv")
-        rows.append([rep] + metrics.compute_run_metrics(result).csv_row())
-    write_csv(out / "metrics.csv", ["rep"] + metrics.RunMetrics.CSV_HEADER, rows)
+        row = metrics.compute_run_metrics(result)
+        rows.append([rep, *row.values()])
+    write_csv(out / "metrics.csv", ["rep", *row], rows)
     (out / "config.txt").write_text(cfg.echo())
     print(f"wrote {cfg.reps} replication(s) to {out}")
     return 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from .adaptation import default_f_table, load_f_table
+from .phy import PhyParams
 from .protocols import DEFAULT_BETA
 
 PROTOCOLS = ("dcf", "lbeb", "zc", "lzc", "lmac")
@@ -89,13 +90,16 @@ class SimConfig:
         return self.b
 
     @property
-    def runs_dcf(self) -> bool:
-        """Whether any station, joiners included, runs DCF."""
-        base = self.coexist_k < self.n or self.join_n > 0
-        partner = self.coexist_k > 0
-        return (base and self.protocol == "dcf") or (
-            partner and self.coexist_protocol == "dcf"
-        )
+    def kinds(self) -> tuple[str | None, ...]:
+        """The protocols the stations run, joiners included: the base protocol
+        unless every station is a coexist partner, and the partner if any."""
+        base = (self.protocol,) if self.coexist_k < self.n or self.join_n > 0 else ()
+        return base + ((self.coexist_protocol,) if self.coexist_k > 0 else ())
+
+    @property
+    def phy(self) -> PhyParams:
+        """Channel timing for the configured payload size."""
+        return PhyParams(payload_bytes=self.payload_bytes)
 
     def echo(self) -> str:
         """Canonical effective-config text used for provenance and hashing."""
@@ -244,9 +248,8 @@ def validate_config(text: str) -> SimConfig:
     """Parse and validate a flat key-value config; raises ConfigError.
 
     Every value goes through its key's parser in ``PARSERS``; an empty value
-    is rejected.  Applies the documented defaults: the learning strength
-    defaults to ``DEFAULT_BETA``, and a missing (or ``auto``) stay
-    probability for the jump-to-idle learner is derived as 1 / (C - N + 2).
+    is rejected.  A config without a horizon runs 20000 slots, and ``resolve``
+    fills in the learning parameters.
     """
     diags: list[Diagnostic] = []
     raw: dict[str, str] = {}
@@ -280,19 +283,20 @@ def validate_config(text: str) -> SimConfig:
     if diags:
         raise ConfigError(diags)
 
+    if not {"horizon_slots", "horizon_seconds", "horizon_schedules"} & values.keys():
+        values["horizon_slots"] = 20000
     cfg = SimConfig(**values)
     diags = _cross_validate(cfg) or _f_table_diagnostics(cfg)
     if diags:
         raise ConfigError(diags)
-    return _resolve_defaults(cfg)
+    return resolve(cfg)
 
 
 def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
     """Diagnostics for values that are valid alone but do not fit together."""
     length_key = "c" if cfg.adaptation == "none" else "b"
     length = getattr(cfg, length_key)
-    runs_lmac = cfg.protocol == "lmac" or (cfg.coexist_k > 0 and cfg.coexist_protocol == "lmac")
-    runs_lzc = _runs_lzc(cfg)
+    runs_lmac, runs_lzc = "lmac" in cfg.kinds, "lzc" in cfg.kinds
     checks = (
         (cfg.adaptation != "none" and cfg.b is None, "b", "adaptive runs need a base length b"),
         (cfg.adaptation == "almac" and cfg.protocol != "lmac",
@@ -301,14 +305,14 @@ def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
          "adaptation", "requires protocol lzc or zc"),
         (runs_lmac and length is not None and length < 2,
          length_key, "lmac needs a schedule length of at least 2"),
-        (cfg.beta is not None and cfg.protocol != "lmac", "beta", "only meaningful for lmac"),
+        (cfg.beta is not None and not runs_lmac, "beta", "only meaningful for lmac"),
         (cfg.gamma is not None and not runs_lzc, "gamma", "only meaningful for lzc"),
         (cfg.sweep == "gamma" and cfg.protocol != "lzc", "sweep", "gamma sweeps need protocol lzc"),
         (cfg.sweep == "beta" and cfg.protocol != "lmac", "sweep", "beta sweeps need protocol lmac"),
         (cfg.coexist_k > 0 and cfg.coexist_protocol is None,
          "coexist_protocol", "coexist_k > 0 needs a partner protocol"),
         (cfg.coexist_k > cfg.n, "coexist_k", f"must be at most n = {cfg.n}"),
-        (cfg.join_n > 0 and cfg.join_when == "converged" and cfg.runs_dcf,
+        (cfg.join_n > 0 and cfg.join_when == "converged" and "dcf" in cfg.kinds,
          "join_when", "DCF never converges; give a time"),
         (cfg.horizon_seconds == 0.0, "horizon_seconds", "must be greater than 0"),
         (cfg.traffic == "poisson" and cfg.lambda_pps <= 0.0,
@@ -337,23 +341,17 @@ def _f_table_diagnostics(cfg: SimConfig) -> list[Diagnostic]:
     return [Diagnostic("b", str(base), "not covered by the packaged f-table; set f_table")]
 
 
-def _runs_lzc(cfg: SimConfig) -> bool:
-    """Whether the base protocol or the coexist partner is lzc."""
-    return cfg.protocol == "lzc" or (cfg.coexist_k > 0 and cfg.coexist_protocol == "lzc")
-
-
-def _resolve_defaults(cfg: SimConfig) -> SimConfig:
+def resolve(cfg: SimConfig) -> SimConfig:
+    """``cfg`` with the learning parameter of every station it runs filled in:
+    each lmac station learns with ``DEFAULT_BETA`` and each lzc station stays
+    with 1 / (C - N + 2) on a fixed length C >= N, else with 0.5.  The only
+    place these defaults are decided."""
     updates: dict[str, object] = {}
-    if cfg.protocol == "lmac" and cfg.beta is None:
+    if "lmac" in cfg.kinds and cfg.beta is None:
         updates["beta"] = DEFAULT_BETA
-    if _runs_lzc(cfg) and cfg.gamma is None:
-        updates["gamma"] = auto_gamma(cfg.c, cfg.n) if cfg.adaptation == "none" else 0.5
-    if (
-        cfg.horizon_slots is None
-        and cfg.horizon_seconds is None
-        and cfg.horizon_schedules is None
-    ):
-        updates["horizon_slots"] = 20000
+    if "lzc" in cfg.kinds and cfg.gamma is None:
+        fixed = cfg.adaptation == "none" and cfg.n <= cfg.c
+        updates["gamma"] = auto_gamma(cfg.c, cfg.n) if fixed else 0.5
     return replace(cfg, **updates)
 
 

@@ -11,7 +11,7 @@ reported here when comparing against those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -177,46 +177,9 @@ def achievable_rate(
     return lo
 
 
-@dataclass
-class RunMetrics:
-    """One metrics row per replication, mirroring the CSV schema."""
-
-    seed: int
-    protocol: str
-    n: int
-    c_or_b: int
-    beta: float | None
-    gamma: float | None
-    err_rate: float
-    kappa_schedules: int | None
-    conv_seconds: float | None
-    thr_norm: float
-    thr_mbps: float
-    coll_rate: float | None
-    mean_delay_us: float | None
-    jain: list[float | None]
-    config_hash: str
-
-    CSV_HEADER = (
-        ["seed", "protocol", "n", "c_or_b", "beta", "gamma", "err_rate",
-         "kappa_schedules", "conv_seconds", "thr_norm", "thr_mbps",
-         "coll_rate", "mean_delay_us"]
-        + [f"jain_m{m}" for m in range(1, 11)]
-        + ["config_hash"]
-    )
-
-    def csv_row(self) -> list:
-        return (
-            [self.seed, self.protocol, self.n, self.c_or_b, self.beta, self.gamma,
-             self.err_rate, self.kappa_schedules, self.conv_seconds, self.thr_norm,
-             self.thr_mbps, self.coll_rate, self.mean_delay_us]
-            + list(self.jain)
-            + [self.config_hash]
-        )
-
-
-def compute_run_metrics(result: RunResult) -> RunMetrics:
-    """Assemble the standard per-run metrics row.
+def compute_run_metrics(result: RunResult) -> dict:
+    """The standard per-run ``metrics.csv`` row, column name to value in
+    column order.
 
     Convergence and pre-convergence fairness are left empty where
     ``detect_convergence`` finds no collision-free schedule.
@@ -227,22 +190,14 @@ def compute_run_metrics(result: RunResult) -> RunMetrics:
     if kappa is not None:
         seq = success_sequence(result.trace, upto_slot=kappa * cfg.c)
         jain = [jain_index(seq, cfg.n, m) for m in range(1, 11)]
-    phy = PhyParams(payload_bytes=cfg.payload_bytes)
-    thr_norm, thr_mbps = throughput(result.trace, phy)
-    return RunMetrics(
-        seed=cfg.seed,
-        protocol=cfg.protocol,
-        n=cfg.n,
-        c_or_b=cfg.schedule_len,
-        beta=cfg.beta,
-        gamma=cfg.gamma,
-        err_rate=cfg.error_rate,
-        kappa_schedules=kappa,
-        conv_seconds=conv_seconds,
-        thr_norm=thr_norm,
-        thr_mbps=thr_mbps,
-        coll_rate=collision_rate(result.trace),
-        mean_delay_us=mean_access_delay_us(result),
-        jain=jain,
-        config_hash=cfg.config_hash(),
-    )
+    thr_norm, thr_mbps = throughput(result.trace, cfg.phy)
+    return {
+        "seed": cfg.seed, "protocol": cfg.protocol, "n": cfg.n, "c_or_b": cfg.schedule_len,
+        "beta": cfg.beta, "gamma": cfg.gamma, "err_rate": cfg.error_rate,
+        "kappa_schedules": kappa, "conv_seconds": conv_seconds,
+        "thr_norm": thr_norm, "thr_mbps": thr_mbps,
+        "coll_rate": collision_rate(result.trace),
+        "mean_delay_us": mean_access_delay_us(result),
+        **{f"jain_m{m}": value for m, value in enumerate(jain, start=1)},
+        "config_hash": cfg.config_hash(),
+    }

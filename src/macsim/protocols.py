@@ -18,7 +18,7 @@ import numpy as np
 #: DCF contention window bounds and the retries before a packet is dropped.
 CW_MIN, CW_MAX, RETRY_LIMIT = 32, 1024, 7
 
-#: L-MAC learning strength when none is given.
+#: L-MAC learning strength a config leaves unset (``config.resolve``).
 DEFAULT_BETA = 0.95
 
 
@@ -261,5 +261,7 @@ def init_protocol(
             raise ValueError("lzc needs an explicit stay probability gamma")
         return Lzc(schedule_len, gamma, rng)
     if kind == "lmac":
-        return Lmac(schedule_len, DEFAULT_BETA if beta is None else beta, rng)
+        if beta is None:
+            raise ValueError("lmac needs an explicit learning strength beta")
+        return Lmac(schedule_len, beta, rng)
     raise ValueError(f"unknown protocol kind: {kind!r}")

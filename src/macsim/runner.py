@@ -14,31 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import AlmacAdapter, AlzcAdapter, default_f_table, load_f_table
-from .config import SimConfig, derive_seed
+from .config import SimConfig, derive_seed, resolve
 from .engine import Event, Simulator, Station, Trace, elapsed_us
-from .phy import PhyParams
 from .protocols import init_protocol
 
 
 @dataclass
-class StationStats:
-    sid: int
-    protocol: str
-    delivered: int
-    dropped: int
-    lost_arrivals: int
-    delays_us: list[float]
-    final_len: int
-
-
-@dataclass
 class RunResult:
+    """One replication: the config as given, and the engine's own trace,
+    events and stations, which ran ``resolve(config)``."""
+
     config: SimConfig
-    rep_index: int
-    run_seed: int
     trace: Trace
     events: list[Event]
-    stations: list[StationStats]
+    stations: list[Station]
     sim_time_us: float
     converged_slot: int | None
     join_slot: int | None
@@ -111,13 +100,9 @@ def run_simulation(
         else None
     )
 
-    stations = [_make_station(cfg, sid, run_seed) for sid in range(cfg.n)]
-    sim = Simulator(
-        stations,
-        PhyParams(payload_bytes=cfg.payload_bytes),
-        error_rate=cfg.error_rate,
-        channel_rng=channel_rng,
-    )
+    station_cfg = resolve(cfg)
+    stations = [_make_station(station_cfg, sid, run_seed) for sid in range(cfg.n)]
+    sim = Simulator(stations, cfg.phy, error_rate=cfg.error_rate, channel_rng=channel_rng)
 
     schedule_len = cfg.schedule_len
     if cfg.horizon_slots is not None:
@@ -140,7 +125,7 @@ def run_simulation(
         hit = sim.run(
             until_slot=until_slot,
             until_us=min(until_us, stop_us),
-            watch_n=None if cfg.runs_dcf else watch_n,
+            watch_n=None if "dcf" in cfg.kinds else watch_n,
             watch_len=schedule_len,
             watch_from=watch_from,
         )
@@ -160,7 +145,7 @@ def run_simulation(
     ):
         join_slot, join_time = sim.slot_index, sim.clock_us
         for sid in range(cfg.n, cfg.n + cfg.join_n):
-            sim.add_station(_make_station(cfg, sid, run_seed, join_time))
+            sim.add_station(_make_station(station_cfg, sid, run_seed, join_time))
         reconverged_slot = play(watch_n=cfg.n + cfg.join_n, watch_from=join_slot)
         if reconverged_slot is not None:
             if converged_slot is None:  # joined before the first convergence
@@ -175,25 +160,11 @@ def run_simulation(
         until_slot = min(until_slot, sim.slot_index + extra)
     play()
 
-    station_stats = [
-        StationStats(
-            sid=st.sid,
-            protocol=st.protocol.kind,
-            delivered=st.delivered,
-            dropped=st.dropped,
-            lost_arrivals=st.lost_arrivals,
-            delays_us=st.delays_us,
-            final_len=st.window_len if not st.is_dcf else 0,
-        )
-        for st in sim.stations
-    ]
     return RunResult(
         config=cfg,
-        rep_index=rep_index,
-        run_seed=run_seed,
         trace=sim.trace,
         events=sim.events,
-        stations=station_stats,
+        stations=sim.stations,
         sim_time_us=sim.clock_us,
         converged_slot=converged_slot,
         join_slot=join_slot,

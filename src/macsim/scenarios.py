@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import markov, metrics, schedulesim, throughput
-from .config import SCENARIO_BASE_LEN, SimConfig, auto_gamma, derive_seed
+from .config import SCENARIO_BASE_LEN, SimConfig, derive_seed, resolve
+from .config import auto_gamma  # noqa: F401  bench/worker.py times macsim.scenarios.auto_gamma
 from .csvio import write_csv
 from .phy import PhyParams
-from .protocols import DEFAULT_BETA
 from .runner import run_simulation, station_protocol
 
 
@@ -79,14 +79,18 @@ def _report(cfg, rows, header, summary_header, group_cols, value_cols, extra=Non
                           _summarise(rows, group_cols, value_cols, extra), cfg.echo())
 
 
-def _protocol_params(protocol: str, n: int, c: int) -> dict:
-    """Per-protocol learning parameters for a grid point."""
-    params: dict = {"beta": None, "gamma": None}
-    if protocol == "lmac":
-        params["beta"] = DEFAULT_BETA
-    elif protocol == "lzc":
-        params["gamma"] = auto_gamma(c, n) if n <= c else 0.5
-    return params
+def _reps(cfg: SimConfig, reps: int | None) -> int:
+    """``reps``, or the config's count when None; a count below 1 raises."""
+    reps = cfg.reps if reps is None else reps
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    return reps
+
+
+def _point(cfg: SimConfig, **changes) -> SimConfig:
+    """Grid point: ``cfg`` with ``changes`` and its learning parameters derived
+    afresh by ``resolve``."""
+    return resolve(replace(cfg, beta=None, gamma=None, **changes))
 
 
 def _schedule_protocols(cfg: SimConfig, run_seed: int):
@@ -135,7 +139,7 @@ def converge_sweep(cfg: SimConfig, reps: int | None = None) -> ScenarioReport:
     strength for the feedback-only learner; for the former the exact chain
     prediction is attached to every grid point.
     """
-    reps = reps or cfg.reps
+    reps = _reps(cfg, reps)
     sweep = cfg.sweep or ("gamma" if cfg.protocol == "lzc" else "beta")
     if sweep == "gamma" and cfg.protocol != "lzc":
         raise ValueError("gamma sweeps need protocol lzc")
@@ -144,8 +148,7 @@ def converge_sweep(cfg: SimConfig, reps: int | None = None) -> ScenarioReport:
     values = list(cfg.sweep_values) or [round(0.1 * i, 2) for i in range(1, 10)]
     points = [((sweep, v), (sweep, v), replace(cfg, **{sweep: v, "sweep": sweep}))
               for v in values]
-    rows = _grid(cfg.seed, points, reps,
-                 _converged(PhyParams(payload_bytes=cfg.payload_bytes)))
+    rows = _grid(cfg.seed, points, reps, _converged(cfg.phy))
 
     def theory(group) -> list:
         if sweep == "gamma" and cfg.n <= cfg.c <= markov.MAX_STATIONS:
@@ -164,18 +167,12 @@ _THROUGHPUT_HEADER = ["protocol", "n", "error_rate", "rep", "thr_norm", "thr_mbp
 
 
 def _throughput_rows(cfg, protocols, n_values, error_rates, reps) -> list[list]:
-    phy = PhyParams(payload_bytes=cfg.payload_bytes)
-
     def measure(result):
         trace = result.trace
-        return [*metrics.throughput(trace, phy), metrics.collision_rate(trace)]
+        return [*metrics.throughput(trace, cfg.phy), metrics.collision_rate(trace)]
 
-    c = cfg.c or cfg.schedule_len
-    points = [
-        ((p, n, rate), (p, n, rate),
-         replace(cfg, protocol=p, n=n, error_rate=rate, **_protocol_params(p, n, c)))
-        for rate in error_rates for p in protocols for n in n_values
-    ]
+    points = [((p, n, rate), (p, n, rate), _point(cfg, protocol=p, n=n, error_rate=rate))
+              for rate in error_rates for p in protocols for n in n_values]
     return _grid(cfg.seed, points, reps, _simulated(measure))
 
 
@@ -187,12 +184,11 @@ def throughput_vs_n(
 ) -> ScenarioReport:
     """Saturated long-run throughput and collision rate against station count."""
     n_values = n_values or cfg.n_values or (8, 16, 20)
-    rows = _throughput_rows(cfg, protocols, n_values, (0.0,), reps or cfg.reps)
-    phy = PhyParams(payload_bytes=cfg.payload_bytes)
+    rows = _throughput_rows(cfg, protocols, n_values, (0.0,), _reps(cfg, reps))
 
     def model(group) -> list:
         protocol, n = group
-        return [throughput.model_throughput(n, cfg.c, phy) if protocol != "dcf" else None]
+        return [throughput.model_throughput(n, cfg.c, cfg.phy) if protocol != "dcf" else None]
 
     return _report(cfg, rows, _THROUGHPUT_HEADER,
                    ["protocol", "n", "reps", "thr_norm_mean", "thr_norm_ci95",
@@ -209,7 +205,7 @@ def error_robustness(
     """Throughput under frame errors, which keep knocking schedules apart."""
     n_values = n_values or cfg.n_values or (14, 16)
     error_rates = error_rates or cfg.error_rates or (0.01, 0.1)
-    rows = _throughput_rows(cfg, protocols, n_values, error_rates, reps or cfg.reps)
+    rows = _throughput_rows(cfg, protocols, n_values, error_rates, _reps(cfg, reps))
     return _report(cfg, rows, _THROUGHPUT_HEADER,
                    ["protocol", "n", "error_rate", "reps", "thr_norm_mean",
                     "thr_norm_ci95"], (0, 1, 2), (4,))
@@ -222,15 +218,15 @@ def delay_vs_n(
     n_values: tuple[int, ...] | None = None,
 ) -> ScenarioReport:
     """Mean medium-access delay under symmetric Poisson load."""
+    reps = _reps(cfg, reps)
     n_values = n_values or cfg.n_values or (8, 12, 16, 20)
 
     def point(label: str, n: int) -> SimConfig:
         protocol = "lmac" if label == "almac" else label
         length = (dict(adaptation="almac", b=SCENARIO_BASE_LEN, c=None) if label == "almac"
                   else dict(adaptation="none", b=None))
-        return replace(cfg, protocol=protocol, n=n, traffic="poisson",
-                       lambda_pps=cfg.lambda_pps or 62.5, **length,
-                       **_protocol_params(protocol, n, cfg.c or 16))
+        return _point(cfg, protocol=protocol, n=n, traffic="poisson",
+                      lambda_pps=cfg.lambda_pps or 62.5, **length)
 
     def measure(result):
         return [metrics.mean_access_delay_us(result),
@@ -238,7 +234,7 @@ def delay_vs_n(
 
     points = [((label, n), (label, n), point(label, n))
               for label in protocols for n in n_values]
-    rows = _grid(cfg.seed, points, reps or cfg.reps, _simulated(measure))
+    rows = _grid(cfg.seed, points, reps, _simulated(measure))
     return _report(cfg, rows,
                    ["protocol", "n", "rep", "mean_delay_us", "delivered", "config_hash"],
                    ["protocol", "n", "reps", "delay_us_mean", "delay_us_ci95"],
@@ -251,6 +247,7 @@ def new_entrants(
     k_values: tuple[int, ...] | None = None,
 ) -> ScenarioReport:
     """Reconvergence time after stations join an already settled network."""
+    reps = _reps(cfg, reps)
     k_values = k_values or cfg.k_values or (2, 4, 8)
 
     def measure(result):
@@ -260,9 +257,9 @@ def new_entrants(
 
     points = [((k,), ("join", k), replace(cfg, join_n=k, join_when="converged"))
               for k in k_values]
-    if any(point.runs_dcf for _, _, point in points):
+    if any("dcf" in point.kinds for _, _, point in points):
         raise ValueError("new-entrants needs schedule stations; DCF never converges")
-    rows = _grid(cfg.seed, points, reps or cfg.reps,
+    rows = _grid(cfg.seed, points, reps,
                  _simulated(measure, stop_after_converged_schedules=2))
     return _report(cfg, rows, ["joiners", "rep", "reconverge_seconds", "config_hash"],
                    ["joiners", "reps", "reconverge_s_mean", "reconverge_s_ci95"],
@@ -277,7 +274,7 @@ def coexist(
     """Mixed population: K stations of the base protocol share the channel
     with K stations of the partner, ``coexist_protocol`` (default DCF);
     reports total and partner-only throughput."""
-    return _coexist(cfg, (cfg.protocol,), reps or cfg.reps,
+    return _coexist(cfg, (cfg.protocol,), _reps(cfg, reps),
                     k_values or cfg.k_values or (4, 8, 16))
 
 
@@ -287,17 +284,11 @@ def _coexist(cfg, protocols, reps, k_values) -> ScenarioReport:
 
     def measure(result):
         total = sum(st.delivered for st in result.stations) * bits / result.sim_time_us
-        sent = sum(st.delivered for st in result.stations if st.protocol == partner)
+        sent = sum(st.delivered for st in result.stations if st.protocol.kind == partner)
         return [total, sent * bits / result.sim_time_us, result.sim_time_us / 1e6]
 
-    def point(p: str, k: int) -> SimConfig:
-        params = _protocol_params(p, 2 * k, cfg.c or 16)
-        if partner == "lzc" and params["gamma"] is None:  # the partner's stay probability
-            params["gamma"] = cfg.gamma
-        return replace(cfg, protocol=p, n=2 * k, coexist_k=k, coexist_protocol=partner,
-                       **params)
-
-    points = [((p, partner, k), ("coexist", k), point(p, k))
+    points = [((p, partner, k), ("coexist", k),
+               _point(cfg, protocol=p, n=2 * k, coexist_k=k, coexist_protocol=partner))
               for p in protocols for k in k_values]
     rows = _grid(cfg.seed, points, reps, _simulated(measure))
     return _report(cfg, rows,
@@ -342,8 +333,7 @@ def _beta_convergence(base: SimConfig, reps: int) -> ScenarioReport:
                   sweep_values=(0.5, 0.7, 0.9, 0.95, 0.99))
     report = converge_sweep(cfg, reps=reps)
     lbeb = [(("lbeb", None), ("lbeb",), replace(base, protocol="lbeb", beta=None))]
-    phy = PhyParams(payload_bytes=base.payload_bytes)
-    report.rows += _grid(base.seed, lbeb, reps, _converged(phy, hashed=base))
+    report.rows += _grid(base.seed, lbeb, reps, _converged(base.phy, hashed=base))
     return report
 
 
@@ -376,13 +366,9 @@ def _rate_region(base: SimConfig, reps: int) -> ScenarioReport:
 
 
 def _convergence_vs_load(base: SimConfig, reps: int) -> ScenarioReport:
-    points = [
-        ((p, n, n / base.c), ("load", p, n),
-         replace(base, protocol=p, n=n, **_protocol_params(p, n, base.c)))
-        for p in ("lbeb", "lmac", "zc", "lzc") for n in (5, 8, 11, 14, 16)
-    ]
-    phy = PhyParams(payload_bytes=base.payload_bytes)
-    rows = _grid(base.seed, points, reps, _converged(phy))
+    points = [((p, n, n / base.c), ("load", p, n), _point(base, protocol=p, n=n))
+              for p in ("lbeb", "lmac", "zc", "lzc") for n in (5, 8, 11, 14, 16)]
+    rows = _grid(base.seed, points, reps, _converged(base.phy))
     return _report(base, rows,
                    ["protocol", "n", "load", "rep", "kappa_schedules", "seconds_before",
                     "config_hash"],
@@ -390,23 +376,15 @@ def _convergence_vs_load(base: SimConfig, reps: int) -> ScenarioReport:
 
 
 def _adaptive_throughput(base: SimConfig, reps: int) -> ScenarioReport:
-    phy = PhyParams(payload_bytes=base.payload_bytes)
-
-    def point(protocol: str, adaptation: str, n: int) -> SimConfig:
-        params = _protocol_params(protocol, n, 16)
-        if protocol == "lzc":
-            params["gamma"] = 0.5
-        return replace(base, protocol=protocol, adaptation=adaptation, b=16, c=None,
-                       n=n, **params)
-
     points = [
-        ((label, n), ("adapt", label, n), point(protocol, adaptation, n))
+        ((label, n), ("adapt", label, n),
+         _point(base, protocol=protocol, adaptation=adaptation, b=16, c=None, n=n))
         for label, protocol, adaptation in (
             ("alzc", "lzc", "alzc"), ("azc", "zc", "alzc"), ("almac", "lmac", "almac"))
         for n in (8, 16, 24, 32)
     ]
     rows = _grid(base.seed, points, reps, _simulated(
-        lambda result: metrics.throughput(result.trace, phy)))
+        lambda result: metrics.throughput(result.trace, base.phy)))
     return _report(base, rows,
                    ["scheme", "n", "rep", "thr_norm", "thr_mbps", "config_hash"],
                    ["scheme", "n", "reps", "thr_norm_mean", "thr_norm_ci95"], (0, 1), (3,))
@@ -470,9 +448,11 @@ def reproduce_all(
     Returns a map from dataset key to the written path, or to ``"FAILED:
     reason"`` when one dataset errors; the remaining datasets are still
     produced, and the failing one's traceback is logged.  Identical (seed,
-    reps) inputs reproduce identical bytes.  Unknown ``keys`` raise
-    ValueError before anything runs.
+    reps) inputs reproduce identical bytes.  Unknown ``keys`` and ``reps``
+    below 1 raise ValueError before anything runs.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     unknown = [key for key in keys or () if key not in REPRODUCE_ALL]
     if unknown:
         raise ValueError(f"unknown keys {', '.join(unknown)}; "

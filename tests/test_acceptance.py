@@ -275,7 +275,7 @@ def test_10_decentralised_adaptation_scaling_and_fairness():
         cfg = SimConfig(protocol="lzc", adaptation="alzc", b=16, c=None, n=24,
                         gamma=0.5, horizon_slots=12000, seed=seed)
         res = run_simulation(cfg)
-        assert all(st.final_len == 32 for st in res.stations), seed
+        assert all(st.window_len == 32 for st in res.stations), seed
         tail_frames = 12
         tail_start = len(res.trace.kinds) - (len(res.trace.kinds) % 32)
         tail_start -= 32 * tail_frames

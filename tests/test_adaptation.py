@@ -210,8 +210,8 @@ def test_alzc_lengths_stay_powers_of_two():
                     gamma=0.5, horizon_slots=6000, seed=60)
     res = run_simulation(cfg)
     for st in res.stations:
-        assert st.final_len % 8 == 0
-        ratio = st.final_len // 8
+        assert st.window_len % 8 == 0
+        ratio = st.window_len // 8
         assert ratio & (ratio - 1) == 0
 
 
@@ -219,7 +219,7 @@ def test_alzc_converges_beyond_base_capacity():
     cfg = SimConfig(protocol="lzc", adaptation="alzc", b=16, c=None, n=24,
                     gamma=0.5, horizon_slots=8000, seed=61)
     res = run_simulation(cfg)
-    assert all(st.final_len == 32 for st in res.stations)
+    assert all(st.window_len == 32 for st in res.stations)
     tail = res.trace.kinds[-1000:]
     assert all(k != int(SlotKind.COLLISION) for k in tail)
 
@@ -228,7 +228,7 @@ def test_almac_adapts_and_clears_collisions():
     cfg = SimConfig(protocol="lmac", adaptation="almac", b=16, c=None, n=24,
                     horizon_slots=12000, seed=62)
     res = run_simulation(cfg)
-    assert all(st.final_len >= 32 for st in res.stations)
+    assert all(st.window_len >= 32 for st in res.stations)
     tail = res.trace.kinds[-800:]
     assert sum(1 for k in tail if k == int(SlotKind.COLLISION)) == 0
 
@@ -239,7 +239,7 @@ def test_runner_uses_f_table_from_config(tmp_path):
     cfg = SimConfig(protocol="lmac", adaptation="almac", b=8, c=None, n=6,
                     f_table=str(path), horizon_slots=2000, seed=64)
     res = run_simulation(cfg)
-    assert all(st.final_len % 8 == 0 for st in res.stations)
+    assert all(st.window_len % 8 == 0 for st in res.stations)
 
 
 def test_configured_f_table_loads_once_per_path(tmp_path, monkeypatch):

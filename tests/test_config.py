@@ -1,7 +1,7 @@
 """Config parsing, validation diagnostics, defaults, seeding."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +14,11 @@ from macsim.config import (
     SimConfig,
     auto_gamma,
     derive_seed,
+    resolve,
     validate_config,
 )
+from macsim.protocols import Lmac, Lzc
+from macsim.runner import run_simulation
 
 
 def parse(text):
@@ -234,3 +237,62 @@ def test_random_configs_parse_finite_or_raise_config_error(entries):
         for item in value if isinstance(value, tuple) else (value,):
             assert not isinstance(item, float) or math.isfinite(item), f.name
     assert cfg.join_when == "converged" or math.isfinite(float(cfg.join_when))
+
+
+def accepted(key):
+    """The values of ``VALUES`` that ``key``'s parser takes."""
+    def parses(value):
+        try:
+            PARSERS[key](value)
+        except ValueError:
+            return False
+        return value != ""
+    return [value for value in VALUES if parses(value)]
+
+
+def assert_stations_run_the_echoed_parameters(cfg):
+    assert resolve(cfg) == cfg
+    # every station is built at the start or, joining at time 0, in the first slot
+    stations = run_simulation(replace(cfg, horizon_slots=50, join_when="0")).stations
+    assert len(stations) == cfg.n + cfg.join_n
+    for st in stations:
+        if isinstance(st.protocol, Lmac):
+            assert st.protocol.beta == cfg.beta
+        if isinstance(st.protocol, Lzc):
+            assert st.protocol.gamma == cfg.gamma
+
+
+STATION_KEYS = ("protocol", "coexist_protocol", "coexist_k", "n", "c")
+OTHER_KEYS = ("b", "adaptation", "beta", "gamma", "join_n", "error_rate", "lambda_pps")
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.fixed_dictionaries(
+    {key: hst.sampled_from(accepted(key)) for key in STATION_KEYS},
+    optional={key: hst.sampled_from(accepted(key)) for key in OTHER_KEYS}))
+def test_stations_run_the_parameters_the_config_echoes(entries):
+    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    try:
+        cfg = validate_config(text)
+    except ConfigError:
+        return
+    assert_stations_run_the_echoed_parameters(cfg)
+
+
+def test_lmac_partner_of_an_lzc_base_takes_beta():
+    text = "protocol = lzc\nn = 4\nc = 8\ncoexist_k = 2\ncoexist_protocol = lmac\n"
+    cfg = parse(text + "beta = 0.5\n")
+    assert (cfg.beta, cfg.gamma) == (0.5, auto_gamma(8, 4))
+    assert_stations_run_the_echoed_parameters(cfg)
+    assert parse(text).beta == 0.95
+
+
+def test_an_all_partner_config_runs_no_base_protocol():
+    cfg = parse("protocol = lzc\nn = 4\nc = 8\ncoexist_k = 4\ncoexist_protocol = dcf\n")
+    assert cfg.kinds == ("dcf",) and cfg.gamma is None
+    with pytest.raises(ConfigError) as err:
+        parse("protocol = lmac\nn = 4\nc = 8\ncoexist_k = 4\ncoexist_protocol = dcf\n"
+              "beta = 0.5\n")
+    assert diag_keys(err) == {"beta"}
+    assert parse("protocol = lmac\nn = 4\nc = 8\ncoexist_k = 4\ncoexist_protocol = dcf\n"
+                 "join_n = 1\njoin_when = 0.1\n").kinds == ("lmac", "dcf")

@@ -288,7 +288,7 @@ def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none"):
     stations = []
     for sid in range(n):
         station_rng = rng(derive_seed(seed, sid))
-        proto = init_protocol(protocol, lengths[sid], station_rng, gamma=0.5)
+        proto = init_protocol(protocol, lengths[sid], station_rng, beta=0.95, gamma=0.5)
         adapter = None
         if adaptation == "alzc":
             adapter = AlzcAdapter(c, 16 * c)
@@ -390,8 +390,8 @@ def test_lean_body_matches_general_body(protocol, n, seed, kw):
     lean = replay_sim(protocol, n, c, seed, **kw)
     general = replay_sim(protocol, n, c, seed, **kw)
     silent_rng = rng(derive_seed(seed, n))
-    general.add_station(Station(n, init_protocol(protocol, c, silent_rng, gamma=0.5),
-                                silent_rng, saturated=False, lambda_pps=0.0))
+    silent = init_protocol(protocol, c, silent_rng, beta=0.95, gamma=0.5)
+    general.add_station(Station(n, silent, silent_rng, saturated=False, lambda_pps=0.0))
     for sim in (lean, general):
         sim.run(until_slot=6000, watch_n=n, watch_len=c)
         if sim.slot_index < 6000:
@@ -684,7 +684,7 @@ def ledger_violations(result):
     for ev in result.events:
         logged[ev[0]].append(ev)
     for st in result.stations:
-        if st.protocol == "dcf":
+        if st.is_dcf:
             if logged[st.sid]:
                 bad.append(f"DCF station {st.sid} logged schedule events")
             continue

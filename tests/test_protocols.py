@@ -264,12 +264,14 @@ def test_dcf_counter_in_window():
 
 
 def test_init_protocol_defaults_and_validation():
-    proto = init_protocol("lmac", 16, rng(28))
+    proto = init_protocol("lmac", 16, rng(28), beta=0.9)
     assert isinstance(proto, Lmac)
-    assert proto.beta == 0.95
+    assert proto.beta == 0.9
     assert np.allclose(proto.p, 1 / 16)
     dcf = init_protocol("dcf", None, rng(29))
     assert dcf.cw == 32
+    with pytest.raises(ValueError):
+        init_protocol("lmac", 16, rng(28))  # missing beta: config.resolve gives it
     with pytest.raises(ValueError):
         init_protocol("lzc", 16, rng(30))  # missing gamma
     with pytest.raises(ValueError):
@@ -309,7 +311,7 @@ def test_resize_remaps_slot():
 def test_repeated_success_keeps_state_and_draws_nothing(kind):
     # the engine replays absorbed windows without calling the protocol
     r = rng(7)
-    proto = init_protocol(kind, 8, r, gamma=0.5)
+    proto = init_protocol(kind, 8, r, beta=0.95, gamma=0.5)
     slot = proto.current_slot()
     state = r.bit_generator.state
     proto.on_schedule_end(True, [1, 2, 3], r)

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +211,8 @@ def test_cli_coexist_partner_comes_from_the_config(tmp_path):
 
 @pytest.mark.parametrize("gamma", ["", "gamma = 0.5\n"])
 def test_cli_lzc_partner_gets_a_stay_probability(tmp_path, gamma):
-    # an lzc partner of an lmac base takes the configured gamma, or auto_gamma
+    # an lzc partner of an lmac base takes the configured gamma, or auto_gamma;
+    # each coexist point derives it afresh for its 2K stations
     text = ("protocol = lmac\nn = 4\nc = 8\ncoexist_k = 2\ncoexist_protocol = lzc\n"
             "k_values = 2,3\nhorizon_slots = 600\nseed = 37\n" + gamma)
     cfg = write_config(tmp_path, text)
@@ -253,6 +255,21 @@ def test_cli_rejects_bad_replication_counts(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "error: argument --reps: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_library_rejects_replication_counts_below_one_before_writing(tmp_path, reps):
+    cfg = SimConfig(protocol="lmac", n=4, c=8, horizon_slots=400, seed=5)
+    for scenario in SCENARIOS.values():
+        for kwargs, config in (({"reps": reps}, cfg), ({}, replace(cfg, reps=reps))):
+            with pytest.raises(ValueError, match="reps must be at least 1"):
+                scenario(config, **kwargs)
+    with pytest.raises(ValueError, match="reps must be at least 1"):
+        run_scenario("throughput-vs-n", cfg, tmp_path / "scenario", reps=reps)
+    with pytest.raises(ValueError, match="reps must be at least 1"):
+        scenarios.reproduce_all(tmp_path / "all", reps=reps,
+                                keys=["beta_convergence", "jain_fairness"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_sim_rejects_an_arrival_rate_beyond_the_clock(tmp_path):
