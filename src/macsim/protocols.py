@@ -56,6 +56,13 @@ class ScheduleProtocol:
     def on_schedule_end(
         self, success: bool, idle_positions: Sequence[int], rng: np.random.Generator
     ) -> int:
+        """Take one schedule's feedback and return the slot for the next one.
+
+        Contract: a success reported right after a reported success changes
+        nothing (not the slot, not the state, and it draws nothing), so the
+        schedule-synchronous kernel updates only the stations that failed in
+        the schedule just played or in the one before.
+        """
         raise NotImplementedError
 
     def resize(self, new_len: int) -> None:

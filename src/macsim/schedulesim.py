@@ -5,6 +5,9 @@ its chosen slot, sees whether it was alone there, learns the idle positions,
 and updates.  This is the exact dynamics of the absorbing-chain analysis for
 saturated stations on a clean channel and runs orders of magnitude faster
 than the slot-stepped engine, which it complements for convergence studies.
+A schedule updates only the stations that failed in it or in the one before,
+L-BEB redraws come from blocks of draws, and ``converge`` censors a run with
+more stations than slots without playing it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .phy import PhyParams
-from .protocols import ScheduleProtocol
+from .protocols import Lbeb, ScheduleProtocol
 
 #: Convergence runs are abandoned (and flagged) beyond this many schedules.
 DEFAULT_SCHEDULE_CAP = 10**6
@@ -27,55 +30,80 @@ class ConvergenceRun:
 
     ``schedules`` counts schedules played through the first collision-free
     one (the initial uniform pick counts as schedule 1); ``None`` means the
-    cap was hit.  ``seconds_before`` is simulated time spent on the schedules
-    preceding the first collision-free one.
+    cap was hit or there are more stations than slots.  ``seconds_before``
+    is simulated time spent on the schedules preceding the first
+    collision-free one.
     """
 
     schedules: int | None
     seconds_before: float | None
 
 
-def _schedule_seconds(occupancy: list[int], phy: PhyParams) -> float:
-    n_success = sum(1 for o in occupancy[1:] if o == 1)
-    n_collision = sum(1 for o in occupancy[1:] if o >= 2)
-    n_idle = len(occupancy) - 1 - n_success - n_collision
-    us = (
-        n_success * phy.t_success
-        + n_collision * phy.t_collision
-        + n_idle * phy.sigma_us
-    )
-    return us / 1e6
+class _SlotDraws:
+    """An L-BEB station's stream, read 64 uniform slot draws at a time.
+
+    numpy fills ``integers(1, c + 1, size=64)`` with the values 64 single
+    calls return, so only the generator's state runs ahead.  A station in a
+    schedule-synchronous run keeps its ``c`` and draws nothing else; the
+    engine, which also feeds arrivals from the stream, draws per call.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.block = rng, []
+
+    def integers(self, low: int, high: int) -> int:
+        if not self.block:
+            self.block = self.rng.integers(low, high, size=64).tolist()[::-1]
+        return self.block.pop()
 
 
 def _play(
     protocols: list[ScheduleProtocol],
     rngs: list[np.random.Generator],
     cap: int,
-    visit: Callable[[list[int], list[int]], None] | None,
-) -> int | None:
+    phy: PhyParams | None = None,
+    visit: Callable[[list[int], list[int]], None] | None = None,
+) -> tuple[int | None, float]:
     """Play shared schedules until the stations' slots are all distinct.
 
-    Returns the schedule count through the first collision-free schedule, or
-    None when ``cap`` schedules pass first.  ``visit(slots, occupancy)`` sees
-    every schedule before that one; ``occupancy[j]`` counts the stations in
-    slot j.
+    Returns the schedule count through the first collision-free schedule
+    (None when ``cap`` schedules pass first) and, with ``phy``, the seconds
+    of the schedules before it.  ``visit(slots, occupancy)`` sees each of
+    those schedules; ``occupancy[j]`` counts the stations in slot j.  Only
+    stations that failed in a schedule or the one before it are updated, the
+    first schedule counting as one after a failure.
     """
     c = protocols[0].schedule_len
     if any(p.schedule_len != c for p in protocols):
         raise ValueError("stations must share one schedule length")
+    n = len(protocols)
+    if phy is not None:
+        t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
+    draws = [_SlotDraws(r) if isinstance(p, Lbeb) else r for p, r in zip(protocols, rngs)]
     slots = [p.current_slot() for p in protocols]
+    occupancy = [slots.count(j) for j in range(c + 1)]
+    failed, seconds = range(n), 0.0
     for k in range(1, cap + 1):
-        occupancy = [0] * (c + 1)
-        for s in slots:
-            occupancy[s] += 1
-        if all(occupancy[s] == 1 for s in slots):
-            return k
+        n_success = occupancy.count(1)
+        if n_success == n:
+            return k, seconds
+        if phy is not None:
+            n_idle = occupancy.count(0) - 1
+            n_collision = c - n_success - n_idle
+            us = n_success * t_success + n_collision * t_collision + n_idle * sigma
+            seconds += us / 1e6
         if visit is not None:
             visit(slots, occupancy)
         idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
-        for i, proto in enumerate(protocols):
-            slots[i] = proto.on_schedule_end(occupancy[slots[i]] == 1, idle, rngs[i])
-    return None
+        for i in failed:
+            if occupancy[slots[i]] == 1:
+                protocols[i].on_schedule_end(True, idle, draws[i])
+        failed = [i for i, s in enumerate(slots) if occupancy[s] != 1]
+        for i in failed:
+            occupancy[slots[i]] -= 1
+            slots[i] = protocols[i].on_schedule_end(False, idle, draws[i])
+            occupancy[slots[i]] += 1
+    return None, seconds
 
 
 def converge(
@@ -89,16 +117,10 @@ def converge(
     Stations must share one schedule length.  Timing is accumulated only when
     ``phy`` is given.
     """
-    seconds = 0.0
-
-    def add_time(slots: list[int], occupancy: list[int]) -> None:
-        nonlocal seconds
-        seconds += _schedule_seconds(occupancy, phy)
-
-    k = _play(protocols, rngs, cap, None if phy is None else add_time)
-    if k is None or phy is None:
-        return ConvergenceRun(k, None)
-    return ConvergenceRun(k, seconds)
+    if len(protocols) > protocols[0].schedule_len:
+        cap = 0  # more stations than slots never converge: censor at once
+    k, seconds = _play(protocols, rngs, cap, phy)
+    return ConvergenceRun(k, None if k is None or phy is None else seconds)
 
 
 def converge_lbeb_batch(
@@ -174,4 +196,4 @@ def success_sequence_until_converged(
         )
         seq.extend(sid for _, sid in by_slot)
 
-    return seq, _play(protocols, rngs, cap, add_successes)
+    return seq, _play(protocols, rngs, cap, visit=add_successes)[0]

@@ -1,9 +1,12 @@
-"""Independent readings of engine output that the tests check the engine against."""
+"""Independent readings and reference runs that the tests check the simulators against."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from macsim.engine import Event, Trace
-from macsim.phy import SlotKind
+from macsim.phy import PhyParams, SlotKind
+from macsim.protocols import ScheduleProtocol
 
 
 def transmitters_of(trace: Trace, slot_index: int) -> tuple[int, ...]:
@@ -35,3 +38,48 @@ def detect_convergence_from_events(events: list[Event], n_stations: int) -> int 
         if len(slots) == n_stations and all(outcome == "success" for _, outcome in rows):
             return k
         k += 1
+
+
+def play_every_station(
+    protocols: list[ScheduleProtocol],
+    rngs: list[np.random.Generator],
+    cap: int,
+    phy: PhyParams | None = None,
+) -> tuple[int | None, float | None, list[int]]:
+    """Reference schedule-synchronous run that updates every station every schedule.
+
+    Returns the schedule count through the first collision-free schedule
+    (None at the cap), the seconds before it (None without ``phy`` or at the
+    cap) and the station ids of the successful slots before it, in slot
+    order.  Oracle for ``schedulesim.converge`` and
+    ``success_sequence_until_converged``.
+    """
+    c = protocols[0].schedule_len
+    slots = [p.current_slot() for p in protocols]
+    seconds, seq = 0.0, []
+    for k in range(1, cap + 1):
+        occupancy = [0] * (c + 1)
+        for s in slots:
+            occupancy[s] += 1
+        if all(occupancy[s] == 1 for s in slots):
+            return k, None if phy is None else seconds, seq
+        if phy is not None:
+            seconds += _schedule_seconds(occupancy, phy)
+        seq.extend(sid for _, sid in sorted(
+            (s, i + 1) for i, s in enumerate(slots) if occupancy[s] == 1))
+        idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
+        for i, proto in enumerate(protocols):
+            slots[i] = proto.on_schedule_end(occupancy[slots[i]] == 1, idle, rngs[i])
+    return None, None, seq
+
+
+def _schedule_seconds(occupancy: list[int], phy: PhyParams) -> float:
+    n_success = sum(1 for o in occupancy[1:] if o == 1)
+    n_collision = sum(1 for o in occupancy[1:] if o >= 2)
+    n_idle = len(occupancy) - 1 - n_success - n_collision
+    us = (
+        n_success * phy.t_success
+        + n_collision * phy.t_collision
+        + n_idle * phy.sigma_us
+    )
+    return us / 1e6

@@ -325,6 +325,22 @@ def test_repeated_success_keeps_state_and_draws_nothing(kind):
         assert proto.p[slot - 1] == 1.0 and proto.p.sum() == 1.0
 
 
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
+def test_success_after_a_reported_success_changes_nothing(kind):
+    # the schedule-synchronous kernel skips these calls (on_schedule_end)
+    r = rng(21)
+    proto = init_protocol(kind, 8, r, beta=0.9, gamma=0.5)
+    proto.on_schedule_end(False, [2, 5], r)
+    proto.on_schedule_end(True, [2, 5], r)
+    slot, p = proto.current_slot(), getattr(proto, "p", None)
+    settled, state = getattr(proto, "settled", None), r.bit_generator.state
+    assert proto.on_schedule_end(True, [3], r) == slot
+    assert proto.current_slot() == slot
+    assert r.bit_generator.state == state
+    if kind == "lmac":
+        assert np.array_equal(proto.p, p) and proto.settled and settled
+
+
 @pytest.mark.parametrize("c,beta", [(2, 0.5), (2, 0.99), (8, 0.9)])
 def test_lmac_settled_success_skip_matches_full_update(c, beta):
     # a success on a settled station keeps its p object; a station that

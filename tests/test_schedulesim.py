@@ -1,16 +1,21 @@
-"""Schedule-synchronous runner: counting conventions, batch equivalence, timing."""
+"""Schedule-synchronous runner: counting conventions, batch equivalence, timing,
+agreement with the every-station reference."""
 
 import numpy as np
 import pytest
 
+from macsim import schedulesim
 from macsim.config import derive_seed
 from macsim.phy import TABLE_PHY
-from macsim.protocols import Lbeb, Lmac, Lzc
+from macsim.protocols import Lbeb, Lmac, Lzc, init_protocol
 from macsim.schedulesim import (
+    DEFAULT_SCHEDULE_CAP,
+    ConvergenceRun,
     converge,
     converge_lbeb_batch,
     success_sequence_until_converged,
 )
+from oracles import play_every_station
 
 
 def make(factory, n, seed):
@@ -97,3 +102,60 @@ def test_success_sequence_ids_and_prefix():
     assert all(1 <= sid <= 5 for sid in seq)
     # at most N-2 successes per pre-convergence schedule (two stations collide)
     assert len(seq) <= (k - 1) * 3
+
+
+KERNEL_CASES = [(3, 8, DEFAULT_SCHEDULE_CAP), (8, 8, DEFAULT_SCHEDULE_CAP),
+                (1, 4, DEFAULT_SCHEDULE_CAP), (6, 4, 150)]
+
+
+def stations(kind, n, c, seed):
+    return make(lambda r: init_protocol(kind, c, r, beta=0.9, gamma=0.5), n, seed)
+
+
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
+@pytest.mark.parametrize("n,c,cap", KERNEL_CASES)
+def test_kernel_matches_updating_every_station(kind, n, c, cap):
+    # The kernel updates only stations that failed in this schedule or the
+    # one before, and L-BEB stations redraw from blocks; the oracle updates
+    # every station every schedule with single draws.  Generator states are
+    # not compared after a run: the block draws run them ahead.
+    for seed in range(8):
+        ref = stations(kind, n, c, seed)
+        k, seconds, seq = play_every_station(*ref, cap, phy=TABLE_PHY)
+        run_protos, run_rngs = stations(kind, n, c, seed)
+        run = converge(run_protos, run_rngs, cap=cap, phy=TABLE_PHY)
+        seq_protos, seq_rngs = stations(kind, n, c, seed)
+        got_seq, got_k = success_sequence_until_converged(seq_protos, seq_rngs, cap=cap)
+        assert (run.schedules, got_k) == (k, k)
+        assert run.seconds_before == seconds
+        assert got_seq == seq
+        final = [p.current_slot() for p in ref[0]]
+        assert [p.current_slot() for p in seq_protos] == final
+        if n <= c:
+            assert k is not None
+            assert [p.current_slot() for p in run_protos] == final
+
+
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
+def test_more_stations_than_slots_are_censored_without_a_schedule(kind, monkeypatch):
+    protos, rngs = stations(kind, 6, 4, 3)
+    cls, calls = type(protos[0]), []
+    update = cls.on_schedule_end
+
+    def counted(self, *args):
+        calls.append(self)
+        return update(self, *args)
+
+    monkeypatch.setattr(cls, "on_schedule_end", counted)
+    # default cap: playing the run would spend all 10**6 schedules for nothing
+    assert converge(protos, rngs, phy=TABLE_PHY) == ConvergenceRun(None, None)
+    assert calls == []
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 16, 17, 1000])
+def test_block_slot_draws_equal_single_draws(c):
+    for seed in range(5):
+        single = np.random.default_rng(seed)
+        blocks = schedulesim._SlotDraws(np.random.default_rng(seed))
+        want = [int(single.integers(1, c + 1)) for _ in range(200)]
+        assert [blocks.integers(1, c + 1) for _ in range(200)] == want
