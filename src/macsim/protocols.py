@@ -11,6 +11,8 @@ driven per transmission instead.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +45,13 @@ class ScheduleProtocol:
     """Base for protocols that pick one slot per fixed-length schedule."""
 
     kind = "base"
+    #: Whether ``on_schedule_end`` reads ``idle_positions``.  A rule that sets
+    #: this False may be handed an empty sequence instead of the idle slots.
+    reads_idle_positions = True
+    #: Whether a reported success can change the rule's state.  A rule that
+    #: sets this False keeps its slot and state and draws nothing on success,
+    #: so it need only hear of its failures.
+    learns_from_success = True
 
     def __init__(self, schedule_len: int, rng: np.random.Generator):
         if schedule_len < 1:
@@ -61,7 +70,10 @@ class ScheduleProtocol:
         Contract: a success reported right after a reported success changes
         nothing (not the slot, not the state, and it draws nothing), so the
         schedule-synchronous kernel updates only the stations that failed in
-        the schedule just played or in the one before.
+        the schedule just played or in the one before.  The kernel builds the
+        idle positions only when some station's class sets
+        ``reads_idle_positions``, and reports a success at all only when some
+        station's class sets ``learns_from_success``.
         """
         raise NotImplementedError
 
@@ -77,6 +89,8 @@ class Lbeb(ScheduleProtocol):
     """Fixed backoff on success, uniform reselection over all slots on failure."""
 
     kind = "lbeb"
+    reads_idle_positions = False
+    learns_from_success = False
 
     def on_schedule_end(self, success, idle_positions, rng):
         if not success:
@@ -89,6 +103,7 @@ class Zc(ScheduleProtocol):
     the slots that were idle in the schedule just completed."""
 
     kind = "zc"
+    learns_from_success = False
 
     def on_schedule_end(self, success, idle_positions, rng):
         if not success:
@@ -116,6 +131,7 @@ class Lzc(ScheduleProtocol):
     """
 
     kind = "lzc"
+    learns_from_success = False
 
     def __init__(self, schedule_len, gamma: float, rng):
         if not 0.0 < gamma < 1.0:
@@ -140,33 +156,37 @@ class Lzc(ScheduleProtocol):
         return dist
 
 
-def sample_slot(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a 1-based slot from a probability vector."""
-    cdf = np.cumsum(p)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+def sample_slot(p: Sequence[float], rng: np.random.Generator) -> int:
+    """Draw a 1-based slot from a probability vector.
+
+    ``accumulate`` adds left to right as ``np.cumsum`` does, and
+    ``bisect_right`` is ``searchsorted(..., side="right")``, so draws equal
+    the numpy form's bit for bit.
+    """
+    cdf = list(accumulate(p))
+    idx = bisect_right(cdf, rng.random() * cdf[-1])
     return min(idx, len(p) - 1) + 1
 
 
 def updated_probabilities(
-    p: np.ndarray, slot: int, beta: float, success: bool
-) -> np.ndarray:
+    p: Sequence[float], slot: int, beta: float, success: bool
+) -> list[float]:
     """One slot-probability update for the learning protocol.
 
     Success concentrates all mass on ``slot``.  Failure shrinks the mass on
     ``slot`` by ``beta`` and redistributes the freed mass evenly over the
-    other slots, preserving the total.
+    other slots, preserving the total.  Each entry is rounded as
+    ``out *= beta; out += share`` rounds it on an ndarray.
     """
     c = len(p)
-    out = p.astype(float, copy=True)
     if success:
-        out[:] = 0.0
+        out = [0.0] * c
         out[slot - 1] = 1.0
         return out
     if c == 1:
-        return out
+        return list(p)
     share = (1.0 - beta) / (c - 1)
-    out *= beta
-    out += share
+    out = [x * beta + share for x in p]
     out[slot - 1] -= share
     return out
 
@@ -174,13 +194,14 @@ def updated_probabilities(
 class Lmac(ScheduleProtocol):
     """Learning slot selection driven only by own success/failure feedback.
 
-    Keeps a probability vector over the slots of the schedule.  The vector
-    collapses to a point mass on success and decays multiplicatively on
-    failure, so a station that recently held an uncontested slot tends to
-    retry it even after an occasional loss.
+    Keeps a probability vector ``p`` (a list of floats) over the slots of
+    the schedule.  The vector collapses to a point mass on success and
+    decays multiplicatively on failure, so a station that recently held an
+    uncontested slot tends to retry it even after an occasional loss.
     """
 
     kind = "lmac"
+    reads_idle_positions = False
 
     def __init__(self, schedule_len, beta: float, rng):
         if not 0.0 < beta < 1.0:
@@ -189,7 +210,7 @@ class Lmac(ScheduleProtocol):
             raise ValueError("learning update needs at least 2 slots")
         self.schedule_len = schedule_len
         self.beta = beta
-        self.p = np.full(schedule_len, 1.0 / schedule_len)
+        self.p = [1.0 / schedule_len] * schedule_len
         self.slot = sample_slot(self.p, rng)
         #: True while ``p`` is the point mass on ``slot`` that a success left.
         self.settled = False
@@ -207,7 +228,7 @@ class Lmac(ScheduleProtocol):
         if new_len < 2:
             raise ValueError("learning update needs at least 2 slots")
         self.schedule_len = new_len
-        self.p = np.full(new_len, 1.0 / new_len)
+        self.p = [1.0 / new_len] * new_len
         self.settled = False
         self.slot = (self.slot - 1) % new_len + 1
 

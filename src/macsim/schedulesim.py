@@ -7,7 +7,10 @@ saturated stations on a clean channel and runs orders of magnitude faster
 than the slot-stepped engine, which it complements for convergence studies.
 A schedule updates only the stations that failed in it or in the one before,
 L-BEB redraws come from blocks of draws, and ``converge`` censors a run with
-more stations than slots without playing it.
+more stations than slots without playing it.  Per-schedule work that no rule
+reads is skipped: the idle slots are listed only when some station's class
+sets ``reads_idle_positions`` (ZC, L-ZC), and a success after a failure is
+reported only when some station's class sets ``learns_from_success`` (L-MAC).
 """
 
 from __future__ import annotations
@@ -71,12 +74,16 @@ def _play(
     of the schedules before it.  ``visit(slots, occupancy)`` sees each of
     those schedules; ``occupancy[j]`` counts the stations in slot j.  Only
     stations that failed in a schedule or the one before it are updated, the
-    first schedule counting as one after a failure.
+    first schedule counting as one after a failure.  Idle positions are
+    built, and successes reported, only when some station's class reads
+    them (``reads_idle_positions``, ``learns_from_success``).
     """
     c = protocols[0].schedule_len
     if any(p.schedule_len != c for p in protocols):
         raise ValueError("stations must share one schedule length")
     n = len(protocols)
+    read_idle = any(p.reads_idle_positions for p in protocols)
+    report_success = any(p.learns_from_success for p in protocols)
     if phy is not None:
         t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
     draws = [_SlotDraws(r) if isinstance(p, Lbeb) else r for p, r in zip(protocols, rngs)]
@@ -94,10 +101,11 @@ def _play(
             seconds += us / 1e6
         if visit is not None:
             visit(slots, occupancy)
-        idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
-        for i in failed:
-            if occupancy[slots[i]] == 1:
-                protocols[i].on_schedule_end(True, idle, draws[i])
+        idle = [j for j in range(1, c + 1) if occupancy[j] == 0] if read_idle else ()
+        if report_success:
+            for i in failed:
+                if occupancy[slots[i]] == 1:
+                    protocols[i].on_schedule_end(True, idle, draws[i])
         failed = [i for i, s in enumerate(slots) if occupancy[s] != 1]
         for i in failed:
             occupancy[slots[i]] -= 1

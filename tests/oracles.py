@@ -83,3 +83,35 @@ def _schedule_seconds(occupancy: list[int], phy: PhyParams) -> float:
         + n_idle * phy.sigma_us
     )
     return us / 1e6
+
+
+def sample_slot(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The ndarray form of ``protocols.sample_slot``: ``cumsum`` and ``searchsorted``.
+
+    Oracle for the float-list rule, which must draw the same slots.
+    """
+    cdf = np.cumsum(p)
+    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(idx, len(p) - 1) + 1
+
+
+def updated_probabilities(
+    p: np.ndarray, slot: int, beta: float, success: bool
+) -> np.ndarray:
+    """The ndarray form of ``protocols.updated_probabilities`` (in-place ``*=``, ``+=``).
+
+    Oracle for the float-list rule, which must round every entry the same way.
+    """
+    c = len(p)
+    out = p.astype(float, copy=True)
+    if success:
+        out[:] = 0.0
+        out[slot - 1] = 1.0
+        return out
+    if c == 1:
+        return out
+    share = (1.0 - beta) / (c - 1)
+    out *= beta
+    out += share
+    out[slot - 1] -= share
+    return out

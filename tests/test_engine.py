@@ -314,7 +314,7 @@ def sim_state(sim, sids=None):
             (st.delivered, st.schedule_index, st.counter, st.window_len,
              st.window_start, st.tx_slot, st.txop_m, st.in_probe,
              st.protocol.current_slot(),
-             getattr(st.protocol, "p", np.zeros(0)).tolist(),
+             list(getattr(st.protocol, "p", ())),
              st.rng.bit_generator.state)
             for st in sim.stations if st.sid in sids
         ],

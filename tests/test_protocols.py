@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from macsim.protocols import (
     Dcf,
     Lbeb,
@@ -50,7 +51,7 @@ def test_backoff_from_slots_rejects_out_of_range():
 
 def test_failure_update_hand_case():
     p = np.full(4, 0.25)
-    out = updated_probabilities(p, 2, 0.5, success=False)
+    out = np.asarray(updated_probabilities(p, 2, 0.5, success=False))
     assert out[1] == pytest.approx(1 / 8, abs=1e-12)
     for j in (0, 2, 3):
         assert out[j] == pytest.approx(7 / 24, abs=1e-12)
@@ -91,6 +92,7 @@ def test_probability_sum_preserved_over_long_random_sequences():
         p = updated_probabilities(p, slot, 0.9, success=bool(r.integers(0, 2)))
         if p[slot - 1] == 1.0:  # escape the absorbing point mass sometimes
             p = updated_probabilities(p, slot, 0.9, success=False)
+    p = np.asarray(p)
     assert abs(p.sum() - 1.0) <= 1e-9
     assert (p >= 0).all()
 
@@ -148,6 +150,48 @@ def test_sample_slot_skewed_frequencies():
         s = sample_slot(p, r)
         counts[s] = counts.get(s, 0) + 1
     _freq_check(counts, n, {1: 0.9, 2: 0.1})
+
+
+# --- the float rule against the ndarray rule --------------------------------
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("c", [2, 3, 16, 17, 64])
+def test_float_rule_equals_ndarray_rule_bit_for_bit(c, beta):
+    # 2000 mixed updates from each start; slots, generator states and every
+    # probability must be equal, not close
+    r = rng(c)
+    point = np.zeros(c)
+    point[int(r.integers(0, c))] = 1.0
+    for start in (np.full(c, 1 / c), point, r.dirichlet(np.ones(c))):
+        p, ref = start.tolist(), start
+        draws, ref_draws = rng(int(beta * 100)), rng(int(beta * 100))
+        for _ in range(2000):
+            slot = sample_slot(p, draws)
+            assert slot == oracles.sample_slot(ref, ref_draws)
+            assert draws.bit_generator.state == ref_draws.bit_generator.state
+            success = bool(r.random() < 0.3)
+            p = updated_probabilities(p, slot, beta, success)
+            ref = oracles.updated_probabilities(ref, slot, beta, success)
+            assert p == ref.tolist()
+        assert all(type(x) is float for x in p)
+
+
+class FixedDraws:
+    """Stands in for a generator whose ``random()`` returns the given values."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("p", [[0.25] * 4, [0.0, 0.0, 1.0, 0.0], [0.5, 0.0, 0.5, 0.0]])
+def test_sample_slot_on_a_cdf_step_equals_ndarray_rule(p):
+    # a draw that lands exactly on a CDF value goes right, past zero-mass slots
+    for u in (0.0, 0.25, 0.5, 0.75, 1 - 2**-53):
+        assert sample_slot(p, FixedDraws(u)) == oracles.sample_slot(np.array(p), FixedDraws(u))
 
 
 # --- stay-or-jump rules ----------------------------------------------------
@@ -322,7 +366,7 @@ def test_repeated_success_keeps_state_and_draws_nothing(kind):
     assert r.bit_generator.state == state
     if kind == "lmac":
         assert np.array_equal(proto.p, p)
-        assert proto.p[slot - 1] == 1.0 and proto.p.sum() == 1.0
+        assert proto.p[slot - 1] == 1.0 and np.asarray(proto.p).sum() == 1.0
 
 
 @pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])

@@ -108,11 +108,18 @@ KERNEL_CASES = [(3, 8, DEFAULT_SCHEDULE_CAP), (8, 8, DEFAULT_SCHEDULE_CAP),
                 (1, 4, DEFAULT_SCHEDULE_CAP), (6, 4, 150)]
 
 
+#: Station kinds in turn for the "mixed" population.  The first station is
+#: lbeb, which neither reads idle positions nor learns from a success, so a
+#: kernel that took its flags from the first station alone would fail.
+MIXED = ("lbeb", "lzc", "lmac")
+
+
 def stations(kind, n, c, seed):
-    return make(lambda r: init_protocol(kind, c, r, beta=0.9, gamma=0.5), n, seed)
+    kinds = iter(MIXED * n if kind == "mixed" else (kind,) * n)
+    return make(lambda r: init_protocol(next(kinds), c, r, beta=0.9, gamma=0.5), n, seed)
 
 
-@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac", "mixed"])
 @pytest.mark.parametrize("n,c,cap", KERNEL_CASES)
 def test_kernel_matches_updating_every_station(kind, n, c, cap):
     # The kernel updates only stations that failed in this schedule or the
