@@ -68,9 +68,8 @@ def run_ap_announced(
     and everyone remaps into the new length.  Returns the announced length
     after each schedule.
     """
-    ss = np.random.SeedSequence([seed, n_stations, start_len])
-    rngs = [np.random.default_rng(c) for c in ss.spawn(n_stations)]
-    protos = [Lzc(start_len, gamma, rngs[i]) for i in range(n_stations)]
+    rng = np.random.default_rng([seed, n_stations, start_len])
+    protos = [Lzc(start_len, gamma, rng) for _ in range(n_stations)]
     trajectory: list[int] = []
     c = start_len
     for _ in range(max_schedules):
@@ -78,8 +77,8 @@ def run_ap_announced(
         for p in protos:
             occupancy[p.current_slot()] += 1
         idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
-        for i, p in enumerate(protos):
-            p.on_schedule_end(occupancy[p.current_slot()] == 1, idle, rngs[i])
+        for p in protos:
+            p.on_schedule_end(occupancy[p.current_slot()] == 1, idle, rng)
         new_c = ap_adapt(c, len(idle))
         if new_c != c:
             c = new_c
@@ -263,7 +262,8 @@ def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) 
     """Monte Carlo tabulation of convergence horizons.
 
     For each length C, runs C-1 learning stations (``DEFAULT_BETA``) from uniform
-    starts and records the smallest schedule count by which ``F_CONFIDENCE``
+    starts, replication r drawing from one generator seeded with (seed, C, r),
+    and records the smallest schedule count by which ``F_CONFIDENCE``
     of the replications had reached a collision-free schedule.  Runs that hit
     the schedule cap count as never converging.  Confidence bounds come from
     1000 bootstrap resamples of the replications.
@@ -283,10 +283,8 @@ def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) 
             if n == 1:
                 counts.append(1)
                 continue
-            ss = np.random.SeedSequence([seed, c, r])
-            rngs = [np.random.default_rng(child) for child in ss.spawn(n)]
-            protos = [Lmac(c, DEFAULT_BETA, rngs[i]) for i in range(n)]
-            run = converge(protos, rngs)
+            rng = np.random.default_rng([seed, c, r])
+            run = converge([Lmac(c, DEFAULT_BETA, rng) for _ in range(n)], rng)
             if run.schedules is None:
                 failures += 1
                 counts.append(DEFAULT_SCHEDULE_CAP + 1)

@@ -15,6 +15,13 @@ from .runner import run_simulation
 from .scenarios import SCENARIOS, reproduce_all, run_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``macsim <cmd>: error: ...`` line."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def positive_int(text: str) -> int:
     """A replication count: an integer of at least 1."""
     value = int(text)
@@ -134,7 +141,7 @@ def _cmd_reproduce_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="macsim",
         description="Slot-level simulator for decentralised collision-free WLAN MACs",
     )

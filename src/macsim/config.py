@@ -119,8 +119,9 @@ def derive_seed(*parts) -> int:
     """Stable 128-bit seed from arbitrary labelled parts.
 
     Derivations are hierarchical: replication i hashes (base seed, i), and a
-    station's stream hashes (run seed, station id), so adding stations or
-    replications never perturbs existing streams.
+    slot-engine station's stream hashes (run seed, station id), so adding
+    stations or replications never perturbs existing streams.  A
+    schedule-synchronous run seeds one generator with its run seed.
     """
     text = "\x1f".join(repr(p) for p in parts)
     return int(hashlib.sha256(text.encode()).hexdigest()[:32], 16)

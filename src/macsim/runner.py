@@ -1,9 +1,10 @@
 """Builds and runs simulations from validated configs.
 
-Owns seed derivation (one stream per station, one for the channel), horizon
-handling, mid-run station joins, and the packaging of results for the
-metrics layer.  Given the same config and replication index the produced
-trace is identical byte for byte.
+Owns the slot engine's seed derivation (one stream per station, which also
+feeds its Poisson arrivals, and one for the channel), horizon handling,
+mid-run station joins, and the packaging of results for the metrics layer.
+Given the same config and replication index the produced trace is identical
+byte for byte.
 """
 
 from __future__ import annotations
@@ -36,21 +37,14 @@ class RunResult:
     reconverged_time_us: float | None
 
 
-def station_protocol(cfg: SimConfig, run_seed: int, sid: int, kind: str | None = None):
-    """Station ``sid``'s random stream, drawn from ``(run_seed, sid)``, and the
-    protocol of ``kind`` (default ``cfg.protocol``) it starts with."""
-    rng = np.random.default_rng(np.random.SeedSequence(derive_seed(run_seed, sid)))
-    protocol = init_protocol(
-        kind or cfg.protocol, cfg.schedule_len, rng, beta=cfg.beta, gamma=cfg.gamma
-    )
-    return protocol, rng
-
-
 def _make_station(
     cfg: SimConfig, sid: int, run_seed: int, start_time_us: float = 0.0
 ) -> Station:
+    """Station ``sid`` of the run on ``run_seed``, with its own random stream
+    drawn from ``(run_seed, sid)``."""
     kind = cfg.coexist_protocol if sid < cfg.coexist_k else cfg.protocol
-    protocol, rng = station_protocol(cfg, run_seed, sid, kind)
+    rng = np.random.default_rng(derive_seed(run_seed, sid))
+    protocol = init_protocol(kind, cfg.schedule_len, rng, beta=cfg.beta, gamma=cfg.gamma)
     adapter = None
     if cfg.adaptation != "none" and kind != "dcf":
         max_len = cfg.b * 2**cfg.c_max_exp

@@ -20,7 +20,8 @@ from .config import SCENARIO_BASE_LEN, SimConfig, derive_seed, resolve
 from .config import auto_gamma  # noqa: F401  bench/worker.py times macsim.scenarios.auto_gamma
 from .csvio import write_csv
 from .phy import PhyParams
-from .runner import run_simulation, station_protocol
+from .protocols import init_protocol
+from .runner import run_simulation
 
 
 @dataclass
@@ -94,10 +95,11 @@ def _point(cfg: SimConfig, **changes) -> SimConfig:
 
 
 def _schedule_protocols(cfg: SimConfig, run_seed: int):
-    """The protocols and random streams of ``cfg``'s stations, as the engine
-    would start them on ``run_seed``."""
-    protos, rngs = zip(*(station_protocol(cfg, run_seed, j) for j in range(cfg.n)))
-    return list(protos), list(rngs)
+    """``cfg``'s stations and the run's one generator, seeded by ``run_seed``;
+    the stations draw from it in station order."""
+    rng = np.random.default_rng(run_seed)
+    return [init_protocol(cfg.protocol, cfg.schedule_len, rng, beta=cfg.beta, gamma=cfg.gamma)
+            for _ in range(cfg.n)], rng
 
 
 def _grid(seed: int, points, reps: int, run) -> list[list]:

@@ -5,8 +5,9 @@ its chosen slot, sees whether it was alone there, learns the idle positions,
 and updates.  This is the exact dynamics of the absorbing-chain analysis for
 saturated stations on a clean channel and runs orders of magnitude faster
 than the slot-stepped engine, which it complements for convergence studies.
-A schedule updates only the stations that failed in it or in the one before,
-L-BEB redraws come from blocks of draws, and ``converge`` censors a run with
+A run draws from one generator, its stations in station order.  A schedule
+updates only the stations that failed in it or in the one before, an
+all-L-BEB run reads its redraws in blocks, and ``converge`` censors a run with
 more stations than slots without playing it.  Per-schedule work that no rule
 reads is skipped: the idle slots are listed only when some station's class
 sets ``reads_idle_positions`` (ZC, L-ZC), and a success after a failure is
@@ -43,12 +44,13 @@ class ConvergenceRun:
 
 
 class _SlotDraws:
-    """An L-BEB station's stream, read 64 uniform slot draws at a time.
+    """An all-L-BEB run's generator, read 64 uniform slot draws at a time.
 
     numpy fills ``integers(1, c + 1, size=64)`` with the values 64 single
-    calls return, so only the generator's state runs ahead.  A station in a
-    schedule-synchronous run keeps its ``c`` and draws nothing else; the
-    engine, which also feeds arrivals from the stream, draws per call.
+    calls return, so only the generator's state runs ahead.  Every station
+    of such a run keeps its ``c`` and draws nothing else; a run with any
+    other rule, and the engine, which also feeds arrivals from a station's
+    stream, draw per call.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -62,21 +64,23 @@ class _SlotDraws:
 
 def _play(
     protocols: list[ScheduleProtocol],
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
     cap: int,
     phy: PhyParams | None = None,
     visit: Callable[[list[int], list[int]], None] | None = None,
 ) -> tuple[int | None, float]:
     """Play shared schedules until the stations' slots are all distinct.
 
-    Returns the schedule count through the first collision-free schedule
-    (None when ``cap`` schedules pass first) and, with ``phy``, the seconds
-    of the schedules before it.  ``visit(slots, occupancy)`` sees each of
-    those schedules; ``occupancy[j]`` counts the stations in slot j.  Only
-    stations that failed in a schedule or the one before it are updated, the
-    first schedule counting as one after a failure.  Idle positions are
-    built, and successes reported, only when some station's class reads
-    them (``reads_idle_positions``, ``learns_from_success``).
+    Every station draws from ``rng``, in station order; an all-L-BEB run
+    reads it in blocks.  Returns the schedule count through the first
+    collision-free schedule (None when ``cap`` schedules pass first) and,
+    with ``phy``, the seconds of the schedules before it.
+    ``visit(slots, occupancy)`` sees each of those schedules; ``occupancy[j]``
+    counts the stations in slot j.  Only stations that failed in a schedule
+    or the one before it are updated, the first schedule counting as one
+    after a failure.  Idle positions are built, and successes reported, only
+    when some station's class reads them (``reads_idle_positions``,
+    ``learns_from_success``).
     """
     c = protocols[0].schedule_len
     if any(p.schedule_len != c for p in protocols):
@@ -86,7 +90,7 @@ def _play(
     report_success = any(p.learns_from_success for p in protocols)
     if phy is not None:
         t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
-    draws = [_SlotDraws(r) if isinstance(p, Lbeb) else r for p, r in zip(protocols, rngs)]
+    draws = _SlotDraws(rng) if all(isinstance(p, Lbeb) for p in protocols) else rng
     slots = [p.current_slot() for p in protocols]
     occupancy = [slots.count(j) for j in range(c + 1)]
     failed, seconds = range(n), 0.0
@@ -105,29 +109,29 @@ def _play(
         if report_success:
             for i in failed:
                 if occupancy[slots[i]] == 1:
-                    protocols[i].on_schedule_end(True, idle, draws[i])
+                    protocols[i].on_schedule_end(True, idle, draws)
         failed = [i for i, s in enumerate(slots) if occupancy[s] != 1]
         for i in failed:
             occupancy[slots[i]] -= 1
-            slots[i] = protocols[i].on_schedule_end(False, idle, draws[i])
+            slots[i] = protocols[i].on_schedule_end(False, idle, draws)
             occupancy[slots[i]] += 1
     return None, seconds
 
 
 def converge(
     protocols: list[ScheduleProtocol],
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
     cap: int = DEFAULT_SCHEDULE_CAP,
     phy: PhyParams | None = None,
 ) -> ConvergenceRun:
     """Run until the stations' slots are all distinct.
 
-    Stations must share one schedule length.  Timing is accumulated only when
-    ``phy`` is given.
+    Stations must share one schedule length and draw from ``rng``, the run's
+    one generator.  Timing is accumulated only when ``phy`` is given.
     """
     if len(protocols) > protocols[0].schedule_len:
         cap = 0  # more stations than slots never converge: censor at once
-    k, seconds = _play(protocols, rngs, cap, phy)
+    k, seconds = _play(protocols, rng, cap, phy)
     return ConvergenceRun(k, None if k is None or phy is None else seconds)
 
 
@@ -187,7 +191,7 @@ def converge_lbeb_batch(
 
 def success_sequence_until_converged(
     protocols: list[ScheduleProtocol],
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
     cap: int = DEFAULT_SCHEDULE_CAP,
 ) -> tuple[list[int], int | None]:
     """Station ids of successful slots, in slot order, before convergence.
@@ -204,4 +208,4 @@ def success_sequence_until_converged(
         )
         seq.extend(sid for _, sid in by_slot)
 
-    return seq, _play(protocols, rngs, cap, visit=add_successes)[0]
+    return seq, _play(protocols, rng, cap, visit=add_successes)[0]

@@ -33,21 +33,14 @@ def report(name: str, detail: str) -> None:
     print(f"[acceptance] {name}: PASS ({detail})")
 
 
-def station_rngs(n, *label):
-    return [
-        np.random.default_rng(np.random.SeedSequence(derive_seed(*label, j)))
-        for j in range(n)
-    ]
-
-
 def lzc_stations(n, c, gamma, *label):
-    rngs = station_rngs(n, *label)
-    return [Lzc(c, gamma, rngs[i]) for i in range(n)], rngs
+    rng = np.random.default_rng(derive_seed(*label))
+    return [Lzc(c, gamma, rng) for _ in range(n)], rng
 
 
 def lmac_stations(n, c, beta, *label):
-    rngs = station_rngs(n, *label)
-    return [Lmac(c, beta, rngs[i]) for i in range(n)], rngs
+    rng = np.random.default_rng(derive_seed(*label))
+    return [Lmac(c, beta, rng) for _ in range(n)], rng
 
 
 GRID = [
@@ -115,8 +108,8 @@ def test_03_chain_mean_matches_monte_carlo():
         theory = mean_convergence(build_chain(c, n, gamma))
         counts = np.empty(runs)
         for r in range(runs):
-            protos, rngs = lzc_stations(n, c, gamma, "mc3", c, n, gamma, r)
-            counts[r] = schedulesim.converge(protos, rngs).schedules
+            protos, rng = lzc_stations(n, c, gamma, "mc3", c, n, gamma, r)
+            counts[r] = schedulesim.converge(protos, rng).schedules
         se = counts.std(ddof=1) / np.sqrt(runs)
         gap = abs(counts.mean() - theory)
         assert gap <= 3 * se, (c, n, gamma, counts.mean(), theory, se)
@@ -127,8 +120,8 @@ def test_03_chain_mean_matches_monte_carlo():
 def _mean_convergence_mc(n, c, gamma, reps, label):
     total = 0
     for r in range(reps):
-        protos, rngs = lzc_stations(n, c, gamma, label, gamma, r)
-        total += schedulesim.converge(protos, rngs).schedules
+        protos, rng = lzc_stations(n, c, gamma, label, gamma, r)
+        total += schedulesim.converge(protos, rng).schedules
     return total / reps
 
 
@@ -153,12 +146,12 @@ def test_05_all_runs_converge():
     schedule within the cap."""
     failures = 0
     for r in range(1000):
-        protos, rngs = lmac_stations(16, 16, 0.95, "thm2", r)
-        if schedulesim.converge(protos, rngs).schedules is None:
+        protos, rng = lmac_stations(16, 16, 0.95, "thm2", r)
+        if schedulesim.converge(protos, rng).schedules is None:
             failures += 1
     for r in range(1000):
-        protos, rngs = lzc_stations(16, 16, 0.5, "thm1", r)
-        if schedulesim.converge(protos, rngs).schedules is None:
+        protos, rng = lzc_stations(16, 16, 0.5, "thm1", r)
+        if schedulesim.converge(protos, rng).schedules is None:
             failures += 1
     assert failures == 0
     report("guaranteed-convergence", "2000/2000 runs collision-free within the cap")
@@ -171,8 +164,8 @@ def test_06_learning_speedup_over_fixed_backoff():
     lmac_k = np.empty(reps)
     lmac_s = np.empty(reps)
     for r in range(reps):
-        protos, rngs = lmac_stations(16, 16, 0.95, "speed", r)
-        run = schedulesim.converge(protos, rngs, phy=TABLE_PHY)
+        protos, rng = lmac_stations(16, 16, 0.95, "speed", r)
+        run = schedulesim.converge(protos, rng, phy=TABLE_PHY)
         lmac_k[r] = run.schedules
         lmac_s[r] = run.seconds_before
     lbeb_k, lbeb_s = schedulesim.converge_lbeb_batch(16, 16, reps, seed=77,
@@ -329,8 +322,8 @@ def test_11_fairness_favours_weaker_learning():
         successes = 0
         schedules = 0
         for r in range(reps):
-            protos, rngs = lmac_stations(16, 16, beta, "jain", beta, r)
-            seq, k = schedulesim.success_sequence_until_converged(protos, rngs)
+            protos, rng = lmac_stations(16, 16, beta, "jain", beta, r)
+            seq, k = schedulesim.success_sequence_until_converged(protos, rng)
             assert k is not None
             for m in range(1, 11):
                 f = metrics.jain_index(seq, 16, m)
@@ -408,8 +401,8 @@ def test_14_two_schedule_bound_holds():
     runs = 10_000
     taus = np.empty(runs, dtype=np.int64)
     for r in range(runs):
-        protos, rngs = lmac_stations(4, 6, 0.5, "tail", r)
-        taus[r] = schedulesim.converge(protos, rngs).schedules
+        protos, rng = lmac_stations(4, 6, 0.5, "tail", r)
+        taus[r] = schedulesim.converge(protos, rng).schedules
     k, tail = lmac_bound(0.5, 6, 4)
     assert k > 0
     max_tau = int(taus.max())

@@ -253,7 +253,8 @@ def test_cli_rejects_bad_replication_counts(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([a.format(cfg=cfg, out=out) for a in argv])
     assert exc.value.code == 2
-    assert "error: argument --reps: " in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"macsim {argv[0]}: error: argument --reps: ")
     assert not out.exists()
 
 

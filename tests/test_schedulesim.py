@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from macsim import schedulesim
-from macsim.config import derive_seed
+from macsim.adaptation import build_f_table
+from macsim.config import SimConfig, derive_seed
 from macsim.phy import TABLE_PHY
 from macsim.protocols import Lbeb, Lmac, Lzc, init_protocol
 from macsim.schedulesim import (
@@ -15,28 +16,29 @@ from macsim.schedulesim import (
     converge_lbeb_batch,
     success_sequence_until_converged,
 )
+from macsim.scenarios import converge_sweep
 from oracles import play_every_station
 
 
-def make(factory, n, seed):
-    ss = np.random.SeedSequence([seed])
-    rngs = [np.random.default_rng(c) for c in ss.spawn(n)]
-    protos = [factory(rngs[i]) for i in range(n)]
-    return protos, rngs
+def make(factory, n, *label):
+    """``n`` stations from ``factory`` and the run's one generator, seeded
+    from ``label``; the stations draw from it in station order."""
+    rng = np.random.default_rng(derive_seed(*label))
+    return [factory(rng) for _ in range(n)], rng
 
 
 def test_single_station_counts_one_schedule():
-    protos, rngs = make(lambda r: Lzc(4, 0.5, r), 1, 1)
-    run = converge(protos, rngs, phy=TABLE_PHY)
+    protos, rng = make(lambda r: Lzc(4, 0.5, r), 1, 1)
+    run = converge(protos, rng, phy=TABLE_PHY)
     assert run.schedules == 1
     assert run.seconds_before == 0.0
 
 
 def test_mixed_lengths_rejected():
-    protos, rngs = make(lambda r: Lzc(4, 0.5, r), 2, 2)
+    protos, rng = make(lambda r: Lzc(4, 0.5, r), 2, 2)
     protos[1].resize(8)
     with pytest.raises(ValueError):
-        converge(protos, rngs)
+        converge(protos, rng)
 
 
 def test_two_station_mean_matches_chain_value():
@@ -44,8 +46,8 @@ def test_two_station_mean_matches_chain_value():
     total = 0
     runs = 20_000
     for seed in range(runs):
-        protos, rngs = make(lambda r: Lzc(2, 0.5, r), 2, seed)
-        total += converge(protos, rngs).schedules
+        protos, rng = make(lambda r: Lzc(2, 0.5, r), 2, seed)
+        total += converge(protos, rng).schedules
     mean = total / runs
     # variance of the count is 2 (mixture of 1 and 1+geometric(1/2))
     assert abs(mean - 2.0) <= 3.5 * np.sqrt(2.0 / runs)
@@ -60,7 +62,7 @@ def test_determinism():
 def test_seconds_accounting_two_stations():
     # find a seed where the pair collides exactly once before separating
     for seed in range(200):
-        protos, rngs = make(lambda r: Lzc(2, 0.5, r), 2, seed)
+        protos, rng = make(lambda r: Lzc(2, 0.5, r), 2, seed)
         starts = [p.current_slot() for p in protos]
         run = converge(*make(lambda r: Lzc(2, 0.5, r), 2, seed), phy=TABLE_PHY)
         if starts[0] == starts[1] and run.schedules == 2:
@@ -75,8 +77,8 @@ def test_lbeb_batch_matches_per_station_runs():
     n, c, runs = 3, 4, 4000
     counts = []
     for seed in range(runs):
-        protos, rngs = make(lambda r: Lbeb(c, r), n, derive_seed("lbeb-ref", seed))
-        counts.append(converge(protos, rngs).schedules)
+        protos, rng = make(lambda r: Lbeb(c, r), n, "lbeb-ref", seed)
+        counts.append(converge(protos, rng).schedules)
     ref = np.array(counts, dtype=float)
     batch, _ = converge_lbeb_batch(n, c, runs, seed=123)
     assert (batch > 0).all()
@@ -96,8 +98,8 @@ def test_lbeb_batch_seconds_positive_when_contended():
 
 
 def test_success_sequence_ids_and_prefix():
-    protos, rngs = make(lambda r: Lmac(8, 0.7, r), 5, 11)
-    seq, k = success_sequence_until_converged(protos, rngs)
+    protos, rng = make(lambda r: Lmac(8, 0.7, r), 5, 11)
+    seq, k = success_sequence_until_converged(protos, rng)
     assert k is not None
     assert all(1 <= sid <= 5 for sid in seq)
     # at most N-2 successes per pre-convergence schedule (two stations collide)
@@ -114,38 +116,90 @@ KERNEL_CASES = [(3, 8, DEFAULT_SCHEDULE_CAP), (8, 8, DEFAULT_SCHEDULE_CAP),
 MIXED = ("lbeb", "lzc", "lmac")
 
 
-def stations(kind, n, c, seed):
+def stations(kind, n, c, *label):
     kinds = iter(MIXED * n if kind == "mixed" else (kind,) * n)
-    return make(lambda r: init_protocol(next(kinds), c, r, beta=0.9, gamma=0.5), n, seed)
+    return make(lambda r: init_protocol(next(kinds), c, r, beta=0.9, gamma=0.5), n, *label)
 
 
 @pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac", "mixed"])
 @pytest.mark.parametrize("n,c,cap", KERNEL_CASES)
 def test_kernel_matches_updating_every_station(kind, n, c, cap):
     # The kernel updates only stations that failed in this schedule or the
-    # one before, and L-BEB stations redraw from blocks; the oracle updates
-    # every station every schedule with single draws.  Generator states are
-    # not compared after a run: the block draws run them ahead.
+    # one before, and an all-L-BEB run redraws from blocks; the oracle
+    # updates every station every schedule with single draws.  Both take the
+    # run's one stream, the oracle as the same generator for every station.
+    # Generator states are not compared after a run: the block draws run
+    # them ahead.
     for seed in range(8):
-        ref = stations(kind, n, c, seed)
-        k, seconds, seq = play_every_station(*ref, cap, phy=TABLE_PHY)
-        run_protos, run_rngs = stations(kind, n, c, seed)
-        run = converge(run_protos, run_rngs, cap=cap, phy=TABLE_PHY)
-        seq_protos, seq_rngs = stations(kind, n, c, seed)
-        got_seq, got_k = success_sequence_until_converged(seq_protos, seq_rngs, cap=cap)
+        ref, ref_rng = stations(kind, n, c, seed)
+        k, seconds, seq = play_every_station(ref, [ref_rng] * n, cap, phy=TABLE_PHY)
+        run_protos, run_rng = stations(kind, n, c, seed)
+        run = converge(run_protos, run_rng, cap=cap, phy=TABLE_PHY)
+        seq_protos, seq_rng = stations(kind, n, c, seed)
+        got_seq, got_k = success_sequence_until_converged(seq_protos, seq_rng, cap=cap)
         assert (run.schedules, got_k) == (k, k)
         assert run.seconds_before == seconds
         assert got_seq == seq
-        final = [p.current_slot() for p in ref[0]]
+        final = [p.current_slot() for p in ref]
         assert [p.current_slot() for p in seq_protos] == final
         if n <= c:
             assert k is not None
             assert [p.current_slot() for p in run_protos] == final
 
 
+#: (N, C) points of the layout oracle below, N = 1 among them, and its runs a side.
+LAYOUT_CASES = [(1, 4), (4, 6), (8, 8), (12, 16)]
+LAYOUT_RUNS = 2000
+#: Two-sample KS critical value at alpha = 0.001, LAYOUT_RUNS runs a side:
+#: sqrt(-ln(alpha / 2) / 2) * sqrt(2 / LAYOUT_RUNS).  K is discrete, which
+#: makes the test conservative.
+LAYOUT_KS_CRITICAL = np.sqrt(-np.log(0.001 / 2) / 2) * np.sqrt(2 / LAYOUT_RUNS)
+
+
+def ks_distance(a, b) -> float:
+    """Largest gap between the empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, x, "right") / a.size
+                        - np.searchsorted(b, x, "right") / b.size).max())
+
+
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
+@pytest.mark.parametrize("n,c", LAYOUT_CASES)
+def test_one_stream_runs_match_per_station_streams_in_law(kind, n, c):
+    # The kernel on one stream per run against the every-station reference
+    # with one stream per station: the two layouts draw different numbers,
+    # so only the law of the convergence count K can agree.
+    one = [converge(*stations(kind, n, c, "one", r)).schedules for r in range(LAYOUT_RUNS)]
+    per = []
+    for r in range(LAYOUT_RUNS):
+        rngs = [np.random.default_rng(derive_seed("per", r, j)) for j in range(n)]
+        protos = [init_protocol(kind, c, g, beta=0.9, gamma=0.5) for g in rngs]
+        per.append(play_every_station(protos, rngs, DEFAULT_SCHEDULE_CAP)[0])
+    assert ks_distance(one, per) <= LAYOUT_KS_CRITICAL
+
+
+def test_one_generator_per_schedule_synchronous_run(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    cfg = SimConfig(protocol="lzc", n=4, c=6, sweep="gamma", sweep_values=(0.3, 0.6), seed=31)
+    converge_sweep(cfg, reps=3)
+    assert len(calls) == 2 * 3
+    calls.clear()
+    build_f_table([4], reps=1000)
+    # one generator per run, and the bootstrap's one for the length
+    assert len(calls) == 1000 + 1
+
+
 @pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
 def test_more_stations_than_slots_are_censored_without_a_schedule(kind, monkeypatch):
-    protos, rngs = stations(kind, 6, 4, 3)
+    protos, rng = stations(kind, 6, 4, 3)
     cls, calls = type(protos[0]), []
     update = cls.on_schedule_end
 
@@ -155,7 +209,7 @@ def test_more_stations_than_slots_are_censored_without_a_schedule(kind, monkeypa
 
     monkeypatch.setattr(cls, "on_schedule_end", counted)
     # default cap: playing the run would spend all 10**6 schedules for nothing
-    assert converge(protos, rngs, phy=TABLE_PHY) == ConvergenceRun(None, None)
+    assert converge(protos, rng, phy=TABLE_PHY) == ConvergenceRun(None, None)
     assert calls == []
 
 
