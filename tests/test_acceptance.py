@@ -426,7 +426,7 @@ REPRODUCE_ALL_GOLDEN = {
         "9007ae9538e6372200d8c14ab8695ad54fb62ea7e398f5828d5fe0afe44f8d68"
     ),
     "beta_convergence": (
-        "d84bc4877ef41e902f471b5feb6cc0b1d92c3703de8f823e01880f23d836ada5"
+        "4cf0f0c72bb13e771684358e57f8b05667615266aa8c9cf9a8b89bddb86434a0"
     ),
     "coexist_aggregate": (
         "4327ea9de353cad1b38465e381fc8ecc933461ae80ff18d7aad9d7321ecc3826"
@@ -438,7 +438,7 @@ REPRODUCE_ALL_GOLDEN = {
         "54884364b2c9414e65407946f94f0e7890b5d27b1581b21ecbd78a8ca4770ee7"
     ),
     "convergence_time_vs_load": (
-        "98fd0a294869476d41e37814b76f277bc403cdfa2e24faf4fa78eff650ffdfc3"
+        "ccb77535593fea6945de8ef0e5362884a966b27721f133cc853c539053ba08cb"
     ),
     "delay_vs_n": (
         "b6e54fb7a4bd4512e5f146f62f799780f7530e45a79d86d993e58cc85c2af6a6"
@@ -447,10 +447,10 @@ REPRODUCE_ALL_GOLDEN = {
         "8cfaad09de7c883ea9243d519cc147ec94a4c9d0596d9383a9cddda07c340a1f"
     ),
     "gamma_convergence_theory_vs_sim": (
-        "a561a694079e95160548bb4f187a7d36e2c97418114231d933ed6c2de6aa2c61"
+        "5a4003ea030e8176a674367903c38b4f01cc91a2da059cbf6f48e0e237bf9e23"
     ),
     "jain_fairness": (
-        "29e0839368ab118bc5e128f8e4dc00eeec7697bcef83d24e1b259c9fcd56c1f3"
+        "4118bb793cfde1b5de0f2a16e70135136457491145aca9013a31b40e150d9c53"
     ),
     "new_entrants": (
         "50d637e39d033ff877921de0e515c601959c2cd332b21eafff9407c9e6feded1"
