@@ -16,9 +16,7 @@ from .scenarios import SCENARIOS, reproduce_all, run_scenario
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``macsim <cmd>: error: ...`` line."""
-
-    def error(self, message):
+    def error(self, message):  # one "macsim <cmd>: error: ..." line, no usage
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 

@@ -40,8 +40,7 @@ class RunResult:
 def _make_station(
     cfg: SimConfig, sid: int, run_seed: int, start_time_us: float = 0.0
 ) -> Station:
-    """Station ``sid`` of the run on ``run_seed``, with its own random stream
-    drawn from ``(run_seed, sid)``."""
+    """Station ``sid`` of the run on ``run_seed``, on its own stream (run_seed, sid)."""
     kind = cfg.coexist_protocol if sid < cfg.coexist_k else cfg.protocol
     rng = np.random.default_rng(derive_seed(run_seed, sid))
     protocol = init_protocol(kind, cfg.schedule_len, rng, beta=cfg.beta, gamma=cfg.gamma)

@@ -47,10 +47,8 @@ class _SlotDraws:
     """An all-L-BEB run's generator, read 64 uniform slot draws at a time.
 
     numpy fills ``integers(1, c + 1, size=64)`` with the values 64 single
-    calls return, so only the generator's state runs ahead.  Every station
-    of such a run keeps its ``c`` and draws nothing else; a run with any
-    other rule, and the engine, which also feeds arrivals from a station's
-    stream, draw per call.
+    calls return, so only the generator's state runs ahead.  The run's
+    stations keep their ``c`` and draw nothing else; other runs draw per call.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -71,10 +69,9 @@ def _play(
 ) -> tuple[int | None, float]:
     """Play shared schedules until the stations' slots are all distinct.
 
-    Every station draws from ``rng``, in station order; an all-L-BEB run
-    reads it in blocks.  Returns the schedule count through the first
-    collision-free schedule (None when ``cap`` schedules pass first) and,
-    with ``phy``, the seconds of the schedules before it.
+    Stations draw from ``rng`` in station order.  Returns the schedule count
+    through the first collision-free schedule (None when ``cap`` schedules
+    pass first) and, with ``phy``, the seconds of the schedules before it.
     ``visit(slots, occupancy)`` sees each of those schedules; ``occupancy[j]``
     counts the stations in slot j.  Only stations that failed in a schedule
     or the one before it are updated, the first schedule counting as one
@@ -126,8 +123,8 @@ def converge(
 ) -> ConvergenceRun:
     """Run until the stations' slots are all distinct.
 
-    Stations must share one schedule length and draw from ``rng``, the run's
-    one generator.  Timing is accumulated only when ``phy`` is given.
+    Stations share one schedule length and draw from ``rng``, the run's one
+    generator.  Timing is accumulated only when ``phy`` is given.
     """
     if len(protocols) > protocols[0].schedule_len:
         cap = 0  # more stations than slots never converge: censor at once
