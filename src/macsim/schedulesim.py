@@ -6,9 +6,12 @@ and updates.  This is the exact dynamics of the absorbing-chain analysis for
 saturated stations on a clean channel and runs orders of magnitude faster
 than the slot-stepped engine, which it complements for convergence studies.
 A run draws from one generator, its stations in station order.  A schedule
-updates only the stations that failed in it or in the one before, an
-all-L-BEB run reads its redraws in blocks, and ``converge`` censors a run with
-more stations than slots without playing it.  Per-schedule work that no rule
+updates only the stations that failed in it or in the one before, and
+``converge`` censors a run with more stations than slots without playing it.
+A run whose stations are all L-BEB is played on its slot and occupancy lists
+alone, with no protocol calls: the failed stations take, in station order,
+the next values of blocks of uniform draws, and the stations get their slots
+back when the run ends.  In other runs, per-schedule work that no rule
 reads is skipped: the idle slots are listed only when some station's class
 sets ``reads_idle_positions`` (ZC, L-ZC), and a success after a failure is
 reported only when some station's class sets ``learns_from_success`` (L-MAC).
@@ -43,21 +46,59 @@ class ConvergenceRun:
     seconds_before: float | None
 
 
-class _SlotDraws:
-    """An all-L-BEB run's generator, read 64 uniform slot draws at a time.
+#: Slot draws an all-L-BEB run reads from its generator at a time.  An
+#: ``integers`` call costs about 10 us whether it draws 64 values or 1,024;
+#: the values a run leaves unread only advance a generator no caller reads.
+LBEB_BLOCK = 1024
 
-    numpy fills ``integers(1, c + 1, size=64)`` with the values 64 single
-    calls return, so only the generator's state runs ahead.  The run's
-    stations keep their ``c`` and draw nothing else; other runs draw per call.
+
+def _walk_lbeb(
+    protocols: list[Lbeb],
+    rng: np.random.Generator,
+    cap: int,
+    phy: PhyParams | None,
+    visit: Callable[[list[int], list[int]], None] | None,
+) -> tuple[int | None, float]:
+    """``_play`` for a run whose stations are all L-BEB, with no protocol calls.
+
+    Each schedule the stations in slots whose occupancy is not 1 take, in
+    station order, the next values of blocks of ``integers(1, c + 1,
+    size=LBEB_BLOCK)`` read from ``rng``.  numpy fills a block with the
+    values that many single draws return, so only the generator's state runs
+    ahead of a run that redraws per call.  The stations' slots are written
+    back when the run ends, at convergence or at the cap.
     """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self.block = rng, []
-
-    def integers(self, low: int, high: int) -> int:
-        if not self.block:
-            self.block = self.rng.integers(low, high, size=64).tolist()[::-1]
-        return self.block.pop()
+    c, n = protocols[0].schedule_len, len(protocols)
+    if phy is not None:
+        t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
+    slots = [p.slot for p in protocols]
+    occupancy = [slots.count(j) for j in range(c + 1)]
+    block, pos, seconds, converged_at = [], 0, 0.0, None
+    for k in range(1, cap + 1):
+        n_success = occupancy.count(1)
+        if n_success == n:
+            converged_at = k
+            break
+        if phy is not None:
+            n_idle = occupancy.count(0) - 1
+            n_collision = c - n_success - n_idle
+            us = n_success * t_success + n_collision * t_collision + n_idle * sigma
+            seconds += us / 1e6
+        if visit is not None:
+            visit(slots, occupancy)
+        failed = [i for i, s in enumerate(slots) if occupancy[s] != 1]
+        end = pos + len(failed)
+        while end > len(block):
+            block = block[pos:] + rng.integers(1, c + 1, size=LBEB_BLOCK).tolist()
+            end, pos = end - pos, 0
+        for i, s in zip(failed, block[pos:end]):
+            occupancy[slots[i]] -= 1
+            slots[i] = s
+            occupancy[s] += 1
+        pos = end
+    for p, s in zip(protocols, slots):
+        p.slot = s
+    return converged_at, seconds
 
 
 def _play(
@@ -77,17 +118,18 @@ def _play(
     or the one before it are updated, the first schedule counting as one
     after a failure.  Idle positions are built, and successes reported, only
     when some station's class reads them (``reads_idle_positions``,
-    ``learns_from_success``).
+    ``learns_from_success``).  An all-L-BEB run takes ``_walk_lbeb``.
     """
     c = protocols[0].schedule_len
     if any(p.schedule_len != c for p in protocols):
         raise ValueError("stations must share one schedule length")
+    if all(type(p) is Lbeb for p in protocols):
+        return _walk_lbeb(protocols, rng, cap, phy, visit)
     n = len(protocols)
     read_idle = any(p.reads_idle_positions for p in protocols)
     report_success = any(p.learns_from_success for p in protocols)
     if phy is not None:
         t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
-    draws = _SlotDraws(rng) if all(isinstance(p, Lbeb) for p in protocols) else rng
     slots = [p.current_slot() for p in protocols]
     occupancy = [slots.count(j) for j in range(c + 1)]
     failed, seconds = range(n), 0.0
@@ -106,11 +148,11 @@ def _play(
         if report_success:
             for i in failed:
                 if occupancy[slots[i]] == 1:
-                    protocols[i].on_schedule_end(True, idle, draws)
+                    protocols[i].on_schedule_end(True, idle, rng)
         failed = [i for i, s in enumerate(slots) if occupancy[s] != 1]
         for i in failed:
             occupancy[slots[i]] -= 1
-            slots[i] = protocols[i].on_schedule_end(False, idle, draws)
+            slots[i] = protocols[i].on_schedule_end(False, idle, rng)
             occupancy[slots[i]] += 1
     return None, seconds
 
@@ -130,60 +172,6 @@ def converge(
         cap = 0  # more stations than slots never converge: censor at once
     k, seconds = _play(protocols, rng, cap, phy)
     return ConvergenceRun(k, None if k is None or phy is None else seconds)
-
-
-def converge_lbeb_batch(
-    n_stations: int,
-    schedule_len: int,
-    n_runs: int,
-    seed: int,
-    phy: PhyParams | None = None,
-    cap: int = DEFAULT_SCHEDULE_CAP,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorised convergence measurement for the fixed-backoff protocol.
-
-    The fixed-backoff rule (keep the slot on success, redraw uniformly over
-    the whole schedule on failure) needs tens of thousands of schedules to
-    sort out a full schedule, so replications run as one array computation.
-    Cross-validated against the per-station implementation in the tests.
-
-    Returns per-run schedule counts (0 marks a run that hit the cap) and,
-    when ``phy`` is given, seconds spent before the first collision-free
-    schedule.
-    """
-    c = schedule_len
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n_stations, c]))
-    slots = rng.integers(1, c + 1, size=(n_runs, n_stations))
-    schedules = np.zeros(n_runs, dtype=np.int64)
-    seconds = np.zeros(n_runs) if phy is not None else None
-    active = np.arange(n_runs)
-    for k in range(1, cap + 1):
-        if active.size == 0:
-            break
-        sl = slots[active]
-        a = active.size
-        offsets = (np.arange(a) * (c + 1))[:, None]
-        occ = np.bincount(
-            (sl + offsets).ravel(), minlength=a * (c + 1)
-        ).reshape(a, c + 1)
-        own = np.take_along_axis(occ, sl, axis=1)
-        success = own == 1
-        converged = success.all(axis=1)
-        schedules[active[converged]] = k
-        if seconds is not None:
-            n_success = (occ[:, 1:] == 1).sum(axis=1)
-            n_collision = (occ[:, 1:] >= 2).sum(axis=1)
-            n_idle = c - n_success - n_collision
-            dur = (
-                n_success * phy.t_success
-                + n_collision * phy.t_collision
-                + n_idle * phy.sigma_us
-            ) / 1e6
-            seconds[active[~converged]] += dur[~converged]
-        redraw = rng.integers(1, c + 1, size=sl.shape)
-        slots[active] = np.where(success, sl, redraw)
-        active = active[~converged]
-    return schedules, seconds
 
 
 def success_sequence_until_converged(

@@ -7,6 +7,7 @@ import numpy as np
 from macsim.engine import Event, Trace
 from macsim.phy import PhyParams, SlotKind
 from macsim.protocols import ScheduleProtocol
+from macsim.schedulesim import DEFAULT_SCHEDULE_CAP
 
 
 def transmitters_of(trace: Trace, slot_index: int) -> tuple[int, ...]:
@@ -71,6 +72,61 @@ def play_every_station(
         for i, proto in enumerate(protocols):
             slots[i] = proto.on_schedule_end(occupancy[slots[i]] == 1, idle, rngs[i])
     return None, None, seq
+
+
+def converge_lbeb_batch(
+    n_stations: int,
+    schedule_len: int,
+    n_runs: int,
+    seed: int,
+    phy: PhyParams | None = None,
+    cap: int = DEFAULT_SCHEDULE_CAP,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Vectorised convergence measurement for the fixed-backoff protocol.
+
+    The fixed-backoff rule (keep the slot on success, redraw uniformly over
+    the whole schedule on failure) needs tens of thousands of schedules to
+    sort out a full schedule, so replications run as one array computation
+    on their own generator.  Independent oracle, in law, for
+    ``schedulesim``'s all-L-BEB walk.
+
+    Returns per-run schedule counts (0 marks a run that hit the cap) and,
+    when ``phy`` is given, seconds spent before the first collision-free
+    schedule.
+    """
+    c = schedule_len
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n_stations, c]))
+    slots = rng.integers(1, c + 1, size=(n_runs, n_stations))
+    schedules = np.zeros(n_runs, dtype=np.int64)
+    seconds = np.zeros(n_runs) if phy is not None else None
+    active = np.arange(n_runs)
+    for k in range(1, cap + 1):
+        if active.size == 0:
+            break
+        sl = slots[active]
+        a = active.size
+        offsets = (np.arange(a) * (c + 1))[:, None]
+        occ = np.bincount(
+            (sl + offsets).ravel(), minlength=a * (c + 1)
+        ).reshape(a, c + 1)
+        own = np.take_along_axis(occ, sl, axis=1)
+        success = own == 1
+        converged = success.all(axis=1)
+        schedules[active[converged]] = k
+        if seconds is not None:
+            n_success = (occ[:, 1:] == 1).sum(axis=1)
+            n_collision = (occ[:, 1:] >= 2).sum(axis=1)
+            n_idle = c - n_success - n_collision
+            dur = (
+                n_success * phy.t_success
+                + n_collision * phy.t_collision
+                + n_idle * phy.sigma_us
+            ) / 1e6
+            seconds[active[~converged]] += dur[~converged]
+        redraw = rng.integers(1, c + 1, size=sl.shape)
+        slots[active] = np.where(success, sl, redraw)
+        active = active[~converged]
+    return schedules, seconds
 
 
 def _schedule_seconds(occupancy: list[int], phy: PhyParams) -> float:

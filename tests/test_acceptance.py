@@ -27,6 +27,7 @@ from macsim.protocols import Lmac, Lzc, init_protocol
 from macsim.runner import run_simulation
 from macsim.scenarios import reproduce_all
 from macsim.throughput import throughput_overloaded, throughput_underloaded
+from oracles import converge_lbeb_batch
 
 
 def report(name: str, detail: str) -> None:
@@ -168,8 +169,7 @@ def test_06_learning_speedup_over_fixed_backoff():
         run = schedulesim.converge(protos, rng, phy=TABLE_PHY)
         lmac_k[r] = run.schedules
         lmac_s[r] = run.seconds_before
-    lbeb_k, lbeb_s = schedulesim.converge_lbeb_batch(16, 16, reps, seed=77,
-                                                     phy=TABLE_PHY)
+    lbeb_k, lbeb_s = converge_lbeb_batch(16, 16, reps, seed=77, phy=TABLE_PHY)
     assert (lbeb_k > 0).all()
     ratio_k = lbeb_k.mean() / lmac_k.mean()
     ratio_s = lbeb_s.mean() / lmac_s.mean()

@@ -13,11 +13,10 @@ from macsim.schedulesim import (
     DEFAULT_SCHEDULE_CAP,
     ConvergenceRun,
     converge,
-    converge_lbeb_batch,
     success_sequence_until_converged,
 )
 from macsim.scenarios import converge_sweep
-from oracles import play_every_station
+from oracles import converge_lbeb_batch, play_every_station
 
 
 def make(factory, n, *label):
@@ -215,8 +214,47 @@ def test_more_stations_than_slots_are_censored_without_a_schedule(kind, monkeypa
 
 @pytest.mark.parametrize("c", [1, 2, 3, 16, 17, 1000])
 def test_block_slot_draws_equal_single_draws(c):
+    # The all-L-BEB walk reads its redraws in blocks of LBEB_BLOCK; numpy
+    # fills a block with the values that many single calls return, across
+    # refills too.
+    size = 3 * schedulesim.LBEB_BLOCK + 8
     for seed in range(5):
         single = np.random.default_rng(seed)
-        blocks = schedulesim._SlotDraws(np.random.default_rng(seed))
-        want = [int(single.integers(1, c + 1)) for _ in range(200)]
-        assert [blocks.integers(1, c + 1) for _ in range(200)] == want
+        blocks = np.random.default_rng(seed)
+        want = [int(single.integers(1, c + 1)) for _ in range(size)]
+        got = []
+        while len(got) < size:
+            got += blocks.integers(1, c + 1, size=schedulesim.LBEB_BLOCK).tolist()
+        assert got[:size] == want
+
+
+#: All-L-BEB runs for the block walk: at N = C = 13 every run reads several
+#: blocks, and at N = C = 8 a cap of 40 schedules stops most runs first.
+LBEB_WALK_CASES = [(13, 13, DEFAULT_SCHEDULE_CAP), (8, 8, 40)]
+
+
+@pytest.mark.parametrize("n,c,cap", LBEB_WALK_CASES)
+def test_lbeb_walk_matches_updating_every_station(n, c, cap):
+    # Exact: schedule counts, seconds, success sequences and the stations'
+    # final slots, converged or at the cap, against per-call redraws.
+    capped = 0
+    for seed in range(8):
+        ref, ref_rng = stations("lbeb", n, c, "walk", seed)
+        k, seconds, seq = play_every_station(ref, [ref_rng] * n, cap, phy=TABLE_PHY)
+        run_protos, run_rng = stations("lbeb", n, c, "walk", seed)
+        run = converge(run_protos, run_rng, cap=cap, phy=TABLE_PHY)
+        seq_protos, seq_rng = stations("lbeb", n, c, "walk", seed)
+        assert run == ConvergenceRun(k, seconds)
+        assert success_sequence_until_converged(seq_protos, seq_rng, cap=cap) == (seq, k)
+        final = [p.current_slot() for p in ref]
+        assert [p.current_slot() for p in run_protos] == final
+        assert [p.current_slot() for p in seq_protos] == final
+        if cap == DEFAULT_SCHEDULE_CAP:
+            # each failed station redraws once, so the run reads past two
+            # refills: station-schedules before convergence minus successes
+            assert k is not None
+            assert n * (k - 1) - len(seq) > 2 * schedulesim.LBEB_BLOCK
+        else:
+            capped += k is None
+    if cap < DEFAULT_SCHEDULE_CAP:
+        assert 0 < capped < 8
