@@ -86,7 +86,11 @@ class ScheduleProtocol:
 
 
 class Lbeb(ScheduleProtocol):
-    """Fixed backoff on success, uniform reselection over all slots on failure."""
+    """Fixed backoff on success, uniform reselection over all slots on failure.
+
+    ``schedulesim`` plays a run of only Lbeb stations without calling
+    ``on_schedule_end`` (``_walk_lbeb``), so a change to the rule goes there too.
+    """
 
     kind = "lbeb"
     reads_idle_positions = False
