@@ -75,10 +75,10 @@ def run_ap_announced(
     for _ in range(max_schedules):
         occupancy = [0] * (c + 1)
         for p in protos:
-            occupancy[p.current_slot()] += 1
+            occupancy[p.slot] += 1
         idle = [j for j in range(1, c + 1) if occupancy[j] == 0]
         for p in protos:
-            p.on_schedule_end(occupancy[p.current_slot()] == 1, idle, rng)
+            p.on_schedule_end(occupancy[p.slot] == 1, idle, rng)
         new_c = ap_adapt(c, len(idle))
         if new_c != c:
             c = new_c
@@ -280,9 +280,6 @@ def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) 
         counts: list[int] = []
         failures = 0
         for r in range(reps):
-            if n == 1:
-                counts.append(1)
-                continue
             rng = np.random.default_rng([seed, c, r])
             run = converge([Lmac(c, DEFAULT_BETA, rng) for _ in range(n)], rng)
             if run.schedules is None:

@@ -67,10 +67,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    @property
-    def sim_time_us(self) -> float:
-        return elapsed_us(self.durations)
-
 
 #: One schedule of one station: (station, schedule_index, chosen_slot,
 #: outcome), the outcome "success" or "failure".
@@ -127,7 +123,7 @@ class Station:
             self.txop_m = 1
         else:
             self.window_len = protocol.schedule_len
-            self.counter = protocol.current_slot() - 1
+            self.counter = protocol.slot - 1
             self.txop_m = (
                 txop_packets(self.window_len, txop_base) if txop_base else 1
             )
@@ -188,7 +184,7 @@ class Station:
         """Log the finished window, update the slot choice and start the next
         window at slot ``next_start``."""
         proto: ScheduleProtocol = self.protocol
-        held_slot = proto.current_slot()
+        held_slot = proto.slot
         if self.in_probe:
             held_slot = (held_slot - 1) % self.window_len + 1
         events.append(
@@ -209,7 +205,7 @@ class Station:
                 self.window_len = next_len
                 self.txop_m = txop_packets(next_len, self.txop_base) if self.txop_base else 1
 
-        effective_slot = proto.current_slot()
+        effective_slot = proto.slot
         if probe:
             effective_slot = (effective_slot - 1) % self.window_len + 1
         self.in_probe = probe
@@ -477,7 +473,7 @@ class Simulator:
             return s, clock
         for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets):
             column.extend(column[start : s + 1] * k)
-        held = [(st.sid, st.schedule_index, st.protocol.current_slot()) for st in stations]
+        held = [(st.sid, st.schedule_index, st.protocol.slot) for st in stations]
         self.events.extend(
             (sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held
         )

@@ -432,11 +432,9 @@ def mean_convergence(chain: ChainModel) -> float:
     """Expected schedules played through the first collision-free one.
 
     Standard absorbing-chain count of expected transient visits starting
-    from the uniform start state; the very first schedule counts as one.  A
-    single station collides with nobody, so no schedules are spent converging.
+    from the uniform start state; the very first schedule counts as one, so
+    a single station, which collides with nobody, yields 1.
     """
-    if chain.n_stations == 1:
-        return 0.0
     t = chain.transient_size
     q = chain.pi[:t, :t]
     visits = np.linalg.solve(np.eye(t) - q, np.ones(t))

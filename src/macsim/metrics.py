@@ -118,17 +118,13 @@ def throughput(
     return norm, mbps
 
 
-def mean_access_delay_us(result: RunResult, station: int | None = None) -> float | None:
+def mean_access_delay_us(result: RunResult) -> float | None:
     """Mean head-of-queue-to-completion delay over delivered packets.
 
     Dropped packets never complete and are excluded.  None when nothing was
     delivered (or for saturated stations, which do not record delays).
     """
-    delays: list[float] = []
-    for st in result.stations:
-        if station is not None and st.sid != station:
-            continue
-        delays.extend(st.delays_us)
+    delays = [d for st in result.stations for d in st.delays_us]
     if not delays:
         return None
     return float(np.mean(delays))

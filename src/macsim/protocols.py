@@ -59,9 +59,6 @@ class ScheduleProtocol:
         self.schedule_len = schedule_len
         self.slot = _uniform_slot(schedule_len, rng)
 
-    def current_slot(self) -> int:
-        return self.slot
-
     def on_schedule_end(
         self, success: bool, idle_positions: Sequence[int], rng: np.random.Generator
     ) -> int:
@@ -88,8 +85,9 @@ class ScheduleProtocol:
 class Lbeb(ScheduleProtocol):
     """Fixed backoff on success, uniform reselection over all slots on failure.
 
-    ``schedulesim`` plays a run of only Lbeb stations without calling
-    ``on_schedule_end`` (``_walk_lbeb``), so a change to the rule goes there too.
+    In a run of only Lbeb stations, ``schedulesim._play`` redraws failed
+    stations from blocks of uniform draws without calling ``on_schedule_end``,
+    so a change to the rule goes there too.
     """
 
     kind = "lbeb"

@@ -5,16 +5,17 @@ its chosen slot, sees whether it was alone there, learns the idle positions,
 and updates.  This is the exact dynamics of the absorbing-chain analysis for
 saturated stations on a clean channel and runs orders of magnitude faster
 than the slot-stepped engine, which it complements for convergence studies.
-A run draws from one generator, its stations in station order.  A schedule
-updates only the stations that failed in it or in the one before, and
-``converge`` censors a run with more stations than slots without playing it.
-A run whose stations are all L-BEB is played on its slot and occupancy lists
-alone, with no protocol calls: the failed stations take, in station order,
-the next values of blocks of uniform draws, and the stations get their slots
-back when the run ends.  In other runs, per-schedule work that no rule
-reads is skipped: the idle slots are listed only when some station's class
-sets ``reads_idle_positions`` (ZC, L-ZC), and a success after a failure is
-reported only when some station's class sets ``learns_from_success`` (L-MAC).
+A run draws from one generator, its stations in station order.  One loop,
+``_play``, plays every rule; a schedule updates only the stations that
+failed in it or in the one before, and ``converge`` censors a run with more
+stations than slots without playing it.  The one choice by rule is where a
+failed station's next slot comes from: in a run whose stations are all
+L-BEB it is the next value of a block of uniform draws, with no protocol
+call, and in any other run it is ``on_schedule_end``.  There, per-schedule
+work that no rule reads is skipped: the idle slots are listed only when
+some station's class sets ``reads_idle_positions`` (ZC, L-ZC), and a
+success after a failure is reported only when some station's class sets
+``learns_from_success`` (L-MAC).
 """
 
 from __future__ import annotations
@@ -52,55 +53,6 @@ class ConvergenceRun:
 LBEB_BLOCK = 1024
 
 
-def _walk_lbeb(
-    protocols: list[Lbeb],
-    rng: np.random.Generator,
-    cap: int,
-    phy: PhyParams | None,
-    visit: Callable[[list[int], list[int]], None] | None,
-) -> tuple[int | None, float]:
-    """``_play`` for a run whose stations are all L-BEB, with no protocol calls.
-
-    Each schedule the stations in slots whose occupancy is not 1 take, in
-    station order, the next values of blocks of ``integers(1, c + 1,
-    size=LBEB_BLOCK)`` read from ``rng``.  numpy fills a block with the
-    values that many single draws return, so only the generator's state runs
-    ahead of a run that redraws per call.  The stations' slots are written
-    back when the run ends, at convergence or at the cap.
-    """
-    c, n = protocols[0].schedule_len, len(protocols)
-    if phy is not None:
-        t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
-    slots = [p.slot for p in protocols]
-    occupancy = [slots.count(j) for j in range(c + 1)]
-    block, pos, seconds, converged_at = [], 0, 0.0, None
-    for k in range(1, cap + 1):
-        n_success = occupancy.count(1)
-        if n_success == n:
-            converged_at = k
-            break
-        if phy is not None:
-            n_idle = occupancy.count(0) - 1
-            n_collision = c - n_success - n_idle
-            us = n_success * t_success + n_collision * t_collision + n_idle * sigma
-            seconds += us / 1e6
-        if visit is not None:
-            visit(slots, occupancy)
-        failed = [i for i, s in enumerate(slots) if occupancy[s] != 1]
-        end = pos + len(failed)
-        while end > len(block):
-            block = block[pos:] + rng.integers(1, c + 1, size=LBEB_BLOCK).tolist()
-            end, pos = end - pos, 0
-        for i, s in zip(failed, block[pos:end]):
-            occupancy[slots[i]] -= 1
-            slots[i] = s
-            occupancy[s] += 1
-        pos = end
-    for p, s in zip(protocols, slots):
-        p.slot = s
-    return converged_at, seconds
-
-
 def _play(
     protocols: list[ScheduleProtocol],
     rng: np.random.Generator,
@@ -116,27 +68,31 @@ def _play(
     ``visit(slots, occupancy)`` sees each of those schedules; ``occupancy[j]``
     counts the stations in slot j.  Only stations that failed in a schedule
     or the one before it are updated, the first schedule counting as one
-    after a failure.  Idle positions are built, and successes reported, only
-    when some station's class reads them (``reads_idle_positions``,
-    ``learns_from_success``).  An all-L-BEB run takes ``_walk_lbeb``.
+    after a failure.  In an all-L-BEB run the failed stations take, in
+    station order, the next values of blocks of ``integers(1, c + 1,
+    size=LBEB_BLOCK)``, which numpy fills with the values that many single
+    draws return, and no protocol is called.  In other runs they call
+    ``on_schedule_end``; idle positions are built, and successes reported,
+    only when some station's class reads them (``reads_idle_positions``,
+    ``learns_from_success``).  The stations' slots are written back when
+    the run ends, at convergence or at the cap.
     """
     c = protocols[0].schedule_len
     if any(p.schedule_len != c for p in protocols):
         raise ValueError("stations must share one schedule length")
-    if all(type(p) is Lbeb for p in protocols):
-        return _walk_lbeb(protocols, rng, cap, phy, visit)
     n = len(protocols)
+    lbeb_only = all(type(p) is Lbeb for p in protocols)
     read_idle = any(p.reads_idle_positions for p in protocols)
     report_success = any(p.learns_from_success for p in protocols)
     if phy is not None:
         t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
-    slots = [p.current_slot() for p in protocols]
+    slots = [p.slot for p in protocols]
     occupancy = [slots.count(j) for j in range(c + 1)]
-    failed, seconds = range(n), 0.0
+    failed, block, pos, seconds = range(n), [], 0, 0.0
     for k in range(1, cap + 1):
         n_success = occupancy.count(1)
         if n_success == n:
-            return k, seconds
+            break
         if phy is not None:
             n_idle = occupancy.count(0) - 1
             n_collision = c - n_success - n_idle
@@ -144,17 +100,32 @@ def _play(
             seconds += us / 1e6
         if visit is not None:
             visit(slots, occupancy)
+        last_failed, failed = failed, [i for i, s in enumerate(slots) if occupancy[s] != 1]
+        if lbeb_only:
+            end = pos + len(failed)
+            while end > len(block):
+                block = block[pos:] + rng.integers(1, c + 1, size=LBEB_BLOCK).tolist()
+                end, pos = end - pos, 0
+            for i, s in zip(failed, block[pos:end]):
+                occupancy[slots[i]] -= 1
+                slots[i] = s
+                occupancy[s] += 1
+            pos = end
+            continue
         idle = [j for j in range(1, c + 1) if occupancy[j] == 0] if read_idle else ()
         if report_success:
-            for i in failed:
+            for i in last_failed:
                 if occupancy[slots[i]] == 1:
                     protocols[i].on_schedule_end(True, idle, rng)
-        failed = [i for i, s in enumerate(slots) if occupancy[s] != 1]
         for i in failed:
             occupancy[slots[i]] -= 1
             slots[i] = protocols[i].on_schedule_end(False, idle, rng)
             occupancy[slots[i]] += 1
-    return None, seconds
+    else:
+        k = None
+    for p, s in zip(protocols, slots):
+        p.slot = s
+    return k, seconds
 
 
 def converge(

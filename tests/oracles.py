@@ -56,7 +56,7 @@ def play_every_station(
     ``success_sequence_until_converged``.
     """
     c = protocols[0].schedule_len
-    slots = [p.current_slot() for p in protocols]
+    slots = [p.slot for p in protocols]
     seconds, seq = 0.0, []
     for k in range(1, cap + 1):
         occupancy = [0] * (c + 1)
@@ -88,7 +88,7 @@ def converge_lbeb_batch(
     the whole schedule on failure) needs tens of thousands of schedules to
     sort out a full schedule, so replications run as one array computation
     on their own generator.  Independent oracle, in law, for
-    ``schedulesim``'s all-L-BEB walk.
+    ``schedulesim._play``'s block redraws in an all-L-BEB run.
 
     Returns per-run schedule counts (0 marks a run that hit the cap) and,
     when ``phy`` is given, seconds spent before the first collision-free

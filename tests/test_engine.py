@@ -95,9 +95,6 @@ class RecordingProtocol:
         self.slot = slot
         self.calls = []
 
-    def current_slot(self):
-        return self.slot
-
     def on_schedule_end(self, success, idle_positions, rng):
         self.calls.append((success, list(idle_positions)))
         return self.slot
@@ -228,7 +225,6 @@ def test_clock_equals_sum_of_durations():
     res = run_simulation(cfg)
     assert res.converged_slot is not None  # the rest of the run is replayed
     assert res.sim_time_us == elapsed_us(res.trace.durations)
-    assert res.sim_time_us == res.trace.sim_time_us
 
 
 def test_conservation_of_attempts():
@@ -313,7 +309,7 @@ def sim_state(sim, sids=None):
         "stations": [
             (st.delivered, st.schedule_index, st.counter, st.window_len,
              st.window_start, st.tx_slot, st.txop_m, st.in_probe,
-             st.protocol.current_slot(),
+             st.protocol.slot,
              list(getattr(st.protocol, "p", ())),
              st.rng.bit_generator.state)
             for st in sim.stations if st.sid in sids

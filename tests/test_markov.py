@@ -20,6 +20,8 @@ from macsim.markov import (
     second_eigenvalue,
     transition_prob_formula,
 )
+from macsim.protocols import Lzc
+from macsim.schedulesim import converge
 
 
 def S(*parts):
@@ -411,8 +413,11 @@ def test_mean_convergence_hand_value():
 
 
 def test_mean_convergence_single_station():
+    # the first schedule counts as one, as in schedulesim.converge
     chain = build_chain(4, 1, 0.5)
-    assert mean_convergence(chain) == 0.0
+    rng = np.random.default_rng(0)
+    assert mean_convergence(chain) == 1.0
+    assert converge([Lzc(4, 0.5, rng)], rng).schedules == 1
 
 
 # --- learning-protocol bound --------------------------------------------------------

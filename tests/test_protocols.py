@@ -199,7 +199,7 @@ def test_sample_slot_on_a_cdf_step_equals_ndarray_rule(p):
 
 def test_lzc_success_keeps_slot():
     proto = Lzc(16, 0.5, rng(11))
-    s = proto.current_slot()
+    s = proto.slot
     assert proto.on_schedule_end(True, [1, 2, 3], rng(12)) == s
 
 
@@ -253,7 +253,7 @@ def test_zc_equals_lzc_with_matched_stay_probability():
 
 def test_lbeb_rules():
     proto = Lbeb(16, rng(22))
-    s = proto.current_slot()
+    s = proto.slot
     assert proto.on_schedule_end(True, [], rng(23)) == s
     r = rng(24)
     n = 100_000
@@ -331,7 +331,7 @@ def test_initial_slot_uniform():
     counts: dict[int, int] = {}
     r = rng(34)
     for _ in range(n):
-        s = Lzc(16, 0.5, r).current_slot()
+        s = Lzc(16, 0.5, r).slot
         counts[s] = counts.get(s, 0) + 1
     _freq_check(counts, n, {s: 1 / 16 for s in range(1, 17)})
 
@@ -356,13 +356,13 @@ def test_repeated_success_keeps_state_and_draws_nothing(kind):
     # the engine replays absorbed windows without calling the protocol
     r = rng(7)
     proto = init_protocol(kind, 8, r, beta=0.95, gamma=0.5)
-    slot = proto.current_slot()
+    slot = proto.slot
     state = r.bit_generator.state
     proto.on_schedule_end(True, [1, 2, 3], r)
-    assert proto.current_slot() == slot
+    assert proto.slot == slot
     p = getattr(proto, "p", None)
     proto.on_schedule_end(True, [1, 2, 3], r)
-    assert proto.current_slot() == slot
+    assert proto.slot == slot
     assert r.bit_generator.state == state
     if kind == "lmac":
         assert np.array_equal(proto.p, p)
@@ -376,10 +376,10 @@ def test_success_after_a_reported_success_changes_nothing(kind):
     proto = init_protocol(kind, 8, r, beta=0.9, gamma=0.5)
     proto.on_schedule_end(False, [2, 5], r)
     proto.on_schedule_end(True, [2, 5], r)
-    slot, p = proto.current_slot(), getattr(proto, "p", None)
+    slot, p = proto.slot, getattr(proto, "p", None)
     settled, state = getattr(proto, "settled", None), r.bit_generator.state
     assert proto.on_schedule_end(True, [3], r) == slot
-    assert proto.current_slot() == slot
+    assert proto.slot == slot
     assert r.bit_generator.state == state
     if kind == "lmac":
         assert np.array_equal(proto.p, p) and proto.settled and settled

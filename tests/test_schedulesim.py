@@ -62,7 +62,7 @@ def test_seconds_accounting_two_stations():
     # find a seed where the pair collides exactly once before separating
     for seed in range(200):
         protos, rng = make(lambda r: Lzc(2, 0.5, r), 2, seed)
-        starts = [p.current_slot() for p in protos]
+        starts = [p.slot for p in protos]
         run = converge(*make(lambda r: Lzc(2, 0.5, r), 2, seed), phy=TABLE_PHY)
         if starts[0] == starts[1] and run.schedules == 2:
             # one collision schedule: a collision slot plus an idle slot
@@ -139,11 +139,11 @@ def test_kernel_matches_updating_every_station(kind, n, c, cap):
         assert (run.schedules, got_k) == (k, k)
         assert run.seconds_before == seconds
         assert got_seq == seq
-        final = [p.current_slot() for p in ref]
-        assert [p.current_slot() for p in seq_protos] == final
+        final = [p.slot for p in ref]
+        assert [p.slot for p in seq_protos] == final
         if n <= c:
             assert k is not None
-            assert [p.current_slot() for p in run_protos] == final
+            assert [p.slot for p in run_protos] == final
 
 
 #: (N, C) points of the layout oracle below, N = 1 among them, and its runs a side.
@@ -214,7 +214,7 @@ def test_more_stations_than_slots_are_censored_without_a_schedule(kind, monkeypa
 
 @pytest.mark.parametrize("c", [1, 2, 3, 16, 17, 1000])
 def test_block_slot_draws_equal_single_draws(c):
-    # The all-L-BEB walk reads its redraws in blocks of LBEB_BLOCK; numpy
+    # An all-L-BEB run reads its redraws in blocks of LBEB_BLOCK; numpy
     # fills a block with the values that many single calls return, across
     # refills too.
     size = 3 * schedulesim.LBEB_BLOCK + 8
@@ -228,7 +228,7 @@ def test_block_slot_draws_equal_single_draws(c):
         assert got[:size] == want
 
 
-#: All-L-BEB runs for the block walk: at N = C = 13 every run reads several
+#: All-L-BEB runs for the block redraws: at N = C = 13 every run reads several
 #: blocks, and at N = C = 8 a cap of 40 schedules stops most runs first.
 LBEB_WALK_CASES = [(13, 13, DEFAULT_SCHEDULE_CAP), (8, 8, 40)]
 
@@ -246,9 +246,9 @@ def test_lbeb_walk_matches_updating_every_station(n, c, cap):
         seq_protos, seq_rng = stations("lbeb", n, c, "walk", seed)
         assert run == ConvergenceRun(k, seconds)
         assert success_sequence_until_converged(seq_protos, seq_rng, cap=cap) == (seq, k)
-        final = [p.current_slot() for p in ref]
-        assert [p.current_slot() for p in run_protos] == final
-        assert [p.current_slot() for p in seq_protos] == final
+        final = [p.slot for p in ref]
+        assert [p.slot for p in run_protos] == final
+        assert [p.slot for p in seq_protos] == final
         if cap == DEFAULT_SCHEDULE_CAP:
             # each failed station redraws once, so the run reads past two
             # refills: station-schedules before convergence minus successes
