@@ -237,10 +237,10 @@ class FTable:
         entries = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                c = int(row["schedule_len"])
-                entries[c] = FEntry(
-                    c, int(row["f"]), int(row["ci_low"]), int(row["ci_high"])
-                )
+                c, f = int(row["schedule_len"]), int(row["f"])
+                if f < 1:
+                    raise ValueError(f"schedule length {c} needs f >= 1, got {f}")
+                entries[c] = FEntry(c, f, int(row["ci_low"]), int(row["ci_high"]))
         return cls(entries)
 
 

@@ -2,7 +2,7 @@
 
 Advances the shared medium one MAC slot at a time but touches a station
 only at its own events.  A DCF station is booked in a due table at its next
-transmission, ``counter + 1`` slots after its last one.  A schedule station
+transmission, ``Dcf.counter + 1`` slots after its last one.  A schedule station
 books nothing: ``window_start``, ``tx_slot`` and ``window_len`` say when it
 transmits and when its window ends.  A run is played in segments, each up to
 the next window end, whose schedule transmitters are looked up by slot.
@@ -74,12 +74,13 @@ Event = tuple[int, int, int, str]
 
 
 class Station:
-    """A transmitter: protocol state, traffic queue and backoff counter.
+    """A transmitter: protocol state and traffic queue.
 
-    ``counter`` counts the slots between the station's last event (its last
-    DCF transmission, or the start of its schedule window) and its next
+    A DCF station next transmits ``Dcf.counter + 1`` slots after its last
     transmission.  A schedule station's current window starts at slot
-    ``window_start`` and it transmits in slot ``tx_slot`` of the run.
+    ``window_start`` and it transmits in slot ``tx_slot`` of the run; with
+    an adapter each transmission carries ``txop_packets(window_len,
+    adapter.base_len)`` packets.
     """
 
     def __init__(
@@ -91,7 +92,6 @@ class Station:
         lambda_pps: float = 0.0,
         buffer_packets: int = 50,
         adapter: AlzcAdapter | AlmacAdapter | None = None,
-        txop_base: int | None = None,
         start_time_us: float = 0.0,
     ):
         if not 0.0 <= lambda_pps <= MAX_LAMBDA_PPS:
@@ -103,7 +103,6 @@ class Station:
         self.lambda_pps = lambda_pps
         self.buffer_packets = buffer_packets
         self.adapter = adapter
-        self.txop_base = txop_base
 
         self.queue: deque[float] = deque()
         self.head_since_us: float | None = None
@@ -117,16 +116,10 @@ class Station:
         self.delays_us: list[float] = []
 
         self.is_dcf = isinstance(protocol, Dcf)
-        if self.is_dcf:
-            self.counter = protocol.counter
-            self.window_len = 0
-            self.txop_m = 1
-        else:
-            self.window_len = protocol.schedule_len
-            self.counter = protocol.slot - 1
-            self.txop_m = (
-                txop_packets(self.window_len, txop_base) if txop_base else 1
-            )
+        self.window_len = 0 if self.is_dcf else protocol.schedule_len
+        self.txop_m = 1
+        if adapter is not None:
+            self.txop_m = txop_packets(self.window_len, adapter.base_len)
         self.in_probe = False
         self.schedule_index = 0
         self.position = 0  # index in the simulator's station list
@@ -203,16 +196,15 @@ class Station:
                 proto.resize(next_len)
             if next_len != self.window_len:
                 self.window_len = next_len
-                self.txop_m = txop_packets(next_len, self.txop_base) if self.txop_base else 1
+                self.txop_m = txop_packets(next_len, self.adapter.base_len)
 
         effective_slot = proto.slot
         if probe:
             effective_slot = (effective_slot - 1) % self.window_len + 1
         self.in_probe = probe
-        self.counter = effective_slot - 1
         self.schedule_index += 1
         self.window_start = next_start
-        self.tx_slot = next_start + self.counter
+        self.tx_slot = next_start + effective_slot - 1
 
 
 class Simulator:
@@ -251,11 +243,11 @@ class Simulator:
             self._plan(station, self.slot_index)
         else:
             station.window_start = self.slot_index
-            station.tx_slot = self.slot_index + station.counter
+            station.tx_slot = self.slot_index + station.protocol.slot - 1
 
     def _plan(self, st: Station, start: int) -> None:
         """Book a DCF station's next transmission, counted from ``start``."""
-        self._tx_due.setdefault(start + st.counter, []).append(st)
+        self._tx_due.setdefault(start + st.protocol.counter, []).append(st)
 
     def step(self) -> None:
         self.run(until_slot=self.slot_index + 1)
@@ -368,12 +360,9 @@ class Simulator:
                     transmitters[0].deliver(packets, clock)
                 for st in transmitters:
                     if st.is_dcf:
-                        counter, dropped = st.protocol.on_transmission(
-                            kind == _SUCCESS, st.rng
-                        )
+                        _, dropped = st.protocol.on_transmission(kind == _SUCCESS, st.rng)
                         if dropped:
                             st.drop_head(clock)
-                        st.counter = counter
                         self._plan(st, s + 1)
             if s == end:
                 if self._close_windows(sched, s, before) and not watching:

@@ -15,7 +15,7 @@ Every row of the chain comes from one count, ``_jump_outcomes``: the number
 of ways some stations land on some empty slots, by collision multiset.  The
 start row places all N stations on the C slots; a collision state's row
 combines who stays in each collision slot (``_stay_outcomes``) with how the
-jumpers land on the idle slots (``_transition_coeffs``).  The gamma-free
+jumpers land on the idle slots (``_jump_probs``).  The gamma-free
 coefficients are laid out as arrays once per (C, N) by ``_chain_layout``, so
 each stay probability costs one vectorised polynomial evaluation
 (``build_chain``).  The closed-form sum over which collision slots keep some
@@ -181,30 +181,6 @@ def _jump_probs(movers: int, n_idle: int) -> tuple:
     return tuple((parts, ways / denom) for parts, ways in _jump_outcomes(movers, n_idle))
 
 
-def _transition_coeffs(
-    parts: tuple[int, ...], n_idle: int
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, float], ...]], ...]:
-    """gamma-free transition coefficients out of a collision pattern.
-
-    For each reachable next pattern (``()`` meaning absorption) returns pairs
-    ``(stay_total, coefficient)`` such that the transition probability is
-    ``sum(coeff * gamma**stay * (1 - gamma)**(movers) )`` with
-    ``movers = colliding - stay``.  Depends only on the occupancy multiset and
-    the number of idle slots.  Not cached: ``_chain_layout`` keeps the result
-    as arrays, and caching the tuples as well raised the peak memory of a
-    cold C = N = 20 build from about 115 MB to 375 MB.
-    """
-    acc: dict[tuple[int, ...], dict[int, float]] = {}
-    for kept, stay, w in _stay_outcomes(parts):
-        for jump_parts, jump_prob in _jump_probs(sum(parts) - stay, n_idle):
-            nxt = tuple(sorted(kept + jump_parts))
-            per_b = acc.setdefault(nxt, {})
-            per_b[stay] = per_b.get(stay, 0.0) + w * jump_prob
-    return tuple(
-        (nxt, tuple(sorted(per_b.items()))) for nxt, per_b in sorted(acc.items())
-    )
-
-
 @lru_cache(maxsize=None)
 def _formula_coeffs(
     k_parts: tuple[int, ...], l_parts: tuple[int, ...], n_idle: int
@@ -292,10 +268,6 @@ class ChainModel:
     def transient_size(self) -> int:
         return 1 + len(self.states)
 
-    def block(self, n_colliding: int) -> np.ndarray:
-        lo, hi = self.block_ranges[n_colliding]
-        return self.pi[lo:hi, lo:hi]
-
 
 @dataclass(frozen=True)
 class _ChainLayout:
@@ -343,13 +315,19 @@ def _chain_layout(schedule_len: int, n_stations: int) -> _ChainLayout:
     for parts, ways in _jump_outcomes(n_stations, schedule_len):
         coef[0, 0, index[parts]] = ways / starts
     coef[0, absorb, absorb] = 1.0
+    # a collision row: who stays in each collision slot, then how the rest
+    # land on the idle slots; each entry adds its terms in this loop order,
+    # and pi depends on that order to the last bit
     for row, state in enumerate(states, start=1):
         colliding[row] = state.colliding_stations
         n_idle = state.idle_slots(schedule_len, n_stations)
-        for nxt, coeffs in _transition_coeffs(state.parts, n_idle):
-            col = index[nxt]
-            for stay, c in coeffs:
-                coef[stay, row, col] = c
+        acc: dict[tuple[int, tuple[int, ...]], float] = {}
+        for kept, stay, w in _stay_outcomes(state.parts):
+            for jump_parts, jump_prob in _jump_probs(state.colliding_stations - stay, n_idle):
+                key = (stay, tuple(sorted(kept + jump_parts)))
+                acc[key] = acc.get(key, 0.0) + w * jump_prob
+        for (stay, nxt), c in acc.items():
+            coef[stay, row, index[nxt]] = c
     colliding.setflags(write=False)
     coef.setflags(write=False)  # shared by every later build of this (C, N)
     return _ChainLayout(states, block_ranges, colliding, coef)
@@ -363,7 +341,7 @@ def build_chain(schedule_len: int, n_stations: int, gamma: float) -> ChainModel:
     once per (C, N) by ``_chain_layout``.  Rows failing to sum to one within
     1e-12 raise.  The closed form (``transition_prob_formula``) is not used
     here; it is the tests' independent oracle for the diagonal blocks.  A
-    cold build at C = N = 20 takes about 5 s with a peak of about 125 MB on
+    cold build at C = N = 20 takes about 3.3 s with a peak of about 120 MB on
     a 2-CPU x86-64 machine; later builds with the same (C, N) cost
     milliseconds.
     """
@@ -439,28 +417,3 @@ def mean_convergence(chain: ChainModel) -> float:
     q = chain.pi[:t, :t]
     visits = np.linalg.solve(np.eye(t) - q, np.ones(t))
     return float(visits[0])
-
-
-def lmac_bound(beta: float, schedule_len: int, n_stations: int):
-    """Two-schedule convergence probability bound for the learning protocol.
-
-    Returns ``K`` such that from any state the chance of reaching a
-    collision-free schedule within two schedules is at least ``K``, plus the
-    implied geometric tail ``n -> (1 - K)**n`` bounding the probability that
-    convergence takes at least ``2 n`` schedules.  Very loose, but positive.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must be in (0, 1)")
-    if schedule_len < 2:
-        raise ValueError("need at least 2 slots")
-    if not 1 <= n_stations <= schedule_len:
-        raise ValueError("need 1 <= N <= C")
-    c1 = schedule_len - 1
-    k = ((1.0 - beta) / c1) ** n_stations * (beta * (1.0 - beta) / c1) ** n_stations
-    if k <= 0.0:
-        raise AssertionError("bound must be positive")
-
-    def tail(n: int) -> float:
-        return (1.0 - k) ** n
-
-    return k, tail

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import ClassVar
 
 
 class SlotKind(IntEnum):
@@ -24,30 +25,27 @@ class SlotKind(IntEnum):
 
 @dataclass(frozen=True)
 class PhyParams:
-    """Channel timing constants.
+    """Channel timing for one payload size on the paper's 802.11b channel.
 
     Rates are bits per second, header/payload sizes bytes, times microseconds.
-    Defaults mirror an 11 Mbps 802.11b setup with a 1020-byte payload; the
-    experiment harness typically overrides ``payload_bytes`` to 1000.
+    The rates, headers and interframe times are the fixed 11 Mbps 802.11b
+    constants; only the payload varies: 1020 bytes in the analytic table,
+    1000 in the simulation experiments.
     """
 
-    data_rate: float = 11e6
-    basic_rate: float = 11e6
-    phy_header_bytes: int = 24
-    mac_header_bytes: int = 32
+    data_rate: ClassVar[float] = 11e6
+    basic_rate: ClassVar[float] = 11e6
+    phy_header_bytes: ClassVar[int] = 24
+    mac_header_bytes: ClassVar[int] = 32
+    sifs_us: ClassVar[float] = 10.0
+    difs_us: ClassVar[float] = 50.0
+    sigma_us: ClassVar[float] = 20.0
+
     payload_bytes: int = 1020
-    sifs_us: float = 10.0
-    difs_us: float = 50.0
-    sigma_us: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.data_rate <= 0 or self.basic_rate <= 0:
-            raise ValueError("rates must be positive")
         if self.payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
-        for name in ("sifs_us", "difs_us", "sigma_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
     def _us(self, bits: float, rate: float) -> float:
         return bits / rate * 1e6

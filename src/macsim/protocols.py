@@ -24,19 +24,6 @@ CW_MIN, CW_MAX, RETRY_LIMIT = 32, 1024, 7
 DEFAULT_BETA = 0.95
 
 
-def backoff_from_slots(current_slot: int, next_slot: int, schedule_len: int) -> int:
-    """Backoff counter, in MAC slots, between transmissions in consecutive schedules.
-
-    Equals ``schedule_len`` exactly when the station keeps its slot.
-    """
-    c = schedule_len
-    if not 1 <= current_slot <= c:
-        raise ValueError(f"current_slot {current_slot} outside 1..{c}")
-    if not 1 <= next_slot <= c:
-        raise ValueError(f"next_slot {next_slot} outside 1..{c}")
-    return c - current_slot + next_slot
-
-
 def _uniform_slot(schedule_len: int, rng: np.random.Generator) -> int:
     return int(rng.integers(1, schedule_len + 1))
 
@@ -115,14 +102,6 @@ class Zc(ScheduleProtocol):
                 self.slot = int(idle_positions[pick - 1])
         return self.slot
 
-    def failure_distribution(self, idle_positions: Sequence[int]) -> dict[int, float]:
-        """Exact next-slot distribution after a failure (for instrumentation)."""
-        n_idle = len(idle_positions)
-        dist = {self.slot: 1.0 / (n_idle + 1)}
-        for pos in idle_positions:
-            dist[int(pos)] = dist.get(int(pos), 0.0) + 1.0 / (n_idle + 1)
-        return dist
-
 
 class Lzc(ScheduleProtocol):
     """Jump-to-idle with a tunable stay probability after a failure.
@@ -147,15 +126,6 @@ class Lzc(ScheduleProtocol):
             if n_idle > 0 and rng.random() >= self.gamma:
                 self.slot = int(idle_positions[int(rng.integers(0, n_idle))])
         return self.slot
-
-    def failure_distribution(self, idle_positions: Sequence[int]) -> dict[int, float]:
-        n_idle = len(idle_positions)
-        if n_idle == 0:
-            return {self.slot: 1.0}
-        dist = {self.slot: self.gamma}
-        for pos in idle_positions:
-            dist[int(pos)] = dist.get(int(pos), 0.0) + (1.0 - self.gamma) / n_idle
-        return dist
 
 
 def sample_slot(p: Sequence[float], rng: np.random.Generator) -> int:

@@ -60,7 +60,6 @@ def _make_station(
         lambda_pps=cfg.lambda_pps,
         buffer_packets=cfg.buffer,
         adapter=adapter,
-        txop_base=None if adapter is None else cfg.b,
         start_time_us=start_time_us,
     )
 

@@ -153,7 +153,7 @@ def converge_sweep(cfg: SimConfig, reps: int | None = None) -> ScenarioReport:
     rows = _grid(cfg.seed, points, reps, _converged(cfg.phy))
 
     def theory(group) -> list:
-        if sweep == "gamma" and cfg.n <= cfg.c <= markov.MAX_STATIONS:
+        if sweep == "gamma" and cfg.n <= min(cfg.c, markov.MAX_STATIONS):
             return [markov.mean_convergence(markov.build_chain(cfg.c, cfg.n, group[1]))]
         return [None]
 

@@ -9,26 +9,7 @@ occupancy count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .phy import PhyParams
-
-
-@dataclass(frozen=True)
-class SchedulePartition:
-    """Split of a schedule into successful, colliding and idle slots."""
-
-    n_success: float
-    n_collision: float
-    n_idle: float
-
-    def __post_init__(self) -> None:
-        if min(self.n_success, self.n_collision, self.n_idle) < 0:
-            raise ValueError("slot counts must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return self.n_success + self.n_collision + self.n_idle
 
 
 def throughput_underloaded(n_stations: int, schedule_len: int, phy: PhyParams) -> float:
@@ -56,18 +37,12 @@ def expected_collision_slots(n_stations: int, schedule_len: int) -> float:
     return c * (1.0 - (1.0 - 1.0 / c) ** (n_stations - c))
 
 
-def overloaded_partition(n_stations: int, schedule_len: int) -> SchedulePartition:
-    n_coll = expected_collision_slots(n_stations, schedule_len)
-    return SchedulePartition(
-        n_success=schedule_len - n_coll, n_collision=n_coll, n_idle=0.0
-    )
-
-
 def throughput_overloaded(n_stations: int, schedule_len: int, phy: PhyParams) -> float:
     """Normalised throughput estimate for an oversubscribed schedule (N > C)."""
-    part = overloaded_partition(n_stations, schedule_len)
-    return (part.n_success * phy.payload_us) / (
-        part.n_success * phy.t_success + part.n_collision * phy.t_collision
+    n_coll = expected_collision_slots(n_stations, schedule_len)
+    n_success = schedule_len - n_coll
+    return (n_success * phy.payload_us) / (
+        n_success * phy.t_success + n_coll * phy.t_collision
     )
 
 

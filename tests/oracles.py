@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from macsim.engine import Event, Trace
+from macsim.markov import ChainModel
 from macsim.phy import PhyParams, SlotKind
-from macsim.protocols import ScheduleProtocol
+from macsim.protocols import Lzc, ScheduleProtocol, Zc
 from macsim.schedulesim import DEFAULT_SCHEDULE_CAP
 
 
@@ -171,3 +172,67 @@ def updated_probabilities(
     out += share
     out[slot - 1] -= share
     return out
+
+
+def backoff_from_slots(current_slot: int, next_slot: int, schedule_len: int) -> int:
+    """Backoff counter, in MAC slots, between transmissions in consecutive schedules.
+
+    Equals ``schedule_len`` exactly when the station keeps its slot.
+    """
+    c = schedule_len
+    if not 1 <= current_slot <= c:
+        raise ValueError(f"current_slot {current_slot} outside 1..{c}")
+    if not 1 <= next_slot <= c:
+        raise ValueError(f"next_slot {next_slot} outside 1..{c}")
+    return c - current_slot + next_slot
+
+
+def zc_failure_distribution(proto: Zc, idle_positions: list[int]) -> dict[int, float]:
+    """Exact next-slot distribution of a ZC station after a failure."""
+    n_idle = len(idle_positions)
+    dist = {proto.slot: 1.0 / (n_idle + 1)}
+    for pos in idle_positions:
+        dist[int(pos)] = dist.get(int(pos), 0.0) + 1.0 / (n_idle + 1)
+    return dist
+
+
+def lzc_failure_distribution(proto: Lzc, idle_positions: list[int]) -> dict[int, float]:
+    """Exact next-slot distribution of an L-ZC station after a failure."""
+    n_idle = len(idle_positions)
+    if n_idle == 0:
+        return {proto.slot: 1.0}
+    dist = {proto.slot: proto.gamma}
+    for pos in idle_positions:
+        dist[int(pos)] = dist.get(int(pos), 0.0) + (1.0 - proto.gamma) / n_idle
+    return dist
+
+
+def chain_block(chain: ChainModel, n_colliding: int) -> np.ndarray:
+    """The chain's diagonal block of states with ``n_colliding`` colliding stations."""
+    lo, hi = chain.block_ranges[n_colliding]
+    return chain.pi[lo:hi, lo:hi]
+
+
+def lmac_bound(beta: float, schedule_len: int, n_stations: int):
+    """Two-schedule convergence probability bound for the learning protocol.
+
+    Returns ``K`` such that from any state the chance of reaching a
+    collision-free schedule within two schedules is at least ``K``, plus the
+    implied geometric tail ``n -> (1 - K)**n`` bounding the probability that
+    convergence takes at least ``2 n`` schedules.  Very loose, but positive.
+    """
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must be in (0, 1)")
+    if schedule_len < 2:
+        raise ValueError("need at least 2 slots")
+    if not 1 <= n_stations <= schedule_len:
+        raise ValueError("need 1 <= N <= C")
+    c1 = schedule_len - 1
+    k = ((1.0 - beta) / c1) ** n_stations * (beta * (1.0 - beta) / c1) ** n_stations
+    if k <= 0.0:
+        raise AssertionError("bound must be positive")
+
+    def tail(n: int) -> float:
+        return (1.0 - k) ** n
+
+    return k, tail

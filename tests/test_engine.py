@@ -11,10 +11,10 @@ from macsim.adaptation import AlmacAdapter, AlzcAdapter
 from macsim.config import MAX_LAMBDA_PPS, PROTOCOLS, SimConfig, derive_seed
 from macsim.engine import Simulator, Station, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
-from macsim.protocols import Dcf, Lmac, Lzc, backoff_from_slots, init_protocol
+from macsim.protocols import Dcf, Lmac, Lzc, init_protocol
 from macsim.runner import default_f_table, run_simulation
 from macsim import metrics
-from oracles import transmitters_of
+from oracles import backoff_from_slots, transmitters_of
 
 
 def rng(seed):
@@ -43,8 +43,6 @@ def test_two_ready_stations_collide():
         Station(1, pinned_lzc(4, 1, 1), rng(11)),
         Station(2, pinned_lzc(4, 1, 2), rng(12)),
     ]
-    for st in sts:
-        st.counter = 0
     sim = make_sim(sts)
     sim.step()
     assert sim.trace.kinds == [SlotKind.COLLISION]
@@ -54,7 +52,6 @@ def test_two_ready_stations_collide():
 
 def test_single_ready_station_succeeds():
     sts = [Station(1, pinned_lzc(4, 1, 3), rng(13))]
-    sts[0].counter = 0
     sim = make_sim(sts)
     sim.step()
     assert sim.trace.kinds == [SlotKind.SUCCESS]
@@ -64,8 +61,7 @@ def test_single_ready_station_succeeds():
 
 
 def test_no_ready_station_idles():
-    sts = [Station(1, pinned_lzc(4, 2, 4), rng(14))]
-    sts[0].counter = 3
+    sts = [Station(1, pinned_lzc(4, 4, 4), rng(14))]
     sim = make_sim(sts)
     sim.step()
     assert sim.trace.kinds == [SlotKind.IDLE]
@@ -74,7 +70,6 @@ def test_no_ready_station_idles():
 
 def test_error_rate_one_turns_success_into_error():
     sts = [Station(1, pinned_lzc(4, 1, 5), rng(15))]
-    sts[0].counter = 0
     sim = make_sim(sts, error_rate=1.0, channel_rng=rng(16))
     sim.step()
     assert sim.trace.kinds == [SlotKind.ERROR]
@@ -290,8 +285,7 @@ def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none"):
             adapter = AlzcAdapter(c, 16 * c)
         elif adaptation == "almac":
             adapter = AlmacAdapter(c, default_f_table(), 1, 16 * c)
-        stations.append(Station(sid, proto, station_rng, adapter=adapter,
-                                txop_base=None if adapter is None else c))
+        stations.append(Station(sid, proto, station_rng, adapter=adapter))
     channel_rng = rng(derive_seed(seed, "channel")) if error_rate else None
     return Simulator(stations, TABLE_PHY, error_rate=error_rate, channel_rng=channel_rng)
 
@@ -307,7 +301,7 @@ def sim_state(sim, sids=None):
         "slot": sim.slot_index,
         "channel": sim.channel_rng and sim.channel_rng.bit_generator.state,
         "stations": [
-            (st.delivered, st.schedule_index, st.counter, st.window_len,
+            (st.delivered, st.schedule_index, st.window_len,
              st.window_start, st.tx_slot, st.txop_m, st.in_probe,
              st.protocol.slot,
              list(getattr(st.protocol, "p", ())),
@@ -499,8 +493,8 @@ def test_dcf_saturated_run_is_sane():
 
 def test_dcf_idle_wait_until_arrival():
     dcf = Dcf(rng(32))
+    dcf.counter = 0
     st = Station(0, dcf, rng(33), saturated=False, lambda_pps=0.0)
-    st.counter = 0
     sim = make_sim([st])
     sim.run(until_slot=sim.slot_index + 5)
     assert all(k == int(SlotKind.IDLE) for k in sim.trace.kinds)

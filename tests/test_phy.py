@@ -1,5 +1,7 @@
 """Slot timing: values derived by hand from the 11 Mbps parameter set."""
 
+import dataclasses
+
 import pytest
 
 from macsim.phy import EXPERIMENT_PHY, TABLE_PHY, PhyParams
@@ -58,8 +60,11 @@ def test_experiment_payload_values():
 
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
-        PhyParams(data_rate=0)
-    with pytest.raises(ValueError):
         PhyParams(payload_bytes=0)
-    with pytest.raises(ValueError):
-        PhyParams(sifs_us=-1)
+
+
+def test_payload_is_the_only_setting():
+    # the 802.11b rates, headers and interframe times are fixed constants
+    assert [f.name for f in dataclasses.fields(PhyParams)] == ["payload_bytes"]
+    with pytest.raises(TypeError):
+        PhyParams(sifs_us=10.0)

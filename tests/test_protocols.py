@@ -10,7 +10,6 @@ from macsim.protocols import (
     Lmac,
     Lzc,
     Zc,
-    backoff_from_slots,
     init_protocol,
     sample_slot,
     updated_probabilities,
@@ -25,9 +24,9 @@ def rng(seed=1):
 
 
 def test_backoff_from_slots_values():
-    assert backoff_from_slots(3, 5, 8) == 10
-    assert backoff_from_slots(5, 5, 8) == 8  # keeping the slot costs one schedule
-    assert backoff_from_slots(16, 1, 16) == 1
+    assert oracles.backoff_from_slots(3, 5, 8) == 10
+    assert oracles.backoff_from_slots(5, 5, 8) == 8  # keeping the slot costs one schedule
+    assert oracles.backoff_from_slots(16, 1, 16) == 1
 
 
 def test_backoff_from_slots_range():
@@ -36,14 +35,14 @@ def test_backoff_from_slots_range():
         c = int(r.integers(1, 40))
         s0 = int(r.integers(1, c + 1))
         s1 = int(r.integers(1, c + 1))
-        assert 1 <= backoff_from_slots(s0, s1, c) <= 2 * c - 1
+        assert 1 <= oracles.backoff_from_slots(s0, s1, c) <= 2 * c - 1
 
 
 def test_backoff_from_slots_rejects_out_of_range():
     with pytest.raises(ValueError):
-        backoff_from_slots(0, 1, 8)
+        oracles.backoff_from_slots(0, 1, 8)
     with pytest.raises(ValueError):
-        backoff_from_slots(1, 9, 8)
+        oracles.backoff_from_slots(1, 9, 8)
 
 
 # --- learning update -------------------------------------------------------
@@ -206,7 +205,7 @@ def test_lzc_success_keeps_slot():
 def test_lzc_failure_distribution_exact_and_empirical():
     proto = Lzc(16, 0.5, rng(13))
     proto.slot = 2
-    dist = proto.failure_distribution([4, 7])
+    dist = oracles.lzc_failure_distribution(proto, [4, 7])
     assert dist == {2: 0.5, 4: 0.25, 7: 0.25}
     r = rng(14)
     n = 100_000
@@ -222,17 +221,17 @@ def test_lzc_failure_no_idle_stays():
     proto = Lzc(16, 0.5, rng(15))
     proto.slot = 9
     assert proto.on_schedule_end(False, [], rng(16)) == 9
-    assert proto.failure_distribution([]) == {9: 1.0}
+    assert oracles.lzc_failure_distribution(proto, []) == {9: 1.0}
 
 
 def test_zc_failure_uniform_over_candidates():
     proto = Zc(16, rng(17))
     proto.slot = 5
-    dist = proto.failure_distribution([1, 2, 3])
+    dist = oracles.zc_failure_distribution(proto, [1, 2, 3])
     assert dist == pytest.approx({5: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
     proto2 = Zc(16, rng(18))
     proto2.slot = 4
-    assert proto2.failure_distribution([]) == {4: 1.0}
+    assert oracles.zc_failure_distribution(proto2, []) == {4: 1.0}
     assert proto2.on_schedule_end(True, [], rng(19)) == 4
 
 
@@ -244,8 +243,8 @@ def test_zc_equals_lzc_with_matched_stay_probability():
         zc.slot = 1
         lzc = Lzc(16, 1.0 / (n_idle + 1), rng(21))
         lzc.slot = 1
-        dz = zc.failure_distribution(idle)
-        dl = lzc.failure_distribution(idle)
+        dz = oracles.zc_failure_distribution(zc, idle)
+        dl = oracles.lzc_failure_distribution(lzc, idle)
         assert set(dz) == set(dl)
         for k in dz:
             assert dz[k] == pytest.approx(dl[k], abs=1e-12)

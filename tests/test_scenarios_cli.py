@@ -47,6 +47,19 @@ def test_converge_sweep_rows_and_theory():
         assert by_value[value][-1] == pytest.approx(markov.mean_convergence(chain))
 
 
+def test_converge_sweep_theory_is_bounded_by_stations_not_slots():
+    # the chain caps N alone, so 24 slots keep their theory value
+    theory = {}
+    for n in (6, markov.MAX_STATIONS + 1):
+        cfg = SimConfig(protocol="lzc", n=n, c=24, sweep="gamma", sweep_values=(0.3,),
+                        seed=5)
+        [summary] = converge_sweep(cfg, reps=1).summary_rows
+        theory[n] = summary[-1]
+    chain = markov.build_chain(24, 6, 0.3)
+    assert theory[6] == pytest.approx(markov.mean_convergence(chain))
+    assert theory[markov.MAX_STATIONS + 1] is None
+
+
 def test_censored_groups_are_left_out(tmp_path, monkeypatch):
     # six stations never share four slots, so every capped run is censored
     monkeypatch.setattr(schedulesim, "converge",
@@ -179,6 +192,20 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         main(["sim", "--config", cfg, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "beta" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_f_table_with_f_below_one(tmp_path, capsys):
+    # f counts schedules to a checkpoint; at f <= 0 every window would be one
+    table = tmp_path / "zero.csv"
+    table.write_text("schedule_len,f,ci_low,ci_high\n16,0,0,0\n32,-3,0,0\n")
+    with pytest.raises(ValueError, match="f >= 1"):
+        FTable.load_csv(table)
+    cfg = write_config(tmp_path, "protocol = lmac\nn = 4\nb = 16\nadaptation = almac\n"
+                       f"f_table = {table}\nhorizon_slots = 200\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "f_table" in capsys.readouterr().err
 
 
 def test_cli_delay_vs_n_almac_rows_use_the_configured_f_table(tmp_path):

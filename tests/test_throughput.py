@@ -7,10 +7,8 @@ import pytest
 
 from macsim.phy import TABLE_PHY
 from macsim.throughput import (
-    SchedulePartition,
     expected_collision_slots,
     model_throughput,
-    overloaded_partition,
     throughput_overloaded,
     throughput_underloaded,
 )
@@ -100,11 +98,3 @@ def test_model_values_normalised():
     for n in list(range(1, 17)) + list(range(17, 40)):
         s = model_throughput(n, 16, TABLE_PHY)
         assert 0.0 < s < 1.0
-
-
-def test_partition_consistency():
-    part = overloaded_partition(20, 16)
-    assert part.total == pytest.approx(16.0)
-    assert part.n_collision == pytest.approx(ECOLL_20_16)
-    with pytest.raises(ValueError):
-        SchedulePartition(-1, 0, 1)
