@@ -234,13 +234,22 @@ class FTable:
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "FTable":
+        """Read a saved table; a repeated length, an f below 1 or an f outside
+        its bounds ``[ci_low, ci_high]`` raises ``ValueError``."""
         entries = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 c, f = int(row["schedule_len"]), int(row["f"])
+                low, high = int(row["ci_low"]), int(row["ci_high"])
+                if c in entries:
+                    raise ValueError(f"schedule length {c} has more than one row")
                 if f < 1:
                     raise ValueError(f"schedule length {c} needs f >= 1, got {f}")
-                entries[c] = FEntry(c, f, int(row["ci_low"]), int(row["ci_high"]))
+                if not low <= f <= high:
+                    raise ValueError(
+                        f"schedule length {c} has f = {f} outside [{low}, {high}]"
+                    )
+                entries[c] = FEntry(c, f, low, high)
         return cls(entries)
 
 

@@ -174,12 +174,11 @@ class Station:
         events: list[Event],
         next_start: int,
     ) -> None:
-        """Log the finished window, update the slot choice and start the next
-        window at slot ``next_start``."""
+        """Log the finished window with the slot held in it, update the slot
+        choice and start the next window at slot ``next_start``.  A probe
+        holds ``proto.slot`` wrapped into its shorter window."""
         proto: ScheduleProtocol = self.protocol
-        held_slot = proto.slot
-        if self.in_probe:
-            held_slot = (held_slot - 1) % self.window_len + 1
+        held_slot = self.tx_slot - self.window_start + 1
         events.append(
             (self.sid, self.schedule_index, held_slot, "success" if success else "failure")
         )
@@ -360,8 +359,7 @@ class Simulator:
                     transmitters[0].deliver(packets, clock)
                 for st in transmitters:
                     if st.is_dcf:
-                        _, dropped = st.protocol.on_transmission(kind == _SUCCESS, st.rng)
-                        if dropped:
+                        if st.protocol.on_transmission(kind == _SUCCESS, st.rng):
                             st.drop_head(clock)
                         self._plan(st, s + 1)
             if s == end:

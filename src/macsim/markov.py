@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -96,14 +96,6 @@ def _validate_context(state: CollisionState, schedule_len: int, n_stations: int)
     state.idle_slots(schedule_len, n_stations)
 
 
-def _falling(n: int, k: int) -> int:
-    """Falling factorial n! / (n - k)!."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def _multiset_perms(parts: tuple[int, ...]) -> int:
     """Permutations of the sequence that leave the multiset unchanged."""
     out = 1
@@ -169,7 +161,7 @@ def _jump_outcomes(movers: int, n_idle: int) -> tuple:
         station_ways = factorial(movers)
         for c in lam:
             station_ways //= factorial(c)
-        slot_ways = _falling(n_idle, len(lam)) // _multiset_perms(lam)
+        slot_ways = perm(n_idle, len(lam)) // _multiset_perms(lam)
         out.append((tuple(p for p in lam if p >= 2), station_ways * slot_ways))
     return tuple(out)
 
@@ -211,7 +203,7 @@ def _formula_coeffs(
                 jump_ways = factorial(movers)
                 for c in fresh:
                     jump_ways //= factorial(c)
-                placement = _falling(n_idle, len(fresh))
+                placement = perm(n_idle, len(fresh))
                 coeff = stay_weight * jump_ways * placement / sym
                 if movers:
                     coeff /= n_idle**movers
@@ -257,16 +249,9 @@ class ChainModel:
     makes the transient part of the matrix block upper triangular.
     """
 
-    schedule_len: int
-    n_stations: int
-    gamma: float
     states: tuple[CollisionState, ...]
     pi: np.ndarray
     block_ranges: dict[int, tuple[int, int]]
-
-    @property
-    def transient_size(self) -> int:
-        return 1 + len(self.states)
 
 
 @dataclass(frozen=True)
@@ -365,9 +350,6 @@ def build_chain(schedule_len: int, n_stations: int, gamma: float) -> ChainModel:
     if worst > 1e-12:
         raise AssertionError(f"transition rows deviate from 1 by {worst:.3e}")
     return ChainModel(
-        schedule_len=schedule_len,
-        n_stations=n_stations,
-        gamma=gamma,
         states=layout.states,
         pi=pi,
         block_ranges=dict(layout.block_ranges),
@@ -413,7 +395,7 @@ def mean_convergence(chain: ChainModel) -> float:
     from the uniform start state; the very first schedule counts as one, so
     a single station, which collides with nobody, yields 1.
     """
-    t = chain.transient_size
+    t = 1 + len(chain.states)  # the start state and the collision states
     q = chain.pi[:t, :t]
     visits = np.linalg.solve(np.eye(t) - q, np.ones(t))
     return float(visits[0])

@@ -35,10 +35,6 @@ class ScheduleProtocol:
     #: Whether ``on_schedule_end`` reads ``idle_positions``.  A rule that sets
     #: this False may be handed an empty sequence instead of the idle slots.
     reads_idle_positions = True
-    #: Whether a reported success can change the rule's state.  A rule that
-    #: sets this False keeps its slot and state and draws nothing on success,
-    #: so it need only hear of its failures.
-    learns_from_success = True
 
     def __init__(self, schedule_len: int, rng: np.random.Generator):
         if schedule_len < 1:
@@ -51,13 +47,13 @@ class ScheduleProtocol:
     ) -> int:
         """Take one schedule's feedback and return the slot for the next one.
 
-        Contract: a success reported right after a reported success changes
-        nothing (not the slot, not the state, and it draws nothing), so the
-        schedule-synchronous kernel updates only the stations that failed in
-        the schedule just played or in the one before.  The kernel builds the
+        Contract: a success keeps the slot and draws nothing, and a success
+        reported right after a reported success changes nothing, not the
+        state either.  So the schedule-synchronous kernel updates only the
+        stations that failed in the schedule just played or in the one
+        before, the latter with the success that followed.  It builds the
         idle positions only when some station's class sets
-        ``reads_idle_positions``, and reports a success at all only when some
-        station's class sets ``learns_from_success``.
+        ``reads_idle_positions``.
         """
         raise NotImplementedError
 
@@ -79,7 +75,6 @@ class Lbeb(ScheduleProtocol):
 
     kind = "lbeb"
     reads_idle_positions = False
-    learns_from_success = False
 
     def on_schedule_end(self, success, idle_positions, rng):
         if not success:
@@ -92,7 +87,6 @@ class Zc(ScheduleProtocol):
     the slots that were idle in the schedule just completed."""
 
     kind = "zc"
-    learns_from_success = False
 
     def on_schedule_end(self, success, idle_positions, rng):
         if not success:
@@ -112,7 +106,6 @@ class Lzc(ScheduleProtocol):
     """
 
     kind = "lzc"
-    learns_from_success = False
 
     def __init__(self, schedule_len, gamma: float, rng):
         if not 0.0 < gamma < 1.0:
@@ -199,10 +192,9 @@ class Lmac(ScheduleProtocol):
     def resize(self, new_len: int) -> None:
         if new_len < 2:
             raise ValueError("learning update needs at least 2 slots")
-        self.schedule_len = new_len
+        super().resize(new_len)
         self.p = [1.0 / new_len] * new_len
         self.settled = False
-        self.slot = (self.slot - 1) % new_len + 1
 
 
 class Dcf:
@@ -220,10 +212,9 @@ class Dcf:
         self.retries = 0
         self.counter = int(rng.integers(0, self.cw))
 
-    def on_transmission(
-        self, success: bool, rng: np.random.Generator
-    ) -> tuple[int, bool]:
-        """Update state after a transmission; returns (new counter, dropped)."""
+    def on_transmission(self, success: bool, rng: np.random.Generator) -> bool:
+        """Update state after a transmission and redraw ``counter``; returns
+        whether the retry limit dropped the packet."""
         dropped = False
         if success:
             self.cw = CW_MIN
@@ -237,7 +228,7 @@ class Dcf:
             else:
                 self.cw = min(2 * self.cw, CW_MAX)
         self.counter = int(rng.integers(0, self.cw))
-        return self.counter, dropped
+        return dropped
 
 
 def init_protocol(

@@ -11,11 +11,10 @@ failed in it or in the one before, and ``converge`` censors a run with more
 stations than slots without playing it.  The one choice by rule is where a
 failed station's next slot comes from: in a run whose stations are all
 L-BEB it is the next value of a block of uniform draws, with no protocol
-call, and in any other run it is ``on_schedule_end``.  There, per-schedule
-work that no rule reads is skipped: the idle slots are listed only when
-some station's class sets ``reads_idle_positions`` (ZC, L-ZC), and a
-success after a failure is reported only when some station's class sets
-``learns_from_success`` (L-MAC).
+call, and in any other run it is ``on_schedule_end``.  There, a success
+that follows a failure is reported to every rule, though only L-MAC learns
+from it, and the idle slots are listed only when some station's class sets
+``reads_idle_positions`` (ZC, L-ZC).
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ def _play(
     station order, the next values of blocks of ``integers(1, c + 1,
     size=LBEB_BLOCK)``, which numpy fills with the values that many single
     draws return, and no protocol is called.  In other runs they call
-    ``on_schedule_end``; idle positions are built, and successes reported,
-    only when some station's class reads them (``reads_idle_positions``,
-    ``learns_from_success``).  The stations' slots are written back when
-    the run ends, at convergence or at the cap.
+    ``on_schedule_end``, after the stations that succeed right after a
+    failure have reported that success; idle positions are built only when
+    some station's class sets ``reads_idle_positions``.  The stations'
+    slots are written back when the run ends, at convergence or at the cap.
     """
     c = protocols[0].schedule_len
     if any(p.schedule_len != c for p in protocols):
@@ -83,7 +82,6 @@ def _play(
     n = len(protocols)
     lbeb_only = all(type(p) is Lbeb for p in protocols)
     read_idle = any(p.reads_idle_positions for p in protocols)
-    report_success = any(p.learns_from_success for p in protocols)
     if phy is not None:
         t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
     slots = [p.slot for p in protocols]
@@ -113,10 +111,9 @@ def _play(
             pos = end
             continue
         idle = [j for j in range(1, c + 1) if occupancy[j] == 0] if read_idle else ()
-        if report_success:
-            for i in last_failed:
-                if occupancy[slots[i]] == 1:
-                    protocols[i].on_schedule_end(True, idle, rng)
+        for i in last_failed:
+            if occupancy[slots[i]] == 1:
+                protocols[i].on_schedule_end(True, idle, rng)
         for i in failed:
             occupancy[slots[i]] -= 1
             slots[i] = protocols[i].on_schedule_end(False, idle, rng)

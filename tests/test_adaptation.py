@@ -15,6 +15,7 @@ from macsim.adaptation import (
     run_ap_announced,
     txop_packets,
 )
+from macsim.cli import main
 from macsim.config import SimConfig
 from macsim.phy import SlotKind
 from macsim.runner import default_f_table, run_simulation
@@ -170,16 +171,40 @@ def test_f_table_roundtrip(tmp_path):
         loaded.lookup(128)
 
 
+F_TABLE_FAULTS = {
+    "repeated_length": ("16,32,30,34\n32,65,60,68\n16,40,38,42\n", "more than one row"),
+    "f_outside_bounds": ("16,32,30,34\n32,70,60,68\n", "outside"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(F_TABLE_FAULTS))
+def test_f_table_rejects_a_faulty_row(tmp_path, capsys, fault):
+    rows, message = F_TABLE_FAULTS[fault]
+    path = tmp_path / "f.csv"
+    path.write_text("schedule_len,f,ci_low,ci_high\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        FTable.load_csv(path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("protocol = lmac\nn = 4\nb = 16\nadaptation = almac\n"
+                   f"f_table = {path}\nhorizon_slots = 200\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "f_table" in capsys.readouterr().err
+
+
 def test_build_f_table_trivial_length():
     table = build_f_table([2], reps=1000, seed=3)
     assert table.lookup(2) == 1  # a single station never collides
 
 
-def test_build_f_table_monotone_small():
+def test_build_f_table_monotone_small(tmp_path):
     table = build_f_table([4, 8], reps=1000, seed=4)
     assert table.lookup(8) > table.lookup(4) >= 1
     entry = table.entries[0]
     assert entry.ci_low <= entry.schedules_needed <= entry.ci_high
+    table.save_csv(tmp_path / "f.csv")
+    assert FTable.load_csv(tmp_path / "f.csv").entries == table.entries
 
 
 def test_build_f_table_rejects_thin_sampling():

@@ -638,16 +638,20 @@ def _slot_violations(tr, phy, sids):
     return bad
 
 
-def ledger_violations(result):
+def ledger_violations(result, windows=None):
     """Everything the stations, the trace and the event log disagree on.
 
     * every slot's kind, transmitter, packets, colliders and duration agree
       with each other;
     * each station delivered exactly the packets the trace credits to it;
-    * on fixed-length runs each schedule station logged one event per window
-      it completed, transmitted only at its logged slots (at every one of
-      them when saturated), and logged a success exactly when that slot was
-      idle or held its own success.
+    * each schedule station logged one event per window it completed, each
+      window starting where the one before ended, transmitted only at its
+      logged slots (at every one of them when saturated), and logged a
+      success exactly when that slot was idle or held its own success.
+
+    Fixed-length windows follow from the config.  An adaptive run's windows
+    vary, so they are passed in as ``windows``: each station's completed
+    windows as (start, length), read from ``run_recording_windows``.
     """
     cfg = result.config
     tr = result.trace
@@ -667,9 +671,8 @@ def ledger_violations(result):
             bad.append(f"station {st.sid} delivered {st.delivered}, "
                        f"trace credits {credited[st.sid]}")
 
-    if cfg.adaptation != "none":
-        return bad
-    length = cfg.c
+    if windows is None and cfg.adaptation != "none":
+        raise ValueError("an adaptive run's ledger needs its windows")
     logged: dict[int, list] = {sid: [] for sid in sids}
     for ev in result.events:
         logged[ev[0]].append(ev)
@@ -679,14 +682,22 @@ def ledger_violations(result):
                 bad.append(f"DCF station {st.sid} logged schedule events")
             continue
         start = 0 if st.sid < cfg.n else result.join_slot
+        if windows is None:
+            own_windows = [(w, cfg.c) for w in range(start, len(tr.kinds) - cfg.c + 1, cfg.c)]
+        else:
+            own_windows = windows.get(st.sid, [])
+        ends = [start] + [w + length for w, length in own_windows]
+        if [w for w, _ in own_windows] != ends[:-1]:
+            bad.append(f"station {st.sid}: windows {own_windows[:5]} are not contiguous")
         evs = logged[st.sid]
-        if len(evs) != (len(tr.kinds) - start) // length:
-            bad.append(f"station {st.sid}: {len(evs)} events for "
-                       f"{(len(tr.kinds) - start) // length} windows")
+        if len(evs) != len(own_windows):
+            bad.append(f"station {st.sid}: {len(evs)} events for {len(own_windows)} windows")
         own_slots = set()
-        for k, ev in enumerate(evs):
+        for k, (ev, (window_start, length)) in enumerate(zip(evs, own_windows)):
             _, index, chosen_slot, outcome = ev
-            slot = start + k * length + chosen_slot - 1
+            if not 1 <= chosen_slot <= length:
+                bad.append(f"station {st.sid} window {k}: slot {chosen_slot} of {length}")
+            slot = window_start + chosen_slot - 1
             own_slots.add(slot)
             kind = tr.kinds[slot]
             won = kind == SlotKind.IDLE or (
@@ -694,11 +705,46 @@ def ledger_violations(result):
             )
             if index != k or outcome != ("success" if won else "failure"):
                 bad.append(f"station {st.sid} window {k}: logged {ev}, slot kind {kind}")
-        closed = start + len(evs) * length
+        closed = ends[-1]
         sent = {i for i in sent_at[st.sid] if i < closed}
         if not sent <= own_slots or (cfg.traffic == "saturated" and sent != own_slots):
             bad.append(f"station {st.sid} sent in {sorted(sent ^ own_slots)[:5]}")
     return bad
+
+
+def run_recording_windows(cfg, monkeypatch):
+    """``run_simulation(cfg)`` and each station's completed windows as
+    (start, length, probe), read from every ``Station.close_window`` call."""
+    windows: dict[int, list] = {}
+    close_window = Station.close_window
+
+    def recorded(st, *args):
+        windows.setdefault(st.sid, []).append((st.window_start, st.window_len, st.in_probe))
+        return close_window(st, *args)
+
+    monkeypatch.setattr(Station, "close_window", recorded)
+    return run_simulation(cfg), windows
+
+
+ADAPTIVE_CASES = {  # the golden alzc and almac configs, on other seeds too
+    "alzc": dict(protocol="lzc", n=10, b=4, adaptation="alzc", horizon_slots=1500),
+    "almac": dict(protocol="lmac", n=20, b=16, adaptation="almac", probe_period=1,
+                  horizon_slots=4000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADAPTIVE_CASES))
+@pytest.mark.parametrize("seed", [17, 18, 101, 102])
+def test_ledger_holds_on_adaptive_runs(case, seed, monkeypatch):
+    cfg = SimConfig(c=None, seed=seed, **ADAPTIVE_CASES[case])
+    res, windows = run_recording_windows(cfg, monkeypatch)
+    assert ledger_violations(
+        res, {sid: [(w, length) for w, length, _ in ws] for sid, ws in windows.items()}
+    ) == []
+    lengths = {length for ws in windows.values() for _, length, _ in ws}
+    probes = sum(probe for ws in windows.values() for _, _, probe in ws)
+    assert len(lengths) > 1  # the adapters moved the windows
+    assert (probes > 0) == (case == "almac")
 
 
 @hst.composite

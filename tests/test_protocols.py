@@ -273,9 +273,9 @@ def test_dcf_window_evolution():
     # seven retries: doubling up to the cap, then the eighth drops and resets
     expect = [64, 128, 256, 512, 1024, 1024, 1024]
     for want in expect:
-        _, dropped = dcf.on_transmission(False, r)
+        dropped = dcf.on_transmission(False, r)
         assert dcf.cw == want and not dropped
-    _, dropped = dcf.on_transmission(False, r)
+    dropped = dcf.on_transmission(False, r)
     assert dropped and dcf.cw == 32
     dcf.on_transmission(False, r)
     assert dcf.cw == 64
@@ -288,9 +288,9 @@ def test_dcf_retry_limit_drops():
     dcf = Dcf(r)
     dropped = False
     for _ in range(7):
-        _, dropped = dcf.on_transmission(False, r)
+        dropped = dcf.on_transmission(False, r)
         assert not dropped
-    _, dropped = dcf.on_transmission(False, r)
+    dropped = dcf.on_transmission(False, r)
     assert dropped
     assert dcf.cw == 32 and dcf.retries == 0
 
@@ -299,8 +299,8 @@ def test_dcf_counter_in_window():
     r = rng(27)
     dcf = Dcf(r)
     for _ in range(200):
-        counter, _ = dcf.on_transmission(bool(r.integers(0, 2)), r)
-        assert 0 <= counter < dcf.cw
+        dcf.on_transmission(bool(r.integers(0, 2)), r)
+        assert 0 <= dcf.counter < dcf.cw
 
 
 # --- factory ---------------------------------------------------------------
@@ -382,6 +382,24 @@ def test_success_after_a_reported_success_changes_nothing(kind):
     assert r.bit_generator.state == state
     if kind == "lmac":
         assert np.array_equal(proto.p, p) and proto.settled and settled
+
+
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
+def test_success_after_a_failure_keeps_the_slot_and_draws_nothing(kind):
+    # the schedule-synchronous kernel reports this success to every rule; a
+    # rule that drew here would change every later draw of a mixed run
+    r = rng(22)
+    proto = init_protocol(kind, 8, r, beta=0.9, gamma=0.5)
+    for _ in range(5):
+        proto.on_schedule_end(False, [2, 5], r)
+        slot, before, state = proto.slot, dict(vars(proto)), r.bit_generator.state
+        assert proto.on_schedule_end(True, [2, 5], r) == slot
+        assert proto.slot == slot
+        assert r.bit_generator.state == state
+        if kind == "lmac":
+            assert proto.p[slot - 1] == 1.0 and proto.settled
+        else:
+            assert vars(proto) == before  # only L-MAC learns from a success
 
 
 @pytest.mark.parametrize("c,beta", [(2, 0.5), (2, 0.99), (8, 0.9)])
