@@ -14,6 +14,9 @@ Per-station lengths are kept at ``base * 2**k`` so any two schedules divide
 evenly and relative phases cannot drift.  A station running ``m`` times the
 base length sends ``m`` packets per transmission so long-run goodput stays
 uniform across stations.
+
+The per-station rules keep only their own counters: a station passes its
+committed length and whether its last window was a probe to ``plan_next``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import csv
 import functools
 import importlib.resources
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,9 +106,9 @@ class AlzcAdapter:
     """Doubling/halving driven directly by observed idle slots.
 
     Doubles when the window had no idle slot left; halves (never below the
-    base) when at least half the window was idle and the two most recent
-    windows agreed on their busy count, which avoids shrinking while the
-    slot assignment is still churning.
+    base) when at least half the window was idle and the last two windows
+    since the length changed agreed on their busy count, which avoids
+    shrinking while the slot assignment is still churning.
     """
 
     def __init__(self, base_len: int, max_len: int):
@@ -114,28 +116,22 @@ class AlzcAdapter:
             raise ValueError("base length must be at least 1")
         self.base_len = base_len
         self.max_len = max_len
-        self.current_len = base_len
-        self._busy_history: deque[int] = deque(maxlen=2)
+        self._last_busy: int | None = None
 
     def plan_next(
-        self, idle_count: int, saw_collision: bool, own_success: bool
+        self, c: int, probed: bool, idle_count: int, saw_collision: bool, own_success: bool
     ) -> tuple[int, bool]:
-        """Length of the next window after one of ``current_len`` slots, and
-        whether it is a probe (never, here)."""
-        c = self.current_len
-        self._busy_history.append(c - idle_count)
+        """Length of the next window after one of the committed ``c`` slots,
+        and whether it is a probe (never, here)."""
+        busy, last = c - idle_count, self._last_busy
+        self._last_busy = busy
         if idle_count == 0 and c * 2 <= self.max_len:
-            self.current_len = c * 2
-            self._busy_history.clear()
-        elif (
-            idle_count >= c // 2
-            and len(self._busy_history) == 2
-            and self._busy_history[0] == self._busy_history[1]
-            and c // 2 >= self.base_len
-        ):
-            self.current_len = c // 2
-            self._busy_history.clear()
-        return self.current_len, False
+            self._last_busy = None
+            return c * 2, False
+        if idle_count >= c // 2 and busy == last and c // 2 >= self.base_len:
+            self._last_busy = None
+            return c // 2, False
+        return c, False
 
 
 class AlmacAdapter:
@@ -160,42 +156,36 @@ class AlmacAdapter:
         self.f_table = f_table
         self.probe_period = probe_period
         self.max_len = max_len
-        self.current_len = base_len
         self._since_check = 0
         self._clean_checkpoints = 0
-        self._probe_origin: int | None = None
 
     def plan_next(
-        self, idle_count: int, saw_collision: bool, own_success: bool
+        self, c: int, probed: bool, idle_count: int, saw_collision: bool, own_success: bool
     ) -> tuple[int, bool]:
-        """Length of the next window and whether it is a probe.  A window
-        planned as a probe is judged by ``own_success`` alone."""
-        origin = self._probe_origin
-        if origin is not None:
-            self.current_len = origin // 2 if own_success else origin
-            self._probe_origin = None
+        """Length of the next window after one at the committed length ``c``
+        (half of it when ``probed``), and whether it is a probe.  A probe
+        window is judged by ``own_success`` alone."""
+        if probed:
             self._since_check = 0
             self._clean_checkpoints = 0
-            return self.current_len, False
+            return (c // 2 if own_success else c), False
 
-        c = self.current_len
         self._since_check += 1
         if self._since_check >= self.f_table.lookup(c):
             self._since_check = 0
             if saw_collision:
                 grown = c * 2
                 if grown <= self.max_len and self.f_table.covers(grown):
-                    self.current_len = grown
                     self._clean_checkpoints = 0
+                    return grown, False
             else:
                 self._clean_checkpoints += 1
                 if (
                     self._clean_checkpoints % self.probe_period == 0
                     and c // 2 >= self.base_len
                 ):
-                    self._probe_origin = c
                     return c // 2, True
-        return self.current_len, False
+        return c, False
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ ADAPTATIONS = ("none", "alzc", "almac")
 #: an arrival gap falls below the resolution of the simulated clock.
 MAX_LAMBDA_PPS = 10**6
 
-#: Base length of the almac rows ``delay-vs-n`` adds to a config's runs.
+#: Base length of the adaptive rows a scenario adds: the almac rows of
+#: ``delay-vs-n`` and every row of ``adaptive_throughput_vs_n``.
 SCENARIO_BASE_LEN = 16
 
 

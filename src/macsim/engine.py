@@ -80,7 +80,11 @@ class Station:
     transmission.  A schedule station's current window starts at slot
     ``window_start`` and it transmits in slot ``tx_slot`` of the run; with
     an adapter each transmission carries ``txop_packets(window_len,
-    adapter.base_len)`` packets.
+    adapter.base_len)`` packets.  The committed length is
+    ``protocol.schedule_len`` and ``in_probe`` marks a half-length probe
+    window; the adapter holds neither.  ``window_len`` and ``txop_m`` are
+    plain attributes, set when a window closes, because the segment
+    builder and the lean slot path read them every segment and every slot.
     """
 
     def __init__(
@@ -189,7 +193,7 @@ class Station:
         probe = False
         if self.adapter is not None:
             next_len, probe = self.adapter.plan_next(
-                len(idle_positions), saw_collision, success
+                proto.schedule_len, self.in_probe, len(idle_positions), saw_collision, success
             )
             if not probe and next_len != proto.schedule_len:
                 proto.resize(next_len)
@@ -197,13 +201,10 @@ class Station:
                 self.window_len = next_len
                 self.txop_m = txop_packets(next_len, self.adapter.base_len)
 
-        effective_slot = proto.slot
-        if probe:
-            effective_slot = (effective_slot - 1) % self.window_len + 1
         self.in_probe = probe
         self.schedule_index += 1
         self.window_start = next_start
-        self.tx_slot = next_start + effective_slot - 1
+        self.tx_slot = next_start + (proto.slot - 1) % self.window_len
 
 
 class Simulator:
@@ -403,8 +404,8 @@ class Simulator:
         order, each read back from the trace.
 
         Returns True when the window is absorbed: the channel is error-free,
-        every station is a saturated schedule station without adapter or
-        probe, all of them end this window from one shared start, and every
+        every station is a saturated schedule station without adapter,
+        all of them end this window from one shared start, and every
         one succeeded.  The next window then repeats this one exactly.
         """
         ending = [st for st in sched if st.window_start + st.window_len - 1 == s]
@@ -428,9 +429,7 @@ class Simulator:
             success = own_kind == _IDLE or (
                 own_kind == _SUCCESS and tr.tx_station[own] == st.sid
             )
-            absorbed = absorbed and (
-                success and st.saturated and st.adapter is None and not st.in_probe
-            )
+            absorbed = absorbed and success and st.saturated and st.adapter is None
             st.close_window(success, view[0], view[1], self.events, s + 1)
         return absorbed and len(seen) == 1
 

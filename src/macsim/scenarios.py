@@ -380,7 +380,8 @@ def _convergence_vs_load(base: SimConfig, reps: int) -> ScenarioReport:
 def _adaptive_throughput(base: SimConfig, reps: int) -> ScenarioReport:
     points = [
         ((label, n), ("adapt", label, n),
-         _point(base, protocol=protocol, adaptation=adaptation, b=16, c=None, n=n))
+         _point(base, protocol=protocol, adaptation=adaptation, b=SCENARIO_BASE_LEN,
+                c=None, n=n))
         for label, protocol, adaptation in (
             ("alzc", "lzc", "alzc"), ("azc", "zc", "alzc"), ("almac", "lmac", "almac"))
         for n in (8, 16, 24, 32)

@@ -7,8 +7,8 @@ saturated stations on a clean channel and runs orders of magnitude faster
 than the slot-stepped engine, which it complements for convergence studies.
 A run draws from one generator, its stations in station order.  One loop,
 ``_play``, plays every rule; a schedule updates only the stations that
-failed in it or in the one before, and ``converge`` censors a run with more
-stations than slots without playing it.  The one choice by rule is where a
+failed in it or in the one before, and a run with more stations than slots
+is censored without playing it.  The one choice by rule is where a
 failed station's next slot comes from: in a run whose stations are all
 L-BEB it is the next value of a block of uniform draws, with no protocol
 call, and in any other run it is ``on_schedule_end``.  There, a success
@@ -63,7 +63,8 @@ def _play(
 
     Stations draw from ``rng`` in station order.  Returns the schedule count
     through the first collision-free schedule (None when ``cap`` schedules
-    pass first) and, with ``phy``, the seconds of the schedules before it.
+    pass first, or at once when there are more stations than slots) and,
+    with ``phy``, the seconds of the schedules before it.
     ``visit(slots, occupancy)`` sees each of those schedules; ``occupancy[j]``
     counts the stations in slot j.  Only stations that failed in a schedule
     or the one before it are updated, the first schedule counting as one
@@ -80,6 +81,8 @@ def _play(
     if any(p.schedule_len != c for p in protocols):
         raise ValueError("stations must share one schedule length")
     n = len(protocols)
+    if n > c:
+        cap = 0  # more stations than slots never converge: censor at once
     lbeb_only = all(type(p) is Lbeb for p in protocols)
     read_idle = any(p.reads_idle_positions for p in protocols)
     if phy is not None:
@@ -136,8 +139,6 @@ def converge(
     Stations share one schedule length and draw from ``rng``, the run's one
     generator.  Timing is accumulated only when ``phy`` is given.
     """
-    if len(protocols) > protocols[0].schedule_len:
-        cap = 0  # more stations than slots never converge: censor at once
     k, seconds = _play(protocols, rng, cap, phy)
     return ConvergenceRun(k, None if k is None or phy is None else seconds)
 
@@ -150,8 +151,9 @@ def success_sequence_until_converged(
     """Station ids of successful slots, in slot order, before convergence.
 
     Stations are numbered 1..N in list order.  Returns the sequence together
-    with the convergence schedule count (``None`` when the cap was hit, in
-    which case the sequence covers the whole capped run).
+    with the convergence schedule count: ``None`` when the cap was hit, the
+    sequence then covering the whole capped run, or at once, with an empty
+    sequence, when there are more stations than slots.
     """
     seq: list[int] = []
 

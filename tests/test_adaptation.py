@@ -67,49 +67,48 @@ def test_txop_packets_values():
 CAP = 16 * 2**10
 
 
-def plan(ad, idle, coll=False, own=True):
-    """``ad``'s plan after a window of its current length with ``idle`` idle slots."""
-    return ad.plan_next(idle, coll, own)
+def plan(ad, c, idle, coll=False, own=True, probed=False):
+    """``ad``'s plan after a window at the committed length ``c`` (half of it
+    when ``probed``) with ``idle`` idle slots."""
+    return ad.plan_next(c, probed, idle, coll, own)
 
 
 def test_alzc_doubles_when_full():
     ad = AlzcAdapter(16, CAP)
-    assert plan(ad, idle=0) == (32, False)
+    assert plan(ad, 16, idle=0) == (32, False)
 
 
 def test_alzc_halves_only_after_stable_busy_count():
     ad = AlzcAdapter(16, CAP)
-    ad.current_len = 32
     # one quiet window (16 busy) is not enough
-    assert plan(ad, idle=16) == (32, False)
+    assert plan(ad, 32, idle=16) == (32, False)
     # a second with the same busy count triggers the halving
-    assert plan(ad, idle=16) == (16, False)
+    assert plan(ad, 32, idle=16) == (16, False)
 
 
 def test_alzc_halving_needs_equal_busy_counts():
     ad = AlzcAdapter(16, CAP)
-    ad.current_len = 32
-    assert plan(ad, idle=16) == (32, False)  # 16 busy
-    assert plan(ad, idle=17) == (32, False)  # 15 busy: still churning
-    assert plan(ad, idle=17) == (16, False)
+    assert plan(ad, 32, idle=16) == (32, False)  # 16 busy
+    assert plan(ad, 32, idle=17) == (32, False)  # 15 busy: still churning
+    assert plan(ad, 32, idle=17) == (16, False)
 
 
 def test_alzc_ignores_moderate_idle():
     ad = AlzcAdapter(16, CAP)
-    assert plan(ad, idle=4) == (16, False)
-    assert plan(ad, idle=4) == (16, False)
+    assert plan(ad, 16, idle=4) == (16, False)
+    assert plan(ad, 16, idle=4) == (16, False)
 
 
 def test_alzc_floors_at_base():
     ad = AlzcAdapter(16, CAP)
-    assert plan(ad, idle=9) == (16, False)
-    assert plan(ad, idle=9) == (16, False)
+    assert plan(ad, 16, idle=9) == (16, False)
+    assert plan(ad, 16, idle=9) == (16, False)
 
 
 def test_alzc_respects_cap():
     ad = AlzcAdapter(16, max_len=32)
-    assert plan(ad, idle=0) == (32, False)
-    assert plan(ad, idle=0) == (32, False)
+    assert plan(ad, 16, idle=0) == (32, False)
+    assert plan(ad, 32, idle=0) == (32, False)
 
 
 def stub_table(f=3):
@@ -118,38 +117,33 @@ def stub_table(f=3):
 
 def test_almac_checkpoint_doubles_on_collision():
     ad = AlmacAdapter(16, stub_table(f=3), 10, CAP)
-    assert plan(ad, idle=2, coll=True) == (16, False)
-    assert plan(ad, idle=2, coll=True) == (16, False)
+    assert plan(ad, 16, idle=2, coll=True) == (16, False)
+    assert plan(ad, 16, idle=2, coll=True) == (16, False)
     # third window is the checkpoint
-    assert plan(ad, idle=2, coll=True) == (32, False)
+    assert plan(ad, 16, idle=2, coll=True) == (32, False)
 
 
 def test_almac_clean_checkpoints_lead_to_probe_and_commit():
     ad = AlmacAdapter(16, stub_table(f=1), 3, CAP)
-    ad.current_len = 32
-    assert plan(ad, idle=16) == (32, False)
-    assert plan(ad, idle=16) == (32, False)
+    assert plan(ad, 32, idle=16) == (32, False)
+    assert plan(ad, 32, idle=16) == (32, False)
     # third clean checkpoint: probe at half length
-    nxt, probe = plan(ad, idle=16)
+    nxt, probe = plan(ad, 32, idle=16)
     assert (nxt, probe) == (16, True)
     # own transmission survived the probe: commit
-    assert plan(ad, idle=1, own=True) == (16, False)
-    assert ad.current_len == 16
+    assert plan(ad, 32, idle=1, own=True, probed=True) == (16, False)
 
 
 def test_almac_probe_failure_reverts():
     ad = AlmacAdapter(16, stub_table(f=1), 1, CAP)
-    ad.current_len = 32
-    nxt, probe = plan(ad, idle=20)
+    nxt, probe = plan(ad, 32, idle=20)
     assert (nxt, probe) == (16, True)
-    assert plan(ad, idle=0, own=False) == (32, False)
-    assert ad.current_len == 32
+    assert plan(ad, 32, idle=0, own=False, probed=True) == (32, False)
 
 
 def test_almac_stops_doubling_at_table_edge():
     ad = AlmacAdapter(16, stub_table(f=1), 100, CAP)
-    ad.current_len = 64
-    assert plan(ad, idle=0, coll=True) == (64, False)
+    assert plan(ad, 64, idle=0, coll=True) == (64, False)
 
 
 def test_almac_requires_covered_base():

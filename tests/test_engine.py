@@ -714,12 +714,15 @@ def ledger_violations(result, windows=None):
 
 def run_recording_windows(cfg, monkeypatch):
     """``run_simulation(cfg)`` and each station's completed windows as
-    (start, length, probe), read from every ``Station.close_window`` call."""
+    (start, length, probe, committed length), read from every
+    ``Station.close_window`` call."""
     windows: dict[int, list] = {}
     close_window = Station.close_window
 
     def recorded(st, *args):
-        windows.setdefault(st.sid, []).append((st.window_start, st.window_len, st.in_probe))
+        windows.setdefault(st.sid, []).append(
+            (st.window_start, st.window_len, st.in_probe, st.protocol.schedule_len)
+        )
         return close_window(st, *args)
 
     monkeypatch.setattr(Station, "close_window", recorded)
@@ -739,10 +742,15 @@ def test_ledger_holds_on_adaptive_runs(case, seed, monkeypatch):
     cfg = SimConfig(c=None, seed=seed, **ADAPTIVE_CASES[case])
     res, windows = run_recording_windows(cfg, monkeypatch)
     assert ledger_violations(
-        res, {sid: [(w, length) for w, length, _ in ws] for sid, ws in windows.items()}
+        res, {sid: [(w, length) for w, length, _, _ in ws] for sid, ws in windows.items()}
     ) == []
-    lengths = {length for ws in windows.values() for _, length, _ in ws}
-    probes = sum(probe for ws in windows.values() for _, _, probe in ws)
+    # the station holds the one committed length; a probe runs at half of it
+    assert [
+        (sid, k, w) for sid, ws in windows.items() for k, w in enumerate(ws)
+        if w[1] != (w[3] // 2 if w[2] else w[3])
+    ] == []
+    lengths = {length for ws in windows.values() for _, length, _, _ in ws}
+    probes = sum(probe for ws in windows.values() for _, _, probe, _ in ws)
     assert len(lengths) > 1  # the adapters moved the windows
     assert (probes > 0) == (case == "almac")
 

@@ -133,17 +133,20 @@ def test_kernel_matches_updating_every_station(kind, n, c, cap):
         ref, ref_rng = stations(kind, n, c, seed)
         k, seconds, seq = play_every_station(ref, [ref_rng] * n, cap, phy=TABLE_PHY)
         run_protos, run_rng = stations(kind, n, c, seed)
+        start = [p.slot for p in run_protos]
         run = converge(run_protos, run_rng, cap=cap, phy=TABLE_PHY)
         seq_protos, seq_rng = stations(kind, n, c, seed)
         got_seq, got_k = success_sequence_until_converged(seq_protos, seq_rng, cap=cap)
         assert (run.schedules, got_k) == (k, k)
         assert run.seconds_before == seconds
-        assert got_seq == seq
-        final = [p.slot for p in ref]
+        if n > c:  # censored at once: nothing played, no slot moved
+            assert k is None and got_seq == []
+            final = start
+        else:
+            assert k is not None and got_seq == seq
+            final = [p.slot for p in ref]
+        assert [p.slot for p in run_protos] == final
         assert [p.slot for p in seq_protos] == final
-        if n <= c:
-            assert k is not None
-            assert [p.slot for p in run_protos] == final
 
 
 #: (N, C) points of the layout oracle below, N = 1 among them, and its runs a side.
@@ -207,9 +210,12 @@ def test_more_stations_than_slots_are_censored_without_a_schedule(kind, monkeypa
         return update(self, *args)
 
     monkeypatch.setattr(cls, "on_schedule_end", counted)
+    state = rng.bit_generator.state
     # default cap: playing the run would spend all 10**6 schedules for nothing
     assert converge(protos, rng, phy=TABLE_PHY) == ConvergenceRun(None, None)
+    assert success_sequence_until_converged(protos, rng) == ([], None)
     assert calls == []
+    assert rng.bit_generator.state == state  # no draw either, L-BEB blocks included
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 16, 17, 1000])
