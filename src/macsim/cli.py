@@ -73,7 +73,10 @@ def _cmd_scenario(args) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
+        bounds = text.split(":")
+        if len(bounds) != 3:
+            raise ValueError(f"grid {text} is not lo:hi:step")
+        lo, hi, step = (float(v) for v in bounds)
         if not step > 0:
             raise ValueError(f"grid step must be positive, got {step}")
         values = []

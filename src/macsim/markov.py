@@ -11,16 +11,17 @@ number of colliding stations never increases, so the transition matrix is
 block upper triangular and its subdominant eigenvalue is the largest
 dominant eigenvalue over the diagonal blocks.
 
-Every row of the chain comes from one count, ``_jump_outcomes``: the number
-of ways some stations land on some empty slots, by collision multiset.  The
+Every row of the chain comes from one count, ``_placements``: the number
+of ways some stations land on some empty slots, by occupancy partition.  The
 start row places all N stations on the C slots; a collision state's row
-combines who stays in each collision slot (``_stay_outcomes``) with how the
-jumpers land on the idle slots (``_jump_probs``).  The gamma-free
-coefficients are laid out as arrays once per (C, N) by ``_chain_layout``, so
-each stay probability costs one vectorised polynomial evaluation
-(``build_chain``).  The closed-form sum over which collision slots keep some
-of their occupants (``transition_prob_formula``) is an independent
-derivation of the diagonal blocks, kept as the tests' oracle.
+combines who stays in each collision slot with how the jumpers land on the
+idle slots.  Each collision multiset is one integer code (``_part_places``)
+in which merging multisets adds codes, so ``_chain_layout`` finds a row's
+next states by array arithmetic and lays out the gamma-free coefficients
+once per (C, N); each stay probability then costs one vectorised polynomial
+evaluation (``build_chain``).  The closed-form sum over which collision
+slots keep some of their occupants (``transition_prob_formula``) is an
+independent derivation of the diagonal blocks, kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -104,32 +105,6 @@ def _multiset_perms(parts: tuple[int, ...]) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _stay_outcomes(parts: tuple[int, ...]) -> tuple:
-    """Joint distribution skeleton of how many occupants stay per collision slot.
-
-    Returns tuples ``(kept_parts, stay_total, weight)`` where ``kept_parts``
-    are the slots still holding >= 2 stations, ``stay_total`` counts every
-    staying station (including ones left alone, who become successful), and
-    ``weight`` is the product of binomial coefficients for choosing who stays.
-    The probability factors ``gamma**stay_total`` and the jump terms are
-    applied by the caller.
-    """
-    acc: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
-    for occupancy in parts:
-        nxt: dict[tuple[tuple[int, ...], int], int] = {}
-        for (kept, stay), w in acc.items():
-            for stays_here in range(occupancy + 1):
-                w2 = w * comb(occupancy, stays_here)
-                kept2 = (
-                    tuple(sorted(kept + (stays_here,))) if stays_here >= 2 else kept
-                )
-                key = (kept2, stay + stays_here)
-                nxt[key] = nxt.get(key, 0) + w2
-        acc = nxt
-    return tuple((kept, stay, w) for (kept, stay), w in acc.items())
-
-
 def _bounded_partitions(total: int, max_parts: int, smallest: int = 1):
     """Ascending partitions of ``total`` into at most ``max_parts`` parts."""
     if total == 0:
@@ -143,34 +118,43 @@ def _bounded_partitions(total: int, max_parts: int, smallest: int = 1):
 
 
 @lru_cache(maxsize=None)
-def _jump_outcomes(movers: int, n_idle: int) -> tuple:
-    """Placements of ``movers`` labelled stations on ``n_idle`` empty slots.
+def _placements(movers: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Occupancy partitions of ``movers`` labelled stations, with their counts.
 
-    Returns tuples ``(collision_parts, ways)``: of the ``n_idle**movers``
-    placements, ``ways`` leave the multiset ``collision_parts`` of
-    occupancies >= 2 (slots holding a single station become successful and
-    drop out).  Each multiset comes from exactly one occupancy partition,
-    since the number of singletons is ``movers - sum(collision_parts)``.
+    Returns tuples ``(lam, station_ways, symmetry)`` for every ascending
+    partition ``lam`` of ``movers``, in ``_bounded_partitions`` order:
+    ``station_ways`` splits the stations into groups of the sizes in ``lam``,
+    and ``symmetry`` counts the orderings of ``lam`` that leave it unchanged.
+    On ``n`` empty slots the groups land in
+    ``station_ways * perm(n, len(lam)) // symmetry`` ways; a group of one
+    station succeeds and drops out.  Each collision multiset comes from
+    exactly one partition, since its sum fixes the number of singletons.
     """
-    if movers == 0:
-        return (((), 1),)
-    if n_idle == 0:
-        raise ValueError("jumping stations need at least one idle slot")
     out = []
-    for lam in _bounded_partitions(movers, n_idle):
+    for lam in _bounded_partitions(movers, movers):
         station_ways = factorial(movers)
         for c in lam:
             station_ways //= factorial(c)
-        slot_ways = perm(n_idle, len(lam)) // _multiset_perms(lam)
-        out.append((tuple(p for p in lam if p >= 2), station_ways * slot_ways))
+        out.append((lam, station_ways, _multiset_perms(lam)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _jump_probs(movers: int, n_idle: int) -> tuple:
-    """``_jump_outcomes`` as probabilities ``ways / n_idle**movers``."""
-    denom = float(n_idle) ** movers
-    return tuple((parts, ways / denom) for parts, ways in _jump_outcomes(movers, n_idle))
+def _part_places(n_stations: int) -> list[int]:
+    """Place value of each part size ``0..N`` in a collision multiset's code.
+
+    A multiset's code is the sum of its parts' place values, so merging two
+    multisets adds their codes.  Sizes 0 and 1 are not collision slots and
+    weigh nothing; size ``p >= 2`` weighs ``prod(N // q + 1 for q in 2..p-1)``.
+    No multiset of at most N stations holds more than ``N // q`` parts of
+    size ``q``, so the code is a mixed-radix number with one digit per size
+    and distinct multisets get distinct codes (below 7.7e8 at N = 20).
+    """
+    places = [0, 0]
+    value = 1
+    for p in range(2, n_stations + 1):
+        places.append(value)
+        value *= n_stations // p + 1
+    return places
 
 
 @lru_cache(maxsize=None)
@@ -275,6 +259,11 @@ class _ChainLayout:
 def _chain_layout(schedule_len: int, n_stations: int) -> _ChainLayout:
     """Lay out the transition coefficients once per (C, N); see ``_ChainLayout``.
 
+    A collision row's terms are its stay outcomes in first-seen order, each
+    followed by the jump outcomes of its mover count; a term's next state is
+    the sum of the kept and the jump codes, and its coefficient the stay ways
+    times the jump probability.  One ``np.add.at`` per row sums every entry's
+    terms in that order from 0.0, and pi depends on that order to the last bit.
     Callers sweep gamma at a fixed (C, N), so a few entries suffice; one
     entry at C = N = 20 holds a 66 MB coefficient array.
     """
@@ -282,37 +271,88 @@ def _chain_layout(schedule_len: int, n_stations: int) -> _ChainLayout:
         g for g in (collision_states_for(k) for k in range(n_stations, 1, -1)) if g
     ]
     states: tuple[CollisionState, ...] = tuple(s for g in groups for s in g)
-    index = {s.parts: i + 1 for i, s in enumerate(states)}  # row 0 is the start
-    size = len(states) + 2
+    size = len(states) + 2  # row 0 is the start
     absorb = size - 1
-    index[()] = absorb
     block_ranges: dict[int, tuple[int, int]] = {}
     offset = 1
     for g in groups:
         block_ranges[g[0].colliding_stations] = (offset, offset + len(g))
         offset += len(g)
 
+    places = _part_places(n_stations)
+    # next-state columns by code: the absorbing state is the empty multiset
+    state_codes = np.array([sum(places[p] for p in s.parts) for s in states] + [0])
+    order = np.argsort(state_codes)
+    sorted_codes = state_codes[order]
+
+    def columns(next_codes):
+        return order[np.searchsorted(sorted_codes, next_codes)] + 1
+
+    lam_codes = [[sum(places[p] for p in lam) for lam, _, _ in _placements(movers)]
+                 for movers in range(n_stations + 1)]
+
+    def landings(movers: int, n_slots: int) -> tuple[list[int], list[int]]:
+        """Codes and exact counts of the ways ``movers`` stations land on
+        ``n_slots`` empty slots."""
+        fits = [(code, ways * perm(n_slots, len(lam)) // sym)
+                for code, (lam, ways, sym) in zip(lam_codes[movers], _placements(movers))
+                if len(lam) <= n_slots]
+        return [code for code, _ in fits], [ways for _, ways in fits]
+
+    @lru_cache(maxsize=None)
+    def jumps(n_idle: int) -> tuple[np.ndarray, ...]:
+        """Codes and probabilities of the jump outcomes onto ``n_idle`` slots,
+        every mover count's in one array, with each count's start and length."""
+        codes, probs, offsets, counts = [], [], [], []
+        for movers in range(n_stations + 1):
+            m_codes, m_ways = landings(movers, n_idle)
+            denom = float(n_idle) ** movers
+            offsets.append(len(codes))
+            counts.append(len(m_codes))
+            codes += m_codes
+            probs += [ways / denom for ways in m_ways]
+        return (np.array(codes, dtype=np.int64), np.array(probs),
+                np.array(offsets), np.array(counts))
+
+    @lru_cache(maxsize=None)
+    def stays(parts: tuple[int, ...]) -> dict[tuple[int, int], int]:
+        """Who stays in each collision slot, as ``{(kept code, stay count):
+        ways}`` in first-seen order; parts are ascending, so the outcomes of
+        ``parts`` extend those of its prefix."""
+        if not parts:
+            return {(0, 0): 1}
+        occupancy = parts[-1]
+        out: dict[tuple[int, int], int] = {}
+        for (kept, stay), w in stays(parts[:-1]).items():
+            for here in range(occupancy + 1):
+                key = (kept + places[here], stay + here)
+                out[key] = out.get(key, 0) + w * comb(occupancy, here)
+        return out
+
     colliding = np.zeros(size, dtype=np.int64)
     coef = np.zeros((n_stations + 1, size, size))
     # the start row: every station picks one of the C empty slots uniformly;
     # an exact count over the integer C**N rounds once
+    start_codes, start_ways = landings(n_stations, schedule_len)
     starts = schedule_len**n_stations
-    for parts, ways in _jump_outcomes(n_stations, schedule_len):
-        coef[0, 0, index[parts]] = ways / starts
+    coef[0, 0, columns(start_codes)] = [ways / starts for ways in start_ways]
     coef[0, absorb, absorb] = 1.0
-    # a collision row: who stays in each collision slot, then how the rest
-    # land on the idle slots; each entry adds its terms in this loop order,
-    # and pi depends on that order to the last bit
     for row, state in enumerate(states, start=1):
         colliding[row] = state.colliding_stations
-        n_idle = state.idle_slots(schedule_len, n_stations)
-        acc: dict[tuple[int, tuple[int, ...]], float] = {}
-        for kept, stay, w in _stay_outcomes(state.parts):
-            for jump_parts, jump_prob in _jump_probs(state.colliding_stations - stay, n_idle):
-                key = (stay, tuple(sorted(kept + jump_parts)))
-                acc[key] = acc.get(key, 0.0) + w * jump_prob
-        for (stay, nxt), c in acc.items():
-            coef[stay, row, index[nxt]] = c
+        jump_codes, jump_probs, jump_offsets, jump_counts = jumps(
+            state.idle_slots(schedule_len, n_stations))
+        outcomes = stays(state.parts)
+        kept, stay = np.array(list(outcomes), dtype=np.int64).T
+        ways = np.array(list(outcomes.values()), dtype=float)
+        movers = state.colliding_stations - stay
+        reps = jump_counts[movers]
+        # stay outcome i owns reps[i] consecutive terms, which read the jump
+        # outcomes of its mover count in table order
+        first = np.cumsum(reps) - reps
+        pick = np.arange(reps.sum()) + np.repeat(jump_offsets[movers] - first, reps)
+        nxt = columns(np.repeat(kept, reps) + jump_codes[pick])
+        terms = np.repeat(ways, reps) * jump_probs[pick]
+        np.add.at(coef[:, row], (np.repeat(stay, reps), nxt), terms)
     colliding.setflags(write=False)
     coef.setflags(write=False)  # shared by every later build of this (C, N)
     return _ChainLayout(states, block_ranges, colliding, coef)
@@ -326,8 +366,8 @@ def build_chain(schedule_len: int, n_stations: int, gamma: float) -> ChainModel:
     once per (C, N) by ``_chain_layout``.  Rows failing to sum to one within
     1e-12 raise.  The closed form (``transition_prob_formula``) is not used
     here; it is the tests' independent oracle for the diagonal blocks.  A
-    cold build at C = N = 20 takes about 3.3 s with a peak of about 120 MB on
-    a 2-CPU x86-64 machine; later builds with the same (C, N) cost
+    cold build at C = N = 20 takes about 0.35 s with a peak of about 110 MB
+    on a 2-CPU x86-64 machine; later builds with the same (C, N) cost
     milliseconds.
     """
     if n_stations > MAX_STATIONS:
@@ -382,9 +422,16 @@ def second_eigenvalue(chain: ChainModel) -> tuple[float, int]:
 
 def lambda_star_closed(schedule_len: int, n_stations: int, gamma: float) -> float:
     """Closed form of the subdominant eigenvalue, exact when the two-station
-    block dominates (observed throughout the tested grid)."""
+    block dominates (observed throughout the tested grid).
+
+    A single station has no collision state, so its chain has no two-station
+    block and no subdominant eigenvalue; like ``second_eigenvalue`` this
+    gives 0.0 there.
+    """
     if n_stations > schedule_len:
         raise ValueError("analysis requires N <= C")
+    if n_stations == 1:
+        return 0.0
     return gamma**2 + (1.0 - gamma) ** 2 / (schedule_len - n_stations + 1)
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from math import comb, factorial, perm
+
 import numpy as np
 
+from macsim import markov
 from macsim.engine import Event, Trace
 from macsim.markov import ChainModel
 from macsim.phy import PhyParams, SlotKind
@@ -211,6 +214,77 @@ def chain_block(chain: ChainModel, n_colliding: int) -> np.ndarray:
     """The chain's diagonal block of states with ``n_colliding`` colliding stations."""
     lo, hi = chain.block_ranges[n_colliding]
     return chain.pi[lo:hi, lo:hi]
+
+
+def stay_outcomes(parts: tuple[int, ...]) -> tuple:
+    """How many occupants stay per collision slot, as tuples
+    ``(kept_parts, stay_total, weight)`` in first-seen order.
+
+    ``kept_parts`` are the slots still holding >= 2 stations, ``stay_total``
+    counts every staying station (including ones left alone, who become
+    successful), and ``weight`` is the product of binomial coefficients for
+    choosing who stays.
+    """
+    acc: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    for occupancy in parts:
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        for (kept, stay), w in acc.items():
+            for stays_here in range(occupancy + 1):
+                kept2 = tuple(sorted(kept + (stays_here,))) if stays_here >= 2 else kept
+                key = (kept2, stay + stays_here)
+                nxt[key] = nxt.get(key, 0) + w * comb(occupancy, stays_here)
+        acc = nxt
+    return tuple((kept, stay, w) for (kept, stay), w in acc.items())
+
+
+def jump_outcomes(movers: int, n_idle: int) -> tuple:
+    """Placements of ``movers`` labelled stations on ``n_idle`` empty slots,
+    as tuples ``(collision_parts, ways)`` out of ``n_idle**movers``."""
+    out = []
+    for lam in markov._bounded_partitions(movers, n_idle):
+        station_ways = factorial(movers)
+        for c in lam:
+            station_ways //= factorial(c)
+        slot_ways = perm(n_idle, len(lam)) // markov._multiset_perms(lam)
+        out.append((tuple(p for p in lam if p >= 2), station_ways * slot_ways))
+    return tuple(out)
+
+
+def chain_layout_by_terms(schedule_len: int, n_stations: int) -> markov._ChainLayout:
+    """``markov._chain_layout`` one term at a time, each next state a sorted
+    tuple and each row's entries summed in a dict in the loop's order.
+
+    Oracle for the code-space layout, which must equal it byte for byte.
+    """
+    groups = [g for g in (markov.collision_states_for(k) for k in range(n_stations, 1, -1)) if g]
+    states = tuple(s for g in groups for s in g)
+    index = {s.parts: i + 1 for i, s in enumerate(states)}  # row 0 is the start
+    size = len(states) + 2
+    index[()] = size - 1
+    block_ranges = {}
+    offset = 1
+    for g in groups:
+        block_ranges[g[0].colliding_stations] = (offset, offset + len(g))
+        offset += len(g)
+    colliding = np.zeros(size, dtype=np.int64)
+    coef = np.zeros((n_stations + 1, size, size))
+    starts = schedule_len**n_stations
+    for parts, ways in jump_outcomes(n_stations, schedule_len):
+        coef[0, 0, index[parts]] = ways / starts
+    coef[0, -1, -1] = 1.0
+    for row, state in enumerate(states, start=1):
+        colliding[row] = state.colliding_stations
+        n_idle = state.idle_slots(schedule_len, n_stations)
+        acc: dict[tuple[int, tuple[int, ...]], float] = {}
+        for kept, stay, w in stay_outcomes(state.parts):
+            movers = state.colliding_stations - stay
+            denom = float(n_idle) ** movers
+            for jump_parts, ways in jump_outcomes(movers, n_idle):
+                key = (stay, tuple(sorted(kept + jump_parts)))
+                acc[key] = acc.get(key, 0.0) + w * (ways / denom)
+        for (stay, nxt), c in acc.items():
+            coef[stay, row, index[nxt]] = c
+    return markov._ChainLayout(states, block_ranges, colliding, coef)
 
 
 def lmac_bound(beta: float, schedule_len: int, n_stations: int):

@@ -22,7 +22,7 @@ from macsim.markov import (
 )
 from macsim.protocols import Lzc
 from macsim.schedulesim import converge
-from oracles import chain_block, lmac_bound
+from oracles import chain_block, chain_layout_by_terms, lmac_bound
 
 
 def S(*parts):
@@ -331,6 +331,36 @@ def test_chain_entries_pinned_to_the_bit(c, n, gamma):
     assert hashlib.sha256(pi.tobytes()).hexdigest() == PI_DIGESTS[c, n, gamma]
 
 
+def test_collision_codes_are_distinct_and_additive():
+    """Every multiset of at most N colliding stations gets its own int64 code,
+    and merging two multisets adds their codes."""
+    for n in range(1, markov.MAX_STATIONS + 1):
+        multisets = [()] + [s.parts for k in range(2, n + 1) for s in collision_states_for(k)]
+        places = markov._part_places(n)
+        codes = {parts: sum(places[p] for p in parts) for parts in multisets}
+        assert len(set(codes.values())) == len(multisets)
+        assert 0 <= max(codes.values()) < 2**63
+        for a in multisets:
+            for b in multisets:
+                if sum(a) + sum(b) <= n:
+                    assert codes[a] + codes[b] == codes[tuple(sorted(a + b))]
+
+
+LAYOUT_GRID = [(c, n) for c in range(2, 11) for n in range(2, c + 1)] + [(16, 14)]
+
+
+@pytest.mark.parametrize("c, n", LAYOUT_GRID)
+def test_layout_matches_term_by_term_oracle(c, n):
+    markov._chain_layout.cache_clear()
+    got = markov._chain_layout(c, n)
+    want = chain_layout_by_terms(c, n)
+    assert got.states == want.states
+    assert got.block_ranges == want.block_ranges
+    assert got.colliding.tobytes() == want.colliding.tobytes()
+    assert got.coef.shape == want.coef.shape
+    assert got.coef.tobytes() == want.coef.tobytes()
+
+
 @st.composite
 def chain_params(draw):
     schedule_len = draw(st.integers(2, 9))
@@ -367,11 +397,18 @@ def test_chain_properties(params):
         assert sums.min() - 1e-12 <= rho <= sums.max() + 1e-12
 
 
+#: sha256 of ``build_chain(20, 20, 0.5).pi.tobytes()`` as the term-by-term
+#: layout (``oracles.chain_layout_by_terms``) gives it.
+MAX_STATIONS_PI_DIGEST = "a51f9b95e1f8f44eff90b833f4eab26f8c694fc80b282faf0c8692014cd4e003"
+
+
 def test_build_chain_at_max_stations():
-    """C = N = MAX_STATIONS: 626 collision states, a cold build of about 3.3 s
-    and 120 MB peak memory on a 2-CPU x86-64 machine."""
+    """C = N = MAX_STATIONS: 626 collision states, a cold build of about
+    0.35 s and 110 MB peak memory on a 2-CPU x86-64 machine."""
     n = markov.MAX_STATIONS
-    lam, _ = second_eigenvalue(build_chain(n, n, 0.5))
+    chain = build_chain(n, n, 0.5)
+    assert hashlib.sha256(chain.pi.tobytes()).hexdigest() == MAX_STATIONS_PI_DIGEST
+    lam, _ = second_eigenvalue(chain)
     assert lam == pytest.approx(lambda_star_closed(n, n, 0.5), abs=1e-9)
 
 
@@ -405,6 +442,13 @@ def test_second_eigenvalue_matches_dense_solver():
 def test_lambda_star_closed_values():
     assert lambda_star_closed(16, 16, 0.5) == pytest.approx(0.5)
     assert lambda_star_closed(16, 14, 0.25) == pytest.approx(0.25)
+
+
+def test_lambda_star_closed_single_station():
+    # one station never collides: no two-station block, no subdominant root
+    for c in (1, 4, 16):
+        assert lambda_star_closed(c, 1, 0.5) == 0.0
+        assert second_eigenvalue(build_chain(c, 1, 0.5)) == (0.0, 0)
 
 
 def test_lambda_below_one():

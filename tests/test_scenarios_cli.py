@@ -356,6 +356,8 @@ def test_cli_markov_table(tmp_path):
     (["--n", "6", "--gamma", "1.5"], "gamma must be in (0, 1)"),
     (["--n", "6", "--gamma", "0.1:0.9:0"], "grid step must be positive, got 0.0"),
     (["--n", "6", "--gamma", "0.9:0.1:0.1"], "grid 0.9:0.1:0.1 is empty: lo exceeds hi"),
+    (["--n", "6", "--gamma", "0.1:0.9"], "grid 0.1:0.9 is not lo:hi:step"),
+    (["--n", "6", "--gamma", "0.1:0.5:0.1:0.2"], "grid 0.1:0.5:0.1:0.2 is not lo:hi:step"),
 ])
 def test_cli_markov_reports_value_errors(tmp_path, capsys, args, message):
     out = tmp_path / "markov.csv"
