@@ -17,11 +17,36 @@ were stepped every slot.  Simulated time is the sum of slot durations, added
 left to right, and nothing else.
 
 When every station is a saturated schedule station, each slot takes a lean
-path whose only draw is the channel's.  Once every station holds its own
-slot, the schedule repeats unchanged: a saturated schedule station that
-succeeds draws nothing and keeps its slot.  When such a window closes on an
-error-free channel and the caller is not watching for convergence, ``run``
-appends whole copies of it in one step.
+path whose only draw is the channel's.  Where no slot can hold a random
+draw or a decision, ``run`` appends whole spans in one step, byte for byte
+what stepping would write, and never past a slot or time bound:
+
+* Replay.  Once every saturated schedule station holds its own slot, the
+  schedule repeats unchanged: a station that succeeds draws nothing and
+  keeps its slot.  When such a window closes on an error-free channel, with
+  every station on one phase, no adapter and no convergence watch, whole
+  copies of it follow.
+* Quiet windows.  When every station is an unsaturated schedule station,
+  all windows start at the next slot with one shared length, none is a
+  probe and no station holds a packet, the next windows are all idle up to
+  the one whose last slot starts at or after the earliest next arrival.
+  Each station's protocol gets one success report, which is all that any
+  number of successes changes, and an adapter skips only the windows its
+  ``hold`` count allows.
+* DCF idle stretches.  In a run of DCF stations only, once a slot is idle
+  with some station waiting, the slots up to the next booked transmission
+  stay idle while no waiting station holds a packet or has one arrive.
+
+A watched run jumps only while the trailing window holds fewer successes
+than the watch needs; jumped slots add none, so the watch cannot fire inside
+a jump, and its counters are recounted after one.  The clock still adds one
+duration per slot.  Everything else is stepped: runs that mix DCF and
+schedule stations, saturated DCF runs (whose idle stretches are a few
+slots, each cheap to step), windows of stations on different phases or
+lengths, windows in which some station holds a packet, and saturated
+windows with collisions, errors (so every window at N > C) or adapters,
+although the adapters' ``hold`` count would let saturated adaptive windows
+replay too.
 """
 
 from __future__ import annotations
@@ -66,6 +91,13 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    def repeat(self, columns: tuple[list, list, list, list], times: int) -> None:
+        """Append ``times`` copies of the slots whose kinds, durations,
+        transmitters and packets are ``columns``."""
+        for column, slots in zip((self.kinds, self.durations, self.tx_station, self.packets),
+                                 columns):
+            column.extend(slots * times)
 
 
 #: One schedule of one station: (station, schedule_index, chosen_slot,
@@ -266,7 +298,8 @@ class Simulator:
         ``until_us`` of simulated time.  With ``watch_n`` set it also stops,
         returning True, once the last ``watch_len`` slots, all at or after
         ``watch_from``, hold exactly ``watch_n`` successes and no collision
-        or error.
+        or error.  After a window end, and in a run of DCF stations only
+        after an idle slot, it may jump ahead (module docstring).
         """
         phy, success_us = self.phy, self._success_us
         sigma, t_coll = phy.sigma_us, phy.t_collision
@@ -282,17 +315,18 @@ class Simulator:
         # with saturated schedule stations only, each slot takes the lean path:
         # no waiting list, arrivals, DCF updates or queue bookkeeping
         lean = len(sched) == len(self.stations) and all(st.saturated for st in sched)
+        dcf_only = not sched
 
         watching = watch_n is not None
         n_good = n_bad = 0
         if watching:
-            for k in kinds[max(watch_from, self.slot_index - watch_len) :]:
-                n_good += k == _SUCCESS
-                n_bad += k >= _COLLISION
+            n_good, n_bad = _watch_counts(kinds, max(watch_from, self.slot_index - watch_len))
 
         s = self.slot_index
         clock = self.clock_us
         end, sched_due = self._segment(sched, s)
+        if dcf_only and not all(st.saturated for st in self.stations):
+            end = -1  # look for an idle stretch after every slot
         hit = False
         while True:
             before = clock
@@ -363,10 +397,6 @@ class Simulator:
                         if st.protocol.on_transmission(kind == _SUCCESS, st.rng):
                             st.drop_head(clock)
                         self._plan(st, s + 1)
-            if s == end:
-                if self._close_windows(sched, s, before) and not watching:
-                    s, clock = self._replay(s, clock, until_slot, until_us)
-                end, sched_due = self._segment(sched, s + 1)
             s += 1
             if watching:
                 n_good += kind == _SUCCESS
@@ -380,7 +410,28 @@ class Simulator:
                     break
             if s >= until_slot or clock >= until_us:
                 break
+            if s > end:
+                t = s
+                free = not watching or n_good < watch_n  # the watch cannot fire in a jump
+                if dcf_only:
+                    if kind == _IDLE and waiting and s not in tx_due and free:
+                        t, clock = self._idle_stretch(s, clock, until_slot, until_us)
+                else:
+                    absorbed = self._close_windows(sched, s - 1, before)
+                    if free and not lean:
+                        t, clock = self._quiet_windows(s, clock, until_slot, until_us)
+                    elif absorbed and not watching:
+                        t, clock = self._replay(s, clock, until_slot, until_us)
+                    end, sched_due = self._segment(sched, t)
+                if t > s:
+                    s = t
+                    if watching:
+                        n_good, n_bad = _watch_counts(kinds, max(watch_from, s - watch_len))
+                    if s >= until_slot:
+                        break
 
+        if s > end and not dcf_only:  # stopped right after a window end
+            self._close_windows(sched, s - 1, before)
         self.slot_index = s
         self.clock_us = clock
         for st in self.stations:
@@ -406,7 +457,10 @@ class Simulator:
         Returns True when the window is absorbed: the channel is error-free,
         every station is a saturated schedule station without adapter,
         all of them end this window from one shared start, and every
-        one succeeded.  The next window then repeats this one exactly.
+        one succeeded.  The next window then repeats this one exactly, and
+        ``_replay`` may copy it.  Whether the next windows are quiet is
+        decided after the closes, by ``_quiet_windows``, because it needs
+        the queues as the closes left them.
         """
         ending = [st for st in sched if st.window_start + st.window_len - 1 == s]
         tr = self.trace
@@ -436,40 +490,136 @@ class Simulator:
     def _replay(
         self, s: int, clock: float, until_slot: float, until_us: float
     ) -> tuple[int, float]:
-        """Append whole copies of the absorbed window that ended at slot ``s``.
+        """Append whole copies of the absorbed window that ended before slot
+        ``s``, with each station's deliveries.  Returns the slot after the
+        copies and the clock there."""
+        length = self.stations[0].window_len
+        tr = self.trace
+        window = tuple(column[s - length : s]
+                       for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets))
+        k, clock = self._fit_windows(s, clock, window[1], until_slot, until_us)
+        if k == 0:
+            return s, clock
+        for st in self.stations:
+            st.delivered += k * st.txop_m
+        return self._append_windows(s, k, window), clock
 
-        Copies stop before the one that would reach ``until_slot`` or
-        ``until_us``, so the stepped loop plays the rest.  Returns the last
-        replayed slot and the clock after it.
+    def _quiet_windows(
+        self, s: int, clock: float, until_slot: float, until_us: float
+    ) -> tuple[int, float]:
+        """Append the all-idle windows that start at slot ``s``, if any.
+
+        Preconditions: every station is an unsaturated schedule station
+        whose window starts at ``s``, all with one length, none in a probe
+        and none holding a packet.  No station then transmits, and no
+        window close pulls an arrival, before the earliest
+        ``next_arrival_us``; a quiet window draws no random number.  Every
+        station would report a success per window, and by the
+        ``on_schedule_end`` contract only the first changes anything, so its
+        protocol gets that one.  Windows stop where an adapter's ``hold``
+        count says its length or probe plan could change.  Returns the slot
+        after the windows and the clock there.
         """
         stations = self.stations
         length = stations[0].window_len
-        start = s + 1 - length
-        windows = math.inf if until_slot == math.inf else (until_slot - 1 - s) // length
-        tr = self.trace
-        durations = tr.durations[start : s + 1]
-        k = 0
-        while k < windows:
-            after = reduce(add, durations, clock)
+        arrival = math.inf
+        for st in stations:
+            if (st.is_dcf or st.saturated or st.queue or st.in_probe
+                    or st.window_start != s or st.window_len != length):
+                return s, clock
+            arrival = min(arrival, st.next_arrival_us)
+        held = math.inf
+        for st in stations:
+            if st.adapter is not None:
+                held = min(held, st.adapter.hold(length, length, False, True))
+        sigma = self.phy.sigma_us
+        k, clock = self._fit_windows(s, clock, [sigma] * length, until_slot, until_us,
+                                     arrival, held)
+        if k == 0:
+            return s, clock
+        idle = list(range(1, length + 1))
+        for st in stations:
+            st.protocol.on_schedule_end(True, idle, st.rng)
+            if st.adapter is not None:
+                st.adapter.hold(length, length, False, True, k)
+        return self._append_windows(s, k, ([_IDLE] * length, [sigma] * length,
+                                           [-1] * length, [0] * length)), clock
+
+    def _idle_stretch(
+        self, s: int, clock: float, until_slot: float, until_us: float
+    ) -> tuple[int, float]:
+        """In a run of DCF stations only, with none booked at slot ``s`` and
+        some waiting, append the idle slots from ``s`` on: those before the
+        next booked transmission that start before the earliest next arrival
+        of a waiting station, when none of them holds a packet.  Each DCF
+        station is booked or waiting, so no one transmits there.  Stops at
+        ``until_slot`` and before the slot that reaches ``until_us``.
+        Returns the slot after them and the clock there."""
+        tx_due = self._tx_due
+        arrival = math.inf
+        for st in self._waiting:
+            if st.queue:
+                return s, clock
+            arrival = min(arrival, st.next_arrival_us)
+        stop = min(min(tx_due, default=math.inf), until_slot)
+        sigma = self.phy.sigma_us
+        t = s
+        while t < stop and clock < arrival:
+            after = clock + sigma
             if after >= until_us:
                 break
             clock = after
+            t += 1
+        self.trace.repeat(([_IDLE], [sigma], [-1], [0]), t - s)
+        return t, clock
+
+    @staticmethod
+    def _fit_windows(
+        s: int, clock: float, durations: list[float], until_slot: float, until_us: float,
+        arrival_us: float = math.inf, windows: float = math.inf,
+    ) -> tuple[int, float]:
+        """How many of up to ``windows`` windows of ``durations``, from slot
+        ``s`` at ``clock``, end by ``until_slot``, before ``until_us``, and
+        start their last slot before ``arrival_us``; and the clock after
+        them, added slot by slot."""
+        if until_slot < math.inf:
+            windows = min(windows, (until_slot - s) // len(durations))
+        head, last = durations[:-1], durations[-1]
+        k = 0
+        while k < windows:
+            start = reduce(add, head, clock)
+            if start >= arrival_us or start + last >= until_us:
+                break
+            clock = start + last
             k += 1
-        if k == 0:
-            return s, clock
-        for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets):
-            column.extend(column[start : s + 1] * k)
-        held = [(st.sid, st.schedule_index, st.protocol.slot) for st in stations]
+        return k, clock
+
+    def _append_windows(self, s: int, k: int, window: tuple[list, list, list, list]) -> int:
+        """Append ``k`` copies of the one window of slot columns ``window``
+        that every station plays from slot ``s``: to the trace, to the event
+        log as a success of each station's held slot, and to the stations'
+        window counters.  Returns the slot after the copies."""
+        self.trace.repeat(window, k)
+        stations = self.stations
+        held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1) for st in stations]
         self.events.extend(
             (sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held
         )
-        shift = k * length
+        shift = k * len(window[0])
         for st in stations:
-            st.delivered += k * st.txop_m
             st.schedule_index += k
             st.window_start += shift
             st.tx_slot += shift
-        return s + shift, clock
+        return s + shift
+
+
+def _watch_counts(kinds: list[int], start: int) -> tuple[int, int]:
+    """Successes, and collisions or errors, in ``kinds`` from ``start`` on."""
+    good = bad = 0
+    for k in kinds[start:]:
+        good += k == _SUCCESS
+        bad += k >= _COLLISION
+    return good, bad
 
 
 def _position(st: Station) -> int:

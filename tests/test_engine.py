@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 
 from macsim.adaptation import AlmacAdapter, AlzcAdapter
 from macsim.config import MAX_LAMBDA_PPS, PROTOCOLS, SimConfig, derive_seed
-from macsim.engine import Simulator, Station, elapsed_us
+from macsim.engine import Simulator, Station, Trace, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
 from macsim.protocols import Dcf, Lmac, Lzc, init_protocol
 from macsim.runner import default_f_table, run_simulation
@@ -272,20 +272,24 @@ def test_station_streams_independent_of_population():
 # --- absorbed-schedule replay ------------------------------------------------------
 
 
-def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none"):
-    """``n`` saturated stations; ``c`` is one schedule length or one per
-    station, and the base length under ``adaptation``."""
+def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none", lambda_pps=None,
+               dcf=0):
+    """``n`` stations, the first ``dcf`` of them DCF, saturated unless
+    ``lambda_pps`` sets their Poisson rate; ``c`` is one schedule length or
+    one per station, and the base length under ``adaptation``."""
     lengths = [c] * n if isinstance(c, int) else c
     stations = []
     for sid in range(n):
         station_rng = rng(derive_seed(seed, sid))
-        proto = init_protocol(protocol, lengths[sid], station_rng, beta=0.95, gamma=0.5)
+        kind = "dcf" if sid < dcf else protocol
+        proto = init_protocol(kind, lengths[sid], station_rng, beta=0.95, gamma=0.5)
         adapter = None
         if adaptation == "alzc":
             adapter = AlzcAdapter(c, 16 * c)
         elif adaptation == "almac":
             adapter = AlmacAdapter(c, default_f_table(), 1, 16 * c)
-        stations.append(Station(sid, proto, station_rng, adapter=adapter))
+        stations.append(Station(sid, proto, station_rng, saturated=lambda_pps is None,
+                                lambda_pps=lambda_pps or 0.0, adapter=adapter))
     channel_rng = rng(derive_seed(seed, "channel")) if error_rate else None
     return Simulator(stations, TABLE_PHY, error_rate=error_rate, channel_rng=channel_rng)
 
@@ -300,11 +304,15 @@ def sim_state(sim, sids=None):
         "clock": sim.clock_us,
         "slot": sim.slot_index,
         "channel": sim.channel_rng and sim.channel_rng.bit_generator.state,
+        "booked": {s: [st.sid for st in due] for s, due in sim._tx_due.items()},
+        "waiting": [st.sid for st in sim._waiting],
         "stations": [
             (st.delivered, st.schedule_index, st.window_len,
              st.window_start, st.tx_slot, st.txop_m, st.in_probe,
-             st.protocol.slot,
-             list(getattr(st.protocol, "p", ())),
+             vars(st.protocol),
+             st.adapter and {k: v for k, v in vars(st.adapter).items() if k != "f_table"},
+             list(st.queue), st.delays_us, st.next_arrival_us, st.head_since_us,
+             st.dropped, st.lost_arrivals,
              st.rng.bit_generator.state)
             for st in sim.stations if st.sid in sids
         ],
@@ -325,6 +333,24 @@ def close_calls(monkeypatch):
     return starts
 
 
+@pytest.fixture
+def bulk_slots(monkeypatch):
+    """Slots of every ``Trace.repeat`` call, the engine's bulk appends, in
+    call order."""
+    counts = []
+    repeat = Trace.repeat
+
+    def counted(tr, columns, times):
+        counts.append(len(columns[0]) * times)
+        return repeat(tr, columns, times)
+
+    monkeypatch.setattr(Trace, "repeat", counted)
+    return counts
+
+
+#: Light Poisson load: at 62.5 packets/s per station most windows are quiet.
+LIGHT = 62.5
+
 STEPPING_CASES = [
     ("lbeb", 1, 4, 1, (203,), {}),
     ("lbeb", 3, 8, 2, (1001, 2403), {}),
@@ -339,6 +365,19 @@ STEPPING_CASES = [
     ("lmac", 8, 8, 11, (1200,), {"error_rate": 0.1}),
     ("lzc", 20, 16, 12, (901, 3000), {"adaptation": "alzc"}),
     ("lmac", 20, 16, 13, (2222, 6000), {"adaptation": "almac"}),
+    ("lmac", 8, 16, 20, (5003, 30000), {"lambda_pps": LIGHT}),
+    ("lzc", 8, 16, 21, (7001, 30000), {"lambda_pps": LIGHT}),
+    ("lmac", 8, 16, 22, (4011, 30000), {"adaptation": "almac", "lambda_pps": LIGHT}),
+    ("lzc", 8, 16, 23, (3000, 20000), {"adaptation": "alzc", "lambda_pps": LIGHT}),
+    ("lmac", 20, 16, 24, (2500, 12000), {"lambda_pps": 5.0}),
+    ("lmac", 1, 16, 25, (9000,), {"lambda_pps": 400.0}),
+    ("zc", 4, 8, 26, (6000,), {"lambda_pps": LIGHT, "error_rate": 0.2}),
+    ("dcf", 8, 16, 27, (3001, 20000), {"lambda_pps": LIGHT}),
+    ("dcf", 1, 16, 28, (9000,), {"lambda_pps": 400.0}),
+    ("dcf", 6, 16, 29, (700, 4000), {}),
+    ("dcf", 4, 16, 30, (1500, 4000), {"error_rate": 0.1}),
+    ("dcf", 4, 16, 32, (1500, 6000), {"lambda_pps": LIGHT, "error_rate": 0.1}),
+    ("lmac", 6, 16, 31, (2500, 12000), {"lambda_pps": 200.0, "dcf": 2}),
 ]
 
 
@@ -352,17 +391,23 @@ def stepping_case_id(index, case):
 
 @pytest.mark.parametrize("protocol, n, c, seed, bounds, kw", STEPPING_CASES,
                          ids=[stepping_case_id(*case) for case in enumerate(STEPPING_CASES)])
-def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls):
+def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, bulk_slots):
     stepped = replay_sim(protocol, n, c, seed, **kw)
     while stepped.slot_index < bounds[-1]:
         stepped.step()
     stepped_calls = len(close_calls)
+    assert bulk_slots == []  # a one-slot run never jumps
     replayed = replay_sim(protocol, n, c, seed, **kw)
     for bound in bounds:
         replayed.run(until_slot=bound)
     assert sim_state(replayed) == sim_state(stepped)
-    if kw or n > c:  # nothing is absorbed, so every window is closed one by one
+    if protocol == "dcf":  # no windows; idle stretches are jumped under Poisson load
+        assert (sum(bulk_slots) > bounds[-1] / 10) == ("lambda_pps" in kw)
+    elif "lambda_pps" in kw and "dcf" not in kw:  # quiet windows are jumped
+        assert len(close_calls) - stepped_calls < stepped_calls / 2
+    elif kw or n > c:  # nothing is absorbed, so every window is closed one by one
         assert len(close_calls) == 2 * stepped_calls
+        assert bulk_slots == []
     else:
         assert len(close_calls) - stepped_calls < stepped_calls / 2
 
@@ -457,6 +502,131 @@ def test_replay_fires_after_convergence(close_calls):
     # found absorbed, and every later window is replayed
     assert sum(start > res.converged_slot for start in close_calls) <= n
     assert ledger_violations(res) == []
+
+
+# --- quiet medium ------------------------------------------------------------------
+
+
+def quiet_stretch_middle(sim, until_slot):
+    """Slot 7 of a 16-slot window in the middle of ``sim``'s longest idle
+    stretch up to ``until_slot``."""
+    sim.run(until_slot=until_slot)
+    best = (0, 0)
+    start = 0
+    for i, kind in enumerate(sim.trace.kinds + [SlotKind.SUCCESS]):
+        if kind != SlotKind.IDLE:
+            best = max(best, (i - start, start))
+            start = i + 1
+    length, first = best
+    assert length > 200
+    middle = first + length // 2
+    return middle - middle % 16 + 7
+
+
+@pytest.mark.parametrize("protocol, kw", [
+    ("lmac", {}), ("lmac", {"adaptation": "almac"}), ("dcf", {}),
+])
+@pytest.mark.parametrize("bound", ["until_slot", "until_us"])
+def test_bound_inside_a_quiet_stretch(protocol, kw, bound, bulk_slots):
+    middle = quiet_stretch_middle(replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw), 20000)
+    stepped = replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw)
+    while stepped.slot_index <= middle:
+        stepped.step()
+    limit = {"until_slot": middle + 1,
+             # reached inside slot ``middle``
+             "until_us": elapsed_us(stepped.trace.durations[:middle]) + 1.0}[bound]
+    bounded = replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw)
+    bounded.run(**{bound: limit})
+    assert bounded.slot_index == middle + 1
+    assert sim_state(bounded) == sim_state(stepped)
+    assert sum(bulk_slots) > middle / 2
+    for sim in (bounded, stepped):
+        sim.run(until_slot=20000)
+    assert sim_state(bounded) == sim_state(stepped)
+
+
+def stepped_watch(sim, until_slot, **watch):
+    """``sim.run(until_slot, **watch)`` one slot at a time."""
+    while sim.slot_index < until_slot:
+        if sim.run(until_slot=sim.slot_index + 1, **watch):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n, lambda_pps, seed, watch_from, hit", [
+    (2, 300.0, 43, 0, True),
+    (2, 200.0, 40, 1000, True),
+    (8, LIGHT, 44, 0, False),
+])
+def test_watched_poisson_run_matches_stepping(n, lambda_pps, seed, watch_from, hit,
+                                              bulk_slots):
+    watch = dict(watch_n=n, watch_len=16, watch_from=watch_from)
+    stepped = replay_sim("lmac", n, 16, seed, lambda_pps=lambda_pps)
+    stepped.run(until_slot=watch_from)
+    assert stepped_watch(stepped, 20000, **watch) == hit
+    watched = replay_sim("lmac", n, 16, seed, lambda_pps=lambda_pps)
+    watched.run(until_slot=watch_from)
+    jumped = sum(bulk_slots)
+    assert watched.run(until_slot=20000, **watch) == hit
+    assert sim_state(watched) == sim_state(stepped)
+    assert sum(bulk_slots) - jumped > 100  # quiet windows were crossed while watching
+
+
+def test_watch_fires_inside_a_quiet_window():
+    # the one station succeeds in slot 7 and its queue empties; watched from
+    # slot 4, the watch fires at slot 20, in the quiet window after it
+    st = Station(0, pinned_lzc(16, 8, 51), rng(52), saturated=False, lambda_pps=LIGHT)
+    st.next_arrival_us = 0.0
+    sim = make_sim([st])
+    assert sim.run(until_slot=1000, watch_n=1, watch_len=16, watch_from=4)
+    assert sim.slot_index == 20
+    assert sim.trace.kinds[7] == SlotKind.SUCCESS
+
+
+def test_arrival_as_a_window_last_slot_starts(bulk_slots):
+    # the packet arrives just as slot 39, the last of window 4 and the one
+    # the station holds, starts: windows 1 to 3 are jumped, window 4 is played
+    sims = []
+    for _ in range(2):
+        st = Station(0, pinned_lzc(8, 8, 53), rng(54), saturated=False, lambda_pps=LIGHT)
+        st.next_arrival_us = elapsed_us([TABLE_PHY.sigma_us] * 39)
+        sims.append(make_sim([st]))
+    stepped, jumped = sims
+    while stepped.slot_index < 100:
+        stepped.step()
+    jumped.run(until_slot=100)
+    assert sim_state(jumped) == sim_state(stepped)
+    assert jumped.trace.kinds.index(SlotKind.SUCCESS) == 39
+    assert bulk_slots[0] == 24
+
+
+def test_dcf_arrival_as_a_slot_starts(bulk_slots):
+    # the waiting station's packet arrives just as slot 30 starts; it is sent there
+    dcf = Dcf(rng(56))
+    dcf.counter = 0
+    st = Station(0, dcf, rng(57), saturated=False, lambda_pps=LIGHT)
+    st.next_arrival_us = elapsed_us([TABLE_PHY.sigma_us] * 30)
+    sim = make_sim([st])
+    sim.run(until_slot=100)
+    assert sim.trace.kinds.index(SlotKind.SUCCESS) == 30
+    assert bulk_slots[0] == 29
+
+
+@pytest.mark.parametrize("protocol, kw", [
+    ("lmac", {}), ("lzc", {"adaptation": "alzc"}), ("lmac", {"adaptation": "almac"}),
+    ("dcf", {}),
+])
+def test_silent_stations_jump_the_whole_horizon(protocol, kw, close_calls, bulk_slots):
+    stepped = replay_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw)
+    while stepped.slot_index < 10000:
+        stepped.step()
+    stepped_calls = len(close_calls)
+    quiet = replay_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw)
+    quiet.run(until_slot=10000)
+    assert sim_state(quiet) == sim_state(stepped)
+    assert set(quiet.trace.kinds) == {SlotKind.IDLE}
+    assert sum(bulk_slots) > 9000
+    assert len(close_calls) - stepped_calls <= stepped_calls / 10
 
 
 # --- traffic ---------------------------------------------------------------------
