@@ -21,32 +21,30 @@ path whose only draw is the channel's.  Where no slot can hold a random
 draw or a decision, ``run`` appends whole spans in one step, byte for byte
 what stepping would write, and never past a slot or time bound:
 
-* Replay.  Once every saturated schedule station holds its own slot, the
-  schedule repeats unchanged: a station that succeeds draws nothing and
-  keeps its slot.  When such a window closes on an error-free channel, with
-  every station on one phase, no adapter and no convergence watch, whole
-  copies of it follow.
-* Quiet windows.  When every station is an unsaturated schedule station,
-  all windows start at the next slot with one shared length, none is a
-  probe and no station holds a packet, the next windows are all idle up to
-  the one whose last slot starts at or after the earliest next arrival.
-  Each station's protocol gets one success report, which is all that any
-  number of successes changes, and an adapter skips only the windows its
-  ``hold`` count allows.
+* Window repeats.  When every station is a schedule station, all saturated
+  or none, and every window starts at the next slot with one shared length,
+  none a probe and no station holding a packet, the next windows are known
+  in advance.  Unsaturated, they are all idle up to the one whose last slot
+  starts at or after the earliest next arrival.  Saturated, on an
+  error-free channel, they are copies of the window every station just
+  closed from one start, if it had that length and no collision: a
+  station that succeeds draws nothing and keeps its slot.  Each station's
+  protocol gets one success report, which is all that any number of
+  successes changes, and the copies stop where an adapter's ``hold`` count
+  says its length or probe plan could change.
 * DCF idle stretches.  In a run of DCF stations only, once a slot is idle
   with some station waiting, the slots up to the next booked transmission
   stay idle while no waiting station holds a packet or has one arrive.
 
 A watched run jumps only while the trailing window holds fewer successes
-than the watch needs; jumped slots add none, so the watch cannot fire inside
-a jump, and its counters are recounted after one.  The clock still adds one
-duration per slot.  Everything else is stepped: runs that mix DCF and
-schedule stations, saturated DCF runs (whose idle stretches are a few
-slots, each cheap to step), windows of stations on different phases or
-lengths, windows in which some station holds a packet, and saturated
-windows with collisions, errors (so every window at N > C) or adapters,
-although the adapters' ``hold`` count would let saturated adaptive windows
-replay too.
+than the watch needs, and copies no saturated window; jumped slots add no
+success, so the watch cannot fire inside a jump, and its counters are
+recounted after one.  The clock still adds one duration per slot.
+Everything else is stepped: runs that mix DCF and schedule stations,
+saturated DCF runs (whose idle stretches are a few slots, each cheap to
+step), windows of stations on different phases or lengths, windows in
+which some station holds a packet, and saturated windows with collisions
+or errors (so every window at N > C).
 """
 
 from __future__ import annotations
@@ -298,8 +296,11 @@ class Simulator:
         ``until_us`` of simulated time.  With ``watch_n`` set it also stops,
         returning True, once the last ``watch_len`` slots, all at or after
         ``watch_from``, hold exactly ``watch_n`` successes and no collision
-        or error.  After a window end, and in a run of DCF stations only
-        after an idle slot, it may jump ahead (module docstring).
+        or error.  A watch with ``watch_n > watch_len`` is no watch: that
+        many successes cannot fit in ``watch_len`` slots, so the run goes
+        on, and returns False, as an unwatched one.  After a window end, and
+        in a run of DCF stations only after an idle slot, it may jump ahead
+        (module docstring).
         """
         phy, success_us = self.phy, self._success_us
         sigma, t_coll = phy.sigma_us, phy.t_collision
@@ -317,7 +318,7 @@ class Simulator:
         lean = len(sched) == len(self.stations) and all(st.saturated for st in sched)
         dcf_only = not sched
 
-        watching = watch_n is not None
+        watching = watch_n is not None and watch_n <= watch_len
         n_good = n_bad = 0
         if watching:
             n_good, n_bad = _watch_counts(kinds, max(watch_from, self.slot_index - watch_len))
@@ -417,11 +418,11 @@ class Simulator:
                     if kind == _IDLE and waiting and s not in tx_due and free:
                         t, clock = self._idle_stretch(s, clock, until_slot, until_us)
                 else:
-                    absorbed = self._close_windows(sched, s - 1, before)
-                    if free and not lean:
-                        t, clock = self._quiet_windows(s, clock, until_slot, until_us)
-                    elif absorbed and not watching:
-                        t, clock = self._replay(s, clock, until_slot, until_us)
+                    closed_from = self._close_windows(sched, s - 1, before)
+                    if free:  # a watched run copies no window with successes
+                        t, clock = self._repeat_windows(
+                            s, clock, None if watching else closed_from, until_slot, until_us
+                        )
                     end, sched_due = self._segment(sched, t)
                 if t > s:
                     s = t
@@ -450,23 +451,14 @@ class Simulator:
                 due.setdefault(st.tx_slot, []).append(st)
         return end, due
 
-    def _close_windows(self, sched: list[Station], s: int, before_us: float) -> bool:
+    def _close_windows(self, sched: list[Station], s: int, before_us: float) -> int | None:
         """Close the windows of ``sched`` that end at slot ``s``, in position
-        order, each read back from the trace.
-
-        Returns True when the window is absorbed: the channel is error-free,
-        every station is a saturated schedule station without adapter,
-        all of them end this window from one shared start, and every
-        one succeeded.  The next window then repeats this one exactly, and
-        ``_replay`` may copy it.  Whether the next windows are quiet is
-        decided after the closes, by ``_quiet_windows``, because it needs
-        the queues as the closes left them.
-        """
+        order, each read back from the trace.  Returns the start they share,
+        or None when they started at different slots."""
         ending = [st for st in sched if st.window_start + st.window_len - 1 == s]
         tr = self.trace
         kinds = tr.kinds
         seen: dict[int, tuple[list[int], bool]] = {}
-        absorbed = self.error_rate == 0.0 and len(ending) == len(self.stations)
         for st in ending:
             if not st.saturated:
                 st.pull_arrivals(before_us)
@@ -483,67 +475,70 @@ class Simulator:
             success = own_kind == _IDLE or (
                 own_kind == _SUCCESS and tr.tx_station[own] == st.sid
             )
-            absorbed = absorbed and success and st.saturated and st.adapter is None
             st.close_window(success, view[0], view[1], self.events, s + 1)
-        return absorbed and len(seen) == 1
+        return next(iter(seen)) if len(seen) == 1 else None
 
-    def _replay(
-        self, s: int, clock: float, until_slot: float, until_us: float
+    def _repeat_windows(
+        self, s: int, clock: float, closed_from: int | None, until_slot: float, until_us: float
     ) -> tuple[int, float]:
-        """Append whole copies of the absorbed window that ended before slot
-        ``s``, with each station's deliveries.  Returns the slot after the
-        copies and the clock there."""
-        length = self.stations[0].window_len
-        tr = self.trace
-        window = tuple(column[s - length : s]
-                       for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets))
-        k, clock = self._fit_windows(s, clock, window[1], until_slot, until_us)
-        if k == 0:
-            return s, clock
-        for st in self.stations:
-            st.delivered += k * st.txop_m
-        return self._append_windows(s, k, window), clock
+        """Append whole windows that every station plays from slot ``s``, if
+        their slots are known in advance.  Returns the slot after them and
+        the clock there.
 
-    def _quiet_windows(
-        self, s: int, clock: float, until_slot: float, until_us: float
-    ) -> tuple[int, float]:
-        """Append the all-idle windows that start at slot ``s``, if any.
-
-        Preconditions: every station is an unsaturated schedule station
-        whose window starts at ``s``, all with one length, none in a probe
-        and none holding a packet.  No station then transmits, and no
-        window close pulls an arrival, before the earliest
-        ``next_arrival_us``; a quiet window draws no random number.  Every
-        station would report a success per window, and by the
-        ``on_schedule_end`` contract only the first changes anything, so its
-        protocol gets that one.  Windows stop where an adapter's ``hold``
-        count says its length or probe plan could change.  Returns the slot
-        after the windows and the clock there.
+        Preconditions: every station is a schedule station, all saturated or
+        none, whose window starts at ``s`` with one shared length, none in a
+        probe and none holding a packet.  Unsaturated, the windows are all
+        idle up to the one whose last slot starts at or after the earliest
+        ``next_arrival_us``.  Saturated, they are copies of the window just
+        closed, when the channel is error-free, every station closed it from
+        ``closed_from == s - length`` and it held no collision: every
+        station then succeeded, and a success draws nothing and keeps the
+        slot.  Either window draws no random number.  Every station would
+        report a success per window, and by the ``on_schedule_end`` contract
+        only the first changes anything, so its protocol gets that one.
+        Windows stop where an adapter's ``hold`` count says its length or
+        probe plan could change.
         """
         stations = self.stations
-        length = stations[0].window_len
+        length, saturated = stations[0].window_len, stations[0].saturated
         arrival = math.inf
         for st in stations:
-            if (st.is_dcf or st.saturated or st.queue or st.in_probe
+            if (st.is_dcf or st.saturated != saturated or st.queue or st.in_probe
                     or st.window_start != s or st.window_len != length):
                 return s, clock
             arrival = min(arrival, st.next_arrival_us)
-        held = math.inf
-        for st in stations:
-            if st.adapter is not None:
-                held = min(held, st.adapter.hold(length, length, False, True))
-        sigma = self.phy.sigma_us
-        k, clock = self._fit_windows(s, clock, [sigma] * length, until_slot, until_us,
-                                     arrival, held)
+        if saturated:
+            if closed_from != s - length or self.error_rate > 0.0:
+                return s, clock
+            tr = self.trace
+            window = tuple(column[s - length : s]
+                           for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets))
+            if max(window[0]) >= _COLLISION:
+                return s, clock
+        else:
+            window = ([_IDLE] * length, [self.phy.sigma_us] * length, [-1] * length, [0] * length)
+        idle = [i + 1 for i, k in enumerate(window[0]) if k == _IDLE]
+        kept = min([st.adapter.hold(length, len(idle), False, True)
+                    for st in stations if st.adapter is not None], default=math.inf)
+        k, clock = self._fit_windows(s, clock, window[1], until_slot, until_us, arrival, kept)
         if k == 0:
             return s, clock
-        idle = list(range(1, length + 1))
+        self.trace.repeat(window, k)
+        held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1) for st in stations]
+        self.events.extend(
+            (sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held
+        )
+        shift = k * length
         for st in stations:
             st.protocol.on_schedule_end(True, idle, st.rng)
             if st.adapter is not None:
-                st.adapter.hold(length, length, False, True, k)
-        return self._append_windows(s, k, ([_IDLE] * length, [sigma] * length,
-                                           [-1] * length, [0] * length)), clock
+                st.adapter.hold(length, len(idle), False, True, k)
+            if saturated:
+                st.delivered += k * st.txop_m
+            st.schedule_index += k
+            st.window_start += shift
+            st.tx_slot += shift
+        return s + shift, clock
 
     def _idle_stretch(
         self, s: int, clock: float, until_slot: float, until_us: float
@@ -576,7 +571,7 @@ class Simulator:
     @staticmethod
     def _fit_windows(
         s: int, clock: float, durations: list[float], until_slot: float, until_us: float,
-        arrival_us: float = math.inf, windows: float = math.inf,
+        arrival_us: float, windows: float,
     ) -> tuple[int, float]:
         """How many of up to ``windows`` windows of ``durations``, from slot
         ``s`` at ``clock``, end by ``until_slot``, before ``until_us``, and
@@ -593,24 +588,6 @@ class Simulator:
             clock = start + last
             k += 1
         return k, clock
-
-    def _append_windows(self, s: int, k: int, window: tuple[list, list, list, list]) -> int:
-        """Append ``k`` copies of the one window of slot columns ``window``
-        that every station plays from slot ``s``: to the trace, to the event
-        log as a success of each station's held slot, and to the stations'
-        window counters.  Returns the slot after the copies."""
-        self.trace.repeat(window, k)
-        stations = self.stations
-        held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1) for st in stations]
-        self.events.extend(
-            (sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held
-        )
-        shift = k * len(window[0])
-        for st in stations:
-            st.schedule_index += k
-            st.window_start += shift
-            st.tx_slot += shift
-        return s + shift
 
 
 def _watch_counts(kinds: list[int], start: int) -> tuple[int, int]:

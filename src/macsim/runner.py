@@ -83,7 +83,10 @@ def run_simulation(
     5. run on to the horizon.
 
     DCF stations have no schedule to converge to, so runs with any are never
-    watched.
+    watched.  The watch spans one base schedule of ``cfg.schedule_len``
+    slots, so an adaptive run with more stations than ``b`` has a watch that
+    cannot fire: the engine treats it as no watch, the run never reports
+    convergence, and its settled windows are copied in bulk.
     """
     run_seed = derive_seed(cfg.seed, rep_index)
     channel_rng = (

@@ -269,7 +269,16 @@ def test_station_streams_independent_of_population():
     assert first2 == first3
 
 
-# --- absorbed-schedule replay ------------------------------------------------------
+# --- copied windows ----------------------------------------------------------------
+
+
+#: Length rules by ``adaptation`` name, from the base length; almac probes at
+#: every clean checkpoint unless the name gives another probe period.
+ADAPTERS = {
+    "alzc": lambda base: AlzcAdapter(base, 16 * base),
+    "almac": lambda base: AlmacAdapter(base, default_f_table(), 1, 16 * base),
+    "almac-probe10": lambda base: AlmacAdapter(base, default_f_table(), 10, 16 * base),
+}
 
 
 def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none", lambda_pps=None,
@@ -283,11 +292,7 @@ def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none", lambda_p
         station_rng = rng(derive_seed(seed, sid))
         kind = "dcf" if sid < dcf else protocol
         proto = init_protocol(kind, lengths[sid], station_rng, beta=0.95, gamma=0.5)
-        adapter = None
-        if adaptation == "alzc":
-            adapter = AlzcAdapter(c, 16 * c)
-        elif adaptation == "almac":
-            adapter = AlmacAdapter(c, default_f_table(), 1, 16 * c)
+        adapter = None if adaptation == "none" else ADAPTERS[adaptation](c)
         stations.append(Station(sid, proto, station_rng, saturated=lambda_pps is None,
                                 lambda_pps=lambda_pps or 0.0, adapter=adapter))
     channel_rng = rng(derive_seed(seed, "channel")) if error_rate else None
@@ -378,6 +383,13 @@ STEPPING_CASES = [
     ("dcf", 4, 16, 30, (1500, 4000), {"error_rate": 0.1}),
     ("dcf", 4, 16, 32, (1500, 6000), {"lambda_pps": LIGHT, "error_rate": 0.1}),
     ("lmac", 6, 16, 31, (2500, 12000), {"lambda_pps": 200.0, "dcf": 2}),
+    # settles at 32 slots, where ``hold`` is unbounded
+    ("lzc", 24, 16, 33, (3001, 12000), {"adaptation": "alzc"}),
+    # the (16, 32, 32) limit cycle: the first 32-slot window follows a 16-slot
+    # one and the second ends in a halving (``hold`` 0), so nothing is copied
+    ("lzc", 16, 16, 34, (2001, 6000), {"adaptation": "alzc"}),
+    # copies stop at each checkpoint, every f(16) = 32 windows
+    ("lmac", 16, 16, 35, (2500, 12000), {"adaptation": "almac-probe10"}),
 ]
 
 
@@ -405,7 +417,11 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
         assert (sum(bulk_slots) > bounds[-1] / 10) == ("lambda_pps" in kw)
     elif "lambda_pps" in kw and "dcf" not in kw:  # quiet windows are jumped
         assert len(close_calls) - stepped_calls < stepped_calls / 2
-    elif kw or n > c:  # nothing is absorbed, so every window is closed one by one
+    elif "adaptation" in kw:  # settled windows are copied as far as every hold allows
+        cycling = kw["adaptation"] == "alzc" and n == c
+        assert (sum(bulk_slots) > 0) != cycling
+        assert (len(close_calls) < 2 * stepped_calls) != cycling
+    elif kw or n > c:  # no window repeats, so every window is closed one by one
         assert len(close_calls) == 2 * stepped_calls
         assert bulk_slots == []
     else:
@@ -499,9 +515,103 @@ def test_replay_fires_after_convergence(close_calls):
     assert res.converged_slot is not None and res.converged_slot < 2000
     assert len(res.events) == n * 20000 // c
     # the first collision-free window is watched, the next one is stepped and
-    # found absorbed, and every later window is replayed
+    # closed without a collision, and every later window is a copy of it
     assert sum(start > res.converged_slot for start in close_calls) <= n
     assert ledger_violations(res) == []
+
+
+def test_no_copy_when_every_length_changes(bulk_slots):
+    # four stations fill a 4-slot window, so all of them double to 8 at its
+    # close; at 8 they halve again after two windows: the 4-slot window just
+    # closed must never be copied as an 8-slot one, nor the 8-slot one as 4
+    sims = []
+    for _ in range(2):
+        sims.append(make_sim([
+            Station(sid, pinned_lzc(4, sid + 1, sid), rng(60 + sid), adapter=AlzcAdapter(4, 64))
+            for sid in range(4)
+        ]))
+    stepped, run = sims
+    while stepped.slot_index < 200:
+        stepped.step()
+    run.run(until_slot=200)
+    assert sim_state(run) == sim_state(stepped)
+    assert {st.window_len for st in run.stations} == {4}
+    assert bulk_slots == []
+
+
+def test_committed_probe_is_followed_by_copies(bulk_slots):
+    # four settled stations at 32 slots on base 16: after f(32) = 65 windows
+    # a clean checkpoint starts a 16-slot probe in slots 2080 to 2095, every
+    # probe succeeds, and copies of the probe window follow at once, each
+    # station's protocol taking the success report that settles the vector
+    # its resize reset
+    sims = []
+    for _ in range(2):
+        stations = []
+        for sid in range(4):
+            proto = Lmac(32, 0.95, rng(sid))
+            proto.slot = sid + 1
+            stations.append(Station(sid, proto, rng(65 + sid),
+                                    adapter=AlmacAdapter(16, default_f_table(), 1, 256)))
+        sims.append(make_sim(stations))
+    stepped, run = sims
+    bound = 2096 + 10 * 16
+    while stepped.slot_index < bound:
+        stepped.step()
+    run.run(until_slot=bound)
+    assert sim_state(run) == sim_state(stepped)
+    assert bulk_slots == [63 * 32, 10 * 16]
+    assert all(st.protocol.settled and st.window_len == 16 for st in run.stations)
+
+
+def test_unfulfillable_watch_is_no_watch(bulk_slots):
+    # 20 successes cannot fit in a 16-slot watch, so the run is not watched
+    watched = replay_sim("lzc", 20, 16, 12, adaptation="alzc")
+    assert not watched.run(until_slot=3000, watch_n=20, watch_len=16)
+    copied = list(bulk_slots)
+    unwatched = replay_sim("lzc", 20, 16, 12, adaptation="alzc")
+    unwatched.run(until_slot=3000)
+    assert sim_state(watched) == sim_state(unwatched)
+    assert copied and bulk_slots == 2 * copied
+
+
+def test_live_watch_blocks_copies():
+    # settled stations in slots 1, 6 and 8 of 8, watched from slot 20: the
+    # span 20 to 27 holds all three successes, so the watch fires at slot
+    # 28, inside what a copy of the window from slot 16 would cover
+    sims = []
+    for _ in range(2):
+        sim = make_sim([saturated_station(sid, pinned_lzc(8, slot, sid), 70 + sid)
+                        for sid, slot in enumerate((1, 6, 8))])
+        sim.run(until_slot=20)
+        sims.append(sim)
+    stepped, watched = sims
+    watch = dict(watch_n=3, watch_len=8, watch_from=20)
+    assert stepped_watch(stepped, 1000, **watch)
+    assert watched.run(until_slot=1000, **watch)
+    assert watched.slot_index == 28
+    assert sim_state(watched) == sim_state(stepped)
+
+
+@pytest.mark.parametrize("lambda_pps", [None, LIGHT])
+@pytest.mark.parametrize("dcf_at", [0, 5])
+def test_dcf_station_rules_out_copies(dcf_at, lambda_pps, bulk_slots):
+    # stations[0] may be the DCF partner, whose window length is 0
+    sims = []
+    for _ in range(2):
+        stations = []
+        for sid in range(6):
+            station_rng = rng(derive_seed(75, sid))
+            proto = init_protocol("dcf" if sid == dcf_at else "lmac", 16, station_rng, beta=0.95)
+            stations.append(Station(sid, proto, station_rng, saturated=lambda_pps is None,
+                                    lambda_pps=lambda_pps or 0.0))
+        sims.append(make_sim(stations))
+    stepped, run = sims
+    while stepped.slot_index < 6000:
+        stepped.step()
+    run.run(until_slot=6000)
+    assert sim_state(run) == sim_state(stepped)
+    assert bulk_slots == []
 
 
 # --- quiet medium ------------------------------------------------------------------
@@ -885,9 +995,11 @@ def ledger_violations(result, windows=None):
 def run_recording_windows(cfg, monkeypatch):
     """``run_simulation(cfg)`` and each station's completed windows as
     (start, length, probe, committed length), read from every
-    ``Station.close_window`` call."""
+    ``Station.close_window`` call and every window that
+    ``Simulator._repeat_windows`` appends in bulk."""
     windows: dict[int, list] = {}
     close_window = Station.close_window
+    repeat_windows = Simulator._repeat_windows
 
     def recorded(st, *args):
         windows.setdefault(st.sid, []).append(
@@ -895,8 +1007,29 @@ def run_recording_windows(cfg, monkeypatch):
         )
         return close_window(st, *args)
 
+    def repeated(sim, s, *args):
+        t, clock = repeat_windows(sim, s, *args)
+        for st in sim.stations if t > s else ():  # every one a schedule station
+            windows.setdefault(st.sid, []).extend(
+                (start, st.window_len, False, st.protocol.schedule_len)
+                for start in range(s, t, st.window_len)
+            )
+        return t, clock
+
     monkeypatch.setattr(Station, "close_window", recorded)
+    monkeypatch.setattr(Simulator, "_repeat_windows", repeated)
     return run_simulation(cfg), windows
+
+
+def window_ledger_violations(res, windows):
+    """``ledger_violations`` against recorded windows, and every window at
+    the station's committed length, or at half of it in a probe."""
+    return ledger_violations(
+        res, {sid: [(w, length) for w, length, _, _ in ws] for sid, ws in windows.items()}
+    ) + [
+        f"station {sid} window {k}: {w}" for sid, ws in windows.items()
+        for k, w in enumerate(ws) if w[1] != (w[3] // 2 if w[2] else w[3])
+    ]
 
 
 ADAPTIVE_CASES = {  # the golden alzc and almac configs, on other seeds too
@@ -911,14 +1044,7 @@ ADAPTIVE_CASES = {  # the golden alzc and almac configs, on other seeds too
 def test_ledger_holds_on_adaptive_runs(case, seed, monkeypatch):
     cfg = SimConfig(c=None, seed=seed, **ADAPTIVE_CASES[case])
     res, windows = run_recording_windows(cfg, monkeypatch)
-    assert ledger_violations(
-        res, {sid: [(w, length) for w, length, _, _ in ws] for sid, ws in windows.items()}
-    ) == []
-    # the station holds the one committed length; a probe runs at half of it
-    assert [
-        (sid, k, w) for sid, ws in windows.items() for k, w in enumerate(ws)
-        if w[1] != (w[3] // 2 if w[2] else w[3])
-    ] == []
+    assert window_ledger_violations(res, windows) == []
     lengths = {length for ws in windows.values() for _, length, _, _ in ws}
     probes = sum(probe for ws in windows.values() for _, _, probe, _ in ws)
     assert len(lengths) > 1  # the adapters moved the windows
@@ -927,7 +1053,15 @@ def test_ledger_holds_on_adaptive_runs(case, seed, monkeypatch):
 
 @hst.composite
 def small_configs(draw):
-    protocol = draw(hst.sampled_from(PROTOCOLS))
+    """Fixed-length configs of every protocol, alzc on lzc or zc with base 4
+    or 8, and almac on lmac with base 16."""
+    adaptation = draw(hst.sampled_from(("none", "alzc", "almac")))
+    protocol, c, b = draw(hst.sampled_from(PROTOCOLS)), draw(hst.integers(2, 8)), None
+    if adaptation == "alzc":
+        protocol, c = draw(hst.sampled_from(("lzc", "zc"))), None
+        b = draw(hst.sampled_from((4, 8)))
+    elif adaptation == "almac":
+        protocol, c, b = "lmac", None, 16
     n = draw(hst.integers(1, 8))
     coexist_k = draw(hst.integers(0, n))
     poisson = draw(hst.booleans())
@@ -935,7 +1069,9 @@ def small_configs(draw):
     return SimConfig(
         protocol=protocol,
         n=n,
-        c=draw(hst.integers(2, 8)),
+        c=c,
+        b=b,
+        adaptation=adaptation,
         gamma=0.5,
         traffic="poisson" if poisson else "saturated",
         lambda_pps=draw(hst.sampled_from((300.0, 3000.0))) if poisson else 0.0,
@@ -953,4 +1089,9 @@ def small_configs(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_configs())
 def test_ledger_holds_on_random_configs(cfg):
-    assert ledger_violations(run_simulation(cfg)) == []
+    if cfg.adaptation == "none":
+        assert ledger_violations(run_simulation(cfg)) == []
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        res, windows = run_recording_windows(cfg, monkeypatch)
+    assert window_ledger_violations(res, windows) == []

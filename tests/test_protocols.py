@@ -352,7 +352,7 @@ def test_resize_remaps_slot():
 
 @pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac"])
 def test_repeated_success_keeps_state_and_draws_nothing(kind):
-    # the engine replays absorbed windows without calling the protocol
+    # the engine reports one success for a whole span of copied windows
     r = rng(7)
     proto = init_protocol(kind, 8, r, beta=0.95, gamma=0.5)
     slot = proto.slot
