@@ -16,10 +16,20 @@ before its random draws, so every random stream is consumed as if stations
 were stepped every slot.  Simulated time is the sum of slot durations, added
 left to right, and nothing else.
 
-When every station is a saturated schedule station, each slot takes a lean
-path whose only draw is the channel's.  Where no slot can hold a random
-draw or a decision, ``run`` appends whole spans in one step, byte for byte
-what stepping would write, and never past a slot or time bound:
+When every station is a saturated schedule station, ``run`` plays a
+segment per step: it extends the trace columns once and fills in the busy
+slots in slot order, a lone transmitter drawing the channel's error number,
+the only random number, in a played slot; a watch or a time bound cuts the
+segment after exactly the slot where stepping would stop.  Other runs take
+the general path, one slot per step, the independent reference for segment
+play.  The windows that end are closed in one loop, and a protocol hears
+only failures and the first success after a failure or a resize, never a
+probe: by the ``on_schedule_end`` contract a success reported right after
+a reported success changes nothing.
+
+Where no slot can hold a random draw or a decision, ``run`` appends whole
+spans in one step, byte for byte what stepping would write, and never past
+a slot or time bound:
 
 * Window repeats.  When every station is a schedule station, all saturated
   or none, and every window starts at the next slot with one shared length,
@@ -28,10 +38,10 @@ what stepping would write, and never past a slot or time bound:
   starts at or after the earliest next arrival.  Saturated, on an
   error-free channel, they are copies of the window every station just
   closed from one start, if it had that length and no collision: a
-  station that succeeds draws nothing and keeps its slot.  Each station's
-  protocol gets one success report, which is all that any number of
-  successes changes, and the copies stop where an adapter's ``hold`` count
-  says its length or probe plan could change.
+  station that succeeds draws nothing and keeps its slot.  A protocol
+  whose last report was a failure gets one success report, which is all
+  that any number of successes changes, and the copies stop where an
+  adapter's ``hold`` count says its length or probe plan could change.
 * DCF idle stretches.  In a run of DCF stations only, once a slot is idle
   with some station waiting, the slots up to the next booked transmission
   stay idle while no waiting station holds a packet or has one arrive.
@@ -40,11 +50,12 @@ A watched run jumps only while the trailing window holds fewer successes
 than the watch needs, and copies no saturated window; jumped slots add no
 success, so the watch cannot fire inside a jump, and its counters are
 recounted after one.  The clock still adds one duration per slot.
-Everything else is stepped: runs that mix DCF and schedule stations,
-saturated DCF runs (whose idle stretches are a few slots, each cheap to
-step), windows of stations on different phases or lengths, windows in
-which some station holds a packet, and saturated windows with collisions
-or errors (so every window at N > C).
+Everything else is played segment by segment or, on the general path,
+slot by slot: runs that mix DCF and schedule stations, saturated DCF runs
+(whose idle stretches are a few slots, each cheap to step), windows of
+stations on different phases or lengths, windows in which some station
+holds a packet, and saturated windows with collisions or errors (so every
+window at N > C).
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ import numpy as np
 from .adaptation import AlmacAdapter, AlzcAdapter, txop_packets
 from .config import MAX_LAMBDA_PPS
 from .phy import PhyParams, SlotKind
-from .protocols import Dcf, ScheduleProtocol
+from .protocols import Dcf
 
 _IDLE = int(SlotKind.IDLE)
 _SUCCESS = int(SlotKind.SUCCESS)
@@ -114,7 +125,11 @@ class Station:
     ``protocol.schedule_len`` and ``in_probe`` marks a half-length probe
     window; the adapter holds neither.  ``window_len`` and ``txop_m`` are
     plain attributes, set when a window closes, because the segment
-    builder and the lean slot path read them every segment and every slot.
+    builder and the segment players read them every segment.
+    ``reported_success`` is True while the last outcome reported to the
+    protocol was a success and no resize came after it: by the
+    ``on_schedule_end`` contract another success report would change
+    nothing, so the simulator skips it.
     """
 
     def __init__(
@@ -155,6 +170,7 @@ class Station:
         if adapter is not None:
             self.txop_m = txop_packets(self.window_len, adapter.base_len)
         self.in_probe = False
+        self.reported_success = False
         self.schedule_index = 0
         self.position = 0  # index in the simulator's station list
         self.window_start = 0
@@ -197,44 +213,6 @@ class Station:
             self.queue.append(arrival)
             if self.head_since_us is None:
                 self.head_since_us = arrival
-
-    # -- schedule windows -------------------------------------------------
-
-    def close_window(
-        self,
-        success: bool,
-        idle_positions: list[int],
-        saw_collision: bool,
-        events: list[Event],
-        next_start: int,
-    ) -> None:
-        """Log the finished window with the slot held in it, update the slot
-        choice and start the next window at slot ``next_start``.  A probe
-        holds ``proto.slot`` wrapped into its shorter window."""
-        proto: ScheduleProtocol = self.protocol
-        held_slot = self.tx_slot - self.window_start + 1
-        events.append(
-            (self.sid, self.schedule_index, held_slot, "success" if success else "failure")
-        )
-
-        if not self.in_probe:
-            proto.on_schedule_end(success, idle_positions, self.rng)
-
-        probe = False
-        if self.adapter is not None:
-            next_len, probe = self.adapter.plan_next(
-                proto.schedule_len, self.in_probe, len(idle_positions), saw_collision, success
-            )
-            if not probe and next_len != proto.schedule_len:
-                proto.resize(next_len)
-            if next_len != self.window_len:
-                self.window_len = next_len
-                self.txop_m = txop_packets(next_len, self.adapter.base_len)
-
-        self.in_probe = probe
-        self.schedule_index += 1
-        self.window_start = next_start
-        self.tx_slot = next_start + (proto.slot - 1) % self.window_len
 
 
 class Simulator:
@@ -313,14 +291,16 @@ class Simulator:
         add_tx = tr.tx_station.append
         add_packets = tr.packets.append
         sched = [st for st in self.stations if not st.is_dcf]
-        # with saturated schedule stations only, each slot takes the lean path:
-        # no waiting list, arrivals, DCF updates or queue bookkeeping
-        lean = len(sched) == len(self.stations) and all(st.saturated for st in sched)
+        # with saturated schedule stations only, each step plays a segment
+        segments = len(sched) == len(self.stations) and all(st.saturated for st in sched)
         dcf_only = not sched
 
         watching = watch_n is not None and watch_n <= watch_len
         n_good = n_bad = 0
-        if watching:
+        ready = math.inf  # in segments, the first slot at which the watch could fire
+        if watching and segments:
+            ready = max(_last_bad(kinds, self.slot_index, watch_len), watch_from - 1) + watch_len
+        elif watching:
             n_good, n_bad = _watch_counts(kinds, max(watch_from, self.slot_index - watch_len))
 
         s = self.slot_index
@@ -330,25 +310,14 @@ class Simulator:
             end = -1  # look for an idle stretch after every slot
         hit = False
         while True:
-            before = clock
-            if lean:
-                transmitters = sched_due.get(s)
-                if transmitters is None:
-                    kind, duration, sid, packets = _IDLE, sigma, -1, 0
-                elif len(transmitters) > 1:
-                    kind, duration, sid, packets = _COLLISION, t_coll, -1, 0
-                    colliders[s] = tuple([st.sid for st in transmitters])
-                else:
-                    st = transmitters[0]
-                    sid, packets = st.sid, 0
-                    if error_rate > 0.0 and channel_rng.random() < error_rate:
-                        kind, duration = _ERROR, t_coll
-                    else:
-                        kind, packets = _SUCCESS, st.txop_m
-                        duration = success_us.get(packets)
-                        if duration is None:
-                            duration = success_us[packets] = phy.success_duration(packets)
-                        st.delivered += packets
+            before = clock  # a window end pulls arrivals as of its last slot
+            if segments:
+                stop = end + 1 if end < until_slot else max(math.ceil(until_slot), s + 1)
+                s, clock, hit, ready = self._play_segment(
+                    s, stop, sched_due, clock, until_us, watch_n, watch_len, ready
+                )
+                if hit:
+                    break
             else:
                 due = tx_due.pop(s, None)
                 if s in sched_due:
@@ -362,10 +331,11 @@ class Simulator:
                         ]
                         if transmitters:
                             for st in transmitters:
-                                st.pull_arrivals(clock)
+                                if st.next_arrival_us <= clock:
+                                    st.pull_arrivals(clock)
                             waiting[:] = [st for st in waiting if not st.queue]
                     for st in due or ():
-                        if not st.saturated:
+                        if st.next_arrival_us <= clock:
                             st.pull_arrivals(clock)
                         if st.saturated or st.queue:
                             transmitters.append(st)
@@ -385,41 +355,43 @@ class Simulator:
                         kind, duration = _COLLISION, t_coll
                         transmitters.sort(key=_position)
                         colliders[s] = tuple(st.sid for st in transmitters)
-            clock += duration
-            add_kind(kind)
-            add_duration(duration)
-            add_tx(sid)
-            add_packets(packets)
-            if kind != _IDLE and not lean:
-                if packets:
-                    transmitters[0].deliver(packets, clock)
-                for st in transmitters:
-                    if st.is_dcf:
-                        if st.protocol.on_transmission(kind == _SUCCESS, st.rng):
-                            st.drop_head(clock)
-                        self._plan(st, s + 1)
-            s += 1
-            if watching:
-                n_good += kind == _SUCCESS
-                n_bad += kind >= _COLLISION
-                if s - watch_len > watch_from:
-                    old = kinds[s - watch_len - 1]
-                    n_good -= old == _SUCCESS
-                    n_bad -= old >= _COLLISION
-                if s - watch_from >= watch_len and n_good == watch_n and n_bad == 0:
-                    hit = True
-                    break
+                clock += duration
+                add_kind(kind)
+                add_duration(duration)
+                add_tx(sid)
+                add_packets(packets)
+                if kind != _IDLE:
+                    if packets:
+                        transmitters[0].deliver(packets, clock)
+                    for st in transmitters:
+                        if st.is_dcf:
+                            if st.protocol.on_transmission(kind == _SUCCESS, st.rng):
+                                st.drop_head(clock)
+                            self._plan(st, s + 1)
+                s += 1
+                if watching:
+                    n_good += kind == _SUCCESS
+                    n_bad += kind >= _COLLISION
+                    if s - watch_len > watch_from:
+                        old = kinds[s - watch_len - 1]
+                        n_good -= old == _SUCCESS
+                        n_bad -= old >= _COLLISION
+                    if s - watch_from >= watch_len and n_good == watch_n and n_bad == 0:
+                        hit = True
+                        break
             if s >= until_slot or clock >= until_us:
                 break
             if s > end:
                 t = s
-                free = not watching or n_good < watch_n  # the watch cannot fire in a jump
+                # the watch cannot fire in a jump, and a watched run copies no
+                # window with successes
+                free = not watching or (not segments and n_good < watch_n)
                 if dcf_only:
                     if kind == _IDLE and waiting and s not in tx_due and free:
                         t, clock = self._idle_stretch(s, clock, until_slot, until_us)
                 else:
                     closed_from = self._close_windows(sched, s - 1, before)
-                    if free:  # a watched run copies no window with successes
+                    if free:
                         t, clock = self._repeat_windows(
                             s, clock, None if watching else closed_from, until_slot, until_us
                         )
@@ -436,9 +408,98 @@ class Simulator:
         self.slot_index = s
         self.clock_us = clock
         for st in self.stations:
-            if not st.saturated:
+            if st.next_arrival_us <= clock:
                 st.pull_arrivals(clock)
         return hit
+
+    def _play_segment(
+        self, s: int, stop: int, due: dict[int, list[Station]], clock: float, until_us: float,
+        watch_n: int | None, watch_len: int, ready: float,
+    ) -> tuple[int, float, bool, float]:
+        """Play slots ``s`` to ``stop - 1`` of a run of saturated schedule
+        stations, whose transmissions by slot are ``due``: extend the trace
+        columns once, then fill in the busy slots in slot order.  A slot held
+        by two or more stations is a collision; a lone transmitter draws the
+        channel's error number and otherwise succeeds.
+
+        ``ready`` is the first slot at which a live watch could fire, the
+        ``watch_len`` slots before it free of collisions and errors, and
+        math.inf with no watch.  With a watch or a finite ``until_us`` the
+        play stops after the slot where the watch fires or the clock reaches
+        ``until_us``, and no later slot is filled or draws.  Returns the slot
+        after the last one played, the clock there, whether the watch fired,
+        and ``ready`` there."""
+        phy, success_us = self.phy, self._success_us
+        error_rate, channel_rng, t_coll = self.error_rate, self.channel_rng, phy.t_collision
+        tr = self.trace
+        kinds, durations, tx_station, packets = tr.kinds, tr.durations, tr.tx_station, tr.packets
+        colliders = tr.colliders
+        length = stop - s
+        kinds.extend([_IDLE] * length)
+        durations.extend([phy.sigma_us] * length)
+        tx_station.extend([-1] * length)
+        packets.extend([0] * length)
+        timed = until_us < math.inf
+        checked = timed or ready < math.inf
+        busy = sorted(due.items())
+        errors = ()
+        if error_rate > 0.0 and not checked:  # every lone slot is played: draw at once
+            lone = sum([len(group) == 1 for t, group in busy if t < stop])
+            errors = iter((channel_rng.random(lone) < error_rate).tolist())
+        hit, pos = False, s
+        busy.append((stop, None))
+        for t, group in busy:
+            if t > stop:
+                t = stop
+            if checked:  # slots pos to t - 1 are final: does the run stop in them?
+                last = t
+                if ready < t:
+                    for u in range(max(pos, ready), t):
+                        if kinds[u + 1 - watch_len : u + 1].count(_SUCCESS) == watch_n:
+                            last, hit = u + 1, True
+                            break
+                if timed:
+                    for u in range(pos, last):
+                        clock += durations[u]
+                        if clock >= until_us:
+                            hit = hit and u + 1 == last  # a watch in the same slot fires
+                            last = u + 1
+                            break
+                if last < t or hit or clock >= until_us:
+                    stop = last
+                    break
+                pos = t
+            if t == stop:
+                break
+            if len(group) > 1:
+                kinds[t] = _COLLISION
+                colliders[t] = tuple([st.sid for st in group])
+            else:
+                st = group[0]
+                tx_station[t] = st.sid
+                error = error_rate > 0.0 and (
+                    channel_rng.random() < error_rate if checked else next(errors)
+                )
+                if not error:
+                    m = st.txop_m
+                    duration = success_us.get(m)
+                    if duration is None:
+                        duration = success_us[m] = phy.success_duration(m)
+                    kinds[t] = _SUCCESS
+                    durations[t] = duration
+                    packets[t] = m
+                    st.delivered += m
+                    continue
+                kinds[t] = _ERROR
+            durations[t] = t_coll
+            if ready < t + watch_len:
+                ready = t + watch_len
+        if stop < s + length:
+            for column in (kinds, durations, tx_station, packets):
+                del column[stop:]
+        if not timed:
+            clock = reduce(add, durations[s:stop], clock)
+        return stop, clock, hit, ready
 
     def _segment(self, sched: list[Station], s: int) -> tuple[float, dict[int, list[Station]]]:
         """The segment from slot ``s`` up to the first window end among
@@ -447,36 +508,79 @@ class Simulator:
         end = min([st.window_start + st.window_len for st in sched], default=math.inf) - 1
         due: dict[int, list[Station]] = {}
         for st in sched:
-            if st.tx_slot >= s:
-                due.setdefault(st.tx_slot, []).append(st)
+            t = st.tx_slot
+            if t >= s:
+                group = due.get(t)
+                if group is None:
+                    due[t] = [st]
+                else:
+                    group.append(st)
         return end, due
 
     def _close_windows(self, sched: list[Station], s: int, before_us: float) -> int | None:
         """Close the windows of ``sched`` that end at slot ``s``, in position
-        order, each read back from the trace.  Returns the start they share,
-        or None when they started at different slots."""
-        ending = [st for st in sched if st.window_start + st.window_len - 1 == s]
+        order, each read back from the trace: log the slot held and the
+        outcome, report it to the protocol, let the adapter plan the next
+        window, and start that at slot ``s + 1``.  A probe window is not
+        reported, and a success is reported only after a failure or a
+        resize (``Station.reported_success``); a station left unreported
+        keeps its slot.  The idle positions are listed only when an adapter
+        counts them or the protocol sets ``reads_idle_positions``.  A probe
+        holds ``proto.slot`` wrapped into its shorter window.  Returns the
+        start the windows share, or None when they started at different
+        slots."""
         tr = self.trace
-        kinds = tr.kinds
-        seen: dict[int, tuple[list[int], bool]] = {}
-        for st in ending:
-            if not st.saturated:
+        kinds, tx_station = tr.kinds, tr.tx_station
+        add_event = self.events.append
+        after = s + 1
+        shared = None  # the start of every window closed so far; -1 once two differ
+        views: dict[int, tuple[list[int], bool]] = {}  # idle positions, collision
+        for st in sched:
+            start, length = st.window_start, st.window_len
+            if start + length != after:
+                continue
+            if shared != start:
+                shared = start if shared is None else -1
+            if st.next_arrival_us <= before_us:
                 st.pull_arrivals(before_us)
-            start = st.window_start
-            view = seen.get(start)
-            if view is None:
-                window = kinds[start : s + 1]
-                view = seen[start] = (
-                    [i + 1 for i, k in enumerate(window) if k == _IDLE],
-                    max(window) >= _COLLISION,
+            own, sid = st.tx_slot, st.sid
+            success = kinds[own] == _IDLE or (kinds[own] == _SUCCESS and tx_station[own] == sid)
+            add_event((sid, st.schedule_index, own - start + 1,
+                       "success" if success else "failure"))
+            st.schedule_index += 1
+            st.window_start = after
+            adapter = st.adapter
+            if success and st.reported_success and adapter is None:
+                st.tx_slot = own + length
+                continue
+            proto = st.protocol
+            report = not st.in_probe and not (success and st.reported_success)
+            idle, saw_collision = (), False
+            if adapter is not None or (report and proto.reads_idle_positions):
+                view = views.get(start)
+                if view is None:
+                    window = kinds[start:after]
+                    view = views[start] = (
+                        [i + 1 for i, k in enumerate(window) if k == _IDLE],
+                        max(window) >= _COLLISION,
+                    )
+                idle, saw_collision = view
+            if report:
+                proto.on_schedule_end(success, idle, st.rng)
+                st.reported_success = success
+            if adapter is not None:
+                next_len, probe = adapter.plan_next(
+                    proto.schedule_len, st.in_probe, len(idle), saw_collision, success
                 )
-            own = st.tx_slot
-            own_kind = kinds[own]
-            success = own_kind == _IDLE or (
-                own_kind == _SUCCESS and tr.tx_station[own] == st.sid
-            )
-            st.close_window(success, view[0], view[1], self.events, s + 1)
-        return next(iter(seen)) if len(seen) == 1 else None
+                if not probe and next_len != proto.schedule_len:
+                    proto.resize(next_len)
+                    st.reported_success = False
+                if next_len != length:
+                    st.window_len = next_len
+                    st.txop_m = txop_packets(next_len, adapter.base_len)
+                st.in_probe = probe
+            st.tx_slot = after + (proto.slot - 1) % st.window_len
+        return None if shared == -1 else shared
 
     def _repeat_windows(
         self, s: int, clock: float, closed_from: int | None, until_slot: float, until_us: float
@@ -495,12 +599,16 @@ class Simulator:
         station then succeeded, and a success draws nothing and keeps the
         slot.  Either window draws no random number.  Every station would
         report a success per window, and by the ``on_schedule_end`` contract
-        only the first changes anything, so its protocol gets that one.
+        only the first changes anything, so its protocol gets that one
+        unless its last report was a success already.
         Windows stop where an adapter's ``hold`` count says its length or
         probe plan could change.
         """
-        stations = self.stations
+        stations, tr = self.stations, self.trace
         length, saturated = stations[0].window_len, stations[0].saturated
+        if saturated and (closed_from != s - length or self.error_rate > 0.0
+                          or max(tr.kinds[closed_from:s]) >= _COLLISION):
+            return s, clock
         arrival = math.inf
         for st in stations:
             if (st.is_dcf or st.saturated != saturated or st.queue or st.in_probe
@@ -508,13 +616,8 @@ class Simulator:
                 return s, clock
             arrival = min(arrival, st.next_arrival_us)
         if saturated:
-            if closed_from != s - length or self.error_rate > 0.0:
-                return s, clock
-            tr = self.trace
             window = tuple(column[s - length : s]
                            for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets))
-            if max(window[0]) >= _COLLISION:
-                return s, clock
         else:
             window = ([_IDLE] * length, [self.phy.sigma_us] * length, [-1] * length, [0] * length)
         idle = [i + 1 for i, k in enumerate(window[0]) if k == _IDLE]
@@ -523,14 +626,16 @@ class Simulator:
         k, clock = self._fit_windows(s, clock, window[1], until_slot, until_us, arrival, kept)
         if k == 0:
             return s, clock
-        self.trace.repeat(window, k)
+        tr.repeat(window, k)
         held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1) for st in stations]
         self.events.extend(
             (sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held
         )
         shift = k * length
         for st in stations:
-            st.protocol.on_schedule_end(True, idle, st.rng)
+            if not st.reported_success:
+                st.protocol.on_schedule_end(True, idle, st.rng)
+                st.reported_success = True
             if st.adapter is not None:
                 st.adapter.hold(length, len(idle), False, True, k)
             if saturated:
@@ -597,6 +702,15 @@ def _watch_counts(kinds: list[int], start: int) -> tuple[int, int]:
         good += k == _SUCCESS
         bad += k >= _COLLISION
     return good, bad
+
+
+def _last_bad(kinds: list[int], s: int, length: int) -> int:
+    """The last collision or error among the ``length`` slots before ``s``,
+    or ``s - length - 1`` if there is none."""
+    for u in range(s - 1, max(s - length, 0) - 1, -1):
+        if kinds[u] >= _COLLISION:
+            return u
+    return s - length - 1
 
 
 def _position(st: Station) -> int:

@@ -11,7 +11,7 @@ from macsim.adaptation import AlmacAdapter, AlzcAdapter
 from macsim.config import MAX_LAMBDA_PPS, PROTOCOLS, SimConfig, derive_seed
 from macsim.engine import Simulator, Station, Trace, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
-from macsim.protocols import Dcf, Lmac, Lzc, init_protocol
+from macsim.protocols import Dcf, Lbeb, Lmac, Lzc, Zc, init_protocol
 from macsim.runner import default_f_table, run_simulation
 from macsim import metrics
 from oracles import backoff_from_slots, transmitters_of
@@ -84,6 +84,7 @@ class RecordingProtocol:
     """Captures schedule-end callbacks for window inspection."""
 
     kind = "recording"
+    reads_idle_positions = True
 
     def __init__(self, schedule_len, slot):
         self.schedule_len = schedule_len
@@ -324,17 +325,30 @@ def sim_state(sim, sids=None):
     }
 
 
+def record_closes(monkeypatch, record):
+    """Call ``record(station_before, event)`` for every window that
+    ``Simulator._close_windows`` closes one by one, in close order, read
+    from the events it logs; ``station_before`` holds the station's window
+    start, window length, probe flag and committed length before the close."""
+    close_windows = Simulator._close_windows
+
+    def recorded(sim, sched, *args):
+        before = {st.sid: (st.window_start, st.window_len, st.in_probe,
+                           st.protocol.schedule_len) for st in sched}
+        logged = len(sim.events)
+        shared = close_windows(sim, sched, *args)
+        for event in sim.events[logged:]:
+            record(before[event[0]], event)
+        return shared
+
+    monkeypatch.setattr(Simulator, "_close_windows", recorded)
+
+
 @pytest.fixture
 def close_calls(monkeypatch):
-    """Window starts of every ``Station.close_window`` call, in call order."""
+    """Window starts of every window closed one by one, in close order."""
     starts = []
-    close_window = Station.close_window
-
-    def counted(st, *args):
-        starts.append(st.window_start)
-        return close_window(st, *args)
-
-    monkeypatch.setattr(Station, "close_window", counted)
+    record_closes(monkeypatch, lambda before, event: starts.append(before[0]))
     return starts
 
 
@@ -433,22 +447,105 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
     ("lzc", 10, 15, {"error_rate": 0.1}),
     ("lzc", 20, 16, {"adaptation": "alzc"}),
     ("lmac", 20, 17, {"adaptation": "almac"}),
+    # L-BEB at N = C does not settle in 6000 slots: watched throughout
+    ("lbeb", 16, 40, {"hit": False}),
+    # the watch fires inside a window, on an error channel
+    ("lmac", 16, 41, {"error_rate": 0.1, "hit": True}),
+    # a time bound in slot 4 of window 40, with error draws pending after it
+    ("lzc", 12, 42, {"error_rate": 0.1, "time_bound_slot": 16 * 40 + 4}),
+    # a saturated joiner enters 5 slots into a window: segments end on both grids
+    ("lmac", 10, 43, {"join_at": 16 * 20 + 5}),
 ])
 def test_lean_body_matches_general_body(protocol, n, seed, kw):
     # a schedule station without traffic sends nothing but puts the run on
-    # the general slot path; the medium and everyone else must not notice
-    c = 16
+    # the general slot path; the medium and everyone else must not notice,
+    # so the general path checks the lean body, segment play, slot for slot
+    c, horizon = 16, 6000
+    kw = dict(kw)
+    hit_expected = kw.pop("hit", None)
+    bound_slot = kw.pop("time_bound_slot", None)
+    join_at = kw.pop("join_at", None)
     lean = replay_sim(protocol, n, c, seed, **kw)
     general = replay_sim(protocol, n, c, seed, **kw)
     silent_rng = rng(derive_seed(seed, n))
     silent = init_protocol(protocol, c, silent_rng, beta=0.95, gamma=0.5)
     general.add_station(Station(n, silent, silent_rng, saturated=False, lambda_pps=0.0))
+    sids = list(range(n))
+    if bound_slot is not None:  # reached inside slot ``bound_slot - 1``
+        probe = replay_sim(protocol, n, c, seed, **kw)
+        probe.run(until_slot=bound_slot)
+        until_us = probe.clock_us - 1.0
+    outcomes = []
     for sim in (lean, general):
-        sim.run(until_slot=6000, watch_n=n, watch_len=c)
-        if sim.slot_index < 6000:
-            sim.run(until_slot=6000)
-    assert sim_state(general, range(n)) == sim_state(lean)
+        watch = dict(watch_n=n, watch_len=c)
+        if bound_slot is not None:
+            sim.run(until_us=until_us)
+            assert sim.slot_index == bound_slot
+        if join_at is not None:
+            sim.run(until_slot=join_at)
+            joiner_rng = rng(derive_seed(seed, n + 1))
+            joiner = init_protocol(protocol, c, joiner_rng, beta=0.95, gamma=0.5)
+            sim.add_station(Station(n + 1, joiner, joiner_rng))
+            watch = dict(watch_n=n + 1, watch_len=c, watch_from=join_at)
+        outcomes.append((sim.run(until_slot=horizon, **watch), sim.slot_index))
+        if sim.slot_index < horizon:
+            sim.run(until_slot=horizon)
+    if join_at is not None:
+        sids.append(n + 1)
+    assert outcomes[0] == outcomes[1]
+    hit, stopped_at = outcomes[0]
+    if hit_expected is not None:
+        assert hit == hit_expected
+    if hit_expected:
+        assert stopped_at % c != 0  # the watched span straddles two windows
+    assert sim_state(general, sids) == sim_state(lean, sids)
     assert len(general.events) > len(lean.events)
+
+
+@pytest.mark.parametrize("protocol, n, c, seed, kw", [
+    ("lmac", 8, 8, 11, {"error_rate": 0.1}),
+    ("lzc", 16, 16, 44, {"error_rate": 0.1}),
+    ("lbeb", 6, 8, 10, {"error_rate": 0.1}),
+    ("lmac", 20, 16, 13, {"adaptation": "almac"}),
+])
+def test_reports_follow_the_kernel_rule(protocol, n, c, seed, kw, monkeypatch):
+    # every window of a stepped run is closed one by one; its protocol hears
+    # of each failure and of the first success after a failure or a resize,
+    # and of nothing in a probe
+    windows: dict[int, list] = {}
+    record_closes(monkeypatch, lambda before, event: windows.setdefault(event[0], []).append(
+        (before[2], before[3], event[3] == "success")))
+    reports: dict[int, list[bool]] = {}
+    for cls in (Lbeb, Zc, Lzc, Lmac):
+        def reported(proto, success, idle_positions, rng, update=cls.on_schedule_end):
+            reports.setdefault(id(proto), []).append(success)
+            return update(proto, success, idle_positions, rng)
+        monkeypatch.setattr(cls, "on_schedule_end", reported)
+    sim = replay_sim(protocol, n, c, seed, **kw)
+    while sim.slot_index < 3000:
+        sim.step()
+    counts = Counter()
+    for st in sim.stations:
+        expected, last, committed = [], False, None
+        for probe, schedule_len, success in windows[st.sid]:
+            if schedule_len != committed:  # a resize: the next success is reported
+                counts["resize"] += committed is not None
+                last, committed = False, schedule_len
+            if probe:
+                counts["probe"] += 1
+            elif not success:
+                expected.append(False)
+                counts["failure"] += 1
+            elif not last:
+                expected.append(True)
+                counts["recovery"] += 1
+            else:
+                counts["skipped"] += 1
+            if not probe:
+                last = success
+        assert reports.get(id(st.protocol), []) == expected, st.sid
+    assert counts["failure"] and counts["recovery"] and counts["skipped"]
+    assert bool(counts["probe"]) == bool(counts["resize"]) == ("adaptation" in kw)
 
 
 @pytest.mark.parametrize("kw", [{}, {"error_rate": 0.1}])
@@ -994,18 +1091,13 @@ def ledger_violations(result, windows=None):
 
 def run_recording_windows(cfg, monkeypatch):
     """``run_simulation(cfg)`` and each station's completed windows as
-    (start, length, probe, committed length), read from every
-    ``Station.close_window`` call and every window that
-    ``Simulator._repeat_windows`` appends in bulk."""
+    (start, length, probe, committed length), read from every window closed
+    one by one and every window that ``Simulator._repeat_windows`` appends
+    in bulk."""
     windows: dict[int, list] = {}
-    close_window = Station.close_window
     repeat_windows = Simulator._repeat_windows
-
-    def recorded(st, *args):
-        windows.setdefault(st.sid, []).append(
-            (st.window_start, st.window_len, st.in_probe, st.protocol.schedule_len)
-        )
-        return close_window(st, *args)
+    record_closes(monkeypatch,
+                  lambda before, event: windows.setdefault(event[0], []).append(before))
 
     def repeated(sim, s, *args):
         t, clock = repeat_windows(sim, s, *args)
@@ -1016,7 +1108,6 @@ def run_recording_windows(cfg, monkeypatch):
             )
         return t, clock
 
-    monkeypatch.setattr(Station, "close_window", recorded)
     monkeypatch.setattr(Simulator, "_repeat_windows", repeated)
     return run_simulation(cfg), windows
 
