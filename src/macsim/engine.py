@@ -1,61 +1,32 @@
-"""Event-stepped network simulator.
+"""Event-ordered network simulator.
 
-Advances the shared medium one MAC slot at a time but touches a station
-only at its own events.  A DCF station is booked in a due table at its next
-transmission, ``Dcf.counter + 1`` slots after its last one.  A schedule station
-books nothing: ``window_start``, ``tx_slot`` and ``window_len`` say when it
-transmits and when its window ends.  A run is played in segments, each up to
-the next window end, whose schedule transmitters are looked up by slot.
-Due stations that hold a packet transmit; zero transmitters make an idle
-slot, exactly one a success unless a channel error fires, two or more
-collide.  A DCF station whose counter ran out with an empty queue waits on a
-list checked every slot.  The per-slot trace is the one medium history: at
-a window end a station reads its idle positions, collision flag and own
-outcome back from it.  Poisson arrivals are pulled at a station's events,
-before its random draws, so every random stream is consumed as if stations
-were stepped every slot.  Simulated time is the sum of slot durations, added
-left to right, and nothing else.
+A run is played in segments, each up to the next window end, that visit
+only decision slots: the slot a schedule station holds in its window
+(``tx_slot``), the slot a DCF station is booked at in a due table
+(``Dcf.counter + 1`` slots after its last transmission), and the first slot
+whose start reaches the next arrival of a DCF station waiting on an empty
+queue.  The idle slots between them are written in bulk.  The stations due
+pull their Poisson arrivals as of the slot's start, before their random
+draws, so every random stream is consumed as if stations were stepped every
+slot.  One transmitter succeeds unless the channel's error draw fires, two
+or more collide.  Simulated time is the sum of slot durations, added left
+to right, and nothing else.  The per-slot trace is the one medium history:
+at a window end a station reads its idle positions, collision flag and own
+outcome back from it, and its protocol hears only failures and the first
+success after a failure or a resize, never a probe (by the
+``on_schedule_end`` contract a success right after a success changes
+nothing).
 
-When every station is a saturated schedule station, ``run`` plays a
-segment per step: it extends the trace columns once and fills in the busy
-slots in slot order, a lone transmitter drawing the channel's error number,
-the only random number, in a played slot; a watch or a time bound cuts the
-segment after exactly the slot where stepping would stop.  Other runs take
-the general path, one slot per step, the independent reference for segment
-play.  The windows that end are closed in one loop, and a protocol hears
-only failures and the first success after a failure or a resize, never a
-probe: by the ``on_schedule_end`` contract a success reported right after
-a reported success changes nothing.
-
-Where no slot can hold a random draw or a decision, ``run`` appends whole
-spans in one step, byte for byte what stepping would write, and never past
-a slot or time bound:
-
-* Window repeats.  When every station is a schedule station, all saturated
-  or none, and every window starts at the next slot with one shared length,
-  none a probe and no station holding a packet, the next windows are known
-  in advance.  Unsaturated, they are all idle up to the one whose last slot
-  starts at or after the earliest next arrival.  Saturated, on an
-  error-free channel, they are copies of the window every station just
-  closed from one start, if it had that length and no collision: a
-  station that succeeds draws nothing and keeps its slot.  A protocol
-  whose last report was a failure gets one success report, which is all
-  that any number of successes changes, and the copies stop where an
-  adapter's ``hold`` count says its length or probe plan could change.
-* DCF idle stretches.  In a run of DCF stations only, once a slot is idle
-  with some station waiting, the slots up to the next booked transmission
-  stay idle while no waiting station holds a packet or has one arrive.
-
-A watched run jumps only while the trailing window holds fewer successes
-than the watch needs, and copies no saturated window; jumped slots add no
-success, so the watch cannot fire inside a jump, and its counters are
-recounted after one.  The clock still adds one duration per slot.
-Everything else is played segment by segment or, on the general path,
-slot by slot: runs that mix DCF and schedule stations, saturated DCF runs
-(whose idle stretches are a few slots, each cheap to step), windows of
-stations on different phases or lengths, windows in which some station
-holds a packet, and saturated windows with collisions or errors (so every
-window at N > C).
+After a window end ``run`` may append whole windows in one step, byte for
+byte what playing them would write, never past a slot or time bound: when
+every station is a schedule station, all saturated or none, every window
+starts at the next slot with one shared length, none is a probe and no
+station holds a packet.  Unsaturated, the windows are idle up to the one
+whose last slot starts at or after the earliest next arrival.  Saturated,
+on an error-free channel, they are copies of the window every station just
+closed from one start, if it had that length and no collision, up to where
+an adapter's ``hold`` count says its length or probe plan could change.  A
+watched run jumps only where the watch cannot fire, and copies no window.
 """
 
 from __future__ import annotations
@@ -64,6 +35,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from heapq import heappop, heappush
+from itertools import repeat
 from operator import add
 
 import numpy as np
@@ -77,6 +50,10 @@ _IDLE = int(SlotKind.IDLE)
 _SUCCESS = int(SlotKind.SUCCESS)
 _COLLISION = int(SlotKind.COLLISION)
 _ERROR = int(SlotKind.ERROR)
+
+#: DCF stations alone have no window end; their runs are played in segments
+#: of at most this many slots.
+_MAX_SEGMENT = 1 << 14
 
 
 def elapsed_us(durations) -> float:
@@ -120,16 +97,13 @@ class Station:
     A DCF station next transmits ``Dcf.counter + 1`` slots after its last
     transmission.  A schedule station's current window starts at slot
     ``window_start`` and it transmits in slot ``tx_slot`` of the run; with
-    an adapter each transmission carries ``txop_packets(window_len,
+    an adapter each transmission carries ``txop_m = txop_packets(window_len,
     adapter.base_len)`` packets.  The committed length is
     ``protocol.schedule_len`` and ``in_probe`` marks a half-length probe
-    window; the adapter holds neither.  ``window_len`` and ``txop_m`` are
-    plain attributes, set when a window closes, because the segment
-    builder and the segment players read them every segment.
-    ``reported_success`` is True while the last outcome reported to the
-    protocol was a success and no resize came after it: by the
-    ``on_schedule_end`` contract another success report would change
-    nothing, so the simulator skips it.
+    window; the adapter holds neither.  ``reported_success`` is True while
+    the last outcome reported to the protocol was a success and no resize
+    came after it: by the ``on_schedule_end`` contract another success
+    report would change nothing, so the simulator skips it.
     """
 
     def __init__(
@@ -216,7 +190,7 @@ class Station:
 
 
 class Simulator:
-    """Steps stations through MAC slots on one shared channel."""
+    """Plays stations through MAC slots on one shared channel."""
 
     def __init__(
         self,
@@ -276,135 +250,39 @@ class Simulator:
         ``watch_from``, hold exactly ``watch_n`` successes and no collision
         or error.  A watch with ``watch_n > watch_len`` is no watch: that
         many successes cannot fit in ``watch_len`` slots, so the run goes
-        on, and returns False, as an unwatched one.  After a window end, and
-        in a run of DCF stations only after an idle slot, it may jump ahead
-        (module docstring).
+        on, and returns False, as an unwatched one.  After a window end it
+        may jump ahead (module docstring).
         """
-        phy, success_us = self.phy, self._success_us
-        sigma, t_coll = phy.sigma_us, phy.t_collision
-        error_rate, channel_rng = self.error_rate, self.channel_rng
-        tx_due, waiting = self._tx_due, self._waiting
         tr = self.trace
-        kinds, colliders = tr.kinds, tr.colliders
-        add_kind = kinds.append
-        add_duration = tr.durations.append
-        add_tx = tr.tx_station.append
-        add_packets = tr.packets.append
+        kinds, durations = tr.kinds, tr.durations
         sched = [st for st in self.stations if not st.is_dcf]
-        # with saturated schedule stations only, each step plays a segment
-        segments = len(sched) == len(self.stations) and all(st.saturated for st in sched)
-        dcf_only = not sched
-
-        watching = watch_n is not None and watch_n <= watch_len
-        n_good = n_bad = 0
-        ready = math.inf  # in segments, the first slot at which the watch could fire
-        if watching and segments:
-            ready = max(_last_bad(kinds, self.slot_index, watch_len), watch_from - 1) + watch_len
-        elif watching:
-            n_good, n_bad = _watch_counts(kinds, max(watch_from, self.slot_index - watch_len))
-
-        s = self.slot_index
-        clock = self.clock_us
-        end, sched_due = self._segment(sched, s)
-        if dcf_only and not all(st.saturated for st in self.stations):
-            end = -1  # look for an idle stretch after every slot
-        hit = False
+        # saturated stations pull no arrivals, so no decision reads the clock
+        saturated = all([st.saturated for st in self.stations])
+        watch = None
+        if watch_n is not None and watch_n <= watch_len:
+            watch = _Watch(kinds, self.slot_index, watch_n, watch_len, watch_from)
+        s, clock = self.slot_index, self.clock_us
         while True:
-            before = clock  # a window end pulls arrivals as of its last slot
-            if segments:
-                stop = end + 1 if end < until_slot else max(math.ceil(until_slot), s + 1)
-                s, clock, hit, ready = self._play_segment(
-                    s, stop, sched_due, clock, until_us, watch_n, watch_len, ready
-                )
-                if hit:
-                    break
-            else:
-                due = tx_due.pop(s, None)
-                if s in sched_due:
-                    due = sched_due[s] if due is None else due + sched_due[s]
-                kind, duration, sid, packets = _IDLE, sigma, -1, 0
-                if due is not None or waiting:
-                    transmitters = []
-                    if waiting:
-                        transmitters = [
-                            st for st in waiting if st.queue or st.next_arrival_us <= clock
-                        ]
-                        if transmitters:
-                            for st in transmitters:
-                                if st.next_arrival_us <= clock:
-                                    st.pull_arrivals(clock)
-                            waiting[:] = [st for st in waiting if not st.queue]
-                    for st in due or ():
-                        if st.next_arrival_us <= clock:
-                            st.pull_arrivals(clock)
-                        if st.saturated or st.queue:
-                            transmitters.append(st)
-                        elif st.is_dcf:
-                            waiting.append(st)
-                    if len(transmitters) == 1:
-                        sid = transmitters[0].sid
-                        if error_rate > 0.0 and channel_rng.random() < error_rate:
-                            kind, duration = _ERROR, t_coll
-                        else:
-                            kind = _SUCCESS
-                            packets = transmitters[0].packets_ready()
-                            duration = success_us.get(packets)
-                            if duration is None:
-                                duration = success_us[packets] = phy.success_duration(packets)
-                    elif transmitters:
-                        kind, duration = _COLLISION, t_coll
-                        transmitters.sort(key=_position)
-                        colliders[s] = tuple(st.sid for st in transmitters)
-                clock += duration
-                add_kind(kind)
-                add_duration(duration)
-                add_tx(sid)
-                add_packets(packets)
-                if kind != _IDLE:
-                    if packets:
-                        transmitters[0].deliver(packets, clock)
-                    for st in transmitters:
-                        if st.is_dcf:
-                            if st.protocol.on_transmission(kind == _SUCCESS, st.rng):
-                                st.drop_head(clock)
-                            self._plan(st, s + 1)
-                s += 1
-                if watching:
-                    n_good += kind == _SUCCESS
-                    n_bad += kind >= _COLLISION
-                    if s - watch_len > watch_from:
-                        old = kinds[s - watch_len - 1]
-                        n_good -= old == _SUCCESS
-                        n_bad -= old >= _COLLISION
-                    if s - watch_from >= watch_len and n_good == watch_n and n_bad == 0:
-                        hit = True
-                        break
-            if s >= until_slot or clock >= until_us:
+            end, due = self._segment(sched, s)
+            stop = end + 1 if end < s + _MAX_SEGMENT else s + _MAX_SEGMENT
+            if until_slot < stop:
+                stop = max(math.ceil(until_slot), s + 1)
+            start, start_clock = s, clock
+            s, clock, hit = self._play_segment(s, stop, due, clock, until_us, watch, saturated)
+            if s > end:  # a window end pulls arrivals as of its last slot
+                before = clock if saturated else reduce(add, durations[start:end], start_clock)
+                closed_from = self._close_windows(sched, end, before)
+            if hit or s >= until_slot or clock >= until_us:
                 break
-            if s > end:
-                t = s
-                # the watch cannot fire in a jump, and a watched run copies no
-                # window with successes
-                free = not watching or (not segments and n_good < watch_n)
-                if dcf_only:
-                    if kind == _IDLE and waiting and s not in tx_due and free:
-                        t, clock = self._idle_stretch(s, clock, until_slot, until_us)
-                else:
-                    closed_from = self._close_windows(sched, s - 1, before)
-                    if free:
-                        t, clock = self._repeat_windows(
-                            s, clock, None if watching else closed_from, until_slot, until_us
-                        )
-                    end, sched_due = self._segment(sched, t)
-                if t > s:
-                    s = t
-                    if watching:
-                        n_good, n_bad = _watch_counts(kinds, max(watch_from, s - watch_len))
-                    if s >= until_slot:
-                        break
+            # a watched run copies no window, and jumps quiet windows only
+            # while they cannot hold the successes the watch needs
+            if s > end and (watch is None or not saturated and s > watch.last()):
+                s, clock = self._repeat_windows(
+                    s, clock, None if watch else closed_from, until_slot, until_us
+                )
+                if s >= until_slot:
+                    break
 
-        if s > end and not dcf_only:  # stopped right after a window end
-            self._close_windows(sched, s - 1, before)
         self.slot_index = s
         self.clock_us = clock
         for st in self.stations:
@@ -414,92 +292,164 @@ class Simulator:
 
     def _play_segment(
         self, s: int, stop: int, due: dict[int, list[Station]], clock: float, until_us: float,
-        watch_n: int | None, watch_len: int, ready: float,
-    ) -> tuple[int, float, bool, float]:
-        """Play slots ``s`` to ``stop - 1`` of a run of saturated schedule
-        stations, whose transmissions by slot are ``due``: extend the trace
-        columns once, then fill in the busy slots in slot order.  A slot held
-        by two or more stations is a collision; a lone transmitter draws the
-        channel's error number and otherwise succeeds.
-
-        ``ready`` is the first slot at which a live watch could fire, the
-        ``watch_len`` slots before it free of collisions and errors, and
-        math.inf with no watch.  With a watch or a finite ``until_us`` the
-        play stops after the slot where the watch fires or the clock reaches
+        watch: _Watch | None, saturated: bool,
+    ) -> tuple[int, float, bool]:
+        """Play slots ``s`` to ``stop - 1``, visiting only decision slots: the
+        schedule transmissions ``due`` by slot, the DCF bookings, made before
+        or during the play, and wake-ups of waiting DCF stations.  The clock
+        adds the slots up to each decision slot or, when every station is
+        ``saturated`` and no time bound is set, once at the end.  The play
+        stops after the slot where the ``watch`` fires or the clock reaches
         ``until_us``, and no later slot is filled or draws.  Returns the slot
-        after the last one played, the clock there, whether the watch fired,
-        and ``ready`` there."""
+        after the last one played, the clock there, and whether the watch
+        fired."""
         phy, success_us = self.phy, self._success_us
-        error_rate, channel_rng, t_coll = self.error_rate, self.channel_rng, phy.t_collision
+        sigma, t_coll = phy.sigma_us, phy.t_collision
+        error_rate, channel_rng = self.error_rate, self.channel_rng
+        tx_due, waiting = self._tx_due, self._waiting
         tr = self.trace
         kinds, durations, tx_station, packets = tr.kinds, tr.durations, tr.tx_station, tr.packets
         colliders = tr.colliders
-        length = stop - s
-        kinds.extend([_IDLE] * length)
-        durations.extend([phy.sigma_us] * length)
-        tx_station.extend([-1] * length)
-        packets.extend([0] * length)
-        timed = until_us < math.inf
-        checked = timed or ready < math.inf
-        busy = sorted(due.items())
-        errors = ()
-        if error_rate > 0.0 and not checked:  # every lone slot is played: draw at once
+        n = stop - s  # the segment's slots, idle until a decision slot fills one
+        kinds.extend([_IDLE] * n)
+        durations.extend([sigma] * n)
+        tx_station.extend([-1] * n)
+        packets.extend([0] * n)
+        lazy = saturated and until_us == math.inf  # the clock is added up at the end
+        plain = lazy and watch is None  # nothing to check after a slot
+        # schedule transmissions in slot order, up to the end of the segment
+        # (an empty group sorts first among equal slots)
+        busy = sorted([*due.items(), (stop, [])])
+        errors = None
+        if error_rate > 0.0 and plain and not tx_due:
+            # every lone transmission in the segment is played: draw at once
             lone = sum([len(group) == 1 for t, group in busy if t < stop])
             errors = iter((channel_rng.random(lone) < error_rate).tolist())
-        hit, pos = False, s
-        busy.append((stop, None))
-        for t, group in busy:
-            if t > stop:
-                t = stop
-            if checked:  # slots pos to t - 1 are final: does the run stop in them?
-                last = t
-                if ready < t:
-                    for u in range(max(pos, ready), t):
-                        if kinds[u + 1 - watch_len : u + 1].count(_SUCCESS) == watch_n:
-                            last, hit = u + 1, True
+        ready, last, length = math.inf, -math.inf, 0  # the watch fires in ready..last
+        if watch is not None:
+            ready, last, length, want, recent = (
+                watch.ready, watch.last(), watch.length, watch.want, watch.recent)
+        busy = iter(busy)
+        t_sched, group = next(busy)
+        booked = sorted(tx_due)  # a heap of the DCF bookings' slots
+        t_dcf = booked[0] if booked else math.inf
+        at, pos, hit = s, s, False  # ``clock`` is the start of slot ``at``
+        while True:
+            u = t_sched if t_sched < t_dcf else t_dcf
+            if u > pos:  # idle up to u, unless a waiting station wakes first
+                if plain:
+                    pos = u
+                else:
+                    if not lazy:
+                        after = math.inf if waiting else reduce(add, repeat(sigma, u - pos), clock)
+                        if after >= until_us:  # a wake-up or the time bound may come first
+                            u, after = _idle_walk(pos, u, clock, waiting, until_us, sigma)
+                    if ready < u and pos <= last:
+                        last = watch.last()
+                        h = watch.first_hit(kinds, max(pos, ready), min(u, last + 1))
+                        if h is not None:
+                            end, hit = h + 1, True
                             break
-                if timed:
-                    for u in range(pos, last):
-                        clock += durations[u]
-                        if clock >= until_us:
-                            hit = hit and u + 1 == last  # a watch in the same slot fires
-                            last = u + 1
+                    if not lazy:
+                        if after >= until_us and u > pos:
+                            end = u
                             break
-                if last < t or hit or clock >= until_us:
-                    stop = last
-                    break
-                pos = t
-            if t == stop:
+                        clock, at = after, u
+                    pos = u
+            if pos == stop:
+                end = stop
                 break
-            if len(group) > 1:
-                kinds[t] = _COLLISION
-                colliders[t] = tuple([st.sid for st in group])
-            else:
-                st = group[0]
-                tx_station[t] = st.sid
-                error = error_rate > 0.0 and (
-                    channel_rng.random() < error_rate if checked else next(errors)
-                )
-                if not error:
-                    m = st.txop_m
+            if u == t_sched:
+                transmitters = group
+                t_sched, group = next(busy)
+            else:  # a DCF booking or a waiting station's wake-up
+                transmitters = []
+            dcf = u == t_dcf
+            if dcf:  # booked DCF stations first
+                heappop(booked)
+                transmitters = tx_due.pop(u) + transmitters
+            if not saturated:
+                listed, transmitters = transmitters, []
+                if waiting:
+                    transmitters = [st for st in waiting
+                                    if st.queue or st.next_arrival_us <= clock]
+                    if transmitters:
+                        dcf = True  # the woken transmit
+                        for st in transmitters:
+                            if st.next_arrival_us <= clock:
+                                st.pull_arrivals(clock)
+                        waiting[:] = [st for st in waiting if not st.queue]
+                for st in listed:
+                    if st.next_arrival_us <= clock:
+                        st.pull_arrivals(clock)
+                    if st.saturated or st.queue:
+                        transmitters.append(st)
+                    elif st.is_dcf:
+                        waiting.append(st)
+            if len(transmitters) == 1:
+                st = transmitters[0]
+                tx_station[u] = st.sid
+                if error_rate > 0.0 and (
+                    next(errors) if errors else channel_rng.random() < error_rate
+                ):
+                    kinds[u], durations[u] = _ERROR, t_coll
+                else:
+                    m = st.txop_m if saturated else st.packets_ready()
                     duration = success_us.get(m)
                     if duration is None:
                         duration = success_us[m] = phy.success_duration(m)
-                    kinds[t] = _SUCCESS
-                    durations[t] = duration
-                    packets[t] = m
-                    st.delivered += m
-                    continue
-                kinds[t] = _ERROR
-            durations[t] = t_coll
-            if ready < t + watch_len:
-                ready = t + watch_len
-        if stop < s + length:
+                    kinds[u], durations[u], packets[u] = _SUCCESS, duration, m
+                    if saturated:
+                        st.delivered += m
+                    else:
+                        st.deliver(m, clock + duration)
+            elif transmitters:
+                kinds[u], durations[u] = _COLLISION, t_coll
+                if dcf:
+                    transmitters.sort(key=_position)
+                colliders[u] = tuple([st.sid for st in transmitters])
+            else:
+                kinds[u] = _IDLE  # nobody had anything to send
+            pos = u + 1
+            if dcf:
+                success = kinds[u] == _SUCCESS
+                for st in transmitters:
+                    if st.is_dcf:
+                        if st.protocol.on_transmission(success, st.rng):
+                            st.drop_head(clock + durations[u])
+                        b = pos + st.protocol.counter
+                        if b in tx_due:
+                            tx_due[b].append(st)
+                        else:
+                            tx_due[b] = [st]
+                            heappush(booked, b)
+                t_dcf = booked[0] if booked else math.inf
+            if plain:
+                continue
+            if not lazy:
+                clock += durations[u]
+                at = pos
+            if kinds[u] >= _COLLISION:
+                if ready < u + length:
+                    ready = u + length
+            elif watch is not None:
+                if kinds[u] == _SUCCESS:
+                    recent.append(u)
+                    last = math.inf  # recounted where the watch could fire
+                if ready <= u <= last:
+                    last = watch.last()
+                    if u <= last and kinds[pos - length : pos].count(_SUCCESS) == want:
+                        end, hit = pos, True
+                        break
+            if clock >= until_us:
+                end = pos
+                break
+        if end < stop:
             for column in (kinds, durations, tx_station, packets):
-                del column[stop:]
-        if not timed:
-            clock = reduce(add, durations[s:stop], clock)
-        return stop, clock, hit, ready
+                del column[end:]
+        if watch is not None:
+            watch.ready = ready
+        return end, reduce(add, durations[at:end], clock), hit
 
     def _segment(self, sched: list[Station], s: int) -> tuple[float, dict[int, list[Station]]]:
         """The segment from slot ``s`` up to the first window end among
@@ -508,27 +458,20 @@ class Simulator:
         end = min([st.window_start + st.window_len for st in sched], default=math.inf) - 1
         due: dict[int, list[Station]] = {}
         for st in sched:
-            t = st.tx_slot
-            if t >= s:
-                group = due.get(t)
-                if group is None:
-                    due[t] = [st]
-                else:
-                    group.append(st)
+            if st.tx_slot >= s:
+                due.setdefault(st.tx_slot, []).append(st)
         return end, due
 
     def _close_windows(self, sched: list[Station], s: int, before_us: float) -> int | None:
         """Close the windows of ``sched`` that end at slot ``s``, in position
         order, each read back from the trace: log the slot held and the
-        outcome, report it to the protocol, let the adapter plan the next
-        window, and start that at slot ``s + 1``.  A probe window is not
-        reported, and a success is reported only after a failure or a
-        resize (``Station.reported_success``); a station left unreported
-        keeps its slot.  The idle positions are listed only when an adapter
-        counts them or the protocol sets ``reads_idle_positions``.  A probe
-        holds ``proto.slot`` wrapped into its shorter window.  Returns the
-        start the windows share, or None when they started at different
-        slots."""
+        outcome, report it to the protocol (module docstring), let the
+        adapter plan the next window, and start that at slot ``s + 1``; a
+        station left unreported keeps its slot.  The idle positions are
+        listed only when an adapter counts them or the protocol sets
+        ``reads_idle_positions``.  A probe holds ``proto.slot`` wrapped into
+        its shorter window.  Returns the start the windows share, or None
+        when they started at different slots."""
         tr = self.trace
         kinds, tx_station = tr.kinds, tr.tx_station
         add_event = self.events.append
@@ -586,23 +529,12 @@ class Simulator:
         self, s: int, clock: float, closed_from: int | None, until_slot: float, until_us: float
     ) -> tuple[int, float]:
         """Append whole windows that every station plays from slot ``s``, if
-        their slots are known in advance.  Returns the slot after them and
-        the clock there.
-
-        Preconditions: every station is a schedule station, all saturated or
-        none, whose window starts at ``s`` with one shared length, none in a
-        probe and none holding a packet.  Unsaturated, the windows are all
-        idle up to the one whose last slot starts at or after the earliest
-        ``next_arrival_us``.  Saturated, they are copies of the window just
-        closed, when the channel is error-free, every station closed it from
-        ``closed_from == s - length`` and it held no collision: every
-        station then succeeded, and a success draws nothing and keeps the
-        slot.  Either window draws no random number.  Every station would
-        report a success per window, and by the ``on_schedule_end`` contract
-        only the first changes anything, so its protocol gets that one
-        unless its last report was a success already.
-        Windows stop where an adapter's ``hold`` count says its length or
-        probe plan could change.
+        their slots are known in advance (module docstring), and return the
+        slot after them and the clock there.  A saturated window is a copy
+        of the one every station closed from ``closed_from == s - length``.
+        Every station would report a success per window, and by the
+        ``on_schedule_end`` contract only the first changes anything, so its
+        protocol gets that one unless its last report was a success already.
         """
         stations, tr = self.stations, self.trace
         length, saturated = stations[0].window_len, stations[0].saturated
@@ -623,13 +555,24 @@ class Simulator:
         idle = [i + 1 for i, k in enumerate(window[0]) if k == _IDLE]
         kept = min([st.adapter.hold(length, len(idle), False, True)
                     for st in stations if st.adapter is not None], default=math.inf)
-        k, clock = self._fit_windows(s, clock, window[1], until_slot, until_us, arrival, kept)
+        # windows that end by ``until_slot``, before ``until_us``, and start
+        # their last slot before the arrival, the clock added slot by slot
+        if until_slot < math.inf:
+            kept = min(kept, (until_slot - s) // length)
+        head, last = window[1][:-1], window[1][-1]
+        k = 0
+        while k < kept:
+            start = reduce(add, head, clock)
+            if start >= arrival or start + last >= until_us:
+                break
+            clock = start + last
+            k += 1
         if k == 0:
             return s, clock
         tr.repeat(window, k)
         held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1) for st in stations]
         self.events.extend(
-            (sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held
+            [(sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held]
         )
         shift = k * length
         for st in stations:
@@ -645,72 +588,72 @@ class Simulator:
             st.tx_slot += shift
         return s + shift, clock
 
-    def _idle_stretch(
-        self, s: int, clock: float, until_slot: float, until_us: float
-    ) -> tuple[int, float]:
-        """In a run of DCF stations only, with none booked at slot ``s`` and
-        some waiting, append the idle slots from ``s`` on: those before the
-        next booked transmission that start before the earliest next arrival
-        of a waiting station, when none of them holds a packet.  Each DCF
-        station is booked or waiting, so no one transmits there.  Stops at
-        ``until_slot`` and before the slot that reaches ``until_us``.
-        Returns the slot after them and the clock there."""
-        tx_due = self._tx_due
-        arrival = math.inf
-        for st in self._waiting:
-            if st.queue:
-                return s, clock
-            arrival = min(arrival, st.next_arrival_us)
-        stop = min(min(tx_due, default=math.inf), until_slot)
-        sigma = self.phy.sigma_us
-        t = s
-        while t < stop and clock < arrival:
-            after = clock + sigma
-            if after >= until_us:
-                break
-            clock = after
-            t += 1
-        self.trace.repeat(([_IDLE], [sigma], [-1], [0]), t - s)
-        return t, clock
 
-    @staticmethod
-    def _fit_windows(
-        s: int, clock: float, durations: list[float], until_slot: float, until_us: float,
-        arrival_us: float, windows: float,
-    ) -> tuple[int, float]:
-        """How many of up to ``windows`` windows of ``durations``, from slot
-        ``s`` at ``clock``, end by ``until_slot``, before ``until_us``, and
-        start their last slot before ``arrival_us``; and the clock after
-        them, added slot by slot."""
-        if until_slot < math.inf:
-            windows = min(windows, (until_slot - s) // len(durations))
-        head, last = durations[:-1], durations[-1]
-        k = 0
-        while k < windows:
-            start = reduce(add, head, clock)
-            if start >= arrival_us or start + last >= until_us:
-                break
-            clock = start + last
-            k += 1
-        return k, clock
+def _idle_walk(
+    pos: int, t: int, clock: float, waiting: list[Station], until_us: float, sigma: float
+) -> tuple[int, float]:
+    """Add the idle slots from ``pos`` on to ``clock``, one at a time: those
+    before slot ``t`` and before the first slot whose start reaches the
+    earliest arrival of a ``waiting`` station (``pos`` if one holds a
+    packet), up to and with the first whose end reaches ``until_us``.
+    Returns the slot after them and the clock there."""
+    wake = math.inf
+    if waiting:
+        wake = (-math.inf if any([st.queue for st in waiting])
+                else min([st.next_arrival_us for st in waiting]))
+    # add at once the slots that surely end before both, then walk on
+    limit, k = min(wake, until_us), t - pos
+    if limit < math.inf:
+        k = min(k, max(int((limit - clock) / sigma) - 2, 0) if limit > clock else 0)
+    u, after = pos + k, reduce(add, repeat(sigma, k), clock)
+    if after >= limit:
+        u, after = pos, clock
+    while u < t and after < wake:
+        after += sigma
+        u += 1
+        if after >= until_us:
+            break
+    return u, after
 
 
-def _watch_counts(kinds: list[int], start: int) -> tuple[int, int]:
-    """Successes, and collisions or errors, in ``kinds`` from ``start`` on."""
-    good = bad = 0
-    for k in kinds[start:]:
-        good += k == _SUCCESS
-        bad += k >= _COLLISION
-    return good, bad
+class _Watch:
+    """A live watch.  It fires after the first slot whose ``length`` slots
+    up to it, all at or after ``start``, hold exactly ``want`` successes and
+    no collision or error.  ``ready`` is the first slot after which it could
+    fire, the ``length`` slots up to it free of collisions and errors, and
+    ``recent`` holds the last ``want`` success slots."""
 
+    __slots__ = ("want", "length", "ready", "recent")
 
-def _last_bad(kinds: list[int], s: int, length: int) -> int:
-    """The last collision or error among the ``length`` slots before ``s``,
-    or ``s - length - 1`` if there is none."""
-    for u in range(s - 1, max(s - length, 0) - 1, -1):
-        if kinds[u] >= _COLLISION:
-            return u
-    return s - length - 1
+    def __init__(self, kinds: list[int], s: int, want: int, length: int, start: int):
+        self.want, self.length = want, length
+        bad = [u for u in range(max(s - length, 0), s) if kinds[u] >= _COLLISION]
+        self.ready = max(bad[-1] if bad else s - length - 1, start - 1) + length
+        lo = max(start, s - length)
+        self.recent = deque([u for u in range(lo, s) if kinds[u] == _SUCCESS], maxlen=want)
+
+    def last(self) -> float:
+        """The last slot whose ``length`` slots up to it can hold ``want``
+        successes while the slots after the last success are idle."""
+        if not self.want:
+            return math.inf
+        return self.recent[0] + self.length - 1 if len(self.recent) == self.want else -math.inf
+
+    def first_hit(self, kinds: list[int], lo: int, hi: int) -> int | None:
+        """The first slot from ``lo`` to ``hi - 1``, all idle, whose
+        ``length`` slots up to it hold exactly ``want`` successes, or None.
+        Over idle slots the count only falls, by one where a success leaves."""
+        want, length = self.want, self.length
+        good = kinds[lo + 1 - length : lo + 1].count(_SUCCESS)
+        if good < want:
+            return None
+        u = p = lo
+        if good > want:  # the first ``good - want`` successes must leave
+            p -= length
+            for _ in range(good - want):
+                p = kinds.index(_SUCCESS, p + 1, lo + 1)
+            u = p + length
+        return u if u < hi else None
 
 
 def _position(st: Station) -> int:

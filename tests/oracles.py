@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import comb, factorial, inf, perm
 
 import numpy as np
 
 from macsim import markov
-from macsim.engine import Event, Trace
+from macsim.engine import Event, Simulator, Trace
 from macsim.markov import ChainModel
 from macsim.phy import PhyParams, SlotKind
 from macsim.protocols import Lzc, ScheduleProtocol, Zc
@@ -22,6 +22,101 @@ def transmitters_of(trace: Trace, slot_index: int) -> tuple[int, ...]:
     if kind == SlotKind.COLLISION:
         return trace.colliders[slot_index]
     return ()
+
+
+def step_slot(sim: Simulator) -> None:
+    """Play slot ``sim.slot_index`` on its own: the stepping reference for
+    ``Simulator.run``.
+
+    The due stations are the DCF stations booked there in ``sim._tx_due``,
+    then the schedule stations whose ``tx_slot`` it is, in position order.
+    Waiting DCF stations that hold a packet or have one arrive by the slot's
+    start transmit first; a due station pulls its arrivals as of the slot's
+    start and transmits if it holds a packet, and a DCF station that does
+    not starts waiting.  A lone transmitter draws the channel's error
+    number; two or more collide, listed in position order.  Then DCF
+    transmitters update and are booked again, the windows that end at the
+    slot are closed with the clock at its start, and every station pulls
+    its arrivals as of its end, as after any run.
+    """
+    s, clock = sim.slot_index, sim.clock_us
+    phy, tr, waiting = sim.phy, sim.trace, sim._waiting
+    sched = [st for st in sim.stations if not st.is_dcf]
+    due = sim._tx_due.pop(s, []) + [st for st in sched if st.tx_slot == s]
+    transmitters = []
+    if waiting:
+        transmitters = [st for st in waiting if st.queue or st.next_arrival_us <= clock]
+        for st in transmitters:
+            if st.next_arrival_us <= clock:
+                st.pull_arrivals(clock)
+        if transmitters:
+            waiting[:] = [st for st in waiting if not st.queue]
+    for st in due:
+        if st.next_arrival_us <= clock:
+            st.pull_arrivals(clock)
+        if st.saturated or st.queue:
+            transmitters.append(st)
+        elif st.is_dcf:
+            waiting.append(st)
+    kind, duration, sid, packets = SlotKind.IDLE, phy.sigma_us, -1, 0
+    if len(transmitters) == 1:
+        sid = transmitters[0].sid
+        if sim.error_rate > 0.0 and sim.channel_rng.random() < sim.error_rate:
+            kind, duration = SlotKind.ERROR, phy.t_collision
+        else:
+            kind, packets = SlotKind.SUCCESS, transmitters[0].packets_ready()
+            duration = phy.success_duration(packets)
+    elif transmitters:
+        kind, duration = SlotKind.COLLISION, phy.t_collision
+        transmitters.sort(key=lambda st: st.position)
+        tr.colliders[s] = tuple(st.sid for st in transmitters)
+    after = clock + duration
+    tr.kinds.append(int(kind))
+    tr.durations.append(duration)
+    tr.tx_station.append(sid)
+    tr.packets.append(packets)
+    if packets:
+        transmitters[0].deliver(packets, after)
+    if kind != SlotKind.IDLE:
+        for st in transmitters:
+            if st.is_dcf:
+                if st.protocol.on_transmission(kind == SlotKind.SUCCESS, st.rng):
+                    st.drop_head(after)
+                sim._plan(st, s + 1)
+    sim.slot_index, sim.clock_us = s + 1, after
+    sim._close_windows(sched, s, clock)
+    for st in sim.stations:
+        if st.next_arrival_us <= after:
+            st.pull_arrivals(after)
+
+
+def watch_fired(trace: Trace, s: int, want: int, length: int, start: int = 0) -> bool:
+    """Whether the ``length`` slots before ``s``, all at or after ``start``,
+    hold exactly ``want`` successes and no collision or error: the watch of
+    ``Simulator.run``, read off the trace."""
+    window = trace.kinds[s - length : s]
+    return (s - start >= length and window.count(SlotKind.SUCCESS) == want
+            and max(window, default=SlotKind.IDLE) <= SlotKind.SUCCESS)
+
+
+def step_run(
+    sim: Simulator,
+    until_slot: float = inf,
+    until_us: float = inf,
+    watch_n: int | None = None,
+    watch_len: int = 0,
+    watch_from: int = 0,
+) -> bool:
+    """``sim.run`` with the same arguments, played one ``step_slot`` at a
+    time: at least one slot, then on until a bound or, with a watch that
+    ``watch_len`` slots can hold, until ``watch_fired``, which returns True."""
+    watching = watch_n is not None and watch_n <= watch_len
+    while True:
+        step_slot(sim)
+        if watching and watch_fired(sim.trace, sim.slot_index, watch_n, watch_len, watch_from):
+            return True
+        if sim.slot_index >= until_slot or sim.clock_us >= until_us:
+            return False
 
 
 def detect_convergence_from_events(events: list[Event], n_stations: int) -> int | None:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from macsim.adaptation import AlmacAdapter, AlzcAdapter
@@ -14,7 +14,7 @@ from macsim.phy import TABLE_PHY, PhyParams, SlotKind
 from macsim.protocols import Dcf, Lbeb, Lmac, Lzc, Zc, init_protocol
 from macsim.runner import default_f_table, run_simulation
 from macsim import metrics
-from oracles import backoff_from_slots, transmitters_of
+from oracles import backoff_from_slots, step_run, step_slot, transmitters_of
 
 
 def rng(seed):
@@ -288,16 +288,52 @@ def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none", lambda_p
     ``lambda_pps`` sets their Poisson rate; ``c`` is one schedule length or
     one per station, and the base length under ``adaptation``."""
     lengths = [c] * n if isinstance(c, int) else c
-    stations = []
-    for sid in range(n):
-        station_rng = rng(derive_seed(seed, sid))
-        kind = "dcf" if sid < dcf else protocol
-        proto = init_protocol(kind, lengths[sid], station_rng, beta=0.95, gamma=0.5)
-        adapter = None if adaptation == "none" else ADAPTERS[adaptation](c)
-        stations.append(Station(sid, proto, station_rng, saturated=lambda_pps is None,
-                                lambda_pps=lambda_pps or 0.0, adapter=adapter))
+    stations = [replay_station("dcf" if sid < dcf else protocol, sid, lengths[sid], seed,
+                               adaptation, lambda_pps)
+                for sid in range(n)]
     channel_rng = rng(derive_seed(seed, "channel")) if error_rate else None
     return Simulator(stations, TABLE_PHY, error_rate=error_rate, channel_rng=channel_rng)
+
+
+def replay_station(kind, sid, c, seed, adaptation="none", lambda_pps=None, start_us=0.0):
+    station_rng = rng(derive_seed(seed, sid))
+    proto = init_protocol(kind, c, station_rng, beta=0.95, gamma=0.5)
+    adapter = None if adaptation == "none" or kind == "dcf" else ADAPTERS[adaptation](c)
+    return Station(sid, proto, station_rng, saturated=lambda_pps is None,
+                   lambda_pps=lambda_pps or 0.0, adapter=adapter, start_time_us=start_us)
+
+
+class WriteCounted(list):
+    """A trace column that records the slots written one by one: each is a
+    decision slot of ``Simulator.run``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.written = []
+
+    @property
+    def writes(self):
+        return len(self.written)
+
+    def __setitem__(self, index, value):
+        self.written.append(index)
+        super().__setitem__(index, value)
+
+
+def counted_sim(sim):
+    """``sim``, its trace's kinds column a ``WriteCounted``."""
+    sim.trace.kinds = WriteCounted(sim.trace.kinds)
+    return sim
+
+
+def visit_bound(sim):
+    """An upper bound on the decision slots of ``sim``'s runs so far: one
+    per window of a schedule station, and two per transmission of a DCF
+    station, where it was booked and where it woke up from waiting."""
+    tr = sim.trace
+    dcf = {st.sid for st in sim.stations if st.is_dcf}
+    sends = sum(sid in dcf for i in range(len(tr)) for sid in transmitters_of(tr, i))
+    return len(sim.events) + len(sim.stations) + 2 * sends
 
 
 def sim_state(sim, sids=None):
@@ -354,7 +390,7 @@ def close_calls(monkeypatch):
 
 @pytest.fixture
 def bulk_slots(monkeypatch):
-    """Slots of every ``Trace.repeat`` call, the engine's bulk appends, in
+    """Slots of every ``Trace.repeat`` call, the engine's window repeats, in
     call order."""
     counts = []
     repeat = Trace.repeat
@@ -404,6 +440,12 @@ STEPPING_CASES = [
     ("lzc", 16, 16, 34, (2001, 6000), {"adaptation": "alzc"}),
     # copies stop at each checkpoint, every f(16) = 32 windows
     ("lmac", 16, 16, 35, (2500, 12000), {"adaptation": "almac-probe10"}),
+    # coexist_aggregate's shape: 8 saturated lmac stations and 2 DCF ones
+    ("lmac", 10, 16, 36, (3001, 8000), {"dcf": 2}),
+    # 8 lmac and 2 DCF stations at light Poisson load, mostly idle
+    ("lmac", 10, 16, 37, (29074,), {"lambda_pps": LIGHT, "dcf": 2}),
+    # 2 Poisson joiners enter 14 slots into window 4, off the window grid
+    ("lmac", 8, 16, 38, (62, 20000), {"lambda_pps": LIGHT, "join_at": 62}),
 ]
 
 
@@ -418,24 +460,45 @@ def stepping_case_id(index, case):
 @pytest.mark.parametrize("protocol, n, c, seed, bounds, kw", STEPPING_CASES,
                          ids=[stepping_case_id(*case) for case in enumerate(STEPPING_CASES)])
 def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, bulk_slots):
+    kw = dict(kw)
+    join_at = kw.pop("join_at", None)
+
+    def join(sim):  # two more stations of ``protocol`` at slot ``join_at``
+        if sim.slot_index == join_at:
+            for sid in (n, n + 1):
+                sim.add_station(replay_station(protocol, sid, c, seed,
+                                               lambda_pps=kw.get("lambda_pps"),
+                                               start_us=sim.clock_us))
+
     stepped = replay_sim(protocol, n, c, seed, **kw)
     while stepped.slot_index < bounds[-1]:
-        stepped.step()
+        join(stepped)
+        step_slot(stepped)
     stepped_calls = len(close_calls)
-    assert bulk_slots == []  # a one-slot run never jumps
-    replayed = replay_sim(protocol, n, c, seed, **kw)
+    replayed = counted_sim(replay_sim(protocol, n, c, seed, **kw))
     for bound in bounds:
+        join(replayed)
         replayed.run(until_slot=bound)
     assert sim_state(replayed) == sim_state(stepped)
-    if protocol == "dcf":  # no windows; idle stretches are jumped under Poisson load
-        assert (sum(bulk_slots) > bounds[-1] / 10) == ("lambda_pps" in kw)
-    elif "lambda_pps" in kw and "dcf" not in kw:  # quiet windows are jumped
+    # decision slots are visited one by one, the idle slots between them
+    # written in bulk; with every station saturated, each one is busy
+    visited, played = replayed.trace.kinds.writes, bounds[-1]
+    busy = sum(k != SlotKind.IDLE for k in replayed.trace.kinds)
+    assert visited <= visit_bound(replayed)
+    assert visited <= busy or "lambda_pps" in kw
+    if "dcf" in kw or join_at is not None:  # two grids, or DCF among schedule stations
+        assert visited < (0.7 if "lambda_pps" in kw else 0.6) * played
+    if protocol == "dcf":  # no windows; idle waits are crossed in bulk under Poisson load
+        assert (visited == busy) == ("lambda_pps" not in kw)
+        assert (visited < played / 10) == ("lambda_pps" in kw)
+        assert bulk_slots == []
+    elif "lambda_pps" in kw and "dcf" not in kw and join_at is None:  # quiet windows are jumped
         assert len(close_calls) - stepped_calls < stepped_calls / 2
     elif "adaptation" in kw:  # settled windows are copied as far as every hold allows
         cycling = kw["adaptation"] == "alzc" and n == c
         assert (sum(bulk_slots) > 0) != cycling
         assert (len(close_calls) < 2 * stepped_calls) != cycling
-    elif kw or n > c:  # no window repeats, so every window is closed one by one
+    elif kw or n > c or join_at is not None:  # no window repeats, every window closed one by one
         assert len(close_calls) == 2 * stepped_calls
         assert bulk_slots == []
     else:
@@ -457,9 +520,9 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
     ("lmac", 10, 43, {"join_at": 16 * 20 + 5}),
 ])
 def test_lean_body_matches_general_body(protocol, n, seed, kw):
-    # a schedule station without traffic sends nothing but puts the run on
-    # the general slot path; the medium and everyone else must not notice,
-    # so the general path checks the lean body, segment play, slot for slot
+    # the run is played by ``Simulator.run`` and, with a schedule station
+    # that has no traffic added, by the stepping oracle; the silent station
+    # sends nothing, so the medium and everyone else must not notice
     c, horizon = 16, 6000
     kw = dict(kw)
     hit_expected = kw.pop("hit", None)
@@ -476,20 +539,20 @@ def test_lean_body_matches_general_body(protocol, n, seed, kw):
         probe.run(until_slot=bound_slot)
         until_us = probe.clock_us - 1.0
     outcomes = []
-    for sim in (lean, general):
+    for sim, run in ((lean, Simulator.run), (general, step_run)):
         watch = dict(watch_n=n, watch_len=c)
         if bound_slot is not None:
-            sim.run(until_us=until_us)
+            run(sim, until_us=until_us)
             assert sim.slot_index == bound_slot
         if join_at is not None:
-            sim.run(until_slot=join_at)
+            run(sim, until_slot=join_at)
             joiner_rng = rng(derive_seed(seed, n + 1))
             joiner = init_protocol(protocol, c, joiner_rng, beta=0.95, gamma=0.5)
             sim.add_station(Station(n + 1, joiner, joiner_rng))
             watch = dict(watch_n=n + 1, watch_len=c, watch_from=join_at)
-        outcomes.append((sim.run(until_slot=horizon, **watch), sim.slot_index))
+        outcomes.append((run(sim, until_slot=horizon, **watch), sim.slot_index))
         if sim.slot_index < horizon:
-            sim.run(until_slot=horizon)
+            run(sim, until_slot=horizon)
     if join_at is not None:
         sids.append(n + 1)
     assert outcomes[0] == outcomes[1]
@@ -557,26 +620,25 @@ def test_time_bound_inside_a_window(kw):
     until_us = probe.clock_us - 1.0
     stepped = replay_sim("lzc", 8, 8, 18, **kw)
     while stepped.clock_us < until_us:
-        stepped.step()
+        step_slot(stepped)
     bounded = replay_sim("lzc", 8, 8, 18, **kw)
     bounded.run(until_us=until_us)
     assert bounded.slot_index == stepped.slot_index == 8 * 40 + 4
     assert sim_state(bounded) == sim_state(stepped)
-    for sim in (bounded, stepped):
-        sim.run(until_slot=1000)
+    bounded.run(until_slot=1000)
+    step_run(stepped, until_slot=1000)
     assert sim_state(bounded) == sim_state(stepped)
 
 
 def test_watch_hit_inside_a_window():
     stepped = replay_sim("lmac", 6, 8, 19)
-    while not stepped.run(until_slot=stepped.slot_index + 1, watch_n=6, watch_len=8):
-        assert stepped.slot_index < 1000
+    assert step_run(stepped, until_slot=1000, watch_n=6, watch_len=8)
     watched = replay_sim("lmac", 6, 8, 19)
     assert watched.run(watch_n=6, watch_len=8)
     assert watched.slot_index % 8 != 0  # the watched span straddles two windows
     assert sim_state(watched) == sim_state(stepped)
-    for sim in (watched, stepped):
-        sim.run(until_slot=1000)
+    watched.run(until_slot=1000)
+    step_run(stepped, until_slot=1000)
     assert sim_state(watched) == sim_state(stepped)
 
 
@@ -585,7 +647,7 @@ def test_no_replay_across_unequal_windows(close_calls):
     # different starts, so the shared trace never repeats window by window
     stepped = replay_sim("lbeb", 2, (4, 8), 8)
     while stepped.slot_index < 800:
-        stepped.step()
+        step_slot(stepped)
     stepped_calls = len(close_calls)
     replayed = replay_sim("lbeb", 2, (4, 8), 8)
     replayed.run(until_slot=800)
@@ -599,7 +661,7 @@ def test_replay_stops_before_time_bound(close_calls):
     replayed = replay_sim("lzc", 4, 8, 7)
     until_us = 1.5e5 + 3.0
     while stepped.clock_us < until_us:
-        stepped.step()
+        step_slot(stepped)
     replayed.run(until_us=until_us)
     assert sim_state(replayed) == sim_state(stepped)
     assert len(close_calls) < 1.5 * len(stepped.events)
@@ -629,7 +691,7 @@ def test_no_copy_when_every_length_changes(bulk_slots):
         ]))
     stepped, run = sims
     while stepped.slot_index < 200:
-        stepped.step()
+        step_slot(stepped)
     run.run(until_slot=200)
     assert sim_state(run) == sim_state(stepped)
     assert {st.window_len for st in run.stations} == {4}
@@ -654,7 +716,7 @@ def test_committed_probe_is_followed_by_copies(bulk_slots):
     stepped, run = sims
     bound = 2096 + 10 * 16
     while stepped.slot_index < bound:
-        stepped.step()
+        step_slot(stepped)
     run.run(until_slot=bound)
     assert sim_state(run) == sim_state(stepped)
     assert bulk_slots == [63 * 32, 10 * 16]
@@ -684,7 +746,7 @@ def test_live_watch_blocks_copies():
         sims.append(sim)
     stepped, watched = sims
     watch = dict(watch_n=3, watch_len=8, watch_from=20)
-    assert stepped_watch(stepped, 1000, **watch)
+    assert step_run(stepped, until_slot=1000, **watch)
     assert watched.run(until_slot=1000, **watch)
     assert watched.slot_index == 28
     assert sim_state(watched) == sim_state(stepped)
@@ -705,7 +767,7 @@ def test_dcf_station_rules_out_copies(dcf_at, lambda_pps, bulk_slots):
         sims.append(make_sim(stations))
     stepped, run = sims
     while stepped.slot_index < 6000:
-        stepped.step()
+        step_slot(stepped)
     run.run(until_slot=6000)
     assert sim_state(run) == sim_state(stepped)
     assert bulk_slots == []
@@ -738,26 +800,21 @@ def test_bound_inside_a_quiet_stretch(protocol, kw, bound, bulk_slots):
     middle = quiet_stretch_middle(replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw), 20000)
     stepped = replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw)
     while stepped.slot_index <= middle:
-        stepped.step()
+        step_slot(stepped)
     limit = {"until_slot": middle + 1,
              # reached inside slot ``middle``
              "until_us": elapsed_us(stepped.trace.durations[:middle]) + 1.0}[bound]
-    bounded = replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw)
+    bounded = counted_sim(replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw))
     bounded.run(**{bound: limit})
     assert bounded.slot_index == middle + 1
     assert sim_state(bounded) == sim_state(stepped)
-    assert sum(bulk_slots) > middle / 2
-    for sim in (bounded, stepped):
-        sim.run(until_slot=20000)
+    if protocol == "dcf":  # idle waits are crossed without a visit
+        assert bounded.trace.kinds.writes < middle / 10
+    else:  # quiet windows are jumped
+        assert sum(bulk_slots) > middle / 2
+    bounded.run(until_slot=20000)
+    step_run(stepped, until_slot=20000)
     assert sim_state(bounded) == sim_state(stepped)
-
-
-def stepped_watch(sim, until_slot, **watch):
-    """``sim.run(until_slot, **watch)`` one slot at a time."""
-    while sim.slot_index < until_slot:
-        if sim.run(until_slot=sim.slot_index + 1, **watch):
-            return True
-    return False
 
 
 @pytest.mark.parametrize("n, lambda_pps, seed, watch_from, hit", [
@@ -769,14 +826,86 @@ def test_watched_poisson_run_matches_stepping(n, lambda_pps, seed, watch_from, h
                                               bulk_slots):
     watch = dict(watch_n=n, watch_len=16, watch_from=watch_from)
     stepped = replay_sim("lmac", n, 16, seed, lambda_pps=lambda_pps)
-    stepped.run(until_slot=watch_from)
-    assert stepped_watch(stepped, 20000, **watch) == hit
+    step_run(stepped, until_slot=watch_from)
+    assert step_run(stepped, until_slot=20000, **watch) == hit
     watched = replay_sim("lmac", n, 16, seed, lambda_pps=lambda_pps)
     watched.run(until_slot=watch_from)
     jumped = sum(bulk_slots)
     assert watched.run(until_slot=20000, **watch) == hit
     assert sim_state(watched) == sim_state(stepped)
     assert sum(bulk_slots) - jumped > 100  # quiet windows were crossed while watching
+
+
+@hst.composite
+def random_populations(draw):
+    """A ``replay_sim`` population of every schedule rule, DCF stations
+    among them, saturated or Poisson, on a clean or an error channel, with
+    adaptive lengths, maybe a joiner off the window grid, and a few run
+    calls, each with a slot bound, maybe a time bound and maybe a watch."""
+    adaptation = draw(hst.sampled_from(("none", "alzc", "almac")))
+    protocol = draw(hst.sampled_from(("lbeb", "zc", "lzc", "lmac")))
+    c = draw(hst.sampled_from((4, 8, 16)))
+    if adaptation == "alzc":
+        protocol, c = draw(hst.sampled_from(("lzc", "zc"))), draw(hst.sampled_from((4, 8)))
+    elif adaptation == "almac":
+        protocol, c = "lmac", 16
+    n = draw(hst.integers(1, 8))
+    population = dict(
+        protocol=protocol, n=n, c=c, seed=draw(hst.integers(0, 10**6)),
+        error_rate=draw(hst.sampled_from((0.0, 0.2))), adaptation=adaptation,
+        lambda_pps=draw(hst.sampled_from((None, 300.0, 3000.0))),
+        dcf=draw(hst.integers(0, n)),
+    )
+    join_at = draw(hst.none() | hst.integers(1, 300))
+    calls = draw(hst.lists(hst.tuples(
+        hst.integers(1, 400),  # slots
+        hst.none() | hst.floats(0.0, 2e5),  # microseconds
+        hst.none() | hst.tuples(hst.integers(1, n + 2), hst.booleans()),  # watch
+    ), min_size=1, max_size=4))
+    return population, join_at, calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_populations())
+# a time bound already reached, and a waiting DCF station that wakes at once
+@example(({"protocol": "lbeb", "n": 2, "c": 4, "seed": 55644, "error_rate": 0.0,
+           "adaptation": "none", "lambda_pps": 300.0, "dcf": 2}, 179, [(1, 0.0, None)]))
+def test_run_matches_stepping_on_random_populations(case):
+    population, join_at, calls = case
+    sims = [replay_sim(**population) for _ in range(2)]
+    if join_at is not None:
+        for sim, run in zip(sims, (Simulator.run, step_run)):
+            run(sim, until_slot=join_at)
+            sim.add_station(replay_station(
+                population["protocol"], population["n"], population["c"], population["seed"],
+                population["adaptation"], population["lambda_pps"], sim.clock_us))
+    for slots, us, watch in calls:
+        bounds = dict(until_slot=sims[0].slot_index + slots)
+        if us is not None:
+            bounds["until_us"] = sims[0].clock_us + us
+        if watch is not None:  # from the run's start or from slot 0
+            bounds.update(watch_n=watch[0], watch_len=population["c"],
+                          watch_from=sims[0].slot_index if watch[1] else 0)
+        assert sims[0].run(**bounds) == step_run(sims[1], **bounds)
+        assert sim_state(sims[0]) == sim_state(sims[1])
+
+
+def test_idle_stretch_clock_adds_slot_by_slot():
+    # after a 396.36 us success in slot 0, the 83 idle slots to the end of the
+    # window, added one at a time, end on another last bit than 83 * 20 us
+    phy = PhyParams(payload_bytes=333)
+    success = phy.success_duration(1)
+    assert elapsed_us([success] + [phy.sigma_us] * 83) != success + 83 * phy.sigma_us
+    sims = []
+    for _ in range(2):
+        st = Station(0, pinned_lzc(84, 1, 58), rng(59), saturated=False, lambda_pps=LIGHT)
+        st.next_arrival_us = 0.0
+        sims.append(make_sim([st], phy=phy))
+    stepped, sim = sims
+    step_run(stepped, until_slot=84)
+    sim.run(until_slot=84)
+    assert sim.trace.kinds[0] == SlotKind.SUCCESS
+    assert sim_state(sim) == sim_state(stepped)
 
 
 def test_watch_fires_inside_a_quiet_window():
@@ -800,23 +929,29 @@ def test_arrival_as_a_window_last_slot_starts(bulk_slots):
         sims.append(make_sim([st]))
     stepped, jumped = sims
     while stepped.slot_index < 100:
-        stepped.step()
+        step_slot(stepped)
     jumped.run(until_slot=100)
     assert sim_state(jumped) == sim_state(stepped)
     assert jumped.trace.kinds.index(SlotKind.SUCCESS) == 39
     assert bulk_slots[0] == 24
 
 
-def test_dcf_arrival_as_a_slot_starts(bulk_slots):
-    # the waiting station's packet arrives just as slot 30 starts; it is sent there
-    dcf = Dcf(rng(56))
-    dcf.counter = 0
-    st = Station(0, dcf, rng(57), saturated=False, lambda_pps=LIGHT)
-    st.next_arrival_us = elapsed_us([TABLE_PHY.sigma_us] * 30)
-    sim = make_sim([st])
-    sim.run(until_slot=100)
+def test_dcf_arrival_as_a_slot_starts():
+    # the waiting station's packet arrives just as slot 30 starts; it is sent
+    # there, and slots 1 to 29 are crossed without a visit
+    sims = []
+    for _ in range(2):
+        dcf = Dcf(rng(56))
+        dcf.counter = 0
+        st = Station(0, dcf, rng(57), saturated=False, lambda_pps=LIGHT)
+        st.next_arrival_us = elapsed_us([TABLE_PHY.sigma_us] * 30)
+        sims.append(make_sim([st]))
+    stepped, sim = sims
+    step_run(stepped, until_slot=100)
+    counted_sim(sim).run(until_slot=100)
+    assert sim_state(sim) == sim_state(stepped)
     assert sim.trace.kinds.index(SlotKind.SUCCESS) == 30
-    assert bulk_slots[0] == 29
+    assert sim.trace.kinds.written[:2] == [0, 30]
 
 
 @pytest.mark.parametrize("protocol, kw", [
@@ -826,13 +961,16 @@ def test_dcf_arrival_as_a_slot_starts(bulk_slots):
 def test_silent_stations_jump_the_whole_horizon(protocol, kw, close_calls, bulk_slots):
     stepped = replay_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw)
     while stepped.slot_index < 10000:
-        stepped.step()
+        step_slot(stepped)
     stepped_calls = len(close_calls)
-    quiet = replay_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw)
+    quiet = counted_sim(replay_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw))
     quiet.run(until_slot=10000)
     assert sim_state(quiet) == sim_state(stepped)
     assert set(quiet.trace.kinds) == {SlotKind.IDLE}
-    assert sum(bulk_slots) > 9000
+    if protocol == "dcf":  # each station is visited once, at its first booking
+        assert quiet.trace.kinds.writes <= 4
+    else:
+        assert sum(bulk_slots) > 9000
     assert len(close_calls) - stepped_calls <= stepped_calls / 10
 
 
