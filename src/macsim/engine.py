@@ -52,8 +52,9 @@ _COLLISION = int(SlotKind.COLLISION)
 _ERROR = int(SlotKind.ERROR)
 
 #: DCF stations alone have no window end; their runs are played in segments
-#: of at most this many slots.
-_MAX_SEGMENT = 1 << 14
+#: of at most this many slots, enough to spread a segment's setup thin and
+#: few enough that a time-bounded run trims little of its last one.
+_MAX_SEGMENT = 1 << 12
 
 
 def elapsed_us(durations) -> float:
@@ -214,6 +215,7 @@ class Simulator:
         self._tx_due: dict[int, list[Station]] = {}  # DCF stations only
         self._waiting: list[Station] = []
         self._success_us: dict[int, float] = {}
+        self._t_collision = phy.t_collision
         for st in stations:
             self.add_station(st)
 
@@ -227,9 +229,13 @@ class Simulator:
             station.window_start = self.slot_index
             station.tx_slot = self.slot_index + station.protocol.slot - 1
 
-    def _plan(self, st: Station, start: int) -> None:
-        """Book a DCF station's next transmission, counted from ``start``."""
-        self._tx_due.setdefault(start + st.protocol.counter, []).append(st)
+    def _plan(self, st: Station, start: int) -> int | None:
+        """Book a DCF station's next transmission, counted from ``start``.
+        Returns the slot booked if no station was booked there before."""
+        slot = start + st.protocol.counter
+        due = self._tx_due.setdefault(slot, [])
+        due.append(st)
+        return slot if len(due) == 1 else None
 
     def step(self) -> None:
         self.run(until_slot=self.slot_index + 1)
@@ -253,8 +259,7 @@ class Simulator:
         on, and returns False, as an unwatched one.  After a window end it
         may jump ahead (module docstring).
         """
-        tr = self.trace
-        kinds, durations = tr.kinds, tr.durations
+        kinds = self.trace.kinds
         sched = [st for st in self.stations if not st.is_dcf]
         # saturated stations pull no arrivals, so no decision reads the clock
         saturated = all([st.saturated for st in self.stations])
@@ -267,10 +272,9 @@ class Simulator:
             stop = end + 1 if end < s + _MAX_SEGMENT else s + _MAX_SEGMENT
             if until_slot < stop:
                 stop = max(math.ceil(until_slot), s + 1)
-            start, start_clock = s, clock
-            s, clock, hit = self._play_segment(s, stop, due, clock, until_us, watch, saturated)
+            s, before, clock, hit = self._play_segment(
+                s, stop, due, clock, until_us, watch, saturated)
             if s > end:  # a window end pulls arrivals as of its last slot
-                before = clock if saturated else reduce(add, durations[start:end], start_clock)
                 closed_from = self._close_windows(sched, end, before)
             if hit or s >= until_slot or clock >= until_us:
                 break
@@ -293,7 +297,7 @@ class Simulator:
     def _play_segment(
         self, s: int, stop: int, due: dict[int, list[Station]], clock: float, until_us: float,
         watch: _Watch | None, saturated: bool,
-    ) -> tuple[int, float, bool]:
+    ) -> tuple[int, float, float, bool]:
         """Play slots ``s`` to ``stop - 1``, visiting only decision slots: the
         schedule transmissions ``due`` by slot, the DCF bookings, made before
         or during the play, and wake-ups of waiting DCF stations.  The clock
@@ -301,12 +305,12 @@ class Simulator:
         ``saturated`` and no time bound is set, once at the end.  The play
         stops after the slot where the ``watch`` fires or the clock reaches
         ``until_us``, and no later slot is filled or draws.  Returns the slot
-        after the last one played, the clock there, and whether the watch
-        fired."""
+        after the last one played, the clock at the start of that last slot
+        and after it, and whether the watch fired."""
         phy, success_us = self.phy, self._success_us
-        sigma, t_coll = phy.sigma_us, phy.t_collision
+        sigma, t_coll = phy.sigma_us, self._t_collision
         error_rate, channel_rng = self.error_rate, self.channel_rng
-        tx_due, waiting = self._tx_due, self._waiting
+        tx_due, waiting, plan = self._tx_due, self._waiting, self._plan
         tr = self.trace
         kinds, durations, tx_station, packets = tr.kinds, tr.durations, tr.tx_station, tr.packets
         colliders = tr.colliders
@@ -333,13 +337,13 @@ class Simulator:
         t_sched, group = next(busy)
         booked = sorted(tx_due)  # a heap of the DCF bookings' slots
         t_dcf = booked[0] if booked else math.inf
-        at, pos, hit = s, s, False  # ``clock`` is the start of slot ``at``
+        # ``clock`` is the start of slot ``at``; right after a decision slot
+        # is added, ``before`` is the start of slot ``at - 1``
+        at, pos, hit, before = s, s, False, clock
         while True:
             u = t_sched if t_sched < t_dcf else t_dcf
             if u > pos:  # idle up to u, unless a waiting station wakes first
-                if plain:
-                    pos = u
-                else:
+                if not plain:
                     if not lazy:
                         after = math.inf if waiting else reduce(add, repeat(sigma, u - pos), clock)
                         if after >= until_us:  # a wake-up or the time bound may come first
@@ -354,8 +358,9 @@ class Simulator:
                         if after >= until_us and u > pos:
                             end = u
                             break
-                        clock, at = after, u
-                    pos = u
+                        if u < stop:  # the last span is added up on return
+                            clock, at = after, u
+                pos = u
             if pos == stop:
                 end = stop
                 break
@@ -417,18 +422,14 @@ class Simulator:
                     if st.is_dcf:
                         if st.protocol.on_transmission(success, st.rng):
                             st.drop_head(clock + durations[u])
-                        b = pos + st.protocol.counter
-                        if b in tx_due:
-                            tx_due[b].append(st)
-                        else:
-                            tx_due[b] = [st]
+                        b = plan(st, pos)
+                        if b is not None:
                             heappush(booked, b)
                 t_dcf = booked[0] if booked else math.inf
             if plain:
                 continue
             if not lazy:
-                clock += durations[u]
-                at = pos
+                before, clock, at = clock, clock + durations[u], pos
             if kinds[u] >= _COLLISION:
                 if ready < u + length:
                     ready = u + length
@@ -449,7 +450,10 @@ class Simulator:
                 del column[end:]
         if watch is not None:
             watch.ready = ready
-        return end, reduce(add, durations[at:end], clock), hit
+        if at < end:
+            before = reduce(add, durations[at : end - 1], clock)
+            clock = before + durations[end - 1]
+        return end, before, clock, hit
 
     def _segment(self, sched: list[Station], s: int) -> tuple[float, dict[int, list[Station]]]:
         """The segment from slot ``s`` up to the first window end among

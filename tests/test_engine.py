@@ -503,6 +503,14 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
         assert bulk_slots == []
     else:
         assert len(close_calls) - stepped_calls < stepped_calls / 2
+    # ``Simulator.step`` plays the same slots and never jumps
+    copied = list(bulk_slots)
+    one_by_one = replay_sim(protocol, n, c, seed, **kw)
+    while one_by_one.slot_index < bounds[-1]:
+        join(one_by_one)
+        one_by_one.step()
+    assert bulk_slots == copied
+    assert sim_state(one_by_one) == sim_state(stepped)
 
 
 @pytest.mark.parametrize("protocol, n, seed, kw", [
