@@ -135,14 +135,13 @@ class AlzcAdapter:
             return c // 2, False
         return c, False
 
-    def hold(
-        self, c: int, idle_count: int, saw_collision: bool, own_success: bool, windows: int = 0
-    ) -> float:
-        """How many more windows of the committed ``c`` slots, each observed
-        as given, ``plan_next`` would keep at ``c``: none when the next one
-        doubles or halves, one when the one after it halves, otherwise any
-        number.  Then advance the rule by ``windows`` of them, at most that
-        many, leaving it as that many ``plan_next`` calls would."""
+    def hold(self, c: int, idle_count: int, windows: int = 0) -> float:
+        """How many more windows of the committed ``c`` slots, each with
+        ``idle_count`` idle slots, ``plan_next`` would keep at ``c``: none
+        when the next one doubles or halves, one when the one after it
+        halves, otherwise any number.  Then advance the rule by ``windows``
+        of them, at most that many, leaving it as that many ``plan_next``
+        calls would."""
         busy = c - idle_count
         if idle_count == 0 and c * 2 <= self.max_len:
             count = 0
@@ -209,9 +208,7 @@ class AlmacAdapter:
                     return c // 2, True
         return c, False
 
-    def hold(
-        self, c: int, idle_count: int, saw_collision: bool, own_success: bool, windows: int = 0
-    ) -> int:
+    def hold(self, c: int, idle_count: int, windows: int = 0) -> int:
         """How many more windows at the committed length ``c`` ``plan_next``
         would keep at ``c`` with no probe, whatever they observe: those
         before the next checkpoint, ``f(c) - 1`` minus the windows since the

@@ -557,7 +557,7 @@ class Simulator:
         else:
             window = ([_IDLE] * length, [self.phy.sigma_us] * length, [-1] * length, [0] * length)
         idle = [i + 1 for i, k in enumerate(window[0]) if k == _IDLE]
-        kept = min([st.adapter.hold(length, len(idle), False, True)
+        kept = min([st.adapter.hold(length, len(idle))
                     for st in stations if st.adapter is not None], default=math.inf)
         # windows that end by ``until_slot``, before ``until_us``, and start
         # their last slot before the arrival, the clock added slot by slot
@@ -584,7 +584,7 @@ class Simulator:
                 st.protocol.on_schedule_end(True, idle, st.rng)
                 st.reported_success = True
             if st.adapter is not None:
-                st.adapter.hold(length, len(idle), False, True, k)
+                st.adapter.hold(length, len(idle), k)
             if saturated:
                 st.delivered += k * st.txop_m
             st.schedule_index += k

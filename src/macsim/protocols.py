@@ -177,14 +177,9 @@ class Lmac(ScheduleProtocol):
         self.beta = beta
         self.p = [1.0 / schedule_len] * schedule_len
         self.slot = sample_slot(self.p, rng)
-        #: True while ``p`` is the point mass on ``slot`` that a success left.
-        self.settled = False
 
     def on_schedule_end(self, success, idle_positions, rng):
-        if success and self.settled:
-            return self.slot  # the update would rebuild the same point mass
         self.p = updated_probabilities(self.p, self.slot, self.beta, success)
-        self.settled = success
         if not success:
             self.slot = sample_slot(self.p, rng)
         return self.slot
@@ -194,7 +189,6 @@ class Lmac(ScheduleProtocol):
             raise ValueError("learning update needs at least 2 slots")
         super().resize(new_len)
         self.p = [1.0 / new_len] * new_len
-        self.settled = False
 
 
 class Dcf:

@@ -161,7 +161,8 @@ def rule_state(ad):
 
 #: (rule, windows planned before the hold, committed length, observation
 #: (idle, coll, own), the hold count, the plan after that many windows; an
-#: unbounded count is checked over 40 windows)
+#: unbounded count is checked over 40 windows).  ``hold`` reads the idle
+#: count alone; the collision flag and own outcome feed ``plan_next``.
 HOLD_CASES = {
     # the next window is the checkpoint at f(C) - 1; it probes at half length
     "almac-checkpoint-probe": (lambda: AlmacAdapter(16, stub_table(f=5), 1, CAP), 4, 32,
@@ -194,7 +195,7 @@ def test_hold_is_plan_next_repeated(case):
         for ad in (planned, holding):
             for _ in range(before):
                 assert plan(ad, c, idle, coll, own) == (c, False)
-        assert holding.hold(c, idle, coll, own, k) == held
+        assert holding.hold(c, idle, k) == held
         for _ in range(k):
             assert plan(planned, c, idle, coll, own) == (c, False)
         assert rule_state(holding) == rule_state(planned)
@@ -207,11 +208,11 @@ def test_hold_is_plan_next_repeated(case):
                                   lambda: AlmacAdapter(16, stub_table(f=3), 1, CAP)])
 def test_hold_refuses_more_windows_than_it_counts(make):
     ad = make()
-    count = ad.hold(32, 32, False, True)
+    count = ad.hold(32, 32)
     with pytest.raises(ValueError):
-        ad.hold(32, 32, False, True, count + 1)
+        ad.hold(32, 32, count + 1)
     with pytest.raises(ValueError):
-        ad.hold(32, 32, False, True, -1)
+        ad.hold(32, 32, -1)
 
 
 # --- convergence-horizon table ----------------------------------------------------

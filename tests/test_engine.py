@@ -1,6 +1,6 @@
 """Slot engine mechanics: resolution, observation windows, counters, traffic."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -9,12 +9,12 @@ from hypothesis import strategies as hst
 
 from macsim.adaptation import AlmacAdapter, AlzcAdapter
 from macsim.config import MAX_LAMBDA_PPS, PROTOCOLS, SimConfig, derive_seed
-from macsim.engine import Simulator, Station, Trace, elapsed_us
+from macsim.engine import Simulator, Station, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
 from macsim.protocols import Dcf, Lbeb, Lmac, Lzc, Zc, init_protocol
 from macsim.runner import default_f_table, run_simulation
 from macsim import metrics
-from oracles import backoff_from_slots, step_run, step_slot, transmitters_of
+from oracles import backoff_from_slots, step_run, transmitters_of
 
 
 def rng(seed):
@@ -282,20 +282,20 @@ ADAPTERS = {
 }
 
 
-def replay_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none", lambda_pps=None,
-               dcf=0):
+def population_sim(protocol, n, c, seed, error_rate=0.0, adaptation="none", lambda_pps=None,
+                   dcf=0):
     """``n`` stations, the first ``dcf`` of them DCF, saturated unless
     ``lambda_pps`` sets their Poisson rate; ``c`` is one schedule length or
     one per station, and the base length under ``adaptation``."""
     lengths = [c] * n if isinstance(c, int) else c
-    stations = [replay_station("dcf" if sid < dcf else protocol, sid, lengths[sid], seed,
-                               adaptation, lambda_pps)
+    stations = [population_station("dcf" if sid < dcf else protocol, sid, lengths[sid], seed,
+                                   adaptation, lambda_pps)
                 for sid in range(n)]
     channel_rng = rng(derive_seed(seed, "channel")) if error_rate else None
     return Simulator(stations, TABLE_PHY, error_rate=error_rate, channel_rng=channel_rng)
 
 
-def replay_station(kind, sid, c, seed, adaptation="none", lambda_pps=None, start_us=0.0):
+def population_station(kind, sid, c, seed, adaptation="none", lambda_pps=None, start_us=0.0):
     station_rng = rng(derive_seed(seed, sid))
     proto = init_protocol(kind, c, station_rng, beta=0.95, gamma=0.5)
     adapter = None if adaptation == "none" or kind == "dcf" else ADAPTERS[adaptation](c)
@@ -361,8 +361,28 @@ def sim_state(sim, sids=None):
     }
 
 
+def run_and_step(make, calls, sids=None):
+    """Build two simulators with ``make``, the first to be played by
+    ``Simulator.run`` and the second by the stepping oracle ``step_run``,
+    and make the same ``calls`` on both: each the keyword arguments of
+    ``run``, or a function that takes a simulator, may add joiners to it
+    and returns them.  After every call both must have returned the same
+    and hold the same ``sim_state`` of the stations ``sids``.  Returns the
+    two simulators and, per call, what ``run`` returned and the slot it
+    stopped at."""
+    played, stepped = make(), make()
+    outcomes = []
+    for call in calls:
+        returned = [run(sim, **(call(sim) if callable(call) else call))
+                    for sim, run in ((played, Simulator.run), (stepped, step_run))]
+        assert returned[0] == returned[1]
+        assert sim_state(played, sids) == sim_state(stepped, sids)
+        outcomes.append((returned[0], played.slot_index))
+    return played, stepped, outcomes
+
+
 def record_closes(monkeypatch, record):
-    """Call ``record(station_before, event)`` for every window that
+    """Call ``record(sim, station_before, event)`` for every window that
     ``Simulator._close_windows`` closes one by one, in close order, read
     from the events it logs; ``station_before`` holds the station's window
     start, window length, probe flag and committed length before the close."""
@@ -374,7 +394,7 @@ def record_closes(monkeypatch, record):
         logged = len(sim.events)
         shared = close_windows(sim, sched, *args)
         for event in sim.events[logged:]:
-            record(before[event[0]], event)
+            record(sim, before[event[0]], event)
         return shared
 
     monkeypatch.setattr(Simulator, "_close_windows", recorded)
@@ -382,25 +402,28 @@ def record_closes(monkeypatch, record):
 
 @pytest.fixture
 def close_calls(monkeypatch):
-    """Window starts of every window closed one by one, in close order."""
-    starts = []
-    record_closes(monkeypatch, lambda before, event: starts.append(before[0]))
+    """Window starts of every window closed one by one, by simulator, in
+    close order."""
+    starts = defaultdict(list)
+    record_closes(monkeypatch, lambda sim, before, event: starts[sim].append(before[0]))
     return starts
 
 
 @pytest.fixture
 def bulk_slots(monkeypatch):
-    """Slots of every ``Trace.repeat`` call, the engine's window repeats, in
-    call order."""
-    counts = []
-    repeat = Trace.repeat
+    """The slots each ``Simulator._repeat_windows`` call appended in bulk,
+    as a range, by simulator, in call order."""
+    spans = defaultdict(list)
+    repeat_windows = Simulator._repeat_windows
 
-    def counted(tr, columns, times):
-        counts.append(len(columns[0]) * times)
-        return repeat(tr, columns, times)
+    def counted(sim, s, *args):
+        t, clock = repeat_windows(sim, s, *args)
+        if t > s:
+            spans[sim].append(range(s, t))
+        return t, clock
 
-    monkeypatch.setattr(Trace, "repeat", counted)
-    return counts
+    monkeypatch.setattr(Simulator, "_repeat_windows", counted)
+    return spans
 
 
 #: Light Poisson load: at 62.5 packets/s per station most windows are quiet.
@@ -466,50 +489,48 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
     def join(sim):  # two more stations of ``protocol`` at slot ``join_at``
         if sim.slot_index == join_at:
             for sid in (n, n + 1):
-                sim.add_station(replay_station(protocol, sid, c, seed,
-                                               lambda_pps=kw.get("lambda_pps"),
-                                               start_us=sim.clock_us))
+                sim.add_station(population_station(protocol, sid, c, seed,
+                                                   lambda_pps=kw.get("lambda_pps"),
+                                                   start_us=sim.clock_us))
 
-    stepped = replay_sim(protocol, n, c, seed, **kw)
-    while stepped.slot_index < bounds[-1]:
-        join(stepped)
-        step_slot(stepped)
-    stepped_calls = len(close_calls)
-    replayed = counted_sim(replay_sim(protocol, n, c, seed, **kw))
-    for bound in bounds:
-        join(replayed)
-        replayed.run(until_slot=bound)
-    assert sim_state(replayed) == sim_state(stepped)
+    def until(bound):
+        def kwargs(sim):
+            join(sim)
+            return dict(until_slot=bound)
+        return kwargs
+
+    played, stepped, _ = run_and_step(
+        lambda: counted_sim(population_sim(protocol, n, c, seed, **kw)), map(until, bounds))
     # decision slots are visited one by one, the idle slots between them
     # written in bulk; with every station saturated, each one is busy
-    visited, played = replayed.trace.kinds.writes, bounds[-1]
-    busy = sum(k != SlotKind.IDLE for k in replayed.trace.kinds)
-    assert visited <= visit_bound(replayed)
+    visited, slots = played.trace.kinds.writes, bounds[-1]
+    busy = sum(k != SlotKind.IDLE for k in played.trace.kinds)
+    closed, stepped_closed = len(close_calls[played]), len(close_calls[stepped])
+    assert visited <= visit_bound(played)
     assert visited <= busy or "lambda_pps" in kw
     if "dcf" in kw or join_at is not None:  # two grids, or DCF among schedule stations
-        assert visited < (0.7 if "lambda_pps" in kw else 0.6) * played
+        assert visited < (0.7 if "lambda_pps" in kw else 0.6) * slots
     if protocol == "dcf":  # no windows; idle waits are crossed in bulk under Poisson load
         assert (visited == busy) == ("lambda_pps" not in kw)
-        assert (visited < played / 10) == ("lambda_pps" in kw)
-        assert bulk_slots == []
+        assert (visited < slots / 10) == ("lambda_pps" in kw)
+        assert bulk_slots[played] == []
     elif "lambda_pps" in kw and "dcf" not in kw and join_at is None:  # quiet windows are jumped
-        assert len(close_calls) - stepped_calls < stepped_calls / 2
+        assert closed < stepped_closed / 2
     elif "adaptation" in kw:  # settled windows are copied as far as every hold allows
         cycling = kw["adaptation"] == "alzc" and n == c
-        assert (sum(bulk_slots) > 0) != cycling
-        assert (len(close_calls) < 2 * stepped_calls) != cycling
+        assert bool(bulk_slots[played]) != cycling
+        assert (closed < stepped_closed) != cycling
     elif kw or n > c or join_at is not None:  # no window repeats, every window closed one by one
-        assert len(close_calls) == 2 * stepped_calls
-        assert bulk_slots == []
+        assert closed == stepped_closed
+        assert bulk_slots[played] == []
     else:
-        assert len(close_calls) - stepped_calls < stepped_calls / 2
+        assert closed < stepped_closed / 2
     # ``Simulator.step`` plays the same slots and never jumps
-    copied = list(bulk_slots)
-    one_by_one = replay_sim(protocol, n, c, seed, **kw)
+    one_by_one = population_sim(protocol, n, c, seed, **kw)
     while one_by_one.slot_index < bounds[-1]:
         join(one_by_one)
         one_by_one.step()
-    assert bulk_slots == copied
+    assert bulk_slots[one_by_one] == []
     assert sim_state(one_by_one) == sim_state(stepped)
 
 
@@ -528,49 +549,54 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
     ("lmac", 10, 43, {"join_at": 16 * 20 + 5}),
 ])
 def test_lean_body_matches_general_body(protocol, n, seed, kw):
-    # the run is played by ``Simulator.run`` and, with a schedule station
-    # that has no traffic added, by the stepping oracle; the silent station
-    # sends nothing, so the medium and everyone else must not notice
+    # the run is played by ``Simulator.run`` with every station saturated
+    # and, with a schedule station that has no traffic added, by the
+    # stepping oracle; the silent station sends nothing, so the medium and
+    # everyone else must not notice
     c, horizon = 16, 6000
     kw = dict(kw)
     hit_expected = kw.pop("hit", None)
     bound_slot = kw.pop("time_bound_slot", None)
     join_at = kw.pop("join_at", None)
-    lean = replay_sim(protocol, n, c, seed, **kw)
-    general = replay_sim(protocol, n, c, seed, **kw)
+    saturated = population_sim(protocol, n, c, seed, **kw)
+    with_silent = population_sim(protocol, n, c, seed, **kw)
     silent_rng = rng(derive_seed(seed, n))
     silent = init_protocol(protocol, c, silent_rng, beta=0.95, gamma=0.5)
-    general.add_station(Station(n, silent, silent_rng, saturated=False, lambda_pps=0.0))
-    sids = list(range(n))
+    with_silent.add_station(Station(n, silent, silent_rng, saturated=False, lambda_pps=0.0))
+    sids, calls = list(range(n)), []
     if bound_slot is not None:  # reached inside slot ``bound_slot - 1``
-        probe = replay_sim(protocol, n, c, seed, **kw)
+        probe = population_sim(protocol, n, c, seed, **kw)
         probe.run(until_slot=bound_slot)
-        until_us = probe.clock_us - 1.0
-    outcomes = []
-    for sim, run in ((lean, Simulator.run), (general, step_run)):
-        watch = dict(watch_n=n, watch_len=c)
-        if bound_slot is not None:
-            run(sim, until_us=until_us)
-            assert sim.slot_index == bound_slot
-        if join_at is not None:
-            run(sim, until_slot=join_at)
+        calls.append(dict(until_us=probe.clock_us - 1.0))
+    if join_at is None:
+        calls.append(dict(until_slot=horizon, watch_n=n, watch_len=c))
+    else:
+        def join(sim):
             joiner_rng = rng(derive_seed(seed, n + 1))
             joiner = init_protocol(protocol, c, joiner_rng, beta=0.95, gamma=0.5)
             sim.add_station(Station(n + 1, joiner, joiner_rng))
-            watch = dict(watch_n=n + 1, watch_len=c, watch_from=join_at)
-        outcomes.append((run(sim, until_slot=horizon, **watch), sim.slot_index))
-        if sim.slot_index < horizon:
-            run(sim, until_slot=horizon)
-    if join_at is not None:
+            return dict(until_slot=horizon, watch_n=n + 1, watch_len=c, watch_from=join_at)
+
+        calls += [dict(until_slot=join_at), join]
         sids.append(n + 1)
-    assert outcomes[0] == outcomes[1]
-    hit, stopped_at = outcomes[0]
+    calls.append(dict(until_slot=horizon))
+    _, stepped, outcomes = run_and_step(iter([saturated, with_silent]).__next__, calls, sids)
+    if bound_slot is not None:
+        assert outcomes[0][1] == bound_slot
+    hit, stopped_at = outcomes[-2]
     if hit_expected is not None:
         assert hit == hit_expected
     if hit_expected:
         assert stopped_at % c != 0  # the watched span straddles two windows
-    assert sim_state(general, sids) == sim_state(lean, sids)
-    assert len(general.events) > len(lean.events)
+    # the silent station never sends, and logs one event per window it
+    # closed, a success exactly where the slot it held was idle
+    tr = stepped.trace
+    assert n not in tr.tx_station and all(n not in who for who in tr.colliders.values())
+    logged = [ev for ev in stepped.events if ev[0] == n]
+    assert [ev[1] for ev in logged] == list(range(stepped.slot_index // c))
+    assert [ev[3] for ev in logged] == [
+        "success" if tr.kinds[k * c + slot - 1] == SlotKind.IDLE else "failure"
+        for _, k, slot, _ in logged]
 
 
 @pytest.mark.parametrize("protocol, n, c, seed, kw", [
@@ -584,15 +610,15 @@ def test_reports_follow_the_kernel_rule(protocol, n, c, seed, kw, monkeypatch):
     # of each failure and of the first success after a failure or a resize,
     # and of nothing in a probe
     windows: dict[int, list] = {}
-    record_closes(monkeypatch, lambda before, event: windows.setdefault(event[0], []).append(
-        (before[2], before[3], event[3] == "success")))
+    record_closes(monkeypatch, lambda sim, before, event: windows.setdefault(
+        event[0], []).append((before[2], before[3], event[3] == "success")))
     reports: dict[int, list[bool]] = {}
     for cls in (Lbeb, Zc, Lzc, Lmac):
         def reported(proto, success, idle_positions, rng, update=cls.on_schedule_end):
             reports.setdefault(id(proto), []).append(success)
             return update(proto, success, idle_positions, rng)
         monkeypatch.setattr(cls, "on_schedule_end", reported)
-    sim = replay_sim(protocol, n, c, seed, **kw)
+    sim = population_sim(protocol, n, c, seed, **kw)
     while sim.slot_index < 3000:
         sim.step()
     counts = Counter()
@@ -623,56 +649,33 @@ def test_reports_follow_the_kernel_rule(protocol, n, c, seed, kw, monkeypatch):
 def test_time_bound_inside_a_window(kw):
     # the bound is reached in the fourth slot of window 40: the rest of the
     # window's transmissions, deliveries and channel draws stay pending
-    probe = replay_sim("lzc", 8, 8, 18, **kw)
+    probe = population_sim("lzc", 8, 8, 18, **kw)
     probe.run(until_slot=8 * 40 + 4)
-    until_us = probe.clock_us - 1.0
-    stepped = replay_sim("lzc", 8, 8, 18, **kw)
-    while stepped.clock_us < until_us:
-        step_slot(stepped)
-    bounded = replay_sim("lzc", 8, 8, 18, **kw)
-    bounded.run(until_us=until_us)
-    assert bounded.slot_index == stepped.slot_index == 8 * 40 + 4
-    assert sim_state(bounded) == sim_state(stepped)
-    bounded.run(until_slot=1000)
-    step_run(stepped, until_slot=1000)
-    assert sim_state(bounded) == sim_state(stepped)
+    _, _, outcomes = run_and_step(lambda: population_sim("lzc", 8, 8, 18, **kw),
+                                  [dict(until_us=probe.clock_us - 1.0), dict(until_slot=1000)])
+    assert outcomes[0][1] == 8 * 40 + 4
 
 
 def test_watch_hit_inside_a_window():
-    stepped = replay_sim("lmac", 6, 8, 19)
-    assert step_run(stepped, until_slot=1000, watch_n=6, watch_len=8)
-    watched = replay_sim("lmac", 6, 8, 19)
-    assert watched.run(watch_n=6, watch_len=8)
-    assert watched.slot_index % 8 != 0  # the watched span straddles two windows
-    assert sim_state(watched) == sim_state(stepped)
-    watched.run(until_slot=1000)
-    step_run(stepped, until_slot=1000)
-    assert sim_state(watched) == sim_state(stepped)
+    _, _, outcomes = run_and_step(lambda: population_sim("lmac", 6, 8, 19),
+                                  [dict(watch_n=6, watch_len=8), dict(until_slot=1000)])
+    hit, stopped_at = outcomes[0]
+    assert hit and stopped_at % 8 != 0  # the watched span straddles two windows
 
 
 def test_no_replay_across_unequal_windows(close_calls):
     # lengths 4 and 8 end windows together at every eighth slot, from
     # different starts, so the shared trace never repeats window by window
-    stepped = replay_sim("lbeb", 2, (4, 8), 8)
-    while stepped.slot_index < 800:
-        step_slot(stepped)
-    stepped_calls = len(close_calls)
-    replayed = replay_sim("lbeb", 2, (4, 8), 8)
-    replayed.run(until_slot=800)
+    played, stepped, _ = run_and_step(lambda: population_sim("lbeb", 2, (4, 8), 8),
+                                      [dict(until_slot=800)])
     assert stepped.trace.kinds[-8:].count(SlotKind.SUCCESS) == 3  # settled
-    assert sim_state(replayed) == sim_state(stepped)
-    assert len(close_calls) == 2 * stepped_calls
+    assert len(close_calls[played]) == len(close_calls[stepped])
 
 
 def test_replay_stops_before_time_bound(close_calls):
-    stepped = replay_sim("lzc", 4, 8, 7)
-    replayed = replay_sim("lzc", 4, 8, 7)
-    until_us = 1.5e5 + 3.0
-    while stepped.clock_us < until_us:
-        step_slot(stepped)
-    replayed.run(until_us=until_us)
-    assert sim_state(replayed) == sim_state(stepped)
-    assert len(close_calls) < 1.5 * len(stepped.events)
+    played, stepped, _ = run_and_step(lambda: population_sim("lzc", 4, 8, 7),
+                                      [dict(until_us=1.5e5 + 3.0)])
+    assert len(close_calls[played]) < len(close_calls[stepped]) / 2
 
 
 def test_replay_fires_after_convergence(close_calls):
@@ -683,7 +686,8 @@ def test_replay_fires_after_convergence(close_calls):
     assert len(res.events) == n * 20000 // c
     # the first collision-free window is watched, the next one is stepped and
     # closed without a collision, and every later window is a copy of it
-    assert sum(start > res.converged_slot for start in close_calls) <= n
+    [starts] = close_calls.values()
+    assert sum(start > res.converged_slot for start in starts) <= n
     assert ledger_violations(res) == []
 
 
@@ -691,19 +695,12 @@ def test_no_copy_when_every_length_changes(bulk_slots):
     # four stations fill a 4-slot window, so all of them double to 8 at its
     # close; at 8 they halve again after two windows: the 4-slot window just
     # closed must never be copied as an 8-slot one, nor the 8-slot one as 4
-    sims = []
-    for _ in range(2):
-        sims.append(make_sim([
-            Station(sid, pinned_lzc(4, sid + 1, sid), rng(60 + sid), adapter=AlzcAdapter(4, 64))
-            for sid in range(4)
-        ]))
-    stepped, run = sims
-    while stepped.slot_index < 200:
-        step_slot(stepped)
-    run.run(until_slot=200)
-    assert sim_state(run) == sim_state(stepped)
-    assert {st.window_len for st in run.stations} == {4}
-    assert bulk_slots == []
+    played, _, _ = run_and_step(lambda: make_sim([
+        Station(sid, pinned_lzc(4, sid + 1, sid), rng(60 + sid), adapter=AlzcAdapter(4, 64))
+        for sid in range(4)
+    ]), [dict(until_slot=200)])
+    assert {st.window_len for st in played.stations} == {4}
+    assert bulk_slots[played] == []
 
 
 def test_committed_probe_is_followed_by_copies(bulk_slots):
@@ -712,82 +709,67 @@ def test_committed_probe_is_followed_by_copies(bulk_slots):
     # probe succeeds, and copies of the probe window follow at once, each
     # station's protocol taking the success report that settles the vector
     # its resize reset
-    sims = []
-    for _ in range(2):
+    def make():
         stations = []
         for sid in range(4):
             proto = Lmac(32, 0.95, rng(sid))
             proto.slot = sid + 1
             stations.append(Station(sid, proto, rng(65 + sid),
                                     adapter=AlmacAdapter(16, default_f_table(), 1, 256)))
-        sims.append(make_sim(stations))
-    stepped, run = sims
-    bound = 2096 + 10 * 16
-    while stepped.slot_index < bound:
-        step_slot(stepped)
-    run.run(until_slot=bound)
-    assert sim_state(run) == sim_state(stepped)
-    assert bulk_slots == [63 * 32, 10 * 16]
-    assert all(st.protocol.settled and st.window_len == 16 for st in run.stations)
+        return make_sim(stations)
+
+    played, _, _ = run_and_step(make, [dict(until_slot=2096 + 10 * 16)])
+    assert [len(span) for span in bulk_slots[played]] == [63 * 32, 10 * 16]
+    for st in played.stations:
+        assert st.protocol.p[st.protocol.slot - 1] == 1.0 and st.reported_success
+        assert st.window_len == 16
 
 
 def test_unfulfillable_watch_is_no_watch(bulk_slots):
     # 20 successes cannot fit in a 16-slot watch, so the run is not watched
-    watched = replay_sim("lzc", 20, 16, 12, adaptation="alzc")
+    watched = population_sim("lzc", 20, 16, 12, adaptation="alzc")
     assert not watched.run(until_slot=3000, watch_n=20, watch_len=16)
-    copied = list(bulk_slots)
-    unwatched = replay_sim("lzc", 20, 16, 12, adaptation="alzc")
+    unwatched = population_sim("lzc", 20, 16, 12, adaptation="alzc")
     unwatched.run(until_slot=3000)
     assert sim_state(watched) == sim_state(unwatched)
-    assert copied and bulk_slots == 2 * copied
+    assert bulk_slots[watched] and bulk_slots[watched] == bulk_slots[unwatched]
 
 
 def test_live_watch_blocks_copies():
     # settled stations in slots 1, 6 and 8 of 8, watched from slot 20: the
     # span 20 to 27 holds all three successes, so the watch fires at slot
     # 28, inside what a copy of the window from slot 16 would cover
-    sims = []
-    for _ in range(2):
-        sim = make_sim([saturated_station(sid, pinned_lzc(8, slot, sid), 70 + sid)
-                        for sid, slot in enumerate((1, 6, 8))])
-        sim.run(until_slot=20)
-        sims.append(sim)
-    stepped, watched = sims
-    watch = dict(watch_n=3, watch_len=8, watch_from=20)
-    assert step_run(stepped, until_slot=1000, **watch)
-    assert watched.run(until_slot=1000, **watch)
-    assert watched.slot_index == 28
-    assert sim_state(watched) == sim_state(stepped)
+    _, _, outcomes = run_and_step(
+        lambda: make_sim([saturated_station(sid, pinned_lzc(8, slot, sid), 70 + sid)
+                          for sid, slot in enumerate((1, 6, 8))]),
+        [dict(until_slot=20), dict(until_slot=1000, watch_n=3, watch_len=8, watch_from=20)])
+    assert outcomes[1] == (True, 28)
 
 
 @pytest.mark.parametrize("lambda_pps", [None, LIGHT])
 @pytest.mark.parametrize("dcf_at", [0, 5])
 def test_dcf_station_rules_out_copies(dcf_at, lambda_pps, bulk_slots):
     # stations[0] may be the DCF partner, whose window length is 0
-    sims = []
-    for _ in range(2):
+    def make():
         stations = []
         for sid in range(6):
             station_rng = rng(derive_seed(75, sid))
             proto = init_protocol("dcf" if sid == dcf_at else "lmac", 16, station_rng, beta=0.95)
             stations.append(Station(sid, proto, station_rng, saturated=lambda_pps is None,
                                     lambda_pps=lambda_pps or 0.0))
-        sims.append(make_sim(stations))
-    stepped, run = sims
-    while stepped.slot_index < 6000:
-        step_slot(stepped)
-    run.run(until_slot=6000)
-    assert sim_state(run) == sim_state(stepped)
-    assert bulk_slots == []
+        return make_sim(stations)
+
+    played, _, _ = run_and_step(make, [dict(until_slot=6000)])
+    assert bulk_slots[played] == []
 
 
 # --- quiet medium ------------------------------------------------------------------
 
 
 def quiet_stretch_middle(sim, until_slot):
-    """Slot 7 of a 16-slot window in the middle of ``sim``'s longest idle
-    stretch up to ``until_slot``."""
-    sim.run(until_slot=until_slot)
+    """Slot 7 of a 16-slot window in the middle of the longest idle stretch
+    of ``sim`` stepped up to ``until_slot``."""
+    step_run(sim, until_slot=until_slot)
     best = (0, 0)
     start = 0
     for i, kind in enumerate(sim.trace.kinds + [SlotKind.SUCCESS]):
@@ -805,24 +787,19 @@ def quiet_stretch_middle(sim, until_slot):
 ])
 @pytest.mark.parametrize("bound", ["until_slot", "until_us"])
 def test_bound_inside_a_quiet_stretch(protocol, kw, bound, bulk_slots):
-    middle = quiet_stretch_middle(replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw), 20000)
-    stepped = replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw)
-    while stepped.slot_index <= middle:
-        step_slot(stepped)
+    probe = population_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw)
+    middle = quiet_stretch_middle(probe, 20000)
     limit = {"until_slot": middle + 1,
              # reached inside slot ``middle``
-             "until_us": elapsed_us(stepped.trace.durations[:middle]) + 1.0}[bound]
-    bounded = counted_sim(replay_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw))
-    bounded.run(**{bound: limit})
-    assert bounded.slot_index == middle + 1
-    assert sim_state(bounded) == sim_state(stepped)
+             "until_us": elapsed_us(probe.trace.durations[:middle]) + 1.0}[bound]
+    played, _, outcomes = run_and_step(
+        lambda: counted_sim(population_sim(protocol, 8, 16, 50, lambda_pps=LIGHT, **kw)),
+        [{bound: limit}, dict(until_slot=20000)])
+    assert outcomes[0][1] == middle + 1
     if protocol == "dcf":  # idle waits are crossed without a visit
-        assert bounded.trace.kinds.writes < middle / 10
+        assert sum(u <= middle for u in played.trace.kinds.written) < middle / 10
     else:  # quiet windows are jumped
-        assert sum(bulk_slots) > middle / 2
-    bounded.run(until_slot=20000)
-    step_run(stepped, until_slot=20000)
-    assert sim_state(bounded) == sim_state(stepped)
+        assert sum(len(span) for span in bulk_slots[played] if span.stop <= middle + 1) > middle / 2
 
 
 @pytest.mark.parametrize("n, lambda_pps, seed, watch_from, hit", [
@@ -832,21 +809,19 @@ def test_bound_inside_a_quiet_stretch(protocol, kw, bound, bulk_slots):
 ])
 def test_watched_poisson_run_matches_stepping(n, lambda_pps, seed, watch_from, hit,
                                               bulk_slots):
-    watch = dict(watch_n=n, watch_len=16, watch_from=watch_from)
-    stepped = replay_sim("lmac", n, 16, seed, lambda_pps=lambda_pps)
-    step_run(stepped, until_slot=watch_from)
-    assert step_run(stepped, until_slot=20000, **watch) == hit
-    watched = replay_sim("lmac", n, 16, seed, lambda_pps=lambda_pps)
-    watched.run(until_slot=watch_from)
-    jumped = sum(bulk_slots)
-    assert watched.run(until_slot=20000, **watch) == hit
-    assert sim_state(watched) == sim_state(stepped)
-    assert sum(bulk_slots) - jumped > 100  # quiet windows were crossed while watching
+    played, _, outcomes = run_and_step(
+        lambda: population_sim("lmac", n, 16, seed, lambda_pps=lambda_pps),
+        [dict(until_slot=watch_from),
+         dict(until_slot=20000, watch_n=n, watch_len=16, watch_from=watch_from)])
+    assert outcomes[1][0] == hit
+    # quiet windows were crossed while watching
+    watched_from = outcomes[0][1]
+    assert sum(len(span) for span in bulk_slots[played] if span.start >= watched_from) > 100
 
 
 @hst.composite
 def random_populations(draw):
-    """A ``replay_sim`` population of every schedule rule, DCF stations
+    """A ``population_sim`` population of every schedule rule, DCF stations
     among them, saturated or Poisson, on a clean or an error channel, with
     adaptive lengths, maybe a joiner off the window grid, and a few run
     calls, each with a slot bound, maybe a time bound and maybe a watch."""
@@ -880,40 +855,48 @@ def random_populations(draw):
            "adaptation": "none", "lambda_pps": 300.0, "dcf": 2}, 179, [(1, 0.0, None)]))
 def test_run_matches_stepping_on_random_populations(case):
     population, join_at, calls = case
-    sims = [replay_sim(**population) for _ in range(2)]
+
+    def bounded(slots, us, watch, joins):
+        def kwargs(sim):  # bounds from where the run stands
+            if joins:
+                sim.add_station(population_station(
+                    population["protocol"], population["n"], population["c"],
+                    population["seed"], population["adaptation"], population["lambda_pps"],
+                    sim.clock_us))
+            bounds = dict(until_slot=sim.slot_index + slots)
+            if us is not None:
+                bounds["until_us"] = sim.clock_us + us
+            if watch is not None:  # from the run's start or from slot 0
+                bounds.update(watch_n=watch[0], watch_len=population["c"],
+                              watch_from=sim.slot_index if watch[1] else 0)
+            return bounds
+        return kwargs
+
+    runs = [bounded(*call, joins=i == 0 and join_at is not None) for i, call in enumerate(calls)]
     if join_at is not None:
-        for sim, run in zip(sims, (Simulator.run, step_run)):
-            run(sim, until_slot=join_at)
-            sim.add_station(replay_station(
-                population["protocol"], population["n"], population["c"], population["seed"],
-                population["adaptation"], population["lambda_pps"], sim.clock_us))
-    for slots, us, watch in calls:
-        bounds = dict(until_slot=sims[0].slot_index + slots)
-        if us is not None:
-            bounds["until_us"] = sims[0].clock_us + us
-        if watch is not None:  # from the run's start or from slot 0
-            bounds.update(watch_n=watch[0], watch_len=population["c"],
-                          watch_from=sims[0].slot_index if watch[1] else 0)
-        assert sims[0].run(**bounds) == step_run(sims[1], **bounds)
-        assert sim_state(sims[0]) == sim_state(sims[1])
+        runs.insert(0, dict(until_slot=join_at))
+    run_and_step(lambda: population_sim(**population), runs)
 
 
 def test_idle_stretch_clock_adds_slot_by_slot():
-    # after a 396.36 us success in slot 0, the 83 idle slots to the end of the
-    # window, added one at a time, end on another last bit than 83 * 20 us
+    # after a 396.36 us success in slot 0, 83 idle slots, added one at a time,
+    # end on another last bit than 83 * 20 us: to the end of an 84-slot
+    # window, and between two decision slots of an 85-slot one
     phy = PhyParams(payload_bytes=333)
     success = phy.success_duration(1)
     assert elapsed_us([success] + [phy.sigma_us] * 83) != success + 83 * phy.sigma_us
-    sims = []
-    for _ in range(2):
-        st = Station(0, pinned_lzc(84, 1, 58), rng(59), saturated=False, lambda_pps=LIGHT)
-        st.next_arrival_us = 0.0
-        sims.append(make_sim([st], phy=phy))
-    stepped, sim = sims
-    step_run(stepped, until_slot=84)
-    sim.run(until_slot=84)
-    assert sim.trace.kinds[0] == SlotKind.SUCCESS
-    assert sim_state(sim) == sim_state(stepped)
+    for length, held in ((84, (1,)), (85, (1, 85))):
+        def make():
+            stations = []
+            for sid, slot in enumerate(held):
+                st = Station(sid, pinned_lzc(length, slot, 58 + 2 * sid), rng(59 + 2 * sid),
+                             saturated=False, lambda_pps=LIGHT)
+                st.next_arrival_us = 0.0
+                stations.append(st)
+            return make_sim(stations, phy=phy)
+
+        played, _, _ = run_and_step(make, [dict(until_slot=length)])
+        assert [played.trace.kinds[slot - 1] for slot in held] == [SlotKind.SUCCESS] * len(held)
 
 
 def test_watch_fires_inside_a_quiet_window():
@@ -930,36 +913,29 @@ def test_watch_fires_inside_a_quiet_window():
 def test_arrival_as_a_window_last_slot_starts(bulk_slots):
     # the packet arrives just as slot 39, the last of window 4 and the one
     # the station holds, starts: windows 1 to 3 are jumped, window 4 is played
-    sims = []
-    for _ in range(2):
+    def make():
         st = Station(0, pinned_lzc(8, 8, 53), rng(54), saturated=False, lambda_pps=LIGHT)
         st.next_arrival_us = elapsed_us([TABLE_PHY.sigma_us] * 39)
-        sims.append(make_sim([st]))
-    stepped, jumped = sims
-    while stepped.slot_index < 100:
-        step_slot(stepped)
-    jumped.run(until_slot=100)
-    assert sim_state(jumped) == sim_state(stepped)
-    assert jumped.trace.kinds.index(SlotKind.SUCCESS) == 39
-    assert bulk_slots[0] == 24
+        return make_sim([st])
+
+    played, _, _ = run_and_step(make, [dict(until_slot=100)])
+    assert played.trace.kinds.index(SlotKind.SUCCESS) == 39
+    assert bulk_slots[played][0] == range(8, 32)
 
 
 def test_dcf_arrival_as_a_slot_starts():
     # the waiting station's packet arrives just as slot 30 starts; it is sent
     # there, and slots 1 to 29 are crossed without a visit
-    sims = []
-    for _ in range(2):
+    def make():
         dcf = Dcf(rng(56))
         dcf.counter = 0
         st = Station(0, dcf, rng(57), saturated=False, lambda_pps=LIGHT)
         st.next_arrival_us = elapsed_us([TABLE_PHY.sigma_us] * 30)
-        sims.append(make_sim([st]))
-    stepped, sim = sims
-    step_run(stepped, until_slot=100)
-    counted_sim(sim).run(until_slot=100)
-    assert sim_state(sim) == sim_state(stepped)
-    assert sim.trace.kinds.index(SlotKind.SUCCESS) == 30
-    assert sim.trace.kinds.written[:2] == [0, 30]
+        return counted_sim(make_sim([st]))
+
+    played, _, _ = run_and_step(make, [dict(until_slot=100)])
+    assert played.trace.kinds.index(SlotKind.SUCCESS) == 30
+    assert played.trace.kinds.written[:2] == [0, 30]
 
 
 @pytest.mark.parametrize("protocol, kw", [
@@ -967,19 +943,15 @@ def test_dcf_arrival_as_a_slot_starts():
     ("dcf", {}),
 ])
 def test_silent_stations_jump_the_whole_horizon(protocol, kw, close_calls, bulk_slots):
-    stepped = replay_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw)
-    while stepped.slot_index < 10000:
-        step_slot(stepped)
-    stepped_calls = len(close_calls)
-    quiet = counted_sim(replay_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw))
-    quiet.run(until_slot=10000)
-    assert sim_state(quiet) == sim_state(stepped)
-    assert set(quiet.trace.kinds) == {SlotKind.IDLE}
+    played, stepped, _ = run_and_step(
+        lambda: counted_sim(population_sim(protocol, 4, 16, 55, lambda_pps=0.0, **kw)),
+        [dict(until_slot=10000)])
+    assert set(played.trace.kinds) == {SlotKind.IDLE}
     if protocol == "dcf":  # each station is visited once, at its first booking
-        assert quiet.trace.kinds.writes <= 4
+        assert played.trace.kinds.writes <= 4
     else:
-        assert sum(bulk_slots) > 9000
-    assert len(close_calls) - stepped_calls <= stepped_calls / 10
+        assert sum(map(len, bulk_slots[played])) > 9000
+    assert len(close_calls[played]) <= len(close_calls[stepped]) / 10
 
 
 # --- traffic ---------------------------------------------------------------------
@@ -1243,7 +1215,7 @@ def run_recording_windows(cfg, monkeypatch):
     windows: dict[int, list] = {}
     repeat_windows = Simulator._repeat_windows
     record_closes(monkeypatch,
-                  lambda before, event: windows.setdefault(event[0], []).append(before))
+                  lambda sim, before, event: windows.setdefault(event[0], []).append(before))
 
     def repeated(sim, s, *args):
         t, clock = repeat_windows(sim, s, *args)

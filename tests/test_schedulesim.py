@@ -8,7 +8,7 @@ from macsim import schedulesim
 from macsim.adaptation import build_f_table
 from macsim.config import SimConfig, derive_seed
 from macsim.phy import TABLE_PHY
-from macsim.protocols import Lbeb, Lmac, Lzc, init_protocol
+from macsim.protocols import Lbeb, Lmac, Lzc, Zc, init_protocol
 from macsim.schedulesim import (
     DEFAULT_SCHEDULE_CAP,
     ConvergenceRun,
@@ -110,8 +110,8 @@ KERNEL_CASES = [(3, 8, DEFAULT_SCHEDULE_CAP), (8, 8, DEFAULT_SCHEDULE_CAP),
 
 
 #: Station kinds in turn for the "mixed" population.  The first station is
-#: lbeb, which neither reads idle positions nor learns from a success, so a
-#: kernel that took its flags from the first station alone would fail.
+#: lbeb, which does not read idle positions, so a kernel that took
+#: ``reads_idle_positions`` from the first station alone would fail.
 MIXED = ("lbeb", "lzc", "lmac")
 
 
@@ -147,6 +147,35 @@ def test_kernel_matches_updating_every_station(kind, n, c, cap):
             final = [p.slot for p in ref]
         assert [p.slot for p in run_protos] == final
         assert [p.slot for p in seq_protos] == final
+
+
+@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac", "mixed"])
+@pytest.mark.parametrize("n,c,cap", KERNEL_CASES)
+def test_kernel_reports_failures_and_the_success_after_one(kind, n, c, cap, monkeypatch):
+    # The every-station reference reports each station's outcome in every
+    # schedule.  The kernel must report each failure and each success right
+    # after a failure, the first schedule counting as one after a failure;
+    # an all-L-BEB run reports nothing, and an N > C run plays nothing.
+    reports: dict[int, list[bool]] = {}
+    for cls in (Lbeb, Zc, Lzc, Lmac):
+        def reported(proto, success, idle_positions, rng, update=cls.on_schedule_end):
+            reports.setdefault(id(proto), []).append(success)
+            return update(proto, success, idle_positions, rng)
+        monkeypatch.setattr(cls, "on_schedule_end", reported)
+    played = 0
+    for seed in range(8):
+        ref, ref_rng = stations(kind, n, c, seed)
+        play_every_station(ref, [ref_rng] * n, cap)
+        run_protos, run_rng = stations(kind, n, c, seed)
+        converge(run_protos, run_rng, cap=cap)
+        for every, run in zip(ref, run_protos):
+            outcomes = reports.pop(id(every), [])
+            played += len(outcomes)
+            expected = [] if kind == "lbeb" or n > c else [
+                success for k, success in enumerate(outcomes)
+                if not success or k == 0 or not outcomes[k - 1]]
+            assert reports.pop(id(run), []) == expected
+    assert played or n == 1
 
 
 #: (N, C) points of the layout oracle below, N = 1 among them, and its runs a side.
