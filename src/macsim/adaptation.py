@@ -16,9 +16,9 @@ base length sends ``m`` packets per transmission so long-run goodput stays
 uniform across stations.
 
 The per-station rules keep only their own counters: a station passes its
-committed length and whether its last window was a probe to ``plan_next``.
-``hold`` counts the windows in a row that ``plan_next`` would leave at the
-committed length with no probe, and skips some of them in one step.
+committed length and whether its last window was a probe to ``plan_next``,
+the one statement of each rule: the slot engine asks it after every window,
+copied ones included.
 """
 
 from __future__ import annotations
@@ -135,25 +135,6 @@ class AlzcAdapter:
             return c // 2, False
         return c, False
 
-    def hold(self, c: int, idle_count: int, windows: int = 0) -> float:
-        """How many more windows of the committed ``c`` slots, each with
-        ``idle_count`` idle slots, ``plan_next`` would keep at ``c``: none
-        when the next one doubles or halves, one when the one after it
-        halves, otherwise any number.  Then advance the rule by ``windows``
-        of them, at most that many, leaving it as that many ``plan_next``
-        calls would."""
-        busy = c - idle_count
-        if idle_count == 0 and c * 2 <= self.max_len:
-            count = 0
-        elif idle_count >= c // 2 and c // 2 >= self.base_len:
-            count = 0 if busy == self._last_busy else 1
-        else:
-            count = math.inf
-        _check_hold(windows, count)
-        if windows:
-            self._last_busy = busy
-        return count
-
 
 class AlmacAdapter:
     """Doubling/halving for stations without per-slot decode information.
@@ -207,22 +188,6 @@ class AlmacAdapter:
                 ):
                     return c // 2, True
         return c, False
-
-    def hold(self, c: int, idle_count: int, windows: int = 0) -> int:
-        """How many more windows at the committed length ``c`` ``plan_next``
-        would keep at ``c`` with no probe, whatever they observe: those
-        before the next checkpoint, ``f(c) - 1`` minus the windows since the
-        last one.  Then advance the rule by ``windows`` of them, at most that
-        many, leaving it as that many ``plan_next`` calls would."""
-        count = self.f_table.lookup(c) - self._since_check - 1
-        _check_hold(windows, count)
-        self._since_check += windows
-        return count
-
-
-def _check_hold(windows: int, count: float) -> None:
-    if not 0 <= windows <= count:
-        raise ValueError(f"cannot hold {windows} windows, only {count}")
 
 
 @dataclass(frozen=True)

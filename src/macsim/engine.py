@@ -24,9 +24,11 @@ starts at the next slot with one shared length, none is a probe and no
 station holds a packet.  Unsaturated, the windows are idle up to the one
 whose last slot starts at or after the earliest next arrival.  Saturated,
 on an error-free channel, they are copies of the window every station just
-closed from one start, if it had that length and no collision, up to where
-an adapter's ``hold`` count says its length or probe plan could change.  A
-watched run jumps only where the watch cannot fire, and copies no window.
+closed from one start, if it had that length and no collision.  Each
+window appended is closed as ``_close_windows`` would close it, adapters
+planning from its idle count, and the first after which some adapter plans
+another length or a probe is the last.  A watched run jumps only where the
+watch cannot fire, and copies no window.
 """
 
 from __future__ import annotations
@@ -150,6 +152,20 @@ class Station:
         self.position = 0  # index in the simulator's station list
         self.window_start = 0
         self.tx_slot = 0
+
+    def start_window(self, start: int, length: int, probe: bool) -> None:
+        """Start a window of ``length`` slots at slot ``start``, as the
+        adapter planned it, a probe if ``probe``: a committed length change
+        resizes the protocol, whose next success is then reported again."""
+        proto = self.protocol
+        if not probe and length != proto.schedule_len:
+            proto.resize(length)
+            self.reported_success = False
+        if length != self.window_len:
+            self.window_len = length
+            self.txop_m = txop_packets(length, self.adapter.base_len)
+        self.in_probe = probe
+        self.tx_slot = start + (proto.slot - 1) % length
 
     # -- queue ----------------------------------------------------------
 
@@ -515,18 +531,11 @@ class Simulator:
             if report:
                 proto.on_schedule_end(success, idle, st.rng)
                 st.reported_success = success
-            if adapter is not None:
-                next_len, probe = adapter.plan_next(
-                    proto.schedule_len, st.in_probe, len(idle), saw_collision, success
-                )
-                if not probe and next_len != proto.schedule_len:
-                    proto.resize(next_len)
-                    st.reported_success = False
-                if next_len != length:
-                    st.window_len = next_len
-                    st.txop_m = txop_packets(next_len, adapter.base_len)
-                st.in_probe = probe
-            st.tx_slot = after + (proto.slot - 1) % st.window_len
+            if adapter is None:
+                st.tx_slot = after + (proto.slot - 1) % length
+            else:
+                st.start_window(after, *adapter.plan_next(
+                    proto.schedule_len, st.in_probe, len(idle), saw_collision, success))
         return None if shared == -1 else shared
 
     def _repeat_windows(
@@ -539,6 +548,8 @@ class Simulator:
         Every station would report a success per window, and by the
         ``on_schedule_end`` contract only the first changes anything, so its
         protocol gets that one unless its last report was a success already.
+        Each adapter plans after every window appended; a plan that differs
+        from the window just appended starts the next window after it.
         """
         stations, tr = self.stations, self.trace
         length, saturated = stations[0].window_len, stations[0].saturated
@@ -557,20 +568,22 @@ class Simulator:
         else:
             window = ([_IDLE] * length, [self.phy.sigma_us] * length, [-1] * length, [0] * length)
         idle = [i + 1 for i, k in enumerate(window[0]) if k == _IDLE]
-        kept = min([st.adapter.hold(length, len(idle))
-                    for st in stations if st.adapter is not None], default=math.inf)
+        n_idle, same = len(idle), (length, False)
+        adapted = [st for st in stations if st.adapter is not None]
         # windows that end by ``until_slot``, before ``until_us``, and start
-        # their last slot before the arrival, the clock added slot by slot
-        if until_slot < math.inf:
-            kept = min(kept, (until_slot - s) // length)
+        # their last slot before the arrival, the clock added slot by slot;
+        # the first after which an adapter plans another window is the last
+        kept = (until_slot - s) // length if until_slot < math.inf else math.inf
         head, last = window[1][:-1], window[1][-1]
-        k = 0
-        while k < kept:
+        k, changed = 0, []
+        while k < kept and not changed:
             start = reduce(add, head, clock)
             if start >= arrival or start + last >= until_us:
                 break
             clock = start + last
             k += 1
+            changed = [(st, plan) for st in adapted if (plan := st.adapter.plan_next(
+                length, False, n_idle, False, True)) != same]
         if k == 0:
             return s, clock
         tr.repeat(window, k)
@@ -583,13 +596,13 @@ class Simulator:
             if not st.reported_success:
                 st.protocol.on_schedule_end(True, idle, st.rng)
                 st.reported_success = True
-            if st.adapter is not None:
-                st.adapter.hold(length, len(idle), k)
             if saturated:
                 st.delivered += k * st.txop_m
             st.schedule_index += k
             st.window_start += shift
             st.tx_slot += shift
+        for st, plan in changed:
+            st.start_window(s + shift, *plan)
         return s + shift, clock
 
 

@@ -1,7 +1,6 @@
 """Schedule-length control: announced scheme, doubling/halving, probes, tables."""
 
 import importlib.resources
-import math
 
 import numpy as np
 import pytest
@@ -150,69 +149,6 @@ def test_almac_stops_doubling_at_table_edge():
 def test_almac_requires_covered_base():
     with pytest.raises(ValueError):
         AlmacAdapter(8, stub_table(), 10, CAP)
-
-
-# --- holding a length over many windows --------------------------------------------
-
-
-def rule_state(ad):
-    return {k: v for k, v in vars(ad).items() if k != "f_table"}
-
-
-#: (rule, windows planned before the hold, committed length, observation
-#: (idle, coll, own), the hold count, the plan after that many windows; an
-#: unbounded count is checked over 40 windows).  ``hold`` reads the idle
-#: count alone; the collision flag and own outcome feed ``plan_next``.
-HOLD_CASES = {
-    # the next window is the checkpoint at f(C) - 1; it probes at half length
-    "almac-checkpoint-probe": (lambda: AlmacAdapter(16, stub_table(f=5), 1, CAP), 4, 32,
-                               (32, False, True), 0, (16, True)),
-    "almac-to-probe": (lambda: AlmacAdapter(16, stub_table(f=5), 1, CAP), 1, 32,
-                       (32, False, True), 3, (16, True)),
-    "almac-to-doubling": (lambda: AlmacAdapter(16, stub_table(f=6), 1, CAP), 0, 16,
-                          (3, True, False), 5, (32, False)),
-    # a clean checkpoint that does not probe keeps the length but ends the hold
-    "almac-clean-checkpoint": (lambda: AlmacAdapter(16, stub_table(f=3), 2, CAP), 0, 32,
-                               (32, False, True), 2, (32, False)),
-    "alzc-to-halving": (lambda: AlzcAdapter(16, CAP), 0, 32, (32, False, True), 1, (16, False)),
-    "alzc-halving-next": (lambda: AlzcAdapter(16, CAP), 1, 32, (32, False, True), 0,
-                          (16, False)),
-    "alzc-doubling-next": (lambda: AlzcAdapter(16, CAP), 0, 16, (0, False, True), 0,
-                           (32, False)),
-    "alzc-at-base": (lambda: AlzcAdapter(16, CAP), 0, 16, (16, False, True), math.inf,
-                     (16, False)),
-    "alzc-at-cap": (lambda: AlzcAdapter(16, 32), 0, 32, (0, True, False), math.inf,
-                    (32, False)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(HOLD_CASES))
-def test_hold_is_plan_next_repeated(case):
-    make, before, c, (idle, coll, own), held, after = HOLD_CASES[case]
-    steps = 40 if held == math.inf else held
-    for k in range(steps + 1):
-        planned, holding = make(), make()
-        for ad in (planned, holding):
-            for _ in range(before):
-                assert plan(ad, c, idle, coll, own) == (c, False)
-        assert holding.hold(c, idle, k) == held
-        for _ in range(k):
-            assert plan(planned, c, idle, coll, own) == (c, False)
-        assert rule_state(holding) == rule_state(planned)
-        next_plan = plan(planned, c, idle, coll, own)
-        assert plan(holding, c, idle, coll, own) == next_plan
-        assert next_plan == after or k < steps
-
-
-@pytest.mark.parametrize("make", [lambda: AlzcAdapter(16, CAP),
-                                  lambda: AlmacAdapter(16, stub_table(f=3), 1, CAP)])
-def test_hold_refuses_more_windows_than_it_counts(make):
-    ad = make()
-    count = ad.hold(32, 32)
-    with pytest.raises(ValueError):
-        ad.hold(32, 32, count + 1)
-    with pytest.raises(ValueError):
-        ad.hold(32, 32, -1)
 
 
 # --- convergence-horizon table ----------------------------------------------------

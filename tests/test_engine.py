@@ -456,12 +456,13 @@ STEPPING_CASES = [
     ("dcf", 4, 16, 30, (1500, 4000), {"error_rate": 0.1}),
     ("dcf", 4, 16, 32, (1500, 6000), {"lambda_pps": LIGHT, "error_rate": 0.1}),
     ("lmac", 6, 16, 31, (2500, 12000), {"lambda_pps": 200.0, "dcf": 2}),
-    # settles at 32 slots, where ``hold`` is unbounded
+    # settles at 32 slots, where copies run up to the bound
     ("lzc", 24, 16, 33, (3001, 12000), {"adaptation": "alzc"}),
     # the (16, 32, 32) limit cycle: the first 32-slot window follows a 16-slot
-    # one and the second ends in a halving (``hold`` 0), so nothing is copied
+    # one, and the second is its copy, after which the length halves
     ("lzc", 16, 16, 34, (2001, 6000), {"adaptation": "alzc"}),
-    # copies stop at each checkpoint, every f(16) = 32 windows
+    # settles at the base length, where no probe comes: copies run past every
+    # checkpoint of f(16) = 32 windows up to the bound
     ("lmac", 16, 16, 35, (2500, 12000), {"adaptation": "almac-probe10"}),
     # coexist_aggregate's shape: 8 saturated lmac stations and 2 DCF ones
     ("lmac", 10, 16, 36, (3001, 8000), {"dcf": 2}),
@@ -516,10 +517,12 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
         assert bulk_slots[played] == []
     elif "lambda_pps" in kw and "dcf" not in kw and join_at is None:  # quiet windows are jumped
         assert closed < stepped_closed / 2
-    elif "adaptation" in kw:  # settled windows are copied as far as every hold allows
-        cycling = kw["adaptation"] == "alzc" and n == c
-        assert bool(bulk_slots[played]) != cycling
-        assert (closed < stepped_closed) != cycling
+    elif "adaptation" in kw:  # settled windows are copied up to a plan change
+        assert bulk_slots[played] and closed < stepped_closed
+        if kw["adaptation"] == "alzc" and n == c:  # one copy per (16, 32, 32) cycle
+            starts = [span.start for span in bulk_slots[played]]
+            assert {len(span) for span in bulk_slots[played]} == {2 * c}
+            assert {b - a for a, b in zip(starts, starts[1:])} == {5 * c}
     elif kw or n > c or join_at is not None:  # no window repeats, every window closed one by one
         assert closed == stepped_closed
         assert bulk_slots[played] == []
@@ -694,19 +697,25 @@ def test_replay_fires_after_convergence(close_calls):
 def test_no_copy_when_every_length_changes(bulk_slots):
     # four stations fill a 4-slot window, so all of them double to 8 at its
     # close; at 8 they halve again after two windows: the 4-slot window just
-    # closed must never be copied as an 8-slot one, nor the 8-slot one as 4
+    # closed must never be copied as an 8-slot one, nor the 8-slot one as 4,
+    # so only the second 8-slot window of each (4, 8, 8) cycle is a copy
     played, _, _ = run_and_step(lambda: make_sim([
         Station(sid, pinned_lzc(4, sid + 1, sid), rng(60 + sid), adapter=AlzcAdapter(4, 64))
         for sid in range(4)
     ]), [dict(until_slot=200)])
     assert {st.window_len for st in played.stations} == {4}
-    assert bulk_slots[played] == []
+    kinds, spans = played.trace.kinds, bulk_slots[played]
+    assert [span.start for span in spans] == list(range(12, 200, 20))
+    for span in spans:  # each a copy of the 8-slot window before it
+        assert len(span) == 8
+        assert kinds[span.start - 8 : span.start] == kinds[span.start : span.stop]
 
 
 def test_committed_probe_is_followed_by_copies(bulk_slots):
-    # four settled stations at 32 slots on base 16: after f(32) = 65 windows
-    # a clean checkpoint starts a 16-slot probe in slots 2080 to 2095, every
-    # probe succeeds, and copies of the probe window follow at once, each
+    # four settled stations at 32 slots on base 16: every window after the
+    # first is a copy up to the 65th, whose clean checkpoint at f(32) = 65
+    # starts a 16-slot probe in slots 2080 to 2095; every probe succeeds, and
+    # copies of the probe window follow at once, each
     # station's protocol taking the success report that settles the vector
     # its resize reset
     def make():
@@ -719,7 +728,7 @@ def test_committed_probe_is_followed_by_copies(bulk_slots):
         return make_sim(stations)
 
     played, _, _ = run_and_step(make, [dict(until_slot=2096 + 10 * 16)])
-    assert [len(span) for span in bulk_slots[played]] == [63 * 32, 10 * 16]
+    assert [len(span) for span in bulk_slots[played]] == [64 * 32, 10 * 16]
     for st in played.stations:
         assert st.protocol.p[st.protocol.slot - 1] == 1.0 and st.reported_success
         assert st.window_len == 16
@@ -936,6 +945,30 @@ def test_dcf_arrival_as_a_slot_starts():
     played, _, _ = run_and_step(make, [dict(until_slot=100)])
     assert played.trace.kinds.index(SlotKind.SUCCESS) == 30
     assert played.trace.kinds.written[:2] == [0, 30]
+
+
+def test_dcf_wake_up_after_an_odd_success():
+    # a 396.36 us success in slot 0, then a waiting DCF station's packet
+    # arrives just as slot 101 starts: the idle slots before it are crossed
+    # in bulk, and their clock must add up slot by slot, which ends on
+    # another last bit than 100 * 20 us
+    phy = PhyParams(payload_bytes=333)
+    success = phy.success_duration(1)
+    wake = elapsed_us([success] + [phy.sigma_us] * 100)
+    assert wake != success + 100 * phy.sigma_us
+
+    def make():
+        sender = Station(0, pinned_lzc(256, 1, 61), rng(62), saturated=False, lambda_pps=LIGHT)
+        sender.next_arrival_us = 0.0
+        dcf = Dcf(rng(63))
+        dcf.counter = 0
+        waiter = Station(1, dcf, rng(64), saturated=False, lambda_pps=LIGHT)
+        waiter.next_arrival_us = wake
+        return counted_sim(make_sim([sender, waiter], phy=phy))
+
+    played, _, _ = run_and_step(make, [dict(until_slot=200)])
+    assert [played.trace.tx_station[u] for u in (0, 101)] == [0, 1]
+    assert played.trace.kinds.written[:2] == [0, 101]
 
 
 @pytest.mark.parametrize("protocol, kw", [
@@ -1218,11 +1251,13 @@ def run_recording_windows(cfg, monkeypatch):
                   lambda sim, before, event: windows.setdefault(event[0], []).append(before))
 
     def repeated(sim, s, *args):
+        # read before the call: the last window appended may start a new length
+        lengths = [(st, st.window_len, getattr(st.protocol, "schedule_len", 0))
+                   for st in sim.stations]
         t, clock = repeat_windows(sim, s, *args)
-        for st in sim.stations if t > s else ():  # every one a schedule station
+        for st, length, committed in lengths if t > s else ():  # schedule stations all
             windows.setdefault(st.sid, []).extend(
-                (start, st.window_len, False, st.protocol.schedule_len)
-                for start in range(s, t, st.window_len)
+                (start, length, False, committed) for start in range(s, t, length)
             )
         return t, clock
 

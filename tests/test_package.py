@@ -1,5 +1,7 @@
 """The package holds production code: every top-level function and class in
-``src/macsim`` is used by the package itself or by the benchmark harness.
+``src/macsim``, and every method and property of its classes other than
+dunders, is used by the package itself or by the benchmark harness.  A use
+inside a definition's own body does not count.
 
 Code that only the tests call belongs in ``tests/oracles.py``.  Uses are read
 from the syntax tree, so a name in a docstring or comment does not count.  In
@@ -52,22 +54,32 @@ def _names(node: ast.AST, strings: bool = False) -> set[str]:
 
 
 def test_package_definitions_have_a_production_use():
-    definitions = []  # (module.name, name)
-    uses = []  # (the definition a top-level statement makes, or None, its names)
+    definitions = []  # (module.name or module.Class.name, name)
+    uses = []  # (the definitions a piece of code belongs to, its names)
     for path in sorted((ROOT / "src" / "macsim").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = f"{path.stem}.{stmt.name}"
-                definitions.append((own, stmt.name))
-            uses.append((own, _names(stmt)))
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                uses.append(((), _names(stmt)))
+                continue
+            own = f"{path.stem}.{stmt.name}"
+            definitions.append((own, stmt.name))
+            if isinstance(stmt, ast.FunctionDef):
+                uses.append(((own,), _names(stmt)))
+                continue
+            for sub in ast.iter_child_nodes(stmt):  # bases, decorators, body
+                key = None
+                if isinstance(sub, ast.FunctionDef) and not re.fullmatch(r"__\w+__", sub.name):
+                    key = f"{own}.{sub.name}"
+                    definitions.append((key, sub.name))
+                uses.append(((own, key), _names(sub)))
     bench = set()
     for path in sorted((ROOT / "bench").glob("*.py")):
         bench |= _names(ast.parse(path.read_text()), strings=True)
 
     unused = [
         key for key, name in definitions
-        if name not in bench and not any(name in names for own, names in uses if own != key)
+        if name not in bench and not any(name in names for owners, names in uses
+                                         if key not in owners)
     ]
     assert sorted(set(unused) - set(ALLOWED)) == [], "move test-only code to tests/oracles.py"
     # an entry that gained a production use, or is gone, leaves the list
