@@ -284,9 +284,10 @@ def _coexist(cfg, protocols, reps, k_values) -> ScenarioReport:
     bits = cfg.payload_bytes * 8
     partner = cfg.coexist_protocol or "dcf"
 
-    def measure(result):
+    def measure(result):  # the partners are stations 0 to coexist_k - 1
         total = sum(st.delivered for st in result.stations) * bits / result.sim_time_us
-        sent = sum(st.delivered for st in result.stations if st.protocol.kind == partner)
+        k = result.config.coexist_k
+        sent = sum(st.delivered for st in result.stations if st.sid < k)
         return [total, sent * bits / result.sim_time_us, result.sim_time_us / 1e6]
 
     points = [((p, partner, k), ("coexist", k),

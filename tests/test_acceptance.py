@@ -428,10 +428,10 @@ REPRODUCE_ALL_GOLDEN = {
         "4cf0f0c72bb13e771684358e57f8b05667615266aa8c9cf9a8b89bddb86434a0"
     ),
     "coexist_aggregate": (
-        "4327ea9de353cad1b38465e381fc8ecc933461ae80ff18d7aad9d7321ecc3826"
+        "9ea31f4710cdf0726f850257ce328cbc6423c5f2953d46a5f18f6ff14d2fb82c"
     ),
     "coexist_dcf_share": (
-        "35cb611a621a33ffc7f3155ff48cff468723ef0306bcfabbbe576c4924cfca1d"
+        "202b5714771f3a83f79ecb802abb39d94f9d2192e4f60a3ffbdf86bfc65da586"
     ),
     "collision_rate_vs_n": (
         "54884364b2c9414e65407946f94f0e7890b5d27b1581b21ecbd78a8ca4770ee7"

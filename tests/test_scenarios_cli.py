@@ -145,6 +145,16 @@ def test_coexist_scenario_shares():
         assert row[4] >= row[5] >= 0.0  # total at least the partner share
 
 
+def test_coexist_partner_share_counts_the_partners_only():
+    # partner and base protocol are both DCF: the partner share is that of
+    # the first k stations, not of every station running the partner's rule
+    cfg = SimConfig(protocol="dcf", n=8, c=8, horizon_slots=3000, seed=10)
+    report = coexist(cfg, reps=2, k_values=(4,))
+    for row in report.rows:
+        assert row[:3] == ["dcf", "dcf", 4]
+        assert 0.0 < row[5] < row[4]
+
+
 def test_mixed_network_beats_all_dcf_baseline():
     base = SimConfig(protocol="lmac", n=16, c=16, horizon_slots=8000, seed=12)
     mixed = coexist(base, reps=2, k_values=(8,))
