@@ -890,11 +890,13 @@ def test_run_matches_stepping_on_random_populations(case):
 def test_idle_stretch_clock_adds_slot_by_slot():
     # after a 396.36 us success in slot 0, 83 idle slots, added one at a time,
     # end on another last bit than 83 * 20 us: to the end of an 84-slot
-    # window, and between two decision slots of an 85-slot one
+    # window, between two decision slots of an 85-slot one, and up to a
+    # waiting DCF station's wake-up as slot 101 starts, which the idle walk
+    # reaches in bulk
     phy = PhyParams(payload_bytes=333)
     success = phy.success_duration(1)
     assert elapsed_us([success] + [phy.sigma_us] * 83) != success + 83 * phy.sigma_us
-    for length, held in ((84, (1,)), (85, (1, 85))):
+    for length, held, wake in ((84, (1,), None), (85, (1, 85), None), (256, (1,), 101)):
         def make():
             stations = []
             for sid, slot in enumerate(held):
@@ -902,10 +904,18 @@ def test_idle_stretch_clock_adds_slot_by_slot():
                              saturated=False, lambda_pps=LIGHT)
                 st.next_arrival_us = 0.0
                 stations.append(st)
+            if wake is not None:
+                dcf = Dcf(rng(63))
+                dcf.counter = 0
+                st = Station(len(held), dcf, rng(64), saturated=False, lambda_pps=LIGHT)
+                st.next_arrival_us = elapsed_us([success] + [phy.sigma_us] * (wake - 1))
+                stations.append(st)
             return make_sim(stations, phy=phy)
 
-        played, _, _ = run_and_step(make, [dict(until_slot=length)])
+        played, _, _ = run_and_step(make, [dict(until_slot=min(length, 200))])
         assert [played.trace.kinds[slot - 1] for slot in held] == [SlotKind.SUCCESS] * len(held)
+        if wake is not None:
+            assert played.trace.tx_station[wake] == len(held)
 
 
 def test_watch_fires_inside_a_quiet_window():
@@ -945,30 +955,6 @@ def test_dcf_arrival_as_a_slot_starts():
     played, _, _ = run_and_step(make, [dict(until_slot=100)])
     assert played.trace.kinds.index(SlotKind.SUCCESS) == 30
     assert played.trace.kinds.written[:2] == [0, 30]
-
-
-def test_dcf_wake_up_after_an_odd_success():
-    # a 396.36 us success in slot 0, then a waiting DCF station's packet
-    # arrives just as slot 101 starts: the idle slots before it are crossed
-    # in bulk, and their clock must add up slot by slot, which ends on
-    # another last bit than 100 * 20 us
-    phy = PhyParams(payload_bytes=333)
-    success = phy.success_duration(1)
-    wake = elapsed_us([success] + [phy.sigma_us] * 100)
-    assert wake != success + 100 * phy.sigma_us
-
-    def make():
-        sender = Station(0, pinned_lzc(256, 1, 61), rng(62), saturated=False, lambda_pps=LIGHT)
-        sender.next_arrival_us = 0.0
-        dcf = Dcf(rng(63))
-        dcf.counter = 0
-        waiter = Station(1, dcf, rng(64), saturated=False, lambda_pps=LIGHT)
-        waiter.next_arrival_us = wake
-        return counted_sim(make_sim([sender, waiter], phy=phy))
-
-    played, _, _ = run_and_step(make, [dict(until_slot=200)])
-    assert [played.trace.tx_station[u] for u in (0, 101)] == [0, 1]
-    assert played.trace.kinds.written[:2] == [0, 101]
 
 
 @pytest.mark.parametrize("protocol, kw", [

@@ -58,17 +58,16 @@ def test_package_definitions_have_a_production_use():
     uses = []  # (the definitions a piece of code belongs to, its names)
     for path in sorted((ROOT / "src" / "macsim").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                uses.append(((), _names(stmt)))
-                continue
-            own = f"{path.stem}.{stmt.name}"
-            definitions.append((own, stmt.name))
-            if isinstance(stmt, ast.FunctionDef):
-                uses.append(((own,), _names(stmt)))
-                continue
-            for sub in ast.iter_child_nodes(stmt):  # bases, decorators, body
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = f"{path.stem}.{stmt.name}"
+                definitions.append((own, stmt.name))
+            # a class's bases, decorators and body statements, each on its own
+            parts = ast.iter_child_nodes(stmt) if isinstance(stmt, ast.ClassDef) else [stmt]
+            for sub in parts:
                 key = None
-                if isinstance(sub, ast.FunctionDef) and not re.fullmatch(r"__\w+__", sub.name):
+                if (sub is not stmt and isinstance(sub, ast.FunctionDef)
+                        and not re.fullmatch(r"__\w+__", sub.name)):
                     key = f"{own}.{sub.name}"
                     definitions.append((key, sub.name))
                 uses.append(((own, key), _names(sub)))
