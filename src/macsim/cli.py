@@ -28,19 +28,14 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _load(path: str):
-    try:
-        return load_config(path)
-    except ConfigError as err:
-        for diag in err.diagnostics:
-            print(f"config error: {diag}", file=sys.stderr)
-        raise SystemExit(2)
+def _config(args):
+    """The ``--config`` of ``sim`` or ``scenario``, with ``--seed`` applied."""
+    cfg = load_config(args.config)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _cmd_sim(args) -> int:
-    cfg = _load(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _config(args)
     if args.reps is not None:
         cfg = replace(cfg, reps=args.reps)
     out = Path(args.out)
@@ -59,14 +54,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    cfg = _load(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    try:
-        path = run_scenario(args.kind, cfg, args.out, reps=args.reps)
-    except ValueError as err:
-        print(f"scenario error: {err}", file=sys.stderr)
-        return 2
+    path = run_scenario(args.kind, _config(args), args.out, reps=args.reps)
     print(f"wrote {path}")
     return 0
 
@@ -92,18 +80,14 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_markov(args) -> int:
     rows = []
-    try:
-        for gamma in _parse_grid(args.gamma):
-            chain = markov.build_chain(args.c, args.n, gamma)
-            lam_num, block = markov.second_eigenvalue(chain)
-            rows.append(
-                [args.c, args.n, gamma,
-                 markov.lambda_star_closed(args.c, args.n, gamma),
-                 lam_num, block, markov.mean_convergence(chain)]
-            )
-    except ValueError as err:
-        print(f"markov error: {err}", file=sys.stderr)
-        return 2
+    for gamma in _parse_grid(args.gamma):
+        chain = markov.build_chain(args.c, args.n, gamma)
+        lam_num, block = markov.second_eigenvalue(chain)
+        rows.append(
+            [args.c, args.n, gamma,
+             markov.lambda_star_closed(args.c, args.n, gamma),
+             lam_num, block, markov.mean_convergence(chain)]
+        )
     write_csv(
         args.out,
         ["c", "n", "gamma", "lambda_closed", "lambda_numeric",
@@ -115,12 +99,8 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_ftable(args) -> int:
-    try:
-        lengths = [int(v) for v in args.schedule_lengths.split(",")]
-        table = build_f_table(lengths, reps=args.reps, seed=args.seed)
-    except ValueError as err:
-        print(f"ftable error: {err}", file=sys.stderr)
-        return 2
+    lengths = [int(v) for v in args.schedule_lengths.split(",")]
+    table = build_f_table(lengths, reps=args.reps, seed=args.seed)
     table.save_csv(args.out)
     print(f"wrote {args.out}")
     return 0
@@ -128,11 +108,7 @@ def _cmd_ftable(args) -> int:
 
 def _cmd_reproduce_all(args) -> int:
     keys = args.keys.split(",") if args.keys else None
-    try:
-        results = reproduce_all(args.out, reps=args.reps, seed=args.seed, keys=keys)
-    except ValueError as err:
-        print(f"reproduce-all error: {err}", file=sys.stderr)
-        return 2
+    results = reproduce_all(args.out, reps=args.reps, seed=args.seed, keys=keys)
     failed = 0
     for key in sorted(results):
         print(f"{key}: {results[key]}")
@@ -190,8 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status.  A usage error exits
+    with status 2 from the parser.  Bad input returns 2 after one stderr
+    line per config diagnostic (``config error: ...``), or one
+    ``<command> error: ...`` line for a ValueError or OSError, such as a
+    missing or unwritable path."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:
+        for diag in err.diagnostics:
+            print(f"config error: {diag}", file=sys.stderr)
+    except (ValueError, OSError) as err:
+        print(f"{args.command} error: {err}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -198,9 +198,7 @@ def test_cli_sim_writes_outputs(tmp_path):
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "protocol = lmac\nn = 4\nc = 8\nbeta = 7\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["sim", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
+    assert main(["sim", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "beta" in capsys.readouterr().err
 
 
@@ -212,9 +210,7 @@ def test_cli_rejects_an_f_table_with_f_below_one(tmp_path, capsys):
         FTable.load_csv(table)
     cfg = write_config(tmp_path, "protocol = lmac\nn = 4\nb = 16\nadaptation = almac\n"
                        f"f_table = {table}\nhorizon_slots = 200\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["sim", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
+    assert main(["sim", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "f_table" in capsys.readouterr().err
 
 
@@ -270,9 +266,7 @@ def test_cli_rejects_a_bad_f_table(tmp_path, capsys, command, table):
     cfg = write_config(tmp_path, "protocol = lmac\nn = 4\nc = 8\nlambda_pps = 300\n"
                                  f"n_values = 4\nf_table = {path}\n")
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--config", cfg, "--out", str(out)])
-    assert exc.value.code == 2
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: f_table = '{path}': ")
     assert not out.exists()
@@ -323,6 +317,33 @@ def test_cli_sim_rejects_an_arrival_rate_beyond_the_clock(tmp_path):
     assert done.returncode == 2
     assert done.stderr.splitlines() == [
         "config error: lambda_pps = '1e300': must be a finite number in [0, 1000000]"]
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["scenario", "coexist", "--config", "{cfg}", "--out", "{out}"],
+     ["config error: n = '0': must be at least 1",
+      "config error: beta = '7': must be in the open interval (0, 1)"]),
+    (["sim", "--config", "{missing}", "--out", "{out}"],
+     ["sim error: [Errno 2] No such file or directory: '{missing}'"]),
+    (["scenario", "coexist", "--config", "{missing}", "--out", "{out}"],
+     ["scenario error: [Errno 2] No such file or directory: '{missing}'"]),
+    (["markov", "--c", "8", "--n", "6", "--gamma", "0.5", "--out", "{out}/m.csv"],
+     ["markov error: [Errno 2] No such file or directory: '{out}/m.csv'"]),
+    (["markov", "--c", "8", "--n", "21", "--gamma", "0.5", "--out", "{out}"],
+     ["markov error: state space too large beyond N=20"]),
+])
+def test_cli_exit_status_of_handled_errors(tmp_path, argv, stderr):
+    # the status the shell sees: one stderr line per diagnostic, status 2,
+    # and nothing written
+    paths = dict(cfg=write_config(tmp_path, "protocol = lmac\nn = 0\nc = 8\nbeta = 7\n"),
+                 missing=str(tmp_path / "missing.cfg"), out=str(tmp_path / "o"))
+    env = {**os.environ, "PYTHONPATH": str(Path(macsim.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "macsim.cli", *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [line.format(**paths) for line in stderr]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_cli_scenario_roundtrip(tmp_path):
