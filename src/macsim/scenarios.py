@@ -201,27 +201,20 @@ def error_robustness(
     cfg: SimConfig,
     reps: int | None = None,
     protocols: tuple[str, ...] = ("dcf", "lbeb", "zc", "lzc", "lmac"),
-    n_values: tuple[int, ...] | None = None,
-    error_rates: tuple[float, ...] | None = None,
 ) -> ScenarioReport:
     """Throughput under frame errors, which keep knocking schedules apart."""
-    n_values = n_values or cfg.n_values or (14, 16)
-    error_rates = error_rates or cfg.error_rates or (0.01, 0.1)
+    n_values = cfg.n_values or (14, 16)
+    error_rates = cfg.error_rates or (0.01, 0.1)
     rows = _throughput_rows(cfg, protocols, n_values, error_rates, _reps(cfg, reps))
     return _report(cfg, rows, _THROUGHPUT_HEADER,
                    ["protocol", "n", "error_rate", "reps", "thr_norm_mean",
                     "thr_norm_ci95"], (0, 1, 2), (4,))
 
 
-def delay_vs_n(
-    cfg: SimConfig,
-    reps: int | None = None,
-    protocols: tuple[str, ...] = ("dcf", "lmac", "lzc", "almac"),
-    n_values: tuple[int, ...] | None = None,
-) -> ScenarioReport:
+def delay_vs_n(cfg: SimConfig, reps: int | None = None) -> ScenarioReport:
     """Mean medium-access delay under symmetric Poisson load."""
     reps = _reps(cfg, reps)
-    n_values = n_values or cfg.n_values or (8, 12, 16, 20)
+    n_values = cfg.n_values or (8, 12, 16, 20)
 
     def point(label: str, n: int) -> SimConfig:
         protocol = "lmac" if label == "almac" else label
@@ -235,7 +228,7 @@ def delay_vs_n(
                 sum(st.delivered for st in result.stations)]
 
     points = [((label, n), (label, n), point(label, n))
-              for label in protocols for n in n_values]
+              for label in ("dcf", "lmac", "lzc", "almac") for n in n_values]
     rows = _grid(cfg.seed, points, reps, _simulated(measure))
     return _report(cfg, rows,
                    ["protocol", "n", "rep", "mean_delay_us", "delivered", "config_hash"],
@@ -243,14 +236,10 @@ def delay_vs_n(
                    (0, 1), (3,))
 
 
-def new_entrants(
-    cfg: SimConfig,
-    reps: int | None = None,
-    k_values: tuple[int, ...] | None = None,
-) -> ScenarioReport:
+def new_entrants(cfg: SimConfig, reps: int | None = None) -> ScenarioReport:
     """Reconvergence time after stations join an already settled network."""
     reps = _reps(cfg, reps)
-    k_values = k_values or cfg.k_values or (2, 4, 8)
+    k_values = cfg.k_values or (2, 4, 8)
 
     def measure(result):
         if result.reconverged_time_us is None or result.join_time_us is None:
@@ -268,16 +257,11 @@ def new_entrants(
                    (0,), (2,))
 
 
-def coexist(
-    cfg: SimConfig,
-    reps: int | None = None,
-    k_values: tuple[int, ...] | None = None,
-) -> ScenarioReport:
+def coexist(cfg: SimConfig, reps: int | None = None) -> ScenarioReport:
     """Mixed population: K stations of the base protocol share the channel
     with K stations of the partner, ``coexist_protocol`` (default DCF);
     reports total and partner-only throughput."""
-    return _coexist(cfg, (cfg.protocol,), _reps(cfg, reps),
-                    k_values or cfg.k_values or (4, 8, 16))
+    return _coexist(cfg, (cfg.protocol,), _reps(cfg, reps), cfg.k_values or (4, 8, 16))
 
 
 def _coexist(cfg, protocols, reps, k_values) -> ScenarioReport:
@@ -413,8 +397,7 @@ def _dcf_share(report: ScenarioReport) -> ScenarioReport:
 #: ``shared`` lives for one ``reproduce_all`` call.  The builders look the
 #: scenario functions up when they run, so a patched or wrapped name is used.
 REPRODUCE_ALL = {
-    "throughput_vs_n": lambda seed, reps, shared: throughput_vs_n(
-        _base(seed), reps=reps, n_values=(8, 16, 20)),
+    "throughput_vs_n": lambda seed, reps, shared: throughput_vs_n(_base(seed), reps=reps),
     "gamma_convergence_theory_vs_sim": lambda seed, reps, shared: converge_sweep(
         _base(seed, protocol="lzc", sweep="gamma"), reps=max(reps, 2)),
     "beta_convergence": lambda seed, reps, shared: _beta_convergence(_base(seed), reps),
@@ -434,8 +417,7 @@ REPRODUCE_ALL = {
               horizon_slots=None),
         reps=reps),
     "error_robustness": lambda seed, reps, shared: error_robustness(
-        _base(seed, horizon_slots=8000), reps=reps,
-        protocols=("dcf", "lbeb", "lzc", "lmac"), n_values=(14, 16)),
+        _base(seed, horizon_slots=8000), reps=reps, protocols=("dcf", "lbeb", "lzc", "lmac")),
     "new_entrants": lambda seed, reps, shared: new_entrants(
         _base(seed, n=8, horizon_slots=40000), reps=reps),
     "coexist_aggregate": _coexist_runs,

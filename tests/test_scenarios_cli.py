@@ -131,7 +131,7 @@ def test_adding_replications_preserves_existing_rows():
 
 def test_new_entrants_scenario():
     cfg = SimConfig(protocol="lmac", n=4, c=8, horizon_slots=30000, seed=9)
-    report = new_entrants(cfg, reps=2, k_values=(2,))
+    report = new_entrants(replace(cfg, k_values=(2,)), reps=2)
     times = [row[2] for row in report.rows]
     assert all(t is not None and t > 0 for t in times)
     with pytest.raises(ValueError, match="DCF"):
@@ -140,7 +140,7 @@ def test_new_entrants_scenario():
 
 def test_coexist_scenario_shares():
     cfg = SimConfig(protocol="lmac", n=8, c=8, horizon_slots=3000, seed=10)
-    report = coexist(cfg, reps=2, k_values=(4,))
+    report = coexist(replace(cfg, k_values=(4,)), reps=2)
     for row in report.rows:
         assert row[4] >= row[5] >= 0.0  # total at least the partner share
 
@@ -149,17 +149,16 @@ def test_coexist_partner_share_counts_the_partners_only():
     # partner and base protocol are both DCF: the partner share is that of
     # the first k stations, not of every station running the partner's rule
     cfg = SimConfig(protocol="dcf", n=8, c=8, horizon_slots=3000, seed=10)
-    report = coexist(cfg, reps=2, k_values=(4,))
+    report = coexist(replace(cfg, k_values=(4,)), reps=2)
     for row in report.rows:
         assert row[:3] == ["dcf", "dcf", 4]
         assert 0.0 < row[5] < row[4]
 
 
 def test_mixed_network_beats_all_dcf_baseline():
-    base = SimConfig(protocol="lmac", n=16, c=16, horizon_slots=8000, seed=12)
-    mixed = coexist(base, reps=2, k_values=(8,))
-    baseline = coexist(SimConfig(protocol="dcf", n=16, c=16, horizon_slots=8000,
-                                 seed=12), reps=2, k_values=(8,))
+    base = SimConfig(protocol="lmac", n=16, c=16, horizon_slots=8000, seed=12, k_values=(8,))
+    mixed = coexist(base, reps=2)
+    baseline = coexist(replace(base, protocol="dcf"), reps=2)
     mixed_total = sum(r[4] for r in mixed.rows) / len(mixed.rows)
     dcf_total = sum(r[4] for r in baseline.rows) / len(baseline.rows)
     assert mixed_total > dcf_total
