@@ -31,7 +31,6 @@ def _uniform_slot(schedule_len: int, rng: np.random.Generator) -> int:
 class ScheduleProtocol:
     """Base for protocols that pick one slot per fixed-length schedule."""
 
-    kind = "base"
     #: Whether ``on_schedule_end`` reads ``idle_positions``.  A rule that sets
     #: this False may be handed an empty sequence instead of the idle slots.
     reads_idle_positions = True
@@ -73,7 +72,6 @@ class Lbeb(ScheduleProtocol):
     so a change to the rule goes there too.
     """
 
-    kind = "lbeb"
     reads_idle_positions = False
 
     def on_schedule_end(self, success, idle_positions, rng):
@@ -85,8 +83,6 @@ class Lbeb(ScheduleProtocol):
 class Zc(ScheduleProtocol):
     """Jump-to-idle: on failure, choose uniformly among the failed slot and
     the slots that were idle in the schedule just completed."""
-
-    kind = "zc"
 
     def on_schedule_end(self, success, idle_positions, rng):
         if not success:
@@ -104,8 +100,6 @@ class Lzc(ScheduleProtocol):
     otherwise moves to one of the just-observed idle slots uniformly.  With
     no idle slots to move to it stays put.
     """
-
-    kind = "lzc"
 
     def __init__(self, schedule_len, gamma: float, rng):
         if not 0.0 < gamma < 1.0:
@@ -165,7 +159,6 @@ class Lmac(ScheduleProtocol):
     uncontested slot tends to retry it even after an occasional loss.
     """
 
-    kind = "lmac"
     reads_idle_positions = False
 
     def __init__(self, schedule_len, beta: float, rng):
@@ -198,8 +191,6 @@ class Dcf:
     failure up to ``CW_MAX`` and resets to ``CW_MIN`` after a success or
     after ``RETRY_LIMIT`` retries drop the packet.
     """
-
-    kind = "dcf"
 
     def __init__(self, rng: np.random.Generator):
         self.cw = CW_MIN
