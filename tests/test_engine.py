@@ -11,7 +11,7 @@ from macsim.adaptation import AlmacAdapter, AlzcAdapter
 from macsim.config import MAX_LAMBDA_PPS, PROTOCOLS, SimConfig, derive_seed
 from macsim.engine import Simulator, Station, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
-from macsim.protocols import Dcf, Lbeb, Lmac, Lzc, Zc, init_protocol
+from macsim.protocols import RETRY_LIMIT, Dcf, Lbeb, Lmac, Lzc, Zc, init_protocol
 from macsim.runner import default_f_table, run_simulation
 from macsim import metrics
 from oracles import backoff_from_slots, step_run, transmitters_of
@@ -1003,6 +1003,38 @@ def test_dcf_saturated_run_is_sane():
     norm, _ = metrics.throughput(res.trace, PhyParams(payload_bytes=1000))
     assert 0.2 < norm < 0.95
     assert ledger_violations(res) == []
+
+
+def test_dcf_drop_leaves_the_next_packet_waiting_from_the_drop():
+    # every frame errs, so each packet is sent RETRY_LIMIT + 1 times and then
+    # dropped; the packet queued behind it waits from the end of the drop
+    tries = RETRY_LIMIT + 1
+    waits = []
+
+    def errors(sim):  # the one station's errored slots
+        return [u for u, kind in enumerate(sim.trace.kinds) if kind == SlotKind.ERROR]
+
+    def check(sim):
+        st = sim.stations[0]
+        if st.queue:
+            dropping = errors(sim)[tries - 1 :: tries][-1:]
+            dropped_at = [elapsed_us(sim.trace.durations[: u + 1]) for u in dropping] or [0.0]
+            assert st.head_since_us == max(st.queue[0], dropped_at[0])
+            waits.append(dropped_at[0] > st.queue[0])
+        return dict(until_slot=sim.slot_index + 500)
+
+    def make():
+        st = Station(0, Dcf(rng(70)), rng(71), saturated=False, lambda_pps=100.0,
+                     buffer_packets=3)
+        return make_sim([st], error_rate=1.0, channel_rng=rng(72))
+
+    played, stepped, _ = run_and_step(make, [check] * 40)
+    for sim in (played, stepped):
+        check(sim)
+        st = sim.stations[0]
+        assert st.delivered == 0 and st.dropped > 0
+        assert tries * st.dropped <= len(errors(sim)) < tries * (st.dropped + 1)
+    assert sum(waits) > len(waits) / 2  # the drop, not the arrival, started most waits
 
 
 def test_dcf_idle_wait_until_arrival():
