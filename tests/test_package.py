@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Test-only definitions that stay in the package for now, and why.
 ALLOWED = {
     "adaptation.run_ap_announced": (
-        "the announced-length runs stay until ROADMAP item 8 moves them onto "
-        "schedulesim._play with a per-run length policy, and test_09 with them"
+        "the announced-length runs stay until the announced scheme gets a "
+        "production caller (ROADMAP item 8), and test_09 moves onto it"
     ),
 }
 
