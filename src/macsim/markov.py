@@ -9,17 +9,20 @@ one state per occupancy multiset, and an absorbing state for collision-free
 schedules.  Because jumpers can only land on previously idle slots, the
 number of colliding stations never increases, so the transition matrix is
 block upper triangular and its subdominant eigenvalue is the largest
-dominant eigenvalue over the diagonal blocks.
+dominant eigenvalue over the diagonal blocks.  A nonnegative block's largest
+row sum bounds its dominant eigenvalue, so ``second_eigenvalue`` solves only
+the blocks whose bound can reach the best root found.
 
 Every row of the chain comes from one count, ``_placements``: the number
 of ways some stations land on some empty slots, by occupancy partition.  The
 start row places all N stations on the C slots; a collision state's row
 combines who stays in each collision slot with how the jumpers land on the
 idle slots.  Each collision multiset is one integer code (``_part_places``)
-in which merging multisets adds codes, so ``_chain_layout`` finds a row's
-next states by array arithmetic and lays out the gamma-free coefficients
-once per (C, N); each stay probability then costs one vectorised polynomial
-evaluation (``build_chain``).  The closed-form sum over which collision
+in which merging multisets adds codes, so ``_chain_layout`` finds the next
+states of a run of rows by array arithmetic, sums the run's terms with one
+``np.bincount`` and so lays out the gamma-free coefficients once per (C, N);
+each stay probability then costs one vectorised polynomial evaluation
+(``build_chain``).  The closed-form sum over which collision
 slots keep some of their occupants (``transition_prob_formula``) is an
 independent derivation of the diagonal blocks, kept as the tests' oracle.
 """
@@ -255,17 +258,25 @@ class _ChainLayout:
     coef: np.ndarray
 
 
+#: Terms summed per ``np.bincount`` pass of ``_chain_layout``.  A pass takes
+#: whole rows up to this count, or one larger row, so its arrays stay small
+#: whatever (C, N) is.
+_CHUNK_TERMS = 8192
+
+
 @lru_cache(maxsize=4)
 def _chain_layout(schedule_len: int, n_stations: int) -> _ChainLayout:
     """Lay out the transition coefficients once per (C, N); see ``_ChainLayout``.
 
     A collision row's terms are its stay outcomes in first-seen order, each
-    followed by the jump outcomes of its mover count; a term's next state is
-    the sum of the kept and the jump codes, and its coefficient the stay ways
-    times the jump probability.  One ``np.add.at`` per row sums every entry's
-    terms in that order from 0.0, and pi depends on that order to the last bit.
-    Callers sweep gamma at a fixed (C, N), so a few entries suffice; one
-    entry at C = N = 20 holds a 66 MB coefficient array.
+    followed by the jump outcomes of its mover count onto its idle slots; a
+    term's next state is the sum of the kept and the jump codes, and its
+    coefficient the stay ways times the jump probability.  Runs of
+    consecutive rows are laid out together, each run capped at
+    ``_CHUNK_TERMS`` terms, and one ``np.bincount`` per run sums every
+    entry's terms in that order from 0.0; pi depends on that order to the
+    last bit.  Callers sweep gamma at a fixed (C, N), so a few entries
+    suffice; one entry at C = N = 20 holds a 66 MB coefficient array.
     """
     groups = [
         g for g in (collision_states_for(k) for k in range(n_stations, 1, -1)) if g
@@ -299,37 +310,25 @@ def _chain_layout(schedule_len: int, n_stations: int) -> _ChainLayout:
                 if len(lam) <= n_slots]
         return [code for code, _ in fits], [ways for _, ways in fits]
 
-    @lru_cache(maxsize=None)
-    def jumps(n_idle: int) -> tuple[np.ndarray, ...]:
-        """Codes and probabilities of the jump outcomes onto ``n_idle`` slots,
-        every mover count's in one array, with each count's start and length."""
-        codes, probs, offsets, counts = [], [], [], []
-        for movers in range(n_stations + 1):
-            m_codes, m_ways = landings(movers, n_idle)
-            denom = float(n_idle) ** movers
-            offsets.append(len(codes))
-            counts.append(len(m_codes))
-            codes += m_codes
-            probs += [ways / denom for ways in m_ways]
-        return (np.array(codes, dtype=np.int64), np.array(probs),
-                np.array(offsets), np.array(counts))
+    radix = n_stations + 1
 
     @lru_cache(maxsize=None)
-    def stays(parts: tuple[int, ...]) -> dict[tuple[int, int], int]:
-        """Who stays in each collision slot, as ``{(kept code, stay count):
-        ways}`` in first-seen order; parts are ascending, so the outcomes of
-        ``parts`` extend those of its prefix."""
+    def stays(parts: tuple[int, ...]) -> dict[int, int]:
+        """Who stays in each collision slot, as ``{kept code * radix + stay
+        count: ways}`` in first-seen order; parts are ascending, so the
+        outcomes of ``parts`` extend those of its prefix."""
         if not parts:
-            return {(0, 0): 1}
+            return {0: 1}
         occupancy = parts[-1]
-        out: dict[tuple[int, int], int] = {}
-        for (kept, stay), w in stays(parts[:-1]).items():
-            for here in range(occupancy + 1):
-                key = (kept + places[here], stay + here)
-                out[key] = out.get(key, 0) + w * comb(occupancy, here)
+        steps = [(places[here] * radix + here, comb(occupancy, here))
+                 for here in range(occupancy + 1)]
+        out: dict[int, int] = {}
+        for key, w in stays(parts[:-1]).items():
+            for step, ways in steps:
+                out[key + step] = out.get(key + step, 0) + w * ways
         return out
 
-    colliding = np.zeros(size, dtype=np.int64)
+    colliding = np.array([0] + [s.colliding_stations for s in states] + [0], dtype=np.int64)
     coef = np.zeros((n_stations + 1, size, size))
     # the start row: every station picks one of the C empty slots uniformly;
     # an exact count over the integer C**N rounds once
@@ -337,22 +336,71 @@ def _chain_layout(schedule_len: int, n_stations: int) -> _ChainLayout:
     starts = schedule_len**n_stations
     coef[0, 0, columns(start_codes)] = [ways / starts for ways in start_ways]
     coef[0, absorb, absorb] = 1.0
-    for row, state in enumerate(states, start=1):
-        colliding[row] = state.colliding_stations
-        jump_codes, jump_probs, jump_offsets, jump_counts = jumps(
-            state.idle_slots(schedule_len, n_stations))
-        outcomes = stays(state.parts)
-        kept, stay = np.array(list(outcomes), dtype=np.int64).T
-        ways = np.array(list(outcomes.values()), dtype=float)
-        movers = state.colliding_stations - stay
-        reps = jump_counts[movers]
+
+    idle = np.array([s.idle_slots(schedule_len, n_stations) for s in states], dtype=np.int64)
+    # one jump table: the outcomes of m movers onto i idle slots take
+    # jump_count[i, m] places from jump_start[i, m], for every idle count of
+    # a row and up to that count's most colliding row
+    most: dict[int, int] = {}
+    for state, n_idle in zip(states, idle.tolist()):
+        most.setdefault(n_idle, state.colliding_stations)  # rows run from most colliding
+    jump_codes: list[int] = []
+    jump_probs: list[float] = []
+    jump_start = np.zeros((idle.max(initial=0) + 1, n_stations + 1), dtype=np.int64)
+    jump_count = np.zeros_like(jump_start)
+    for n_idle, top in sorted(most.items()):
+        for movers in range(top + 1):
+            m_codes, m_ways = landings(movers, n_idle)
+            denom = float(n_idle) ** movers
+            jump_start[n_idle, movers] = len(jump_codes)
+            jump_count[n_idle, movers] = len(m_codes)
+            jump_codes += m_codes
+            jump_probs += [ways / denom for ways in m_ways]
+    table_codes = np.array(jump_codes, dtype=np.int64)
+    table_probs = np.array(jump_probs)
+    del jump_codes, jump_probs  # freed before the runs touch coef's pages
+
+    def lay_out(lo: int, hi: int) -> None:
+        """Sum the terms of rows ``lo..hi-1`` into ``coef`` with one bincount."""
+        keys, ways, per_row = [], [], []
+        for state in states[lo - 1 : hi - 1]:
+            outcomes = stays(state.parts)
+            per_row.append(len(outcomes))
+            keys += outcomes
+            ways += outcomes.values()
+        kept, stay = np.divmod(np.array(keys, dtype=np.int64), radix)
+        row = np.repeat(np.arange(lo, hi), per_row)
+        jump = (np.repeat(idle[lo - 1 : hi - 1], per_row), colliding[row] - stay)
         # stay outcome i owns reps[i] consecutive terms, which read the jump
-        # outcomes of its mover count in table order
-        first = np.cumsum(reps) - reps
-        pick = np.arange(reps.sum()) + np.repeat(jump_offsets[movers] - first, reps)
-        nxt = columns(np.repeat(kept, reps) + jump_codes[pick])
-        terms = np.repeat(ways, reps) * jump_probs[pick]
-        np.add.at(coef[:, row], (np.repeat(stay, reps), nxt), terms)
+        # outcomes of its idle and mover counts in table order
+        reps = jump_count[jump]
+        outcome = np.repeat(np.arange(len(reps)), reps)
+        # a term's place in the run, less its outcome's first term's, plus
+        # where that outcome's jumps start in the table
+        pick = np.arange(len(outcome)) + (jump_start[jump] - np.cumsum(reps) + reps)[outcome]
+        nxt = columns(kept[outcome] + table_codes[pick])
+        terms = np.array(ways, dtype=float)[outcome] * table_probs[pick]
+        # the rows stay at most top stations and reach no column left of the
+        # first row's block
+        top = colliding[lo]
+        left = block_ranges[top][0]
+        rows, width = hi - lo, size - left
+        cells = (stay * rows + row - lo)[outcome] * width + nxt - left
+        sums = np.bincount(cells, terms, minlength=(top + 1) * rows * width)
+        coef[: top + 1, lo:hi, left:] = sums.reshape(top + 1, rows, width)
+
+    counts = jump_count.tolist()
+    lo, held = 1, 0
+    for row, (state, n_idle) in enumerate(zip(states, idle.tolist()), start=1):
+        row_counts = counts[n_idle]
+        k = state.colliding_stations
+        n_terms = sum(row_counts[k - key % radix] for key in stays(state.parts))
+        if held and held + n_terms > _CHUNK_TERMS:
+            lay_out(lo, row)
+            lo, held = row, 0
+        held += n_terms
+    if states:
+        lay_out(lo, absorb)
     colliding.setflags(write=False)
     coef.setflags(write=False)  # shared by every later build of this (C, N)
     return _ChainLayout(states, block_ranges, colliding, coef)
@@ -404,19 +452,41 @@ def _dominant_eigenvalue(block: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(block))))
 
 
+#: Relative widening of a block's largest row sum before it is compared with a
+#: root found by ``_dominant_eigenvalue``.  It lies far above the rounding of
+#: a row sum and of LAPACK's roots of these blocks, and far below the gaps
+#: between the chain's blocks (5 % or more on the tested grids), so a block it
+#: skips has a root below the best one.
+_BOUND_MARGIN = 1e-6
+
+
 def second_eigenvalue(chain: ChainModel) -> tuple[float, int]:
     """Subdominant eigenvalue of the chain and the block size attaining it.
 
     The block-triangular structure factors the characteristic polynomial, so
     the subdominant eigenvalue is the maximum of the diagonal blocks'
-    dominant eigenvalues.
+    dominant eigenvalues.  A nonnegative block's dominant eigenvalue is at
+    most its largest row sum (Perron-Frobenius), so blocks are visited by
+    decreasing row-sum bound, widened by ``_BOUND_MARGIN``, and the visit
+    stops at the first bound below the best root found.  Of the largest
+    roots the first block in ``block_ranges`` order wins, as in a visit of
+    every block; a single station has no block and gives ``(0.0, 0)``.
     """
+    bounds = {
+        k: float(chain.pi[lo:hi, lo:hi].sum(axis=1).max()) * (1.0 + _BOUND_MARGIN)
+        for k, (lo, hi) in chain.block_ranges.items()
+    }
+    roots: dict[int, float] = {}
+    for k in sorted(bounds, key=bounds.__getitem__, reverse=True):
+        if roots and bounds[k] < max(roots.values()):
+            break
+        lo, hi = chain.block_ranges[k]
+        roots[k] = _dominant_eigenvalue(chain.pi[lo:hi, lo:hi])
     best = 0.0
     best_k = 0
-    for k, (lo, hi) in chain.block_ranges.items():
-        lam = _dominant_eigenvalue(chain.pi[lo:hi, lo:hi])
-        if lam > best:
-            best, best_k = lam, k
+    for k in chain.block_ranges:
+        if roots.get(k, 0.0) > best:
+            best, best_k = roots[k], k
     return best, best_k
 
 

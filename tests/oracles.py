@@ -311,6 +311,19 @@ def chain_block(chain: ChainModel, n_colliding: int) -> np.ndarray:
     return chain.pi[lo:hi, lo:hi]
 
 
+def second_eigenvalue_every_block(chain: ChainModel) -> tuple[float, int]:
+    """``markov.second_eigenvalue`` with every diagonal block's root computed,
+    visited in ``block_ranges`` order: the first block with the largest root
+    wins, and a chain without blocks gives ``(0.0, 0)``."""
+    best = 0.0
+    best_k = 0
+    for k, (lo, hi) in chain.block_ranges.items():
+        lam = markov._dominant_eigenvalue(chain.pi[lo:hi, lo:hi])
+        if lam > best:
+            best, best_k = lam, k
+    return best, best_k
+
+
 def stay_outcomes(parts: tuple[int, ...]) -> tuple:
     """How many occupants stay per collision slot, as tuples
     ``(kept_parts, stay_total, weight)`` in first-seen order.

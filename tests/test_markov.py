@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from macsim import markov
 from macsim.config import auto_gamma
 from macsim.markov import (
+    ChainModel,
     CollisionState,
     build_chain,
     collision_states_for,
@@ -22,7 +23,12 @@ from macsim.markov import (
 )
 from macsim.protocols import Lzc
 from macsim.schedulesim import converge
-from oracles import chain_block, chain_layout_by_terms, lmac_bound
+from oracles import (
+    chain_block,
+    chain_layout_by_terms,
+    lmac_bound,
+    second_eigenvalue_every_block,
+)
 
 
 def S(*parts):
@@ -347,10 +353,27 @@ def test_collision_codes_are_distinct_and_additive():
 
 
 LAYOUT_GRID = [(c, n) for c in range(2, 11) for n in range(2, c + 1)] + [(16, 14)]
+#: Each case at the default term budget of a ``_chain_layout`` pass, then a few
+#: at one term (a pass per row) and at more terms than any layout has (one pass).
+LAYOUT_CASES = [pytest.param(c, n, None, id=f"{c}-{n}") for c, n in LAYOUT_GRID] + [
+    pytest.param(c, n, budget, id=f"{c}-{n}-{budget}-terms")
+    for c, n in [(4, 3), (7, 5), (10, 10), (16, 14)]
+    for budget in (1, 10**9)
+]
 
 
-@pytest.mark.parametrize("c, n", LAYOUT_GRID)
-def test_layout_matches_term_by_term_oracle(c, n):
+@pytest.mark.parametrize("c, n, budget", LAYOUT_CASES)
+def test_layout_matches_term_by_term_oracle(c, n, budget, monkeypatch):
+    passes = []
+    if budget is not None:
+        bincount = np.bincount
+
+        def counted(*args, **kwargs):
+            passes.append(len(args[0]))
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(markov, "_CHUNK_TERMS", budget)
+        monkeypatch.setattr(markov.np, "bincount", counted)
     markov._chain_layout.cache_clear()
     got = markov._chain_layout(c, n)
     want = chain_layout_by_terms(c, n)
@@ -359,6 +382,8 @@ def test_layout_matches_term_by_term_oracle(c, n):
     assert got.colliding.tobytes() == want.colliding.tobytes()
     assert got.coef.shape == want.coef.shape
     assert got.coef.tobytes() == want.coef.tobytes()
+    if budget is not None:
+        assert len(passes) == (len(got.states) if budget == 1 else 1)
 
 
 @st.composite
@@ -437,6 +462,47 @@ def test_second_eigenvalue_matches_dense_solver():
         lam, _ = second_eigenvalue(chain)
         eigs = sorted(abs(v) for v in np.linalg.eigvals(chain.pi))
         assert lam == pytest.approx(eigs[-2], abs=1e-9)  # below the absorbing 1
+
+
+LAMBDA_GAMMAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("c, n", [(16, 16), (20, 12), (20, 20), (4, 1), *LAYOUT_GRID])
+def test_second_eigenvalue_matches_every_block_visit(c, n):
+    """Skipping the blocks whose row-sum bound falls below the best root
+    changes no bit of (lambda, k)."""
+    for gamma in LAMBDA_GAMMAS:
+        chain = build_chain(c, n, gamma)
+        assert second_eigenvalue(chain) == second_eigenvalue_every_block(chain)
+
+
+def block_chain(*blocks) -> ChainModel:
+    """A chain whose diagonal blocks are ``blocks``, keyed from
+    ``len(blocks) + 1`` down to 2 as a real chain's colliding counts run."""
+    size = sum(len(b) for b in blocks) + 2
+    pi = np.zeros((size, size))
+    block_ranges = {}
+    lo = 1
+    for k, block in zip(range(len(blocks) + 1, 1, -1), blocks):
+        hi = lo + len(block)
+        pi[lo:hi, lo:hi] = block
+        block_ranges[k] = (lo, hi)
+        lo = hi
+    return ChainModel(states=(), pi=pi, block_ranges=block_ranges)
+
+
+@pytest.mark.parametrize("blocks, want", [
+    # equal roots: the first block in block_ranges order wins, though the
+    # second has the larger row sum and is visited first
+    ([[[0.5]], [[0.5, 0.3], [0.0, 0.2]]], (0.5, 3)),
+    # the largest row sum with a root of 0: the next block still counts
+    ([[[0.0, 0.9], [0.0, 0.0]], [[0.5]]], (0.5, 2)),
+    # a root far above the block's smallest row sum
+    ([np.diag([0.9, 0.1]), [[0.5]]], (0.9, 3)),
+])
+def test_second_eigenvalue_row_sum_bound_edges(blocks, want):
+    chain = block_chain(*blocks)
+    assert second_eigenvalue(chain) == second_eigenvalue_every_block(chain) == want
 
 
 def test_lambda_star_closed_values():
