@@ -267,10 +267,14 @@ def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) 
     and records the smallest schedule count by which ``F_CONFIDENCE``
     of the replications had reached a collision-free schedule.  Runs that hit
     the schedule cap count as never converging.  Confidence bounds come from
-    1000 bootstrap resamples of the replications.
+    1000 bootstrap resamples of the replications.  A length given twice raises
+    ``ValueError`` before any run, as a table with a repeated row does on load.
     """
     if reps < 1000:
         raise ValueError("tabulation needs at least 1000 replications")
+    repeated = [c for i, c in enumerate(schedule_lengths) if c in schedule_lengths[:i]]
+    if repeated:
+        raise ValueError(f"schedule length {repeated[0]} is given more than once")
     # index of the smallest count covering F_CONFIDENCE of the runs
     idx = math.ceil(F_CONFIDENCE * reps) - 1
     entries: dict[int, FEntry] = {}

@@ -406,6 +406,17 @@ def test_cli_ftable(tmp_path):
         assert main(["ftable", "--schedule-lengths", lengths, "--out", str(out)]) == 2
 
 
+def test_cli_ftable_rejects_a_repeated_length(tmp_path, capsys):
+    """A repeated length would play its runs twice for one row, so it is
+    refused before any run, as ``FTable.load_csv`` refuses a repeated row."""
+    out = tmp_path / "f.csv"
+    assert main(["ftable", "--schedule-lengths", "4,2,4", "--reps", "1000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "ftable error: schedule length 4 is given more than once\n")
+    assert not out.exists()
+
+
 def test_emitted_csv_cells_parse_as_numbers(tmp_path):
     """Numeric cells read as plain numbers, never as ``np.float64(...)``,
     and every CSV ends its lines with a bare LF."""
