@@ -414,7 +414,7 @@ def build_chain(schedule_len: int, n_stations: int, gamma: float) -> ChainModel:
     once per (C, N) by ``_chain_layout``.  Rows failing to sum to one within
     1e-12 raise.  The closed form (``transition_prob_formula``) is not used
     here; it is the tests' independent oracle for the diagonal blocks.  A
-    cold build at C = N = 20 takes about 0.35 s with a peak of about 110 MB
+    cold build at C = N = 20 takes about 0.3 s with a peak of about 105 MB
     on a 2-CPU x86-64 machine; later builds with the same (C, N) cost
     milliseconds.
     """
@@ -454,9 +454,10 @@ def _dominant_eigenvalue(block: np.ndarray) -> float:
 
 #: Relative widening of a block's largest row sum before it is compared with a
 #: root found by ``_dominant_eigenvalue``.  It lies far above the rounding of
-#: a row sum and of LAPACK's roots of these blocks, and far below the gaps
-#: between the chain's blocks (5 % or more on the tested grids), so a block it
-#: skips has a root below the best one.
+#: a row sum and of LAPACK's roots (no tested block's root exceeded its largest
+#: row sum), and far below the gap from the best root to the next block's
+#: bound (5 % or more on the tested grids), so a skipped block's root is below
+#: the best one.
 _BOUND_MARGIN = 1e-6
 
 
@@ -513,6 +514,10 @@ def mean_convergence(chain: ChainModel) -> float:
     a single station, which collides with nobody, yields 1.
     """
     t = 1 + len(chain.states)  # the start state and the collision states
-    q = chain.pi[:t, :t]
-    visits = np.linalg.solve(np.eye(t) - q, np.ones(t))
+    # I - Q built in place: one (t, t) temporary fewer per call.  From
+    # t = 129 such an array passes glibc's default 128 KB mmap threshold, so
+    # each one is mapped and page-faulted afresh.
+    system = np.eye(t)
+    system -= chain.pi[:t, :t]
+    visits = np.linalg.solve(system, np.ones(t))
     return float(visits[0])

@@ -429,7 +429,7 @@ MAX_STATIONS_PI_DIGEST = "a51f9b95e1f8f44eff90b833f4eab26f8c694fc80b282faf0c8692
 
 def test_build_chain_at_max_stations():
     """C = N = MAX_STATIONS: 626 collision states, a cold build of about
-    0.35 s and 110 MB peak memory on a 2-CPU x86-64 machine."""
+    0.3 s and 105 MB peak memory on a 2-CPU x86-64 machine."""
     n = markov.MAX_STATIONS
     chain = build_chain(n, n, 0.5)
     assert hashlib.sha256(chain.pi.tobytes()).hexdigest() == MAX_STATIONS_PI_DIGEST
