@@ -267,11 +267,14 @@ def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) 
     and records the smallest schedule count by which ``F_CONFIDENCE``
     of the replications had reached a collision-free schedule.  Runs that hit
     the schedule cap count as never converging.  Confidence bounds come from
-    1000 bootstrap resamples of the replications.  A length given twice raises
-    ``ValueError`` before any run, as a table with a repeated row does on load.
+    1000 bootstrap resamples of the replications.  A length below 2 or given
+    twice raises ``ValueError`` before any run, as a table with a repeated row
+    does on load.
     """
     if reps < 1000:
         raise ValueError("tabulation needs at least 1000 replications")
+    if any(c < 2 for c in schedule_lengths):
+        raise ValueError("schedule length must be at least 2")
     repeated = [c for i, c in enumerate(schedule_lengths) if c in schedule_lengths[:i]]
     if repeated:
         raise ValueError(f"schedule length {repeated[0]} is given more than once")
@@ -279,8 +282,6 @@ def build_f_table(schedule_lengths: list[int], reps: int = 1000, seed: int = 1) 
     idx = math.ceil(F_CONFIDENCE * reps) - 1
     entries: dict[int, FEntry] = {}
     for c in schedule_lengths:
-        if c < 2:
-            raise ValueError("schedule length must be at least 2")
         n = c - 1
         counts: list[int] = []
         failures = 0

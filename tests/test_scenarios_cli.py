@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import macsim
-from macsim import markov, scenarios, schedulesim
+from macsim import adaptation, markov, scenarios, schedulesim
 from macsim.adaptation import FEntry, FTable
 from macsim.cli import main
 from macsim.config import SimConfig
@@ -406,14 +406,23 @@ def test_cli_ftable(tmp_path):
         assert main(["ftable", "--schedule-lengths", lengths, "--out", str(out)]) == 2
 
 
-def test_cli_ftable_rejects_a_repeated_length(tmp_path, capsys):
-    """A repeated length would play its runs twice for one row, so it is
-    refused before any run, as ``FTable.load_csv`` refuses a repeated row."""
+@pytest.mark.parametrize("lengths, message", [
+    ("4,2,4", "schedule length 4 is given more than once"),
+    ("4,1", "schedule length must be at least 2"),
+])
+def test_cli_ftable_rejects_bad_lengths_before_any_run(tmp_path, capsys, monkeypatch,
+                                                       lengths, message):
+    """A repeated length would play its runs twice for one row, as
+    ``FTable.load_csv`` refuses a repeated row; neither it nor a length
+    below 2 plays the other lengths' runs first."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was played")
+
+    monkeypatch.setattr(adaptation, "converge", no_run)
     out = tmp_path / "f.csv"
-    assert main(["ftable", "--schedule-lengths", "4,2,4", "--reps", "1000",
+    assert main(["ftable", "--schedule-lengths", lengths, "--reps", "1000",
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "ftable error: schedule length 4 is given more than once\n")
+    assert capsys.readouterr().err == f"ftable error: {message}\n"
     assert not out.exists()
 
 
