@@ -8,9 +8,13 @@ whose start reaches the next arrival of a DCF station waiting on an empty
 queue.  The idle slots between them are written in bulk.  The stations due
 pull their Poisson arrivals as of the slot's start, before their random
 draws, so every random stream is consumed as if stations were stepped every
-slot.  One transmitter succeeds unless the channel's error draw fires, two
-or more collide.  Simulated time is the sum of slot durations, added left
-to right, and nothing else.  The per-slot trace is the one medium history:
+slot.  Streams that feed one kind of draw are read ahead in blocks
+(``protocols.ReadAhead``): the channel's error numbers, saturated L-BEB
+stations' slot redraws and saturated DCF stations' counters.  ``run``
+rewinds each before it returns, so every generator ends where single draws
+leave it.  One transmitter succeeds unless the channel's error draw fires,
+two or more collide.  Simulated time is the sum of slot durations, added
+left to right, and nothing else.  The per-slot trace is the one medium history:
 at a window end a station reads its idle positions, collision flag and own
 outcome back from it, and its protocol hears only failures and the first
 success after a failure or a resize, never a probe (by the
@@ -23,12 +27,16 @@ every station is a schedule station, all saturated or none, every window
 starts at the next slot with one shared length, none is a probe and no
 station holds a packet.  Unsaturated, the windows are idle up to the one
 whose last slot starts at or after the earliest next arrival.  Saturated,
-on an error-free channel, they are copies of the window every station just
-closed from one start, if it had that length and no collision.  Each
-window appended is closed as ``_close_windows`` would close it, adapters
-planning from its idle count, and the first after which some adapter plans
-another length or a probe is the last.  A watched run jumps only where the
-watch cannot fire, and copies no window.
+they are copies of the window every station just closed from one start, if
+it had that length and no error, and either no collision or no idle slot
+with every station's rule one that reads idle positions (by the
+``on_schedule_end`` contract such a rule keeps its slot and draws nothing
+when none is idle).  On an error channel the copies end before the first
+whose lone transmissions draw an error.  Each window appended is closed as
+``_close_windows`` would close it, adapters planning from its idle count,
+and the first after which some adapter plans another length or a probe is
+the last.  A watched run jumps only where the watch cannot fire, and copies
+no window.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import numpy as np
 from .adaptation import AlmacAdapter, AlzcAdapter, txop_packets
 from .config import MAX_LAMBDA_PPS
 from .phy import PhyParams, SlotKind
-from .protocols import Dcf
+from .protocols import Dcf, Lbeb, ReadAhead
 
 _IDLE = int(SlotKind.IDLE)
 _SUCCESS = int(SlotKind.SUCCESS)
@@ -142,6 +150,13 @@ class Station:
         self.delays_us: list[float] = []
 
         self.is_dcf = isinstance(protocol, Dcf)
+        # a saturated station's stream feeds only its protocol's draws: L-BEB
+        # slots and DCF counters are read ahead (``ReadAhead``)
+        self.draws: np.random.Generator | ReadAhead = rng
+        if saturated and self.is_dcf:
+            self.draws = ReadAhead(rng, 0, 1 << 32)
+        elif saturated and type(protocol) is Lbeb and adapter is None:
+            self.draws = ReadAhead(rng, 1, protocol.schedule_len + 1)
         self.window_len = 0 if self.is_dcf else protocol.schedule_len
         self.txop_m = 1
         if adapter is not None:
@@ -224,6 +239,8 @@ class Simulator:
         self.phy = phy
         self.error_rate = error_rate
         self.channel_rng = channel_rng
+        # the channel's error numbers, read ahead
+        self._errors = ReadAhead(channel_rng) if error_rate > 0.0 else None
         self.trace = Trace()
         self.events: list[Event] = []
         self.clock_us = 0.0
@@ -308,6 +325,10 @@ class Simulator:
         for st in self.stations:
             if st.next_arrival_us <= clock:
                 st.pull_arrivals(clock)
+            if st.draws is not st.rng:
+                st.draws.rewind()
+        if self._errors is not None:
+            self._errors.rewind()
         return hit
 
     def _play_segment(
@@ -325,7 +346,7 @@ class Simulator:
         and after it, and whether the watch fired."""
         phy, success_us = self.phy, self._success_us
         sigma, t_coll = phy.sigma_us, self._t_collision
-        error_rate, channel_rng = self.error_rate, self.channel_rng
+        error_rate, errors = self.error_rate, self._errors
         tx_due, waiting, plan = self._tx_due, self._waiting, self._plan
         tr = self.trace
         kinds, durations, tx_station, packets = tr.kinds, tr.durations, tr.tx_station, tr.packets
@@ -340,11 +361,6 @@ class Simulator:
         # schedule transmissions in slot order, up to the end of the segment
         # (an empty group sorts first among equal slots)
         busy = sorted([*due.items(), (stop, [])])
-        errors = None
-        if error_rate > 0.0 and plain and not tx_due:
-            # every lone transmission in the segment is played: draw at once
-            lone = sum([len(group) == 1 for t, group in busy if t < stop])
-            errors = iter((channel_rng.random(lone) < error_rate).tolist())
         ready, last, length = math.inf, -math.inf, 0  # the watch fires in ready..last
         if watch is not None:
             ready, last, length, want, recent = (
@@ -410,9 +426,7 @@ class Simulator:
             if len(transmitters) == 1:
                 st = transmitters[0]
                 tx_station[u] = st.sid
-                if error_rate > 0.0 and (
-                    next(errors) if errors else channel_rng.random() < error_rate
-                ):
+                if error_rate > 0.0 and errors.random() < error_rate:
                     kinds[u], durations[u] = _ERROR, t_coll
                 else:
                     m = st.txop_m if saturated else st.packets_ready()
@@ -436,7 +450,7 @@ class Simulator:
                 success = kinds[u] == _SUCCESS
                 for st in transmitters:
                     if st.is_dcf:
-                        if st.protocol.on_transmission(success, st.rng):
+                        if st.protocol.on_transmission(success, st.draws):
                             st.drop_head(clock + durations[u])
                         b = plan(st, pos)
                         if b is not None:
@@ -529,7 +543,7 @@ class Simulator:
                     )
                 idle, saw_collision = view
             if report:
-                proto.on_schedule_end(success, idle, st.rng)
+                proto.on_schedule_end(success, idle, st.draws)
                 st.reported_success = success
             if adapter is None:
                 st.tx_slot = after + (proto.slot - 1) % length
@@ -544,18 +558,29 @@ class Simulator:
         """Append whole windows that every station plays from slot ``s``, if
         their slots are known in advance (module docstring), and return the
         slot after them and the clock there.  A saturated window is a copy
-        of the one every station closed from ``closed_from == s - length``.
-        Every station would report a success per window, and by the
-        ``on_schedule_end`` contract only the first changes anything, so its
-        protocol gets that one unless its last report was a success already.
-        Each adapter plans after every window appended; a plan that differs
-        from the window just appended starts the next window after it.
+        of the one every station closed from ``closed_from == s - length``,
+        and on an error channel the copies end before the first whose lone
+        transmissions draw an error.  A station that succeeds would report
+        a success per window, and by the ``on_schedule_end`` contract only
+        the first changes anything, so its protocol gets that one unless its
+        last report was a success already.  A station that collides logs a
+        failure per window and is reported nothing: the window has no idle
+        slot, and by the same contract its rule then keeps the slot and
+        draws nothing.  Each adapter plans after every window appended; a
+        plan that differs from the window just appended starts the next
+        window after it.
         """
         stations, tr = self.stations, self.trace
         length, saturated = stations[0].window_len, stations[0].saturated
-        if saturated and (closed_from != s - length or self.error_rate > 0.0
-                          or max(tr.kinds[closed_from:s]) >= _COLLISION):
-            return s, clock
+        collided = False
+        if saturated:
+            if closed_from != s - length:
+                return s, clock
+            kinds = tr.kinds[closed_from:s]
+            collided = _COLLISION in kinds
+            if _ERROR in kinds or collided and (_IDLE in kinds or not all(
+                    [st.protocol.reads_idle_positions for st in stations])):
+                return s, clock
         arrival = math.inf
         for st in stations:
             if (st.is_dcf or st.saturated != saturated or st.queue or st.in_probe
@@ -569,7 +594,12 @@ class Simulator:
             window = ([_IDLE] * length, [self.phy.sigma_us] * length, [-1] * length, [0] * length)
         idle = [i + 1 for i, k in enumerate(window[0]) if k == _IDLE]
         n_idle, same = len(idle), (length, False)
-        adapted = [st for st in stations if st.adapter is not None]
+        success = ([window[0][st.tx_slot - s] != _COLLISION for st in stations]
+                   if collided else [True] * len(stations))
+        adapted = [(st, ok) for st, ok in zip(stations, success) if st.adapter is not None]
+        # the error numbers a window draws, one per lone transmission
+        errors, error_rate = self._errors, self.error_rate
+        lone = window[0].count(_SUCCESS) if errors is not None else 0
         # windows that end by ``until_slot``, before ``until_us``, and start
         # their last slot before the arrival, the clock added slot by slot;
         # the first after which an adapter plans another window is the last
@@ -580,23 +610,32 @@ class Simulator:
             start = reduce(add, head, clock)
             if start >= arrival or start + last >= until_us:
                 break
+            if lone:
+                if min(errors.peek(lone)) < error_rate:
+                    break
+                errors.take(lone)
             clock = start + last
             k += 1
-            changed = [(st, plan) for st in adapted if (plan := st.adapter.plan_next(
-                length, False, n_idle, False, True)) != same]
+            changed = [(st, plan) for st, ok in adapted if (plan := st.adapter.plan_next(
+                length, False, n_idle, collided, ok)) != same]
         if k == 0:
             return s, clock
         tr.repeat(window, k)
-        held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1) for st in stations]
-        self.events.extend(
-            [(sid, index + j, slot, "success") for j in range(k) for sid, index, slot in held]
-        )
+        if collided:
+            source = [(u, tr.colliders[u]) for u in range(s - length, s)
+                      if tr.kinds[u] == _COLLISION]
+            tr.colliders.update([(u + j * length, ids)
+                                 for j in range(1, k + 1) for u, ids in source])
+        held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1,
+                 "success" if ok else "failure") for st, ok in zip(stations, success)]
+        self.events.extend([(sid, index + j, slot, outcome)
+                            for j in range(k) for sid, index, slot, outcome in held])
         shift = k * length
-        for st in stations:
-            if not st.reported_success:
-                st.protocol.on_schedule_end(True, idle, st.rng)
+        for st, ok in zip(stations, success):
+            if ok and not st.reported_success:
+                st.protocol.on_schedule_end(True, idle, st.draws)
                 st.reported_success = True
-            if saturated:
+            if saturated and ok:
                 st.delivered += k * st.txop_m
             st.schedule_index += k
             st.window_start += shift

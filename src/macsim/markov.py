@@ -493,7 +493,8 @@ def second_eigenvalue(chain: ChainModel) -> tuple[float, int]:
 
 def lambda_star_closed(schedule_len: int, n_stations: int, gamma: float) -> float:
     """Closed form of the subdominant eigenvalue, exact when the two-station
-    block dominates (observed throughout the tested grid).
+    block dominates: it is within 1e-9 of ``second_eigenvalue`` at every
+    2 <= N <= C <= 20 and gamma = 0.02, 0.04, ..., 0.98.
 
     A single station has no collision state, so its chain has no two-station
     block and no subdominant eigenvalue; like ``second_eigenvalue`` this

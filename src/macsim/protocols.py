@@ -24,7 +24,94 @@ CW_MIN, CW_MAX, RETRY_LIMIT = 32, 1024, 7
 DEFAULT_BETA = 0.95
 
 
-def _uniform_slot(schedule_len: int, rng: np.random.Generator) -> int:
+#: Values a ``ReadAhead`` draws from its generator at a time.  An
+#: ``integers`` call costs about 10 us whether it draws 64 values or 1,024.
+READ_AHEAD_BLOCK = 1024
+
+#: The range of a read-ahead of 32-bit words.
+_WORDS = 1 << 32
+
+
+class ReadAhead:
+    """One kind of draw from a generator, read ``READ_AHEAD_BLOCK`` values ahead.
+
+    ``ReadAhead(rng)`` serves ``rng.random()`` and ``ReadAhead(rng, low,
+    high)`` serves ``rng.integers(low, high)``: numpy fills a block with the
+    values that single draws return and leaves the generator where they
+    would.  A read-ahead of 32-bit words (``low, high = 0, 2**32``) also
+    serves ``integers(0, 2**k)``, k <= 32, as the top k bits of a word:
+    numpy draws that range by Lemire's method, which rejects nothing for a
+    power of two.  The generator runs ahead of the values taken until
+    ``rewind`` puts it where single draws would have left it; nothing else
+    may draw from it before then.
+    """
+
+    __slots__ = ("rng", "low", "high", "_block", "_pos", "_saved")
+
+    def __init__(self, rng: np.random.Generator, low: int | None = None, high: int | None = None):
+        self.rng, self.low, self.high = rng, low, high
+        self._block: list = []
+        self._pos = 0
+        self._saved = None  # the generator's state before ``_block`` was drawn
+
+    def _draw(self, size: int) -> np.ndarray:
+        if self.low is None:
+            return self.rng.random(size)
+        return self.rng.integers(self.low, self.high, size=size)
+
+    def take(self, n: int) -> list:
+        """The next ``n`` values."""
+        block, pos = self._block, self._pos
+        end = pos + n
+        if end <= len(block):
+            self._pos = end
+            return block[pos:end]
+        head, need = block[pos:], end - len(block)  # the rest, then a new block
+        self._saved = self.rng.bit_generator.state
+        self._block = self._draw(max(need, READ_AHEAD_BLOCK)).tolist()
+        self._pos = need
+        return head + self._block[:need]
+
+    def peek(self, n: int) -> list:
+        """The next ``n`` values, left to be taken."""
+        if self._pos + n > len(self._block):
+            self.rewind()
+            self._saved = self.rng.bit_generator.state
+            self._block = self._draw(max(n, READ_AHEAD_BLOCK)).tolist()
+        return self._block[self._pos : self._pos + n]
+
+    def random(self) -> float:
+        """The value ``rng.random()`` would return next."""
+        pos = self._pos
+        if pos == len(self._block):
+            return self.take(1)[0]
+        self._pos = pos + 1
+        return self._block[pos]
+
+    def integers(self, low: int, high: int) -> int:
+        """The value ``rng.integers(low, high)`` would return next."""
+        shift = 0
+        if low != self.low or high != self.high:
+            if self.high != _WORDS or low or not 0 < high <= _WORDS or high & (high - 1):
+                raise ValueError(f"a read-ahead of integers({self.low}, {self.high}) "
+                                 f"cannot serve integers({low}, {high})")
+            shift = 33 - high.bit_length()
+        pos = self._pos
+        if pos == len(self._block):
+            return self.take(1)[0] >> shift
+        self._pos = pos + 1
+        return self._block[pos] >> shift
+
+    def rewind(self) -> None:
+        """Put the generator where single draws of the values taken would
+        have left it, and drop the values not taken."""
+        if self._pos < len(self._block):
+            self.rng.bit_generator.state = self._saved
+            self._draw(self._pos)
+        self._block, self._pos = [], 0
+
+
+def _uniform_slot(schedule_len: int, rng: np.random.Generator | ReadAhead) -> int:
     return int(rng.integers(1, schedule_len + 1))
 
 
@@ -52,7 +139,11 @@ class ScheduleProtocol:
         stations that failed in the schedule just played or in the one
         before, the latter with the success that followed.  It builds the
         idle positions only when some station's class sets
-        ``reads_idle_positions``.
+        ``reads_idle_positions``.  A rule that reads idle positions moves
+        only onto them; with none, a failure keeps the slot and draws
+        nothing.  So the slot engine copies a window with no idle slot when
+        every station's rule reads idle positions, and reports no failure
+        in the copies.
         """
         raise NotImplementedError
 
@@ -68,8 +159,8 @@ class Lbeb(ScheduleProtocol):
     """Fixed backoff on success, uniform reselection over all slots on failure.
 
     In a run of only Lbeb stations, ``schedulesim._play`` redraws failed
-    stations from blocks of uniform draws without calling ``on_schedule_end``,
-    so a change to the rule goes there too.
+    stations from a ``ReadAhead`` of uniform draws without calling
+    ``on_schedule_end``, so a change to the rule goes there too.
     """
 
     reads_idle_positions = False
@@ -85,9 +176,8 @@ class Zc(ScheduleProtocol):
     the slots that were idle in the schedule just completed."""
 
     def on_schedule_end(self, success, idle_positions, rng):
-        if not success:
-            n_idle = len(idle_positions)
-            pick = int(rng.integers(0, n_idle + 1))
+        if not success and idle_positions:
+            pick = int(rng.integers(0, len(idle_positions) + 1))
             if pick > 0:
                 self.slot = int(idle_positions[pick - 1])
         return self.slot

@@ -10,11 +10,12 @@ A run draws from one generator, its stations in station order.  One loop,
 failed in it or in the one before, and a run with more stations than slots
 is censored without playing it.  The one choice by rule is where a
 failed station's next slot comes from: in a run whose stations are all
-L-BEB it is the next value of a block of uniform draws, with no protocol
-call, and in any other run it is ``on_schedule_end``.  There, a success
-that follows a failure is reported to every rule, though only L-MAC learns
-from it, and the idle slots are listed only when some station's class sets
-``reads_idle_positions`` (ZC, L-ZC).
+L-BEB it is the next value of a read-ahead of uniform draws, with no
+protocol call, and the generator is rewound to where single draws leave it
+when the run ends; in any other run it is ``on_schedule_end``.  There, a
+success that follows a failure is reported to every rule, though only L-MAC
+learns from it, and the idle slots are listed only when some station's
+class sets ``reads_idle_positions`` (ZC, L-ZC).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .phy import PhyParams
-from .protocols import Lbeb, ScheduleProtocol
+from .protocols import Lbeb, ReadAhead, ScheduleProtocol
 
 #: Convergence runs are abandoned (and flagged) beyond this many schedules.
 DEFAULT_SCHEDULE_CAP = 10**6
@@ -46,12 +47,6 @@ class ConvergenceRun:
     seconds_before: float | None
 
 
-#: Slot draws an all-L-BEB run reads from its generator at a time.  An
-#: ``integers`` call costs about 10 us whether it draws 64 values or 1,024;
-#: the values a run leaves unread only advance a generator no caller reads.
-LBEB_BLOCK = 1024
-
-
 def _play(
     protocols: list[ScheduleProtocol],
     rng: np.random.Generator,
@@ -69,12 +64,11 @@ def _play(
     counts the stations in slot j.  Only stations that failed in a schedule
     or the one before it are updated, the first schedule counting as one
     after a failure.  In an all-L-BEB run the failed stations take, in
-    station order, the next values of blocks of ``integers(1, c + 1,
-    size=LBEB_BLOCK)``, which numpy fills with the values that many single
-    draws return, and no protocol is called.  In other runs they call
-    ``on_schedule_end``, after the stations that succeed right after a
-    failure have reported that success; idle positions are built only when
-    some station's class sets ``reads_idle_positions``.  The stations'
+    station order, the next values of a ``ReadAhead`` of ``integers(1, c +
+    1)``, rewound when the run ends, and no protocol is called.  In other
+    runs they call ``on_schedule_end``, after the stations that succeed
+    right after a failure have reported that success; idle positions are
+    built only when some station's class sets ``reads_idle_positions``.  The stations'
     slots are written back when the run ends, at convergence or at the cap.
     """
     c = protocols[0].schedule_len
@@ -89,7 +83,8 @@ def _play(
         t_success, t_collision, sigma = phy.t_success, phy.t_collision, phy.sigma_us
     slots = [p.slot for p in protocols]
     occupancy = [slots.count(j) for j in range(c + 1)]
-    failed, block, pos, seconds = range(n), [], 0, 0.0
+    failed, seconds = range(n), 0.0
+    draws = ReadAhead(rng, 1, c + 1)
     for k in range(1, cap + 1):
         n_success = occupancy.count(1)
         if n_success == n:
@@ -103,15 +98,10 @@ def _play(
             visit(slots, occupancy)
         last_failed, failed = failed, [i for i, s in enumerate(slots) if occupancy[s] != 1]
         if lbeb_only:
-            end = pos + len(failed)
-            while end > len(block):
-                block = block[pos:] + rng.integers(1, c + 1, size=LBEB_BLOCK).tolist()
-                end, pos = end - pos, 0
-            for i, s in zip(failed, block[pos:end]):
+            for i, s in zip(failed, draws.take(len(failed))):
                 occupancy[slots[i]] -= 1
                 slots[i] = s
                 occupancy[s] += 1
-            pos = end
             continue
         idle = [j for j in range(1, c + 1) if occupancy[j] == 0] if read_idle else ()
         for i in last_failed:
@@ -123,6 +113,7 @@ def _play(
             occupancy[slots[i]] += 1
     else:
         k = None
+    draws.rewind()
     for p, s in zip(protocols, slots):
         p.slot = s
     return k, seconds

@@ -37,7 +37,8 @@ def step_slot(sim: Simulator) -> None:
     number; two or more collide, listed in position order.  Then DCF
     transmitters update and are booked again, the windows that end at the
     slot are closed with the clock at its start, and every station pulls
-    its arrivals as of its end, as after any run.
+    its arrivals as of its end, as after any run.  Every number is drawn
+    from its generator when it is needed, one call per number.
     """
     s, clock = sim.slot_index, sim.clock_us
     phy, tr, waiting = sim.phy, sim.trace, sim._waiting
@@ -84,6 +85,8 @@ def step_slot(sim: Simulator) -> None:
                     st.drop_head(after)
                 sim._plan(st, s + 1)
     sim.slot_index, sim.clock_us = s + 1, after
+    for st in sched:  # the protocols draw from the generators, not ahead
+        st.draws = st.rng
     sim._close_windows(sched, s, clock)
     for st in sim.stations:
         if st.next_arrival_us <= after:

@@ -13,7 +13,7 @@ from macsim.engine import Simulator, Station, elapsed_us
 from macsim.phy import TABLE_PHY, PhyParams, SlotKind
 from macsim.protocols import RETRY_LIMIT, Dcf, Lbeb, Lmac, Lzc, Zc, init_protocol
 from macsim.runner import default_f_table, run_simulation
-from macsim import metrics
+from macsim import metrics, protocols
 from oracles import backoff_from_slots, step_run, transmitters_of
 
 
@@ -523,6 +523,10 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
             starts = [span.start for span in bulk_slots[played]]
             assert {len(span) for span in bulk_slots[played]} == {2 * c}
             assert {b - a for a, b in zip(starts, starts[1:])} == {5 * c}
+    elif "error_rate" in kw or n > c and protocol in ("zc", "lzc"):
+        # clean windows are copied up to an error, and windows with no idle
+        # slot, where zc and lzc stations stay put, are copied too
+        assert bulk_slots[played] and closed < stepped_closed
     elif kw or n > c or join_at is not None:  # no window repeats, every window closed one by one
         assert closed == stepped_closed
         assert bulk_slots[played] == []
@@ -770,6 +774,83 @@ def test_dcf_station_rules_out_copies(dcf_at, lambda_pps, bulk_slots):
 
     played, _, _ = run_and_step(make, [dict(until_slot=6000)])
     assert bulk_slots[played] == []
+
+
+#: Ten stations on eight slots, two pairs colliding in slots 1 and 2 and no
+#: slot idle, by the rules of stations 0-9.
+FROZEN_MIXES = {
+    "zc": ["zc"] * 10,
+    "lzc": ["lzc"] * 10,
+    "zc-lzc": ["zc", "lzc"] * 5,
+    "alzc": ["lzc"] * 10,  # at the adapter's largest length
+    "zc-lmac": ["zc"] * 9 + ["lmac"],
+}
+
+
+@pytest.mark.parametrize("mix", sorted(FROZEN_MIXES))
+def test_windows_with_no_idle_slot_are_copied_when_every_rule_reads_idle_slots(
+        mix, bulk_slots):
+    # zc and lzc colliders with no idle slot keep their slots and draw
+    # nothing, so every window after the first is a copy, its collisions
+    # and failures included; an lmac collider redraws, so nothing is copied
+    def make():
+        stations = []
+        for sid, (kind, slot) in enumerate(zip(FROZEN_MIXES[mix], [*range(1, 9), 1, 2])):
+            station_rng = rng(80 + sid)
+            proto = init_protocol(kind, 8, station_rng, beta=0.95, gamma=0.5)
+            proto.slot = slot
+            adapter = AlzcAdapter(8, 8) if mix == "alzc" else None
+            stations.append(Station(sid, proto, station_rng, adapter=adapter))
+        return make_sim(stations)
+
+    played, _, _ = run_and_step(make, [dict(until_slot=203), dict(until_slot=400)])
+    if mix == "zc-lmac":
+        assert bulk_slots[played] == []
+        return
+    assert bulk_slots[played] == [range(8, 200), range(208, 400)]
+    assert sorted(played.trace.colliders) == sorted(
+        [8 * j for j in range(50)] + [8 * j + 1 for j in range(50)])
+    outcomes = Counter(outcome for *_, outcome in played.events)
+    assert outcomes == {"failure": 4 * 50, "success": 6 * 50}
+
+
+@pytest.mark.parametrize("protocol, seed", [("lzc", 84), ("lmac", 85)])
+def test_clean_windows_are_copied_up_to_the_first_error(protocol, seed, bulk_slots):
+    # four settled stations in slots 1-4 of 8 on a channel that errs one
+    # lone transmission in 20: each copy ends before the first window whose
+    # transmissions draw an error, which is then played
+    def make():
+        stations = []
+        for sid in range(4):
+            station_rng = rng(derive_seed(seed, sid))
+            proto = init_protocol(protocol, 8, station_rng, beta=0.95, gamma=0.5)
+            proto.slot = sid + 1
+            stations.append(Station(sid, proto, station_rng))
+        return make_sim(stations, error_rate=0.05, channel_rng=rng(derive_seed(seed, "channel")))
+
+    played, _, _ = run_and_step(make, [dict(until_slot=1501), dict(until_slot=4000)])
+    kinds, spans = played.trace.kinds, bulk_slots[played]
+    assert sum(len(span) for span in spans) > 4000 / 2
+    for span in spans:
+        assert SlotKind.ERROR not in kinds[span.start : span.stop]
+        if span.stop not in (1496, 4000):
+            assert SlotKind.ERROR in kinds[span.stop : span.stop + 8]
+
+
+@pytest.mark.parametrize("protocol, n, c, seed, kw", [
+    ("lbeb", 10, 8, 90, {}),
+    ("lbeb", 6, 8, 91, {"error_rate": 0.1}),
+    ("dcf", 4, 16, 92, {}),
+    ("dcf", 3, 16, 93, {"error_rate": 0.2}),
+    ("lzc", 6, 8, 94, {"error_rate": 0.05}),
+    ("zc", 12, 8, 95, {"error_rate": 0.01}),
+])
+def test_tiny_read_ahead_blocks_match_stepping(protocol, n, c, seed, kw, monkeypatch):
+    # blocks of three values: runs refill, peek across block ends and stop
+    # mid-block over and over, and must still draw as stepping draws
+    monkeypatch.setattr(protocols, "READ_AHEAD_BLOCK", 3)
+    run_and_step(lambda: population_sim(protocol, n, c, seed, **kw),
+                 [dict(until_slot=b) for b in (97, 1000, 2500)])
 
 
 # --- quiet medium ------------------------------------------------------------------

@@ -68,6 +68,17 @@ CASES = {
     "horizon_schedules": (
         "protocol = lmac\nn = 5\nc = 8\nhorizon_schedules = 60\nseed = 26\n"
     ),
+    # N > C: once no slot is idle the zc stations stay put, window after window
+    "zc_frozen": "protocol = zc\nn = 20\nc = 16\nhorizon_slots = 6000\nseed = 27\n",
+    # settled windows run 64 or more windows between errors, and the error
+    # draws cross many blocks of read-ahead values
+    "lzc_rare_errors": (
+        "protocol = lzc\nn = 14\nc = 16\ngamma = 0.5\nerror_rate = 0.001\n"
+        "horizon_slots = 40000\nseed = 28\n"
+    ),
+    # a station redraws more than 1,024 slots or counters in one run
+    "lbeb_long": "protocol = lbeb\nn = 20\nc = 16\nhorizon_slots = 30000\nseed = 29\n",
+    "dcf_long": "protocol = dcf\nn = 4\nc = 16\nhorizon_slots = 30000\nseed = 30\n",
 }
 
 GOLDEN = {
@@ -79,6 +90,9 @@ GOLDEN = {
     ),
     "coexist": (
         "285dc2f9c5c5a87e4b838b33ac61808c24134e797d6acb1d5cd9aeadac80de4f"
+    ),
+    "dcf_long": (
+        "0e9181d470549198f3da5104e0a2ec78ae0c6ecbebc46aaf92b89da0e3b5b070"
     ),
     "dcf": (
         "b8daf03f3b36c4096e939b03ab98f06cfabd4362535f252cf862c10567e12001"
@@ -98,6 +112,9 @@ GOLDEN = {
     "lbeb": (
         "1f4c975c6c5e49d031050b55f561f174092ab6ecfd409811715f06f6be818cf2"
     ),
+    "lbeb_long": (
+        "9e662764ea86f90c10d5fd684eb7f721f850b536cd62af3fe0d515e9beb4fc4a"
+    ),
     "lmac": (
         "2198bf901de490d6a64a4f59f4221ab03595dbcc9300ae0dc4180ef94342a25c"
     ),
@@ -110,6 +127,9 @@ GOLDEN = {
     "lzc_poisson_join_converged_seconds": (
         "7c592ce861c1ae372b60eda3348d026fc8f6ff68288383a6ae86175643ef6d2a"
     ),
+    "lzc_rare_errors": (
+        "102c87611efa02b4f6e18e96edc0edb4c37da3a4cb359ad2164850a91c2175bc"
+    ),
     "lzc_timed_join": (
         "7bf104b1c037b3cc6d51727018a040ec27178e095d48d37f774c849efe7f0ae9"
     ),
@@ -118,6 +138,9 @@ GOLDEN = {
     ),
     "zc": (
         "fa0dae035e006c25a68569ce0c3f74d627a8da7370b421350bc45a25e78021ae"
+    ),
+    "zc_frozen": (
+        "7a07517127b08ea7986ccc7f306effa94447d908fb6d81b857035e874ae6e6d1"
     ),
 }
 

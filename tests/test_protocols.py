@@ -224,6 +224,28 @@ def test_lzc_failure_no_idle_stays():
     assert oracles.lzc_failure_distribution(proto, []) == {9: 1.0}
 
 
+class NoDraws:
+    """A generator that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name}")
+
+
+@pytest.mark.parametrize("kind", ["zc", "lzc"])
+def test_failure_with_no_idle_slot_keeps_state_and_draws_nothing(kind):
+    # by the on_schedule_end contract the slot engine copies windows with no
+    # idle slot and reports none of their failures
+    r = rng(28)
+    proto = init_protocol(kind, 8, r, gamma=0.5)
+    for _ in range(4):
+        before, state = dict(vars(proto)), r.bit_generator.state
+        assert proto.on_schedule_end(False, (), r) == before["slot"]
+        assert vars(proto) == before and r.bit_generator.state == state
+        assert proto.on_schedule_end(False, (), NoDraws()) == before["slot"]
+        assert vars(proto) == before
+        proto.on_schedule_end(False, [2, 5, 7], r)
+
+
 def test_zc_failure_uniform_over_candidates():
     proto = Zc(16, rng(17))
     proto.slot = 5

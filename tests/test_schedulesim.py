@@ -4,11 +4,11 @@ agreement with the every-station reference."""
 import numpy as np
 import pytest
 
-from macsim import schedulesim
+from macsim import protocols, schedulesim
 from macsim.adaptation import build_f_table
 from macsim.config import SimConfig, derive_seed
 from macsim.phy import TABLE_PHY
-from macsim.protocols import Lbeb, Lmac, Lzc, Zc, init_protocol
+from macsim.protocols import Lbeb, Lmac, Lzc, ReadAhead, Zc, init_protocol
 from macsim.schedulesim import (
     DEFAULT_SCHEDULE_CAP,
     ConvergenceRun,
@@ -126,9 +126,8 @@ def test_kernel_matches_updating_every_station(kind, n, c, cap):
     # The kernel updates only stations that failed in this schedule or the
     # one before, and an all-L-BEB run redraws from blocks; the oracle
     # updates every station every schedule with single draws.  Both take the
-    # run's one stream, the oracle as the same generator for every station.
-    # Generator states are not compared after a run: the block draws run
-    # them ahead.
+    # run's one stream, the oracle as the same generator for every station,
+    # and leave it in the same state: the block draws are rewound.
     for seed in range(8):
         ref, ref_rng = stations(kind, n, c, seed)
         k, seconds, seq = play_every_station(ref, [ref_rng] * n, cap, phy=TABLE_PHY)
@@ -139,14 +138,15 @@ def test_kernel_matches_updating_every_station(kind, n, c, cap):
         got_seq, got_k = success_sequence_until_converged(seq_protos, seq_rng, cap=cap)
         assert (run.schedules, got_k) == (k, k)
         assert run.seconds_before == seconds
-        if n > c:  # censored at once: nothing played, no slot moved
+        if n > c:  # censored at once: nothing played, no slot moved, nothing drawn
             assert k is None and got_seq == []
-            final = start
+            final, state = start, stations(kind, n, c, seed)[1].bit_generator.state
         else:
             assert k is not None and got_seq == seq
-            final = [p.slot for p in ref]
+            final, state = [p.slot for p in ref], ref_rng.bit_generator.state
         assert [p.slot for p in run_protos] == final
         assert [p.slot for p in seq_protos] == final
+        assert run_rng.bit_generator.state == state == seq_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac", "mixed"])
@@ -247,20 +247,66 @@ def test_more_stations_than_slots_are_censored_without_a_schedule(kind, monkeypa
     assert rng.bit_generator.state == state  # no draw either, L-BEB blocks included
 
 
+def take_mixed(draws, n, one):
+    """``n`` values of the read-ahead ``draws``: alternately ``one(draws)``
+    and a ``take`` of up to 7, each after a ``peek`` that must show it."""
+    got = []
+    while len(got) < n:
+        k = min(len(got) % 8, n - len(got))
+        ahead = draws.peek(k or 1)
+        values = draws.take(k) if k else [one(draws)]
+        assert values == ahead[:len(values)]
+        got += values
+    return got
+
+
 @pytest.mark.parametrize("c", [1, 2, 3, 16, 17, 1000])
 def test_block_slot_draws_equal_single_draws(c):
-    # An all-L-BEB run reads its redraws in blocks of LBEB_BLOCK; numpy
-    # fills a block with the values that many single calls return, across
-    # refills too.
-    size = 3 * schedulesim.LBEB_BLOCK + 8
+    # An all-L-BEB run reads its redraws through a ReadAhead of
+    # integers(1, c + 1): numpy fills a block with the values that single
+    # calls return, across refills too, and after ``rewind`` the generator
+    # is where those single calls leave it, whether none, a few, one
+    # block's worth or more than two blocks' worth were taken.
+    block = protocols.READ_AHEAD_BLOCK
     for seed in range(5):
-        single = np.random.default_rng(seed)
-        blocks = np.random.default_rng(seed)
-        want = [int(single.integers(1, c + 1)) for _ in range(size)]
-        got = []
-        while len(got) < size:
-            got += blocks.integers(1, c + 1, size=schedulesim.LBEB_BLOCK).tolist()
-        assert got[:size] == want
+        for taken in (0, 5, block, 2 * block + 7, 3 * block + 8):
+            single, ahead = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = ReadAhead(ahead, 1, c + 1)
+            want = [int(single.integers(1, c + 1)) for _ in range(taken)]
+            assert take_mixed(draws, taken, lambda d: d.integers(1, c + 1)) == want
+            draws.rewind()
+            assert ahead.bit_generator.state == single.bit_generator.state
+            assert draws.integers(1, c + 1) == single.integers(1, c + 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_word_draws_serve_every_contention_window(seed):
+    # Saturated DCF stations read their counters, integers(0, CW), as the
+    # top bits of 32-bit words: for every CW alone and for CWs mixed as a
+    # station's retries mix them, the values and, after ``rewind``, the
+    # generator's state equal single draws.
+    windows = [32 << i for i in range(6)]
+    n = 2 * protocols.READ_AHEAD_BLOCK + 3
+    for sequence in [[cw] * n for cw in windows] + [[windows[i % 6] for i in range(n)]]:
+        single, ahead = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = ReadAhead(ahead, 0, 2**32)
+        assert ([draws.integers(0, cw) for cw in sequence]
+                == [int(single.integers(0, cw)) for cw in sequence])
+        draws.rewind()
+        assert ahead.bit_generator.state == single.bit_generator.state
+    with pytest.raises(ValueError):
+        draws.integers(0, 48)
+
+
+@pytest.mark.parametrize("taken", [0, 1, 1023, 1024, 2100])
+def test_error_draws_rewind_to_single_draws(taken):
+    # The channel's error numbers, random(), read ahead and rewound.
+    single, ahead = np.random.default_rng(taken), np.random.default_rng(taken)
+    draws = ReadAhead(ahead)
+    assert take_mixed(draws, taken, ReadAhead.random) == [single.random() for _ in range(taken)]
+    draws.peek(3 * protocols.READ_AHEAD_BLOCK)  # read further ahead than any block
+    draws.rewind()
+    assert ahead.bit_generator.state == single.bit_generator.state
 
 
 #: All-L-BEB runs for the block redraws: at N = C = 13 every run reads several
@@ -270,8 +316,9 @@ LBEB_WALK_CASES = [(13, 13, DEFAULT_SCHEDULE_CAP), (8, 8, 40)]
 
 @pytest.mark.parametrize("n,c,cap", LBEB_WALK_CASES)
 def test_lbeb_walk_matches_updating_every_station(n, c, cap):
-    # Exact: schedule counts, seconds, success sequences and the stations'
-    # final slots, converged or at the cap, against per-call redraws.
+    # Exact: schedule counts, seconds, success sequences, the stations'
+    # final slots and the generator's final state, converged or at the cap
+    # (mid-block), against per-call redraws.
     capped = 0
     for seed in range(8):
         ref, ref_rng = stations("lbeb", n, c, "walk", seed)
@@ -284,11 +331,13 @@ def test_lbeb_walk_matches_updating_every_station(n, c, cap):
         final = [p.slot for p in ref]
         assert [p.slot for p in run_protos] == final
         assert [p.slot for p in seq_protos] == final
+        state = ref_rng.bit_generator.state
+        assert run_rng.bit_generator.state == state == seq_rng.bit_generator.state
         if cap == DEFAULT_SCHEDULE_CAP:
             # each failed station redraws once, so the run reads past two
             # refills: station-schedules before convergence minus successes
             assert k is not None
-            assert n * (k - 1) - len(seq) > 2 * schedulesim.LBEB_BLOCK
+            assert n * (k - 1) - len(seq) > 2 * protocols.READ_AHEAD_BLOCK
         else:
             capped += k is None
     if cap < DEFAULT_SCHEDULE_CAP:
