@@ -578,13 +578,13 @@ class Simulator:
                 return s, clock
             kinds = tr.kinds[closed_from:s]
             collided = _COLLISION in kinds
-            if _ERROR in kinds or collided and (_IDLE in kinds or not all(
-                    [st.protocol.reads_idle_positions for st in stations])):
+            if _ERROR in kinds or collided and _IDLE in kinds:
                 return s, clock
         arrival = math.inf
         for st in stations:
             if (st.is_dcf or st.saturated != saturated or st.queue or st.in_probe
-                    or st.window_start != s or st.window_len != length):
+                    or st.window_start != s or st.window_len != length
+                    or collided and not st.protocol.reads_idle_positions):
                 return s, clock
             arrival = min(arrival, st.next_arrival_us)
         if saturated:

@@ -59,25 +59,29 @@ class ReadAhead:
             return self.rng.random(size)
         return self.rng.integers(self.low, self.high, size=size)
 
+    def _refill(self, n: int) -> None:
+        """Rewind, then draw a block that holds at least the next ``n`` values."""
+        self.rewind()
+        self._saved = self.rng.bit_generator.state
+        self._block = self._draw(max(n, READ_AHEAD_BLOCK)).tolist()
+
     def take(self, n: int) -> list:
         """The next ``n`` values."""
-        block, pos = self._block, self._pos
+        pos = self._pos
         end = pos + n
+        block = self._block
         if end <= len(block):
             self._pos = end
             return block[pos:end]
-        head, need = block[pos:], end - len(block)  # the rest, then a new block
-        self._saved = self.rng.bit_generator.state
-        self._block = self._draw(max(need, READ_AHEAD_BLOCK)).tolist()
-        self._pos = need
-        return head + self._block[:need]
+        head = block[pos:]
+        self._pos = len(block)  # the rest is taken, so the refill redraws none
+        self._refill(n - len(head))
+        return head + self.take(n - len(head))
 
     def peek(self, n: int) -> list:
         """The next ``n`` values, left to be taken."""
         if self._pos + n > len(self._block):
-            self.rewind()
-            self._saved = self.rng.bit_generator.state
-            self._block = self._draw(max(n, READ_AHEAD_BLOCK)).tolist()
+            self._refill(n)
         return self._block[self._pos : self._pos + n]
 
     def random(self) -> float:

@@ -85,6 +85,7 @@ def _play(
     occupancy = [slots.count(j) for j in range(c + 1)]
     failed, seconds = range(n), 0.0
     draws = ReadAhead(rng, 1, c + 1)
+    take = draws.take
     for k in range(1, cap + 1):
         n_success = occupancy.count(1)
         if n_success == n:
@@ -98,7 +99,7 @@ def _play(
             visit(slots, occupancy)
         last_failed, failed = failed, [i for i, s in enumerate(slots) if occupancy[s] != 1]
         if lbeb_only:
-            for i, s in zip(failed, draws.take(len(failed))):
+            for i, s in zip(failed, take(len(failed))):
                 occupancy[slots[i]] -= 1
                 slots[i] = s
                 occupancy[s] += 1

@@ -776,6 +776,25 @@ def test_dcf_station_rules_out_copies(dcf_at, lambda_pps, bulk_slots):
     assert bulk_slots[played] == []
 
 
+def test_dcf_station_after_a_full_schedule_rules_out_copies(bulk_slots):
+    # eight zc stations hold every slot of 8, so a DCF transmission makes a
+    # window with a collision and no idle slot; the DCF station, listed
+    # after them, still rules out the copy of that window
+    def make():
+        stations = []
+        for sid in range(9):
+            station_rng = rng(derive_seed(86, sid))
+            proto = init_protocol("zc" if sid < 8 else "dcf", 8, station_rng)
+            if sid < 8:
+                proto.slot = sid + 1
+            stations.append(Station(sid, proto, station_rng))
+        return make_sim(stations)
+
+    played, _, _ = run_and_step(make, [dict(until_slot=4000)])
+    assert bulk_slots[played] == []
+    assert played.trace.colliders
+
+
 #: Ten stations on eight slots, two pairs colliding in slots 1 and 2 and no
 #: slot idle, by the rules of stations 0-9.
 FROZEN_MIXES = {
