@@ -107,7 +107,7 @@ def _cmd_ftable(args) -> int:
 
 
 def _cmd_reproduce_all(args) -> int:
-    keys = args.keys.split(",") if args.keys else None
+    keys = None if args.keys is None else args.keys.split(",")
     results = reproduce_all(args.out, reps=args.reps, seed=args.seed, keys=keys)
     failed = 0
     for key in sorted(results):

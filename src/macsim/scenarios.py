@@ -118,11 +118,21 @@ def _grid(seed: int, points, reps: int, run) -> list[list]:
     ]
 
 
+#: Row tails of the engine runs made in the running ``reproduce_all`` call,
+#: keyed by (measure, run config, run keywords); None outside such a call.
+_runs: dict | None = None
+
+
 def _simulated(measure, **run_kw):
-    """Grid run: simulate the point's config on the run seed, then ``measure``."""
+    """Grid run: simulate the point's config on the run seed, then ``measure``.
+    Within a ``reproduce_all`` call a run made before is read back from ``_runs``."""
     def run(cfg: SimConfig, run_seed: int) -> list[list]:
         cfg = replace(cfg, seed=run_seed)
-        return [[*measure(run_simulation(cfg, **run_kw)), cfg.config_hash()]]
+        key = (measure, cfg, tuple(sorted(run_kw.items())))
+        memo = {} if _runs is None else _runs
+        if key not in memo:
+            memo[key] = [*measure(run_simulation(cfg, **run_kw)), cfg.config_hash()]
+        return [memo[key]]
     return run
 
 
@@ -168,14 +178,15 @@ _THROUGHPUT_HEADER = ["protocol", "n", "error_rate", "rep", "thr_norm", "thr_mbp
                      "coll_rate", "config_hash"]
 
 
-def _throughput_rows(cfg, protocols, n_values, error_rates, reps) -> list[list]:
-    def measure(result):
-        trace = result.trace
-        return [*metrics.throughput(trace, cfg.phy), metrics.collision_rate(trace)]
+def _throughput_measure(result) -> list:
+    trace = result.trace
+    return [*metrics.throughput(trace, result.config.phy), metrics.collision_rate(trace)]
 
+
+def _throughput_rows(cfg, protocols, n_values, error_rates, reps) -> list[list]:
     points = [((p, n, rate), (p, n, rate), _point(cfg, protocol=p, n=n, error_rate=rate))
               for rate in error_rates for p in protocols for n in n_values]
-    return _grid(cfg.seed, points, reps, _simulated(measure))
+    return _grid(cfg.seed, points, reps, _simulated(_throughput_measure))
 
 
 def throughput_vs_n(
@@ -264,20 +275,20 @@ def coexist(cfg: SimConfig, reps: int | None = None) -> ScenarioReport:
     return _coexist(cfg, (cfg.protocol,), _reps(cfg, reps), cfg.k_values or (4, 8, 16))
 
 
+def _coexist_measure(result) -> list:  # the partners are stations 0 to coexist_k - 1
+    bits = result.config.payload_bytes * 8
+    total = sum(st.delivered for st in result.stations) * bits / result.sim_time_us
+    k = result.config.coexist_k
+    sent = sum(st.delivered for st in result.stations if st.sid < k)
+    return [total, sent * bits / result.sim_time_us, result.sim_time_us / 1e6]
+
+
 def _coexist(cfg, protocols, reps, k_values) -> ScenarioReport:
-    bits = cfg.payload_bytes * 8
     partner = cfg.coexist_protocol or "dcf"
-
-    def measure(result):  # the partners are stations 0 to coexist_k - 1
-        total = sum(st.delivered for st in result.stations) * bits / result.sim_time_us
-        k = result.config.coexist_k
-        sent = sum(st.delivered for st in result.stations if st.sid < k)
-        return [total, sent * bits / result.sim_time_us, result.sim_time_us / 1e6]
-
     points = [((p, partner, k), ("coexist", k),
                _point(cfg, protocol=p, n=2 * k, coexist_k=k, coexist_protocol=partner))
               for p in protocols for k in k_values]
-    rows = _grid(cfg.seed, points, reps, _simulated(measure))
+    rows = _grid(cfg.seed, points, reps, _simulated(_coexist_measure))
     return _report(cfg, rows,
                    ["protocol", "partner", "k", "rep", "thr_total_mbps",
                     "thr_partner_mbps", "elapsed_s", "config_hash"],
@@ -378,13 +389,10 @@ def _adaptive_throughput(base: SimConfig, reps: int) -> ScenarioReport:
                    ["scheme", "n", "reps", "thr_norm_mean", "thr_norm_ci95"], (0, 1), (3,))
 
 
-def _coexist_runs(seed: int, reps: int, shared: dict) -> ScenarioReport:
-    """The coexistence runs of all three base protocols, made once per call of
-    ``reproduce_all`` and read by both coexist keys."""
-    if "coexist" not in shared:
-        shared["coexist"] = _coexist(_base(seed, protocol="dcf", horizon_slots=8000),
-                                     ("dcf", "lmac", "lzc"), reps, (4, 8, 16))
-    return shared["coexist"]
+def _coexist_runs(seed: int, reps: int) -> ScenarioReport:
+    """The coexistence runs of all three base protocols, read by both coexist keys."""
+    return _coexist(_base(seed, protocol="dcf", horizon_slots=8000),
+                    ("dcf", "lmac", "lzc"), reps, (4, 8, 16))
 
 
 def _dcf_share(report: ScenarioReport) -> ScenarioReport:
@@ -393,36 +401,33 @@ def _dcf_share(report: ScenarioReport) -> ScenarioReport:
     return ScenarioReport(header, rows, [], [], report.config_echo)
 
 
-#: reproduce-all dataset key -> builder(seed, reps, shared), in run order.
-#: ``shared`` lives for one ``reproduce_all`` call.  The builders look the
-#: scenario functions up when they run, so a patched or wrapped name is used.
+#: reproduce-all dataset key -> builder(seed, reps), in run order.  The
+#: builders look the scenario functions up when they run, so a patched or
+#: wrapped name is used.
 REPRODUCE_ALL = {
-    "throughput_vs_n": lambda seed, reps, shared: throughput_vs_n(_base(seed), reps=reps),
-    "gamma_convergence_theory_vs_sim": lambda seed, reps, shared: converge_sweep(
+    "throughput_vs_n": lambda seed, reps: throughput_vs_n(_base(seed), reps=reps),
+    "gamma_convergence_theory_vs_sim": lambda seed, reps: converge_sweep(
         _base(seed, protocol="lzc", sweep="gamma"), reps=max(reps, 2)),
-    "beta_convergence": lambda seed, reps, shared: _beta_convergence(_base(seed), reps),
-    "jain_fairness": lambda seed, reps, shared: _jain_fairness(_base(seed), reps),
-    "achievable_rate_vs_beta": lambda seed, reps, shared: _rate_region(
+    "beta_convergence": lambda seed, reps: _beta_convergence(_base(seed), reps),
+    "jain_fairness": lambda seed, reps: _jain_fairness(_base(seed), reps),
+    "achievable_rate_vs_beta": lambda seed, reps: _rate_region(
         _base(seed, n=20, horizon_slots=5000), reps),
-    "throughput_model_vs_sim": lambda seed, reps, shared: throughput_vs_n(
+    "throughput_model_vs_sim": lambda seed, reps: throughput_vs_n(
         _base(seed), reps=reps, protocols=("lmac",), n_values=(8, 12, 16, 17, 18, 20)),
-    "convergence_time_vs_load": lambda seed, reps, shared: _convergence_vs_load(
-        _base(seed), reps),
-    "collision_rate_vs_n": lambda seed, reps, shared: throughput_vs_n(
+    "convergence_time_vs_load": lambda seed, reps: _convergence_vs_load(_base(seed), reps),
+    "collision_rate_vs_n": lambda seed, reps: throughput_vs_n(
         _base(seed), reps=reps, n_values=(14, 16, 18, 20)),
-    "adaptive_throughput_vs_n": lambda seed, reps, shared: _adaptive_throughput(
-        _base(seed), reps),
-    "delay_vs_n": lambda seed, reps, shared: delay_vs_n(
+    "adaptive_throughput_vs_n": lambda seed, reps: _adaptive_throughput(_base(seed), reps),
+    "delay_vs_n": lambda seed, reps: delay_vs_n(
         _base(seed, traffic="poisson", lambda_pps=62.5, horizon_seconds=1.0,
               horizon_slots=None),
         reps=reps),
-    "error_robustness": lambda seed, reps, shared: error_robustness(
+    "error_robustness": lambda seed, reps: error_robustness(
         _base(seed, horizon_slots=8000), reps=reps, protocols=("dcf", "lbeb", "lzc", "lmac")),
-    "new_entrants": lambda seed, reps, shared: new_entrants(
+    "new_entrants": lambda seed, reps: new_entrants(
         _base(seed, n=8, horizon_slots=40000), reps=reps),
     "coexist_aggregate": _coexist_runs,
-    "coexist_dcf_share": lambda seed, reps, shared: _dcf_share(
-        _coexist_runs(seed, reps, shared)),
+    "coexist_dcf_share": lambda seed, reps: _dcf_share(_coexist_runs(seed, reps)),
 }
 
 
@@ -434,27 +439,32 @@ def reproduce_all(
     Returns a map from dataset key to the written path, or to ``"FAILED:
     reason"`` when one dataset errors; the remaining datasets are still
     produced, and the failing one's traceback is logged.  Identical (seed,
-    reps) inputs reproduce identical bytes.  Unknown ``keys`` and ``reps``
-    below 1 raise ValueError before anything runs.
+    reps) inputs reproduce identical bytes, for any subset of ``keys``; an
+    engine run that several keys make is played once per call.  Unknown or
+    empty ``keys`` and ``reps`` below 1 raise ValueError before anything runs.
     """
+    global _runs
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    unknown = [key for key in keys or () if key not in REPRODUCE_ALL]
+    unknown = [key or "''" for key in keys or () if key not in REPRODUCE_ALL]
     if unknown:
         raise ValueError(f"unknown keys {', '.join(unknown)}; "
                          f"valid keys: {', '.join(REPRODUCE_ALL)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results: dict[str, str] = {}
-    shared: dict = {}
-    for key, build in REPRODUCE_ALL.items():
-        if keys is not None and key not in keys:
-            continue
-        try:
-            results[key] = str(build(seed, reps, shared).write(out, key))
-        except Exception as exc:  # per-key isolation: the other keys still run
-            import logging  # here, not at the top: it adds about 4 ms to every start
+    _runs = {}
+    try:
+        for key, build in REPRODUCE_ALL.items():
+            if keys is not None and key not in keys:
+                continue
+            try:
+                results[key] = str(build(seed, reps).write(out, key))
+            except Exception as exc:  # per-key isolation: the other keys still run
+                import logging  # here, not at the top: it adds about 4 ms to every start
 
-            logging.getLogger(__name__).exception("reproduce-all key %s failed", key)
-            results[key] = f"FAILED: {exc}"
+                logging.getLogger(__name__).exception("reproduce-all key %s failed", key)
+                results[key] = f"FAILED: {exc}"
+    finally:
+        _runs = None
     return results

@@ -463,6 +463,21 @@ REPRODUCE_ALL_GOLDEN = {
 }
 
 
+def reproduce_all_digests(out: Path, keys) -> dict[str, str]:
+    """SHA-256 per reproduce-all key over its data, summary and config files
+    in ``out``; every file in ``out`` must belong to one of ``keys``."""
+    digests, hashed = {}, set()
+    for key in keys:
+        h = hashlib.sha256()
+        for name in (f"{key}.csv", f"{key}_summary.csv", f"{key}_config.txt"):
+            if (out / name).exists():
+                h.update(name.encode() + b"\0" + (out / name).read_bytes() + b"\0")
+                hashed.add(name)
+        digests[key] = h.hexdigest()
+    assert hashed == {p.name for p in out.iterdir()}
+    return digests
+
+
 def test_15_report_generation_contract(tmp_path):
     """Full dataset emission: every key produced with two replications per
     point, byte-identical on re-run and to the recorded digests, and the
@@ -481,16 +496,7 @@ def test_15_report_generation_contract(tmp_path):
         with open(pa) as fh:
             n_rows = sum(1 for _ in fh) - 1
         assert n_rows >= 2, key
-    digests, hashed = {}, set()
-    for key in results_a:
-        h = hashlib.sha256()
-        for name in (f"{key}.csv", f"{key}_summary.csv", f"{key}_config.txt"):
-            if (out_a / name).exists():
-                h.update(name.encode() + b"\0" + (out_a / name).read_bytes() + b"\0")
-                hashed.add(name)
-        digests[key] = h.hexdigest()
-    assert hashed == {p.name for p in out_a.iterdir()}
-    assert digests == REPRODUCE_ALL_GOLDEN
+    assert reproduce_all_digests(out_a, results_a) == REPRODUCE_ALL_GOLDEN
     import csv
 
     with open(out_a / "throughput_vs_n.csv", newline="") as fh:
@@ -506,3 +512,11 @@ def test_15_report_generation_contract(tmp_path):
         f"{len(results_a)} datasets, byte-identical re-run; "
         f"lmac/dcf {means['lmac']/means['dcf']:.2f}x, lzc/dcf {means['lzc']/means['dcf']:.2f}x",
     )
+
+
+@pytest.mark.parametrize("key", ["collision_rate_vs_n", "coexist_dcf_share"])
+def test_reproduce_all_key_alone_writes_the_full_run_bytes(tmp_path, key):
+    """Keys whose runs an earlier key also makes write, run alone, the bytes
+    of the full run."""
+    assert list(reproduce_all(tmp_path, reps=2, seed=1, keys=[key])) == [key]
+    assert reproduce_all_digests(tmp_path, [key]) == {key: REPRODUCE_ALL_GOLDEN[key]}

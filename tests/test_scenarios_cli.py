@@ -18,6 +18,7 @@ from macsim.adaptation import FEntry, FTable
 from macsim.cli import main
 from macsim.config import SimConfig
 from macsim.csvio import write_csv
+from macsim.runner import run_simulation
 from macsim.scenarios import (
     SCENARIOS,
     converge_sweep,
@@ -480,6 +481,60 @@ def test_cli_reproduce_all_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown keys throughput_vs_nn, bogus;" in err
     assert all(key in err for key in scenarios.REPRODUCE_ALL)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("keys", ["", "jain_fairness,"])
+def test_cli_reproduce_all_rejects_empty_keys(tmp_path, capsys, keys):
+    out = tmp_path / "repro"
+    code = main(["reproduce-all", "--out", str(out), "--reps", "1", "--keys", keys])
+    assert code == 2
+    assert "unknown keys '';" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def counted_runs(monkeypatch) -> list:
+    """The (config, keywords) of every engine run the scenarios make from now."""
+    played = []
+
+    def counting(cfg, **kw):
+        played.append((cfg, tuple(sorted(kw.items()))))
+        return run_simulation(cfg, **kw)
+
+    monkeypatch.setattr(scenarios, "run_simulation", counting)
+    return played
+
+
+def test_reproduce_all_plays_each_engine_run_once_per_call(tmp_path, monkeypatch):
+    # lmac at N = 16, 18 and 20 belongs to both keys
+    played = counted_runs(monkeypatch)
+    keys = ["throughput_model_vs_sim", "collision_rate_vs_n"]
+    scenarios.reproduce_all(tmp_path / "a", reps=1, keys=keys)
+    assert len(played) == len(set(played)) == 6 + 20 - 3
+    scenarios.reproduce_all(tmp_path / "b", reps=1, keys=keys)
+    assert played[23:] == played[:23]  # the memo does not outlive its call
+    assert scenarios._runs is None
+    for path in (tmp_path / "a").iterdir():
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_reproduce_all_caches_no_run_whose_measure_raises(tmp_path, monkeypatch):
+    played = counted_runs(monkeypatch)
+    collision_rate = scenarios.metrics.collision_rate
+
+    def failing(trace):  # fails the first lmac N = 16 run only
+        run = played[-1]
+        if (run[0].protocol, run[0].n) == ("lmac", 16) and played.count(run) == 1:
+            raise RuntimeError("measure failed")
+        return collision_rate(trace)
+
+    monkeypatch.setattr(scenarios.metrics, "collision_rate", failing)
+    results = scenarios.reproduce_all(
+        tmp_path, reps=1, keys=["throughput_model_vs_sim", "collision_rate_vs_n"])
+    assert results["throughput_model_vs_sim"] == "FAILED: measure failed"
+    assert Path(results["collision_rate_vs_n"]).exists()
+    replayed = [run for run in set(played) if played.count(run) > 1]
+    assert [(cfg.protocol, cfg.n) for cfg, _ in replayed] == [("lmac", 16)]
+    assert len(played) == 3 + 20
 
 
 def test_reproduce_all_logs_failing_key_traceback(tmp_path, monkeypatch, caplog):
