@@ -18,7 +18,8 @@ uniform across stations.
 The per-station rules keep only their own counters: a station passes its
 committed length and whether its last window was a probe to ``plan_next``,
 the one statement of each rule: the slot engine asks it after every window,
-copied ones included.
+copied ones included, until every adapter ends a copied period in the state
+it began it in (``_Adapter``).
 """
 
 from __future__ import annotations
@@ -104,7 +105,26 @@ def txop_packets(schedule_len: int, base_len: int) -> int:
     return ratio
 
 
-class AlzcAdapter:
+class _Adapter:
+    """A per-station length rule whose state is its slots: two adapters of
+    one rule compare equal when they hold the same values, and then plan
+    alike from here on.  Slots, not an instance dict, keep ``copy`` and
+    ``==`` from slowing the attribute reads of ``plan_next``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(other, name) == getattr(self, name) for name in self.__slots__)
+
+    def __copy__(self) -> _Adapter:
+        twin = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        return twin
+
+
+class AlzcAdapter(_Adapter):
     """Doubling/halving driven directly by observed idle slots.
 
     Doubles when the window had no idle slot left; halves (never below the
@@ -112,6 +132,8 @@ class AlzcAdapter:
     since the length changed agreed on their busy count, which avoids
     shrinking while the slot assignment is still churning.
     """
+
+    __slots__ = ("base_len", "max_len", "_last_busy")
 
     def __init__(self, base_len: int, max_len: int):
         if base_len < 1:
@@ -136,7 +158,7 @@ class AlzcAdapter:
         return c, False
 
 
-class AlmacAdapter:
+class AlmacAdapter(_Adapter):
     """Doubling/halving for stations without per-slot decode information.
 
     Every ``f(C)`` schedules (the tabulated time by which a population one
@@ -148,6 +170,9 @@ class AlmacAdapter:
     window out of every ``probe_period * f(C)`` keeps the average throughput
     within the configured budget even when every probe fails.
     """
+
+    __slots__ = ("base_len", "f_table", "probe_period", "max_len", "_since_check",
+                 "_clean_checkpoints")
 
     def __init__(self, base_len: int, f_table: "FTable", probe_period: int, max_len: int):
         if probe_period < 1:

@@ -41,10 +41,13 @@ def trace_to_csv(trace: Trace, path: str | Path) -> None:
     for i, who in trace.colliders.items():
         transmitters[i] = "|".join(map(str, who))
     kinds = map(_KIND_NAMES.__getitem__, trace.kinds)
+    # a run has a few distinct durations: each is formatted once, as ``csv`` would
+    shown = {duration: str(duration) for duration in set(trace.durations)}
     write_csv(
         path,
         ["slot_index", "sim_time_us", "kind", "transmitters", "duration_us"],
-        zip(range(len(trace.kinds)), times, kinds, transmitters, trace.durations),
+        zip(range(len(trace.kinds)), times, kinds, transmitters,
+            map(shown.__getitem__, trace.durations)),
     )
 
 

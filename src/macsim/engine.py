@@ -27,26 +27,31 @@ every station is a schedule station, all saturated or none, every window
 starts at the next slot with one shared length, none is a probe and no
 station holds a packet.  Unsaturated, the windows are idle up to the one
 whose last slot starts at or after the earliest next arrival.  Saturated,
-they are copies of the window every station just closed from one start, if
-it had that length and no error, and either no collision or no idle slot
-with every station's rule one that reads idle positions (by the
+they are copies of a unit, the last windows every station closed together
+(``_unit``), if each station holds the slot it held where the unit starts,
+no window of the unit has an error, and each has either no collision or no
+idle slot with every station's rule one that reads idle positions (by the
 ``on_schedule_end`` contract such a rule keeps its slot and draws nothing
 when none is idle).  On an error channel the copies end before the first
 whose lone transmissions draw an error.  Each window appended is closed as
 ``_close_windows`` would close it, adapters planning from its idle count,
-and the first after which some adapter plans another length or a probe is
-the last.  A watched run jumps only where the watch cannot fire, and copies
-no window.
+and the first after which some adapter plans otherwise than the source
+did is the last; once every adapter ends a copied unit as it began it,
+whole units follow with no plan.  A watched run jumps quiet windows only
+while they cannot hold the successes the watch needs, and copies a unit
+only after a window free of collisions and errors and only if the watch
+cannot fire in the copies.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
 
 import numpy as np
@@ -65,6 +70,12 @@ _ERROR = int(SlotKind.ERROR)
 #: of at most this many slots, enough to spread a segment's setup thin and
 #: few enough that a time-bounded run trims little of its last one.
 _MAX_SEGMENT = 1 << 12
+
+#: The most windows a copied unit spans: alzc's (b, 2b, 2b) cycle takes three.
+_MAX_UNIT = 8
+
+#: Copies check whether the adapters settled only if this many units fit.
+_SETTLE_UNITS = 8
 
 
 def elapsed_us(durations) -> float:
@@ -89,12 +100,15 @@ class Trace:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def repeat(self, columns: tuple[list, list, list, list], times: int) -> None:
-        """Append ``times`` copies of the slots whose kinds, durations,
-        transmitters and packets are ``columns``."""
+    def repeat(self, columns: tuple[list, list, list, list], count: int) -> None:
+        """Append ``count`` slots of the slots whose kinds, durations,
+        transmitters and packets are ``columns``, laid end to end."""
+        times, rest = divmod(count, len(columns[0]))
         for column, slots in zip((self.kinds, self.durations, self.tx_station, self.packets),
                                  columns):
             column.extend(slots * times)
+            if rest:
+                column.extend(slots[:rest])
 
 
 #: One schedule of one station: (station, schedule_index, chosen_slot,
@@ -300,6 +314,10 @@ class Simulator:
         if watch_n is not None and watch_n <= watch_len:
             watch = _Watch(kinds, self.slot_index, watch_n, watch_len, watch_from)
         s, clock = self.slot_index, self.clock_us
+        # starts of the last windows that every station, none a DCF one,
+        # closed together back to back, and the slot after them
+        grid: list[int] = []
+        closes_together = len(sched) == len(self.stations)
         while True:
             end, due = self._segment(sched, s)
             stop = end + 1 if end < s + _MAX_SEGMENT else s + _MAX_SEGMENT
@@ -309,16 +327,33 @@ class Simulator:
                 s, stop, due, clock, until_us, watch, saturated)
             if s > end:  # a window end pulls arrivals as of its last slot
                 closed_from = self._close_windows(sched, end, before)
+                if grid and grid[-1] == closed_from:
+                    grid.append(s)
+                    if len(grid) > 4 * _MAX_UNIT:
+                        del grid[: -_MAX_UNIT - 1]
+                else:
+                    grid = [closed_from, s] if closed_from is not None and closes_together else []
             if hit or s >= until_slot or clock >= until_us:
                 break
-            # a watched run copies no window, and jumps quiet windows only
-            # while they cannot hold the successes the watch needs
-            if s > end and (watch is None or not saturated and s > watch.last()):
-                s, clock = self._repeat_windows(
-                    s, clock, None if watch else closed_from, until_slot, until_us
-                )
-                if s >= until_slot:
-                    break
+            # a watched run copies windows only after one free of collisions
+            # and errors, and jumps quiet windows only while they cannot hold
+            # the successes the watch needs
+            if s > end and grid:
+                t = s
+                if not saturated:
+                    if watch is None or s > watch.last():
+                        t, clock = self._quiet_windows(s, clock, until_slot, until_us)
+                elif watch is None or watch.ready < grid[-2] + watch_len:
+                    unit = self._unit(s, grid, watch)
+                    if unit is not None:
+                        t, clock = self._repeat_windows(s, clock, grid, unit, until_slot,
+                                                        until_us)
+                        if watch is not None and t > s:  # copies may hold successes
+                            watch = _Watch(kinds, t, watch_n, watch_len, watch_from)
+                if t > s:
+                    s = t
+                    if s >= until_slot:
+                        break
 
         self.slot_index = s
         self.clock_us = clock
@@ -505,7 +540,7 @@ class Simulator:
         listed only when an adapter counts them or the protocol sets
         ``reads_idle_positions``.  A probe holds ``proto.slot`` wrapped into
         its shorter window.  Returns the start the windows share, or None
-        when they started at different slots."""
+        when they started at different slots or some station closed none."""
         tr = self.trace
         kinds, tx_station = tr.kinds, tr.tx_station
         add_event = self.events.append
@@ -515,6 +550,7 @@ class Simulator:
         for st in sched:
             start, length = st.window_start, st.window_len
             if start + length != after:
+                shared = -1
                 continue
             if shared != start:
                 shared = start if shared is None else -1
@@ -552,97 +588,242 @@ class Simulator:
                     proto.schedule_len, st.in_probe, len(idle), saw_collision, success))
         return None if shared == -1 else shared
 
-    def _repeat_windows(
-        self, s: int, clock: float, closed_from: int | None, until_slot: float, until_us: float
+    def _quiet_windows(
+        self, s: int, clock: float, until_slot: float, until_us: float
     ) -> tuple[int, float]:
-        """Append whole windows that every station plays from slot ``s``, if
-        their slots are known in advance (module docstring), and return the
-        slot after them and the clock there.  A saturated window is a copy
-        of the one every station closed from ``closed_from == s - length``,
-        and on an error channel the copies end before the first whose lone
-        transmissions draw an error.  A station that succeeds would report
-        a success per window, and by the ``on_schedule_end`` contract only
-        the first changes anything, so its protocol gets that one unless its
-        last report was a success already.  A station that collides logs a
-        failure per window and is reported nothing: the window has no idle
-        slot, and by the same contract its rule then keeps the slot and
-        draws nothing.  Each adapter plans after every window appended; a
-        plan that differs from the window just appended starts the next
-        window after it.
-        """
-        stations, tr = self.stations, self.trace
-        length, saturated = stations[0].window_len, stations[0].saturated
-        collided = False
-        if saturated:
-            if closed_from != s - length:
-                return s, clock
-            kinds = tr.kinds[closed_from:s]
-            collided = _COLLISION in kinds
-            if _ERROR in kinds or collided and _IDLE in kinds:
-                return s, clock
+        """Append the idle windows that every station plays from slot ``s``,
+        if all of them are unsaturated schedule stations with one shared
+        length that hold no packet (module docstring), up to the one whose
+        last slot starts at or after the earliest next arrival, and return
+        the slot after them and the clock there.  Each station's protocol
+        hears the first success, unless its last report was a success
+        already; each adapter plans after every window, and a plan that
+        differs from the window just appended starts the next window after
+        it."""
+        stations = self.stations
+        length = stations[0].window_len
         arrival = math.inf
         for st in stations:
-            if (st.is_dcf or st.saturated != saturated or st.queue or st.in_probe
-                    or st.window_start != s or st.window_len != length
-                    or collided and not st.protocol.reads_idle_positions):
+            if (st.saturated or st.queue or st.in_probe or st.window_start != s
+                    or st.window_len != length):
                 return s, clock
             arrival = min(arrival, st.next_arrival_us)
-        if saturated:
-            window = tuple(column[s - length : s]
-                           for column in (tr.kinds, tr.durations, tr.tx_station, tr.packets))
-        else:
-            window = ([_IDLE] * length, [self.phy.sigma_us] * length, [-1] * length, [0] * length)
-        idle = [i + 1 for i, k in enumerate(window[0]) if k == _IDLE]
-        n_idle, same = len(idle), (length, False)
-        success = ([window[0][st.tx_slot - s] != _COLLISION for st in stations]
-                   if collided else [True] * len(stations))
-        adapted = [(st, ok) for st, ok in zip(stations, success) if st.adapter is not None]
-        # the error numbers a window draws, one per lone transmission
-        errors, error_rate = self._errors, self.error_rate
-        lone = window[0].count(_SUCCESS) if errors is not None else 0
+        sigma, same = self.phy.sigma_us, (length, False)
+        adapters = [st.adapter for st in stations if st.adapter is not None]
         # windows that end by ``until_slot``, before ``until_us``, and start
         # their last slot before the arrival, the clock added slot by slot;
         # the first after which an adapter plans another window is the last
         kept = (until_slot - s) // length if until_slot < math.inf else math.inf
-        head, last = window[1][:-1], window[1][-1]
-        k, changed = 0, []
-        while k < kept and not changed:
+        head = [sigma] * (length - 1)
+        k, plans = 0, []
+        while k < kept and plans.count(same) == len(plans):
             start = reduce(add, head, clock)
-            if start >= arrival or start + last >= until_us:
+            if start >= arrival or start + sigma >= until_us:
+                break
+            clock = start + sigma
+            k += 1
+            plans = [adapter.plan_next(length, False, length, False, True)
+                     for adapter in adapters]
+        if k == 0:
+            return s, clock
+        self.trace.repeat(([_IDLE] * length, [sigma] * length, [-1] * length, [0] * length),
+                          k * length)
+        held = [(st.sid, st.schedule_index, st.tx_slot - s + 1, "success") for st in stations]
+        self.events.extend([(sid, index + j, slot, outcome)
+                            for j in range(k) for sid, index, slot, outcome in held])
+        shift, idle = k * length, list(range(1, length + 1))
+        for st in stations:
+            if not st.reported_success:
+                st.protocol.on_schedule_end(True, idle, st.draws)
+                st.reported_success = True
+            st.schedule_index += k
+            st.window_start += shift
+            st.tx_slot += shift
+        for st, plan in zip([st for st in stations if st.adapter is not None], plans):
+            if plan != same:
+                st.start_window(s + shift, *plan)
+        return s + shift, clock
+
+    def _unit(self, s: int, grid: list[int], watch: _Watch | None) -> tuple | None:
+        """What the windows from slot ``s`` may copy, if every station is a
+        saturated schedule station and their slots are known in advance
+        (module docstring), or None: the starts of the unit's windows and
+        ``s``, each station's slot in each window, and the unit's kinds.
+
+        The unit is the last windows of ``grid``, the starts of windows
+        every station closed together up to ``s``: the fewest whose first
+        has the length that starts at ``s``, if each station holds the slot
+        it held there.  In the unit no station moves, except where a resize
+        wraps its slot, so each copy holds the slots of its source; with
+        one window, the ``on_schedule_end`` contract keeps every slot.  A
+        watched run copies the unit only if no ``watch.length`` slots of it
+        laid twice end to end fire the watch.
+        """
+        stations, kinds = self.stations, self.trace.kinds
+        length = stations[0].window_len
+        m = 1
+        while grid[-m] - grid[-m - 1] != length:
+            m += 1
+            if m == len(grid) or m > _MAX_UNIT:
+                return None
+        bounds = grid[-m - 1 :]
+        unit = kinds[bounds[0] : s]
+        if _ERROR in unit:
+            return None
+        collided = _COLLISION in unit
+        if collided:
+            for a, b in zip(bounds, bounds[1:]):
+                window = kinds[a:b]
+                if _COLLISION in window and _IDLE in window:
+                    return None
+        # every station closed a window at s - 1, none a DCF station (``grid``)
+        for st in stations:
+            if (st.in_probe or st.window_len != length
+                    or collided and not st.protocol.reads_idle_positions):
+                return None
+        slots = [[st.tx_slot - s + 1 for st in stations]]
+        if m > 1:
+            n = len(stations)
+            logged = self.events[len(self.events) - m * n :]
+            slots += [[slot for _, _, slot, _ in logged[j * n : (j + 1) * n]] for j in range(m)]
+            if slots.pop(1) != slots[0]:
+                return None
+        if watch is not None and (watch.length > s - bounds[0] or watch.fires_in(unit)):
+            return None
+        return bounds, slots, unit
+
+    def _repeat_windows(
+        self, s: int, clock: float, grid: list[int], unit: tuple, until_slot: float,
+        until_us: float,
+    ) -> tuple[int, float]:
+        """Append copies of the windows of ``unit`` (``_unit``) from slot
+        ``s`` on, return the slot after them and the clock there, and add
+        the starts of the windows after them to ``grid``.
+
+        On an error channel the copies end before the first whose lone
+        transmissions draw an error.  Each window appended is closed as
+        ``_close_windows`` would close it.  A station logs its source's slot
+        and outcome.  A success is reported in the first window after a
+        resize, when the last report was no success; later ones change
+        nothing by the ``on_schedule_end`` contract.  A collider is reported
+        nothing: the window has no idle slot, so its rule keeps the slot
+        and draws nothing.  Each adapter plans after every window, and the
+        first plan that differs from the source's next window starts the
+        window after the last copy.  If every adapter ends the first copy
+        of the unit in the state it began it in, the copies to come repeat
+        that one, and whole ones are appended without a plan.
+        """
+        bounds, slots, kinds = unit
+        stations, tr = self.stations, self.trace
+        lo, m, n = bounds[0], len(slots), len(stations)
+        period = s - lo
+        durations, packets = tr.durations[lo:s], tr.packets[lo:s]
+        errors, error_rate = self._errors, self.error_rate
+        if errors is not None:  # often the first copy would draw an error already
+            lone = kinds[: bounds[1] - lo].count(_SUCCESS)
+            if lone and min(errors.peek(lone)) < error_rate:
+                return s, clock
+        adapters = [st.adapter for st in stations if st.adapter is not None]
+        steps = []  # what a copy of each window of the unit needs
+        lone_unit = 0
+        for j, held in enumerate(slots):
+            a, size = bounds[j] - lo, bounds[j + 1] - bounds[j]
+            window = kinds[a : a + size]
+            idle = [i + 1 for i, kind in enumerate(window) if kind == _IDLE]
+            collided = _COLLISION in window
+            ok = [window[slot - 1] != _COLLISION for slot in held] if collided else [True] * n
+            lone = window.count(_SUCCESS) if errors is not None else 0
+            lone_unit += lone
+            steps.append((
+                size, durations[a : a + size - 1], durations[a + size - 1], lone,
+                idle, len(idle), collided, ok,
+                [(st.adapter, won) for st, won in zip(stations, ok) if st.adapter is not None]
+                if adapters else (),
+                # the plan that started the next source window, and whether
+                # a resize starts this one
+                (bounds[(j + 1) % m + 1] - bounds[(j + 1) % m], False),
+                bounds[j] - bounds[j - 1] != size if j else m > 1,
+            ))
+        # the adapters' states are compared only where enough whole units fit
+        # to repay the copies of them
+        settle = bool(adapters) and _SETTLE_UNITS <= min(
+            (until_slot - s) / period, (until_us - clock) / sum(durations))
+        # windows that end by ``until_slot`` and before ``until_us``, the
+        # clock added slot by slot
+        k, pos, began = 0, s, None
+        size, head, last, lone, idle, n_idle, collided, ok, pairs, after, resized = steps[0]
+        while pos + size <= until_slot:
+            start = reduce(add, head, clock)
+            if start + last >= until_us:
                 break
             if lone:
                 if min(errors.peek(lone)) < error_rate:
                     break
                 errors.take(lone)
-            clock = start + last
-            k += 1
-            changed = [(st, plan) for st, ok in adapted if (plan := st.adapter.plan_next(
-                length, False, n_idle, collided, ok)) != same]
+            clock, pos, k = start + last, pos + size, k + 1
+            if resized or k == 1:  # the first success since a resize is reported
+                if k == 1 and settle:  # the adapters as they begin the first copy
+                    began = [copy(adapter) for adapter in adapters]
+                for st, won in zip(stations, ok):
+                    if won and not st.reported_success:
+                        st.protocol.on_schedule_end(True, idle, st.draws)
+                        st.reported_success = True
+            plans = [adapter.plan_next(size, False, n_idle, collided, won)
+                     for adapter, won in pairs]
+            changed = plans.count(after) < len(plans)
+            if changed or after[0] != size:
+                for st, plan in zip([st for st in stations if st.adapter is not None], plans):
+                    st.window_start = pos
+                    st.start_window(pos, *plan)
+                if changed:
+                    break
+            if m > 1:
+                size, head, last, lone, idle, n_idle, collided, ok, pairs, after, resized = (
+                    steps[k % m])
+            if k == m and (not adapters or settle and began == adapters):
+                # the copies to come repeat this one: whole units, with no plan
+                unit_head, unit_last = durations[:-1], durations[-1]
+                while pos + period <= until_slot:
+                    start = reduce(add, unit_head, clock)
+                    if start + unit_last >= until_us:
+                        break
+                    if lone_unit:
+                        if min(errors.peek(lone_unit)) < error_rate:
+                            break
+                        errors.take(lone_unit)
+                    clock, pos, k = start + unit_last, pos + period, k + m
+                if m == 1:  # the next window is a whole unit too
+                    break
         if k == 0:
             return s, clock
-        tr.repeat(window, k)
-        if collided:
-            source = [(u, tr.colliders[u]) for u in range(s - length, s)
-                      if tr.kinds[u] == _COLLISION]
-            tr.colliders.update([(u + j * length, ids)
-                                 for j in range(1, k + 1) for u, ids in source])
-        held = [(st.sid, st.schedule_index, st.tx_slot - st.window_start + 1,
-                 "success" if ok else "failure") for st, ok in zip(stations, success)]
-        self.events.extend([(sid, index + j, slot, outcome)
-                            for j in range(k) for sid, index, slot, outcome in held])
-        shift = k * length
-        for st, ok in zip(stations, success):
-            if ok and not st.reported_success:
-                st.protocol.on_schedule_end(True, idle, st.draws)
-                st.reported_success = True
-            if saturated and ok:
-                st.delivered += k * st.txop_m
+        tr.repeat((kinds, durations, tr.tx_station[lo:s], packets), pos - s)
+        if _COLLISION in kinds:
+            source = [(u, tr.colliders[lo + u]) for u, kind in enumerate(kinds)
+                      if kind == _COLLISION]
+            tr.colliders.update([(first + u, ids) for first in range(s, pos, period)
+                                 for u, ids in source if first + u < pos])
+        logged = [[(st.sid, st.schedule_index, slot, "success" if won else "failure")
+                   for st, slot, won in zip(stations, held, step[7])]
+                  for held, step in zip(slots, steps)]
+        self.events.extend([(sid, index + w, slot, outcome) for w in range(k)
+                            for sid, index, slot, outcome in logged[w % m]])
+        # the packets each station delivered in the unit's windows
+        if m == 1:
+            grid.extend(range(s + period, pos + 1, period))
+            totals = [k * packets[slot - 1] for slot in slots[0]]
+        else:
+            grid.extend([first + end - lo for first in range(s, pos, period)
+                         for end in bounds[1:] if first + end - lo <= pos])
+            units, rest = divmod(k, m)
+            gains = list(zip(*[[packets[a - lo + slot - 1] for slot in held]
+                               for a, held in zip(bounds, slots)]))
+            totals = [units * sum(got) + sum(got[:rest]) for got in gains]
+        for st, total in zip(stations, totals):
+            st.delivered += total
             st.schedule_index += k
-            st.window_start += shift
-            st.tx_slot += shift
-        for st, plan in changed:
-            st.start_window(s + shift, *plan)
-        return s + shift, clock
+            st.tx_slot += pos - st.window_start
+            st.window_start = pos
+        return pos, clock
 
 
 def _idle_walk(
@@ -694,6 +875,17 @@ class _Watch:
         if not self.want:
             return math.inf
         return self.recent[0] + self.length - 1 if len(self.recent) == self.want else -math.inf
+
+    def fires_in(self, unit: list[int]) -> bool:
+        """Whether some ``length`` slots of the kinds ``unit`` laid twice
+        end to end hold exactly ``want`` successes and no collision or
+        error: the spans that copies of ``unit`` after itself can make, when
+        ``length <= len(unit)``."""
+        twice, length = unit + unit, self.length
+        good = list(accumulate([k == _SUCCESS for k in twice], initial=0))
+        bad = list(accumulate([k >= _COLLISION for k in twice], initial=0))
+        return any([good[u] - good[u - length] == self.want and bad[u] == bad[u - length]
+                    for u in range(len(unit) + 1, len(twice) + 1)])
 
     def first_hit(self, kinds: list[int], lo: int, hi: int) -> int | None:
         """The first slot from ``lo`` to ``hi - 1``, all idle, whose

@@ -106,9 +106,11 @@ class ReadAhead:
         self._pos = pos + 1
         return self._block[pos] >> shift
 
-    def rewind(self) -> None:
+    def rewind(self, unused: int = 0) -> None:
         """Put the generator where single draws of the values taken would
-        have left it, and drop the values not taken."""
+        have left it, and drop the values not taken.  The last ``unused``
+        values taken, all from the last block drawn, count as not taken."""
+        self._pos -= unused
         if self._pos < len(self._block):
             self.rng.bit_generator.state = self._saved
             self._draw(self._pos)

@@ -10,9 +10,9 @@ A run draws from one generator, its stations in station order.  One loop,
 failed in it or in the one before, and a run with more stations than slots
 is censored without playing it.  The one choice by rule is where a
 failed station's next slot comes from: in a run whose stations are all
-L-BEB it is the next value of a read-ahead of uniform draws, with no
-protocol call, and the generator is rewound to where single draws leave it
-when the run ends; in any other run it is ``on_schedule_end``.  There, a
+L-BEB it is the next value of a read-ahead of uniform draws, taken a block
+at a time, with no protocol call, and the generator is rewound to where
+single draws leave it when the run ends; in any other run it is ``on_schedule_end``.  There, a
 success that follows a failure is reported to every rule, though only L-MAC
 learns from it, and the idle slots are listed only when some station's
 class sets ``reads_idle_positions`` (ZC, L-ZC).
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .phy import PhyParams
-from .protocols import Lbeb, ReadAhead, ScheduleProtocol
+from .protocols import READ_AHEAD_BLOCK, Lbeb, ReadAhead, ScheduleProtocol
 
 #: Convergence runs are abandoned (and flagged) beyond this many schedules.
 DEFAULT_SCHEDULE_CAP = 10**6
@@ -65,7 +65,8 @@ def _play(
     or the one before it are updated, the first schedule counting as one
     after a failure.  In an all-L-BEB run the failed stations take, in
     station order, the next values of a ``ReadAhead`` of ``integers(1, c +
-    1)``, rewound when the run ends, and no protocol is called.  In other
+    1)``, taken a block at a time and rewound, with the values left unused,
+    when the run ends, and no protocol is called.  In other
     runs they call ``on_schedule_end``, after the stations that succeed
     right after a failure have reported that success; idle positions are
     built only when some station's class sets ``reads_idle_positions``.  The stations'
@@ -85,7 +86,7 @@ def _play(
     occupancy = [slots.count(j) for j in range(c + 1)]
     failed, seconds = range(n), 0.0
     draws = ReadAhead(rng, 1, c + 1)
-    take = draws.take
+    values, left = iter(()), 0  # the values taken from ``draws`` and not used yet
     for k in range(1, cap + 1):
         n_success = occupancy.count(1)
         if n_success == n:
@@ -99,7 +100,11 @@ def _play(
             visit(slots, occupancy)
         last_failed, failed = failed, [i for i, s in enumerate(slots) if occupancy[s] != 1]
         if lbeb_only:
-            for i, s in zip(failed, take(len(failed))):
+            if len(failed) > left:
+                block = [*values, *draws.take(max(len(failed), READ_AHEAD_BLOCK))]
+                values, left = iter(block), len(block)
+            left -= len(failed)
+            for i, s in zip(failed, values):
                 occupancy[slots[i]] -= 1
                 slots[i] = s
                 occupancy[s] += 1
@@ -114,7 +119,7 @@ def _play(
             occupancy[slots[i]] += 1
     else:
         k = None
-    draws.rewind()
+    draws.rewind(left)
     for p, s in zip(protocols, slots):
         p.slot = s
     return k, seconds

@@ -352,7 +352,7 @@ def sim_state(sim, sids=None):
             (st.delivered, st.schedule_index, st.window_len,
              st.window_start, st.tx_slot, st.txop_m, st.in_probe,
              vars(st.protocol),
-             st.adapter and {k: v for k, v in vars(st.adapter).items() if k != "f_table"},
+             st.adapter,  # adapters compare by value
              list(st.queue), st.delays_us, st.next_arrival_us, st.head_since_us,
              st.dropped, st.lost_arrivals,
              st.rng.bit_generator.state)
@@ -411,18 +411,17 @@ def close_calls(monkeypatch):
 
 @pytest.fixture
 def bulk_slots(monkeypatch):
-    """The slots each ``Simulator._repeat_windows`` call appended in bulk,
-    as a range, by simulator, in call order."""
+    """The slots each ``Simulator._repeat_windows`` or ``_quiet_windows``
+    call appended in bulk, as a range, by simulator, in call order."""
     spans = defaultdict(list)
-    repeat_windows = Simulator._repeat_windows
+    for name in ("_repeat_windows", "_quiet_windows"):
+        def counted(sim, s, *args, append=getattr(Simulator, name)):
+            t, clock = append(sim, s, *args)
+            if t > s:
+                spans[sim].append(range(s, t))
+            return t, clock
 
-    def counted(sim, s, *args):
-        t, clock = repeat_windows(sim, s, *args)
-        if t > s:
-            spans[sim].append(range(s, t))
-        return t, clock
-
-    monkeypatch.setattr(Simulator, "_repeat_windows", counted)
+        monkeypatch.setattr(Simulator, name, counted)
     return spans
 
 
@@ -458,8 +457,8 @@ STEPPING_CASES = [
     ("lmac", 6, 16, 31, (2500, 12000), {"lambda_pps": 200.0, "dcf": 2}),
     # settles at 32 slots, where copies run up to the bound
     ("lzc", 24, 16, 33, (3001, 12000), {"adaptation": "alzc"}),
-    # the (16, 32, 32) limit cycle: the first 32-slot window follows a 16-slot
-    # one, and the second is its copy, after which the length halves
+    # the (16, 32, 32) limit cycle: the second 32-slot window is a copy of the
+    # first, and once a whole cycle has been closed, cycles are copied
     ("lzc", 16, 16, 34, (2001, 6000), {"adaptation": "alzc"}),
     # settles at the base length, where no probe comes: copies run past every
     # checkpoint of f(16) = 32 windows up to the bound
@@ -519,10 +518,15 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
         assert closed < stepped_closed / 2
     elif "adaptation" in kw:  # settled windows are copied up to a plan change
         assert bulk_slots[played] and closed < stepped_closed
-        if kw["adaptation"] == "alzc" and n == c:  # one copy per (16, 32, 32) cycle
-            starts = [span.start for span in bulk_slots[played]]
-            assert {len(span) for span in bulk_slots[played]} == {2 * c}
-            assert {b - a for a, b in zip(starts, starts[1:])} == {5 * c}
+        if kw["adaptation"] == "alzc" and n == c:  # the (16, 32, 32) cycle, copied whole
+            kinds, period = played.trace.kinds, 5 * c
+            cycling = max([u + 1 for u in range(len(kinds) - period)
+                           if kinds[u] != kinds[u + period]], default=0)
+            # from the cycle's first slot on, each run closes the windows of
+            # at most two periods one by one, and copies the rest
+            assert 0 < cycling < bounds[0] - 2 * period
+            assert len({start for start in close_calls[played] if start >= cycling}) <= (
+                2 * 3 * len(bounds))
     elif "error_rate" in kw or n > c and protocol in ("zc", "lzc"):
         # clean windows are copied up to an error, and windows with no idle
         # slot, where zc and lzc stations stay put, are copied too
@@ -701,18 +705,33 @@ def test_replay_fires_after_convergence(close_calls):
 def test_no_copy_when_every_length_changes(bulk_slots):
     # four stations fill a 4-slot window, so all of them double to 8 at its
     # close; at 8 they halve again after two windows: the 4-slot window just
-    # closed must never be copied as an 8-slot one, nor the 8-slot one as 4,
-    # so only the second 8-slot window of each (4, 8, 8) cycle is a copy
+    # closed must never be copied as an 8-slot one, nor the 8-slot one as 4.
+    # The second 8-slot window (12-19) copies the first, the next 8-slot one
+    # (24-31) copies that, and once the cycle 20-39 has been closed whole,
+    # copies of it run up to the bound
     played, _, _ = run_and_step(lambda: make_sim([
         Station(sid, pinned_lzc(4, sid + 1, sid), rng(60 + sid), adapter=AlzcAdapter(4, 64))
         for sid in range(4)
     ]), [dict(until_slot=200)])
     assert {st.window_len for st in played.stations} == {4}
     kinds, spans = played.trace.kinds, bulk_slots[played]
-    assert [span.start for span in spans] == list(range(12, 200, 20))
-    for span in spans:  # each a copy of the 8-slot window before it
-        assert len(span) == 8
-        assert kinds[span.start - 8 : span.start] == kinds[span.start : span.stop]
+    assert spans == [range(12, 20), range(24, 32), range(40, 200)]
+    assert kinds[4:12] == kinds[12:20] == kinds[24:32] != kinds[20:28]
+    assert kinds[40:200] == kinds[20:40] * 8
+
+
+def test_no_copy_of_a_unit_whose_slots_wrapped(bulk_slots):
+    # 16 stations hold slots 1-8 and 25-32 of 32; after two such windows the
+    # length halves, wrapping slots 25-32 onto 9-16, and the full 16-slot
+    # window doubles it again.  The 32-slot window from slot 32 then has the
+    # length that starts at slot 80, but half its stations held other slots
+    # in it, so it is no unit; the (16, 32, 32) cycle from slot 144 is
+    played, _, _ = run_and_step(lambda: make_sim([
+        Station(sid, pinned_lzc(32, slot, sid), rng(90 + sid), adapter=AlzcAdapter(16, 64))
+        for sid, slot in enumerate([*range(1, 9), *range(25, 33)])
+    ]), [dict(until_slot=600)])
+    assert bulk_slots[played] == [range(32, 64), range(112, 144), range(160, 192),
+                                  range(224, 592)]
 
 
 def test_committed_probe_is_followed_by_copies(bulk_slots):
@@ -757,6 +776,42 @@ def test_live_watch_blocks_copies():
                           for sid, slot in enumerate((1, 6, 8))]),
         [dict(until_slot=20), dict(until_slot=1000, watch_n=3, watch_len=8, watch_from=20)])
     assert outcomes[1] == (True, 28)
+
+
+def test_watch_that_cannot_fire_lets_copies_run(close_calls, bulk_slots):
+    # almac at N = b = 16 doubles to 32 slots at its first checkpoint and
+    # settles there, where no 16 slots hold all 16 successes: the watch
+    # never fires, so the watched run copies what the unwatched one copies
+    def make():
+        return population_sim("lmac", 16, 16, 104, adaptation="almac-probe10")
+
+    watched, _, outcomes = run_and_step(
+        make, [dict(until_slot=12000, watch_n=16, watch_len=16)])
+    assert outcomes == [(False, 12000)]
+    unwatched = make()
+    unwatched.run(until_slot=12000)
+    assert sim_state(watched) == sim_state(unwatched)
+    assert bulk_slots[watched] == bulk_slots[unwatched]
+    # the unit is one 32-slot window: after the last collision, one window
+    # is closed one by one and every later one is a copy
+    kinds = watched.trace.kinds
+    last = max(u for u, kind in enumerate(kinds) if kind == SlotKind.COLLISION)
+    assert {st.window_len for st in watched.stations} == {32}
+    assert len({start for start in close_calls[watched] if start > last}) <= 1
+
+
+def test_watch_that_fires_in_copies_blocks_them():
+    # 16 stations hold slots 1-8 and 25-32 of 32, so every window from the
+    # first is the same and copies could begin at slot 32; watched from
+    # slot 128 for 16 successes in 16 slots, the watch fires at slot 168,
+    # on the span 152-167 that straddles two windows
+    def make():
+        return make_sim([saturated_station(sid, pinned_lzc(32, slot, sid), 90 + sid)
+                         for sid, slot in enumerate([*range(1, 9), *range(25, 33)])])
+
+    _, _, outcomes = run_and_step(
+        make, [dict(until_slot=2000, watch_n=16, watch_len=16, watch_from=128)])
+    assert outcomes == [(True, 168)]
 
 
 @pytest.mark.parametrize("lambda_pps", [None, LIGHT])
@@ -1361,25 +1416,32 @@ def ledger_violations(result, windows=None):
 def run_recording_windows(cfg, monkeypatch):
     """``run_simulation(cfg)`` and each station's completed windows as
     (start, length, probe, committed length), read from every window closed
-    one by one and every window that ``Simulator._repeat_windows`` appends
-    in bulk."""
+    one by one and every window that ``Simulator._repeat_windows`` or
+    ``_quiet_windows`` appends in bulk, none of them a probe."""
     windows: dict[int, list] = {}
-    repeat_windows = Simulator._repeat_windows
+    repeat_windows, quiet_windows = Simulator._repeat_windows, Simulator._quiet_windows
     record_closes(monkeypatch,
                   lambda sim, before, event: windows.setdefault(event[0], []).append(before))
 
-    def repeated(sim, s, *args):
-        # read before the call: the last window appended may start a new length
-        lengths = [(st, st.window_len, getattr(st.protocol, "schedule_len", 0))
-                   for st in sim.stations]
-        t, clock = repeat_windows(sim, s, *args)
-        for st, length, committed in lengths if t > s else ():  # schedule stations all
+    def record(sim, starts):
+        for st in sim.stations:  # schedule stations all
             windows.setdefault(st.sid, []).extend(
-                (start, length, False, committed) for start in range(s, t, length)
-            )
+                (a, b - a, False, b - a) for a, b in zip(starts, starts[1:]))
+
+    def repeated(sim, s, clock, grid, *args):
+        # copied windows end where ``grid`` gains starts
+        t, clock = repeat_windows(sim, s, clock, grid, *args)
+        record(sim, [s] + [u for u in grid if s < u <= t])
+        return t, clock
+
+    def quiet(sim, s, *args):
+        length = sim.stations[0].window_len
+        t, clock = quiet_windows(sim, s, *args)
+        record(sim, range(s, t + 1, length))
         return t, clock
 
     monkeypatch.setattr(Simulator, "_repeat_windows", repeated)
+    monkeypatch.setattr(Simulator, "_quiet_windows", quiet)
     return run_simulation(cfg), windows
 
 
@@ -1396,6 +1458,8 @@ def window_ledger_violations(res, windows):
 
 ADAPTIVE_CASES = {  # the golden alzc and almac configs, on other seeds too
     "alzc": dict(protocol="lzc", n=10, b=4, adaptation="alzc", horizon_slots=1500),
+    # N = 2b: the (4, 8, 8) limit cycle, copied a whole cycle at a time
+    "alzc-cycle": dict(protocol="lzc", n=8, b=4, adaptation="alzc", horizon_slots=1500),
     "almac": dict(protocol="lmac", n=20, b=16, adaptation="almac", probe_period=1,
                   horizon_slots=4000),
 }
