@@ -79,11 +79,33 @@ CASES = {
     # a station redraws more than 1,024 slots or counters in one run
     "lbeb_long": "protocol = lbeb\nn = 20\nc = 16\nhorizon_slots = 30000\nseed = 29\n",
     "dcf_long": "protocol = dcf\nn = 4\nc = 16\nhorizon_slots = 30000\nseed = 30\n",
+    # light Poisson load for a whole second: long stretches of windows in
+    # which some station sends and none collides
+    "lmac_light_poisson": (
+        "protocol = lmac\nn = 8\nc = 16\ntraffic = poisson\nlambda_pps = 62.5\n"
+        "horizon_seconds = 1.0\nseed = 40\n"
+    ),
+    # N > C: stations share slots
+    "lzc_light_poisson_shared": (
+        "protocol = lzc\nn = 20\nc = 16\ngamma = 0.5\ntraffic = poisson\n"
+        "lambda_pps = 62.5\nhorizon_seconds = 1.0\nseed = 41\n"
+    ),
+    "almac_light_poisson": (
+        "protocol = lmac\nn = 12\nb = 16\nadaptation = almac\ntraffic = poisson\n"
+        "lambda_pps = 62.5\nhorizon_seconds = 1.0\nseed = 42\n"
+    ),
+    "lmac_light_poisson_timed_join": (
+        "protocol = lmac\nn = 8\nc = 16\ntraffic = poisson\nlambda_pps = 62.5\n"
+        "join_n = 2\njoin_when = 0.05\nhorizon_seconds = 1.0\nseed = 43\n"
+    ),
 }
 
 GOLDEN = {
     "almac": (
         "272ca57348067a0bc9772773a46e165d2f7458fbbea3a427a5d70eedea989909"
+    ),
+    "almac_light_poisson": (
+        "28b24446b4942f73cca87b899b8592d13031edfe5d67b195f313caac0eb44d3c"
     ),
     "alzc": (
         "4183d6f9012e7292f6e4522571bc7f49e8d5c5de6846a240ede247339c262900"
@@ -121,8 +143,17 @@ GOLDEN = {
     "lmac_join_converged": (
         "6c7ac884d4ad13488accc9c484a12edc02ee3c21b16bf2d8386c9ef53f3717c9"
     ),
+    "lmac_light_poisson": (
+        "4c3e03931b6c2e7056b1fc7ba35d038a3a0f1ca041e205e2976df616b24b5449"
+    ),
+    "lmac_light_poisson_timed_join": (
+        "e22cf74d886140879ffea48db9e4df95687f73a3c23fc7b05b27490627596dac"
+    ),
     "lzc": (
         "2fabe4384afe1d9edaceefacd4c6103ebf793ea994a77ba023d0048c92ccccb5"
+    ),
+    "lzc_light_poisson_shared": (
+        "0201b678963f8232133b04a82892c8473a198bfd353115329ea685e40bbf426f"
     ),
     "lzc_poisson_join_converged_seconds": (
         "7c592ce861c1ae372b60eda3348d026fc8f6ff68288383a6ae86175643ef6d2a"
