@@ -24,28 +24,34 @@ nothing).
 After a window end ``run`` may append whole windows in one step, byte for
 byte what playing them would write, never past a slot or time bound: when
 every station is a schedule station, all saturated or none, every window
-starts at the next slot with one shared length, none is a probe and no
-station holds a packet.  Unsaturated, the windows are idle up to the one
-whose last slot starts at or after the earliest next arrival.  Saturated,
-they are copies of a unit, the last windows every station closed together
-(``_unit``), if each station holds the slot it held where the unit starts,
-no window of the unit has an error, and each has either no collision or no
-idle slot with every station's rule one that reads idle positions (by the
-``on_schedule_end`` contract such a rule keeps its slot and draws nothing
-when none is idle).  On an error channel the copies end before the first
-whose lone transmissions draw an error.  Each window appended is closed as
-``_close_windows`` would close it, adapters planning from its idle count,
-and the first after which some adapter plans otherwise than the source
-did is the last; once every adapter ends a copied unit as it began it,
-whole units follow with no plan.  A watched run jumps quiet windows only
-while they cannot hold the successes the watch needs, and copies a unit
-only after a window free of collisions and errors and only if the watch
-cannot fire in the copies.
+starts at the next slot with one shared length and none is a probe.
+Unsaturated, they are windows in which no slot can hold two transmissions
+(``_clear_windows``): no station that shares its slot with another can
+send, judged from upper bounds on each slot's start before any arrival is
+drawn, so every station succeeds and only arrivals draw.  Windows that no
+station holds a packet for go a stretch at a time, up to the one whose
+last slot starts at or after the earliest next arrival, and no window is
+appended right after a collision, whose colliders still hold their
+packets.  Saturated, they are copies of a unit, the last windows every
+station closed together (``_unit``), if each station holds the slot it
+held where the unit starts, no window of the unit has an error, and each
+has either no collision or no idle slot with every station's rule one that
+reads idle positions (by the ``on_schedule_end`` contract such a rule keeps
+its slot and draws nothing when none is idle).  On an error channel the
+windows end before the first whose lone transmissions draw an error.  Each
+window appended is closed as ``_close_windows`` would close it, adapters
+planning from its idle count, and the first after which some adapter plans
+otherwise than the source did is the last; once every adapter ends a copied
+unit as it began it, whole units follow with no plan.  A watched run
+appends unsaturated windows only while the watch cannot fire in them
+(``_Watch.may_fire``), and copies a unit only after a window free of
+collisions and errors and only if the watch cannot fire in the copies.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
@@ -336,13 +342,17 @@ class Simulator:
             if hit or s >= until_slot or clock >= until_us:
                 break
             # a watched run copies windows only after one free of collisions
-            # and errors, and jumps quiet windows only while they cannot hold
-            # the successes the watch needs
+            # and errors; after a collision the colliders still hold their
+            # packets, so no unsaturated window is appended
             if s > end and grid:
                 t = s
                 if not saturated:
-                    if watch is None or s > watch.last():
-                        t, clock = self._quiet_windows(s, clock, until_slot, until_us)
+                    if _COLLISION not in kinds[grid[-2] : s]:
+                        u = None
+                        while u != t:  # a stretch of quiet windows ends a call
+                            u = t
+                            t, clock = self._clear_windows(u, clock, until_slot, until_us,
+                                                           watch)
                 elif watch is None or watch.ready < grid[-2] + watch_len:
                     unit = self._unit(s, grid, watch)
                     if unit is not None:
@@ -588,61 +598,142 @@ class Simulator:
                     proto.schedule_len, st.in_probe, len(idle), saw_collision, success))
         return None if shared == -1 else shared
 
-    def _quiet_windows(
-        self, s: int, clock: float, until_slot: float, until_us: float
+    def _clear_windows(
+        self, s: int, clock: float, until_slot: float, until_us: float, watch: _Watch | None
     ) -> tuple[int, float]:
-        """Append the idle windows that every station plays from slot ``s``,
-        if all of them are unsaturated schedule stations with one shared
-        length that hold no packet (module docstring), up to the one whose
-        last slot starts at or after the earliest next arrival, and return
-        the slot after them and the clock there.  Each station's protocol
-        hears the first success, unless its last report was a success
-        already; each adapter plans after every window, and a plan that
-        differs from the window just appended starts the next window after
-        it."""
+        """Append the windows that every station plays from slot ``s`` while
+        no slot of them can hold two transmissions, if all of them are
+        unsaturated schedule stations with one shared length (module
+        docstring), and return the slot after them and the clock there.
+
+        Before anything is drawn, a station can send in a window if it
+        holds a packet or its next arrival falls before an upper bound on
+        its slot's start: ``sigma`` for each slot before it and the longest
+        success for each station before it that can send, found in one pass
+        in slot order.  The windows end before the first in which a station
+        that shares its slot with another can send, the ``watch`` may fire,
+        the slot or time bound falls, or, on an error channel, a
+        transmission may draw an error.  Windows that no station holds a
+        packet for come in a stretch that ends the call, up to the one
+        whose last slot starts at or after the earliest next arrival.
+
+        In a window the stations that can send are visited in slot order:
+        each pulls its arrivals as of its slot's start and sends what it
+        may, and at the end every station pulls as of the last slot's
+        start.  Every station succeeds, so each protocol hears one success,
+        unless its last report was a success already, and draws nothing.
+        Each adapter plans after every window from its idle count, and a
+        plan that differs from the window just appended starts the next
+        window after it.
+        """
         stations = self.stations
         length = stations[0].window_len
-        arrival = math.inf
         for st in stations:
-            if (st.saturated or st.queue or st.in_probe or st.window_start != s
-                    or st.window_len != length):
+            if st.saturated or st.in_probe or st.window_start != s or st.window_len != length:
                 return s, clock
-            arrival = min(arrival, st.next_arrival_us)
-        sigma, same = self.phy.sigma_us, (length, False)
+        phy, success_us = self.phy, self._success_us
+        sigma, same = phy.sigma_us, (length, False)
+        errors, error_rate = self._errors, self.error_rate
+        tr = self.trace
+        kinds, durations, tx_station, packets = tr.kinds, tr.durations, tr.tx_station, tr.packets
+        held = [st.tx_slot for st in stations]
+        top = max([st.txop_m for st in stations])
+        longest = success_us.get(top)
+        if longest is None:
+            longest = success_us[top] = phy.success_duration(top)
         adapters = [st.adapter for st in stations if st.adapter is not None]
-        # windows that end by ``until_slot``, before ``until_us``, and start
-        # their last slot before the arrival, the clock added slot by slot;
-        # the first after which an adapter plans another window is the last
-        kept = (until_slot - s) // length if until_slot < math.inf else math.inf
+        by_slot = sorted(stations, key=_tx_slot)
         head = [sigma] * (length - 1)
-        k, plans = 0, []
-        while k < kept and plans.count(same) == len(plans):
-            start = reduce(add, head, clock)
-            if start >= arrival or start + sigma >= until_us:
+        idle_columns = ([_IDLE] * length, [sigma] * length, [-1] * length, [0] * length)
+        pos, plans = s, []
+        while pos + length <= until_slot and plans.count(same) == len(plans):
+            if not any([st.queue for st in stations]):  # quiet windows
+                if watch is not None and watch.may_fire(pos, []):
+                    break
+                arrival = min([st.next_arrival_us for st in stations])
+                first = pos
+                while pos + length <= until_slot and plans.count(same) == len(plans):
+                    start = reduce(add, head, clock)
+                    if start >= arrival or start + sigma >= until_us:
+                        break
+                    clock, pos = start + sigma, pos + length
+                    plans = [adapter.plan_next(length, False, length, False, True)
+                             for adapter in adapters]
+                if pos > first:  # a stretch ends the call
+                    tr.repeat(idle_columns, pos - first)
+                    break
+                if start + sigma >= until_us:
+                    break
+            # ``bound`` is above the clock as slot ``u`` starts: sigma a slot
+            # and the longest success for each station before it that can
+            # send, and 1 us for the rounding of the clock's adds
+            bound, u, shift, senders = clock + 1.0, pos, pos - s, []
+            for st in by_slot:
+                slot = st.tx_slot + shift
+                bound, u = bound + (slot - u) * sigma, slot
+                if st.queue or st.next_arrival_us <= bound:
+                    senders.append(st)
+                    bound += longest - sigma
+            bound += (pos + length - u) * sigma  # above the clock at the window's end
+            # a station that shares its slot fails when another sends in it
+            if (bound >= until_us or any([held.count(st.tx_slot) > 1 for st in senders])
+                    or watch is not None
+                    and watch.may_fire(pos, [st.tx_slot + shift for st in senders])
+                    or errors is not None and senders
+                    and min(errors.peek(len(senders))) < error_rate):
                 break
-            clock = start + sigma
-            k += 1
-            plans = [adapter.plan_next(length, False, length, False, True)
+            for column, slots in zip((kinds, durations, tx_station, packets), idle_columns):
+                column.extend(slots)
+            # ``at`` is the start of slot ``u``
+            at, u, sent = clock, pos, 0
+            for st in senders:
+                slot = st.tx_slot + shift
+                at, u = reduce(add, repeat(sigma, slot - u), at), slot
+                if st.next_arrival_us <= at:
+                    st.pull_arrivals(at)
+                if st.queue:
+                    m = min(st.txop_m, len(st.queue))
+                    duration = success_us.get(m)
+                    if duration is None:
+                        duration = success_us[m] = phy.success_duration(m)
+                    kinds[u], durations[u], tx_station[u], packets[u] = _SUCCESS, duration, st.sid, m
+                    st.deliver(m, at + duration)
+                    if watch is not None:
+                        watch.recent.append(u)
+                    before, at, u, sent = at, at + duration, u + 1, sent + 1
+            pos += length
+            if u < pos:
+                before = reduce(add, repeat(sigma, pos - 1 - u), at)
+                at = before + sigma
+            clock = at
+            for st in stations:  # a window end pulls arrivals as of its last slot
+                if st.next_arrival_us <= before:
+                    st.pull_arrivals(before)
+            if errors is not None:
+                errors.take(sent)
+            plans = [adapter.plan_next(length, False, length - sent, False, True)
                      for adapter in adapters]
+        k = (pos - s) // length
         if k == 0:
             return s, clock
-        self.trace.repeat(([_IDLE] * length, [sigma] * length, [-1] * length, [0] * length),
-                          k * length)
-        held = [(st.sid, st.schedule_index, st.tx_slot - s + 1, "success") for st in stations]
-        self.events.extend([(sid, index + j, slot, outcome)
-                            for j in range(k) for sid, index, slot, outcome in held])
-        shift, idle = k * length, list(range(1, length + 1))
+        logged = [(st.sid, st.schedule_index, slot - s + 1, "success")
+                  for st, slot in zip(stations, held)]
+        self.events.extend([(sid, index + j, slot, outcome) for j in range(k)
+                            for sid, index, slot, outcome in logged])
+        idle = None
         for st in stations:
-            if not st.reported_success:
+            if not st.reported_success:  # the first window's success
+                if idle is None:
+                    idle = [i + 1 for i, kind in enumerate(kinds[s : s + length]) if kind == _IDLE]
                 st.protocol.on_schedule_end(True, idle, st.draws)
                 st.reported_success = True
             st.schedule_index += k
-            st.window_start += shift
-            st.tx_slot += shift
+            st.window_start = pos
+            st.tx_slot += pos - s
         for st, plan in zip([st for st in stations if st.adapter is not None], plans):
             if plan != same:
-                st.start_window(s + shift, *plan)
-        return s + shift, clock
+                st.start_window(pos, *plan)
+        return pos, clock
 
     def _unit(self, s: int, grid: list[int], watch: _Watch | None) -> tuple | None:
         """What the windows from slot ``s`` may copy, if every station is a
@@ -876,6 +967,16 @@ class _Watch:
             return math.inf
         return self.recent[0] + self.length - 1 if len(self.recent) == self.want else -math.inf
 
+    def may_fire(self, s: int, slots: list[int]) -> bool:
+        """Whether the watch may fire at slot ``s`` or later while the
+        successes from ``s`` on come only in ``slots``, ascending: the
+        ``length`` slots up to such a slot ``u`` hold at most the ``recent``
+        successes after ``u - length`` and those of ``slots`` up to ``u``,
+        a count that peaks at ``s`` or at one of ``slots``."""
+        recent, length = self.recent, self.length
+        return max([len(recent) - bisect_right(recent, u - length) + i
+                    for i, u in enumerate([s, *slots])]) >= self.want
+
     def fires_in(self, unit: list[int]) -> bool:
         """Whether some ``length`` slots of the kinds ``unit`` laid twice
         end to end hold exactly ``want`` successes and no collision or
@@ -906,3 +1007,7 @@ class _Watch:
 
 def _position(st: Station) -> int:
     return st.position
+
+
+def _tx_slot(st: Station) -> int:
+    return st.tx_slot

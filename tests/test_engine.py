@@ -411,10 +411,10 @@ def close_calls(monkeypatch):
 
 @pytest.fixture
 def bulk_slots(monkeypatch):
-    """The slots each ``Simulator._repeat_windows`` or ``_quiet_windows``
+    """The slots each ``Simulator._repeat_windows`` or ``_clear_windows``
     call appended in bulk, as a range, by simulator, in call order."""
     spans = defaultdict(list)
-    for name in ("_repeat_windows", "_quiet_windows"):
+    for name in ("_repeat_windows", "_clear_windows"):
         def counted(sim, s, *args, append=getattr(Simulator, name)):
             t, clock = append(sim, s, *args)
             if t > s:
@@ -531,7 +531,11 @@ def test_replay_matches_stepping(protocol, n, c, seed, bounds, kw, close_calls, 
         # clean windows are copied up to an error, and windows with no idle
         # slot, where zc and lzc stations stay put, are copied too
         assert bulk_slots[played] and closed < stepped_closed
-    elif kw or n > c or join_at is not None:  # no window repeats, every window closed one by one
+    elif join_at is not None:  # two grids from the join on: every window closed one by one
+        assert all(span.stop <= join_at for span in bulk_slots[played])
+        assert ([start for start in close_calls[played] if start >= join_at]
+                == [start for start in close_calls[stepped] if start >= join_at])
+    elif kw or n > c:  # no window repeats, every window closed one by one
         assert closed == stepped_closed
         assert bulk_slots[played] == []
     else:
@@ -1097,6 +1101,98 @@ def test_arrival_as_a_window_last_slot_starts(bulk_slots):
     assert bulk_slots[played][0] == range(8, 32)
 
 
+# --- unsaturated windows with transmissions --------------------------------------
+
+
+def idle_start(slot):
+    """The clock as ``slot`` starts when every slot before it was idle."""
+    return elapsed_us([TABLE_PHY.sigma_us] * slot)
+
+
+def waiting_station(sid, proto, seed, arrival_us, adapter=None):
+    """A Poisson station whose first packet arrives at ``arrival_us``."""
+    st = Station(sid, proto, rng(seed), saturated=False, lambda_pps=LIGHT, adapter=adapter)
+    st.next_arrival_us = arrival_us
+    return st
+
+
+def test_slot_sharer_that_can_send_is_played(bulk_slots):
+    # stations 0 and 1 hold slot 3 of 8 and station 0's packet arrives as
+    # window 3 starts: station 1 fails there, so windows 1 and 2 are
+    # appended in bulk and window 3 is played
+    def make():
+        return make_sim([waiting_station(0, pinned_lzc(8, 3, 60), 61, idle_start(24)),
+                         waiting_station(1, pinned_lzc(8, 3, 62), 63, float("inf"))])
+
+    played, _, _ = run_and_step(make, [dict(until_slot=80)])
+    assert played.trace.tx_station[26] == 0
+    assert (1, 3, 3, "failure") in played.events
+    assert bulk_slots[played][0] == range(8, 24)
+
+
+def test_arrival_after_a_window_starts_is_sent_in_it(bulk_slots):
+    # the packet arrives after window 3 starts and before slot 29, the one
+    # the station holds there: it is sent in slot 29, in bulk
+    def make():
+        return make_sim([waiting_station(0, pinned_lzc(8, 6, 64), 65, idle_start(26) + 1.0)])
+
+    played, _, _ = run_and_step(make, [dict(until_slot=80)])
+    assert played.trace.kinds.index(SlotKind.SUCCESS) == 29
+    assert any(29 in span for span in bulk_slots[played])
+
+
+def test_watch_that_can_fire_in_a_busy_window_stops_there(bulk_slots):
+    # both packets arrive as window 3 starts, and two successes in 8 slots
+    # fire the watch: window 3 is played, and the run stops after slot 29
+    def make():
+        return make_sim([waiting_station(0, pinned_lzc(8, 3, 66), 67, idle_start(24)),
+                         waiting_station(1, pinned_lzc(8, 6, 68), 69, idle_start(24))])
+
+    played, _, outcomes = run_and_step(make, [dict(until_slot=200, watch_n=2, watch_len=8)])
+    assert outcomes == [(True, 30)]
+    assert bulk_slots[played] == [range(8, 24)]
+
+
+def test_time_bound_inside_a_busy_window():
+    # the packet arrives as window 3 starts and the time bound falls just
+    # after the end window 3 would have if idle, inside slot 26, the
+    # station's success: the run stops after it
+    def make():
+        return make_sim([waiting_station(0, pinned_lzc(8, 3, 70), 71, idle_start(24))])
+
+    played, _, outcomes = run_and_step(make, [dict(until_slot=200, until_us=idle_start(32) + 1.0)])
+    assert outcomes == [(False, 27)]
+    assert played.trace.kinds[26] == SlotKind.SUCCESS
+
+
+def test_busy_window_idle_count_reaches_the_adapter(bulk_slots):
+    # alzc at twice its base halves after two windows that agree on their
+    # busy count and leave at least half their slots idle.  Window 0 is
+    # idle and window 1 carries the packet, so the station halves after
+    # windows 2 and 3, not after 1 (almac plans never read idle counts)
+    def make():
+        return make_sim([waiting_station(0, pinned_lzc(8, 3, 72), 73, idle_start(8),
+                                         adapter=AlzcAdapter(4, 32))])
+
+    played, _, _ = run_and_step(make, [dict(until_slot=100)])
+    assert played.trace.kinds.index(SlotKind.SUCCESS) == 10
+    assert bulk_slots[played][0] == range(8, 32)
+
+
+def test_almac_checkpoint_in_a_busy_window(close_calls):
+    # almac at twice its base plans a probe after its f(32) = 65th window,
+    # window 64, which carries the packet: the probe starts right after it
+    def make():
+        proto = Lmac(32, 0.95, rng(74))
+        proto.slot = 5
+        adapter = AlmacAdapter(16, default_f_table(), 1, 256)
+        return make_sim([waiting_station(0, proto, 75, idle_start(64 * 32), adapter=adapter)])
+
+    played, _, _ = run_and_step(make, [dict(until_slot=2200)])
+    assert played.trace.kinds.index(SlotKind.SUCCESS) == 64 * 32 + 4
+    assert 65 * 32 in close_calls[played]  # the probe, played
+
+
 def test_dcf_arrival_as_a_slot_starts():
     # the waiting station's packet arrives just as slot 30 starts; it is sent
     # there, and slots 1 to 29 are crossed without a visit
@@ -1417,9 +1513,9 @@ def run_recording_windows(cfg, monkeypatch):
     """``run_simulation(cfg)`` and each station's completed windows as
     (start, length, probe, committed length), read from every window closed
     one by one and every window that ``Simulator._repeat_windows`` or
-    ``_quiet_windows`` appends in bulk, none of them a probe."""
+    ``_clear_windows`` appends in bulk, none of them a probe."""
     windows: dict[int, list] = {}
-    repeat_windows, quiet_windows = Simulator._repeat_windows, Simulator._quiet_windows
+    repeat_windows, clear_windows = Simulator._repeat_windows, Simulator._clear_windows
     record_closes(monkeypatch,
                   lambda sim, before, event: windows.setdefault(event[0], []).append(before))
 
@@ -1434,14 +1530,14 @@ def run_recording_windows(cfg, monkeypatch):
         record(sim, [s] + [u for u in grid if s < u <= t])
         return t, clock
 
-    def quiet(sim, s, *args):
+    def clear(sim, s, *args):
         length = sim.stations[0].window_len
-        t, clock = quiet_windows(sim, s, *args)
+        t, clock = clear_windows(sim, s, *args)
         record(sim, range(s, t + 1, length))
         return t, clock
 
     monkeypatch.setattr(Simulator, "_repeat_windows", repeated)
-    monkeypatch.setattr(Simulator, "_quiet_windows", quiet)
+    monkeypatch.setattr(Simulator, "_clear_windows", clear)
     return run_simulation(cfg), windows
 
 
