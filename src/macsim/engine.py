@@ -28,24 +28,23 @@ starts at the next slot with one shared length and none is a probe.
 Unsaturated, they are windows in which no slot can hold two transmissions
 (``_clear_windows``): no station that shares its slot with another can
 send, judged from upper bounds on each slot's start before any arrival is
-drawn, so every station succeeds and only arrivals draw.  Windows that no
-station holds a packet for go a stretch at a time, up to the one whose
-last slot starts at or after the earliest next arrival, and no window is
-appended right after a collision, whose colliders still hold their
-packets.  Saturated, they are copies of a unit, the last windows every
-station closed together (``_unit``), if each station holds the slot it
-held where the unit starts, no window of the unit has an error, and each
-has either no collision or no idle slot with every station's rule one that
-reads idle positions (by the ``on_schedule_end`` contract such a rule keeps
-its slot and draws nothing when none is idle).  On an error channel the
-windows end before the first whose lone transmissions draw an error.  Each
-window appended is closed as ``_close_windows`` would close it, adapters
-planning from its idle count, and the first after which some adapter plans
-otherwise than the source did is the last; once every adapter ends a copied
-unit as it began it, whole units follow with no plan.  A watched run
-appends unsaturated windows only while the watch cannot fire in them
-(``_Watch.may_fire``), and copies a unit only after a window free of
-collisions and errors and only if the watch cannot fire in the copies.
+drawn, so every station succeeds and only arrivals draw; a window in which
+no station can send is their idle case.  No window is appended right after
+a collision, whose colliders still hold their packets.  Saturated, they are
+copies of a unit, the last windows every station closed together
+(``_unit``), if each station holds the slot it held where the unit starts,
+no window of the unit has an error, and each has either no collision or no
+idle slot with every station's rule one that reads idle positions (by the
+``on_schedule_end`` contract such a rule keeps its slot and draws nothing
+when none is idle).  On an error channel the windows end before the first
+whose lone transmissions draw an error.  Each window appended is closed as
+``_close_windows`` would close it, adapters planning from its idle count,
+and the first after which some adapter plans otherwise than the source did
+is the last; once every adapter ends a copied unit as it began it, whole
+units follow with no plan.  A watched run appends unsaturated windows only
+while the watch cannot fire in them (``_Watch.may_fire``), and copies a
+unit only after a window free of collisions and errors and only if the
+watch cannot fire in the copies.
 """
 
 from __future__ import annotations
@@ -79,9 +78,6 @@ _MAX_SEGMENT = 1 << 12
 
 #: The most windows a copied unit spans: alzc's (b, 2b, 2b) cycle takes three.
 _MAX_UNIT = 8
-
-#: Copies check whether the adapters settled only if this many units fit.
-_SETTLE_UNITS = 8
 
 
 def elapsed_us(durations) -> float:
@@ -267,7 +263,7 @@ class Simulator:
         self.slot_index = 0
         self._tx_due: dict[int, list[Station]] = {}  # DCF stations only
         self._waiting: list[Station] = []
-        self._success_us: dict[int, float] = {}
+        self._success_us = _Memo(phy.success_duration)
         self._t_collision = phy.t_collision
         for st in stations:
             self.add_station(st)
@@ -348,11 +344,7 @@ class Simulator:
                 t = s
                 if not saturated:
                     if _COLLISION not in kinds[grid[-2] : s]:
-                        u = None
-                        while u != t:  # a stretch of quiet windows ends a call
-                            u = t
-                            t, clock = self._clear_windows(u, clock, until_slot, until_us,
-                                                           watch)
+                        t, clock = self._clear_windows(s, clock, until_slot, until_us, watch)
                 elif watch is None or watch.ready < grid[-2] + watch_len:
                     unit = self._unit(s, grid, watch)
                     if unit is not None:
@@ -475,9 +467,7 @@ class Simulator:
                     kinds[u], durations[u] = _ERROR, t_coll
                 else:
                     m = st.txop_m if saturated else st.packets_ready()
-                    duration = success_us.get(m)
-                    if duration is None:
-                        duration = success_us[m] = phy.success_duration(m)
+                    duration = success_us[m]
                     kinds[u], durations[u], packets[u] = _SUCCESS, duration, m
                     if saturated:
                         st.delivered += m
@@ -613,13 +603,11 @@ class Simulator:
         in slot order.  The windows end before the first in which a station
         that shares its slot with another can send, the ``watch`` may fire,
         the slot or time bound falls, or, on an error channel, a
-        transmission may draw an error.  Windows that no station holds a
-        packet for come in a stretch that ends the call, up to the one
-        whose last slot starts at or after the earliest next arrival.
+        transmission may draw an error.
 
-        In a window the stations that can send are visited in slot order:
-        each pulls its arrivals as of its slot's start and sends what it
-        may, and at the end every station pulls as of the last slot's
+        In a window the stations that can send, if any, are visited in slot
+        order: each pulls its arrivals as of its slot's start and sends what
+        it may, and at the end every station pulls as of the last slot's
         start.  Every station succeeds, so each protocol hears one success,
         unless its last report was a success already, and draws nothing.
         Each adapter plans after every window from its idle count, and a
@@ -629,41 +617,19 @@ class Simulator:
         stations = self.stations
         length = stations[0].window_len
         for st in stations:
-            if st.saturated or st.in_probe or st.window_start != s or st.window_len != length:
+            if st.saturated or st.in_probe or st.window_len != length:
                 return s, clock
-        phy, success_us = self.phy, self._success_us
-        sigma, same = phy.sigma_us, (length, False)
+        sigma, success_us, same = self.phy.sigma_us, self._success_us, (length, False)
         errors, error_rate = self._errors, self.error_rate
         tr = self.trace
         kinds, durations, tx_station, packets = tr.kinds, tr.durations, tr.tx_station, tr.packets
         held = [st.tx_slot for st in stations]
-        top = max([st.txop_m for st in stations])
-        longest = success_us.get(top)
-        if longest is None:
-            longest = success_us[top] = phy.success_duration(top)
+        longest = success_us[max([st.txop_m for st in stations])]
         adapters = [st.adapter for st in stations if st.adapter is not None]
         by_slot = sorted(stations, key=_tx_slot)
-        head = [sigma] * (length - 1)
         idle_columns = ([_IDLE] * length, [sigma] * length, [-1] * length, [0] * length)
         pos, plans = s, []
         while pos + length <= until_slot and plans.count(same) == len(plans):
-            if not any([st.queue for st in stations]):  # quiet windows
-                if watch is not None and watch.may_fire(pos, []):
-                    break
-                arrival = min([st.next_arrival_us for st in stations])
-                first = pos
-                while pos + length <= until_slot and plans.count(same) == len(plans):
-                    start = reduce(add, head, clock)
-                    if start >= arrival or start + sigma >= until_us:
-                        break
-                    clock, pos = start + sigma, pos + length
-                    plans = [adapter.plan_next(length, False, length, False, True)
-                             for adapter in adapters]
-                if pos > first:  # a stretch ends the call
-                    tr.repeat(idle_columns, pos - first)
-                    break
-                if start + sigma >= until_us:
-                    break
             # ``bound`` is above the clock as slot ``u`` starts: sigma a slot
             # and the longest success for each station before it that can
             # send, and 1 us for the rounding of the clock's adds
@@ -693,9 +659,7 @@ class Simulator:
                     st.pull_arrivals(at)
                 if st.queue:
                     m = min(st.txop_m, len(st.queue))
-                    duration = success_us.get(m)
-                    if duration is None:
-                        duration = success_us[m] = phy.success_duration(m)
+                    duration = success_us[m]
                     kinds[u], durations[u], tx_station[u], packets[u] = _SUCCESS, duration, st.sid, m
                     st.deliver(m, at + duration)
                     if watch is not None:
@@ -716,10 +680,6 @@ class Simulator:
         k = (pos - s) // length
         if k == 0:
             return s, clock
-        logged = [(st.sid, st.schedule_index, slot - s + 1, "success")
-                  for st, slot in zip(stations, held)]
-        self.events.extend([(sid, index + j, slot, outcome) for j in range(k)
-                            for sid, index, slot, outcome in logged])
         idle = None
         for st in stations:
             if not st.reported_success:  # the first window's success
@@ -727,9 +687,7 @@ class Simulator:
                     idle = [i + 1 for i, kind in enumerate(kinds[s : s + length]) if kind == _IDLE]
                 st.protocol.on_schedule_end(True, idle, st.draws)
                 st.reported_success = True
-            st.schedule_index += k
-            st.window_start = pos
-            st.tx_slot += pos - s
+        self._close_appended([[slot - s + 1 for slot in held]], [[True] * len(held)], k, pos)
         for st, plan in zip([st for st in stations if st.adapter is not None], plans):
             if plan != same:
                 st.start_window(pos, *plan)
@@ -835,10 +793,6 @@ class Simulator:
                 (bounds[(j + 1) % m + 1] - bounds[(j + 1) % m], False),
                 bounds[j] - bounds[j - 1] != size if j else m > 1,
             ))
-        # the adapters' states are compared only where enough whole units fit
-        # to repay the copies of them
-        settle = bool(adapters) and _SETTLE_UNITS <= min(
-            (until_slot - s) / period, (until_us - clock) / sum(durations))
         # windows that end by ``until_slot`` and before ``until_us``, the
         # clock added slot by slot
         k, pos, began = 0, s, None
@@ -853,7 +807,7 @@ class Simulator:
                 errors.take(lone)
             clock, pos, k = start + last, pos + size, k + 1
             if resized or k == 1:  # the first success since a resize is reported
-                if k == 1 and settle:  # the adapters as they begin the first copy
+                if k == 1:  # the adapters as they begin the first copy
                     began = [copy(adapter) for adapter in adapters]
                 for st, won in zip(stations, ok):
                     if won and not st.reported_success:
@@ -871,7 +825,7 @@ class Simulator:
             if m > 1:
                 size, head, last, lone, idle, n_idle, collided, ok, pairs, after, resized = (
                     steps[k % m])
-            if k == m and (not adapters or settle and began == adapters):
+            if k == m and began == adapters:
                 # the copies to come repeat this one: whole units, with no plan
                 unit_head, unit_last = durations[:-1], durations[-1]
                 while pos + period <= until_slot:
@@ -883,8 +837,6 @@ class Simulator:
                             break
                         errors.take(lone_unit)
                     clock, pos, k = start + unit_last, pos + period, k + m
-                if m == 1:  # the next window is a whole unit too
-                    break
         if k == 0:
             return s, clock
         tr.repeat((kinds, durations, tr.tx_station[lo:s], packets), pos - s)
@@ -893,28 +845,34 @@ class Simulator:
                       if kind == _COLLISION]
             tr.colliders.update([(first + u, ids) for first in range(s, pos, period)
                                  for u, ids in source if first + u < pos])
-        logged = [[(st.sid, st.schedule_index, slot, "success" if won else "failure")
-                   for st, slot, won in zip(stations, held, step[7])]
-                  for held, step in zip(slots, steps)]
+        grid.extend([first + end - lo for first in range(s, pos, period)
+                     for end in bounds[1:] if first + end - lo <= pos])
+        # the packets each station delivered in the unit's windows
+        units, rest = divmod(k, m)
+        gains = zip(*[[packets[a - lo + slot - 1] for slot in held]
+                      for a, held in zip(bounds, slots)])
+        for st, got in zip(stations, gains):
+            st.delivered += units * sum(got) + sum(got[:rest])
+        self._close_appended(slots, [step[7] for step in steps], k, pos)
+        return pos, clock
+
+    def _close_appended(self, slots: list[list[int]], won: list[list[bool]], k: int,
+                        pos: int) -> None:
+        """Close ``k`` windows appended up to slot ``pos``, taking in turn
+        the windows of a unit, in each of which the stations held ``slots``
+        and succeeded where ``won``: log each station's slot and outcome,
+        and move its window to ``pos`` with its slot."""
+        stations = self.stations
+        logged = [[(st.sid, st.schedule_index, slot, "success" if ok else "failure")
+                   for st, slot, ok in zip(stations, held, oks)]
+                  for held, oks in zip(slots, won)]
+        m = len(logged)
         self.events.extend([(sid, index + w, slot, outcome) for w in range(k)
                             for sid, index, slot, outcome in logged[w % m]])
-        # the packets each station delivered in the unit's windows
-        if m == 1:
-            grid.extend(range(s + period, pos + 1, period))
-            totals = [k * packets[slot - 1] for slot in slots[0]]
-        else:
-            grid.extend([first + end - lo for first in range(s, pos, period)
-                         for end in bounds[1:] if first + end - lo <= pos])
-            units, rest = divmod(k, m)
-            gains = list(zip(*[[packets[a - lo + slot - 1] for slot in held]
-                               for a, held in zip(bounds, slots)]))
-            totals = [units * sum(got) + sum(got[:rest]) for got in gains]
-        for st, total in zip(stations, totals):
-            st.delivered += total
+        for st in stations:
             st.schedule_index += k
             st.tx_slot += pos - st.window_start
             st.window_start = pos
-        return pos, clock
 
 
 def _idle_walk(
@@ -1003,6 +961,17 @@ class _Watch:
                 p = kinds.index(_SUCCESS, p + 1, lo + 1)
             u = p + length
         return u if u < hi else None
+
+
+class _Memo(dict):
+    """Values of a function by argument, each computed on first use."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _position(st: Station) -> int:

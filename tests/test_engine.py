@@ -761,6 +761,35 @@ def test_committed_probe_is_followed_by_copies(bulk_slots):
         assert st.window_len == 16
 
 
+def test_short_settled_copies_plan_one_unit(monkeypatch):
+    # ten alzc stations on base 4 settle on 16 slots by slot 2000, and run is
+    # then called five windows at a time: each copy plans its first window
+    # only, which every adapter ends as it began it, so the rest follow as
+    # whole units however few fit before the bound
+    calls = []  # (start slot, plan_next calls) per ``_repeat_windows`` call
+    plans = []  # the plan_next calls of the ``_repeat_windows`` call under way
+    plan_next, repeat_windows = AlzcAdapter.plan_next, Simulator._repeat_windows
+
+    def planned(adapter, *args):
+        if plans:
+            plans[-1] += 1
+        return plan_next(adapter, *args)
+
+    def repeated(sim, s, *args):
+        plans.append(0)
+        t, clock = repeat_windows(sim, s, *args)
+        calls.append((s, plans.pop()))
+        return t, clock
+
+    monkeypatch.setattr(AlzcAdapter, "plan_next", planned)
+    monkeypatch.setattr(Simulator, "_repeat_windows", repeated)
+    played, _, _ = run_and_step(
+        lambda: population_sim("lzc", 10, 4, 1, adaptation="alzc"),
+        [dict(until_slot=2000)] + [lambda sim: dict(until_slot=sim.slot_index + 5 * 16)] * 6)
+    assert {st.window_len for st in played.stations} == {16}
+    assert [count for s, count in calls if s >= 2000] == [10] * 6
+
+
 def test_unfulfillable_watch_is_no_watch(bulk_slots):
     # 20 successes cannot fit in a 16-slot watch, so the run is not watched
     watched = population_sim("lzc", 20, 16, 12, adaptation="alzc")
@@ -1090,7 +1119,8 @@ def test_watch_fires_inside_a_quiet_window():
 
 def test_arrival_as_a_window_last_slot_starts(bulk_slots):
     # the packet arrives just as slot 39, the last of window 4 and the one
-    # the station holds, starts: windows 1 to 3 are jumped, window 4 is played
+    # the station holds, starts: the station sends there, and windows 1 to
+    # 11 are appended in one call, window 4 with its success
     def make():
         st = Station(0, pinned_lzc(8, 8, 53), rng(54), saturated=False, lambda_pps=LIGHT)
         st.next_arrival_us = elapsed_us([TABLE_PHY.sigma_us] * 39)
@@ -1098,7 +1128,7 @@ def test_arrival_as_a_window_last_slot_starts(bulk_slots):
 
     played, _, _ = run_and_step(make, [dict(until_slot=100)])
     assert played.trace.kinds.index(SlotKind.SUCCESS) == 39
-    assert bulk_slots[played][0] == range(8, 32)
+    assert bulk_slots[played][0] == range(8, 96)
 
 
 # --- unsaturated windows with transmissions --------------------------------------

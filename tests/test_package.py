@@ -1,7 +1,8 @@
-"""The package holds production code: every top-level function and class in
-``src/macsim``, and every method and property of its classes other than
-dunders, is used by the package itself or by the benchmark harness.  A use
-inside a definition's own body does not count.
+"""The package holds production code: every top-level function, class and
+assigned name in ``src/macsim``, and every method and property of its
+classes, dunders aside, is used by the package itself or by the benchmark
+harness.  A use inside a definition's own body or assignment does not count;
+a name that a module's ``__all__`` lists is the package's API, and used.
 
 Code that only the tests call belongs in ``tests/oracles.py``.  Uses are read
 from the syntax tree, so a name in a docstring or comment does not count.  In
@@ -58,19 +59,25 @@ def test_package_definitions_have_a_production_use():
     uses = []  # (the definitions a piece of code belongs to, its names)
     for path in sorted((ROOT / "src" / "macsim").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            own = None
+            names = []  # the top-level names ``stmt`` defines
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = f"{path.stem}.{stmt.name}"
-                definitions.append((own, stmt.name))
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name) and not re.fullmatch(r"__\w+__", node.id)]
+            owners = tuple(f"{path.stem}.{name}" for name in names)
+            exports = isinstance(stmt, ast.Assign) and "__all__" in _names(stmt)
+            definitions += zip(owners, names)
             # a class's bases, decorators and body statements, each on its own
             parts = ast.iter_child_nodes(stmt) if isinstance(stmt, ast.ClassDef) else [stmt]
             for sub in parts:
                 key = None
                 if (sub is not stmt and isinstance(sub, ast.FunctionDef)
                         and not re.fullmatch(r"__\w+__", sub.name)):
-                    key = f"{own}.{sub.name}"
+                    key = f"{owners[0]}.{sub.name}"
                     definitions.append((key, sub.name))
-                uses.append(((own, key), _names(sub)))
+                uses.append(((*owners, key), _names(sub, strings=exports)))
     bench = set()
     for path in sorted((ROOT / "bench").glob("*.py")):
         bench |= _names(ast.parse(path.read_text()), strings=True)
