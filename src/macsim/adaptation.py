@@ -201,10 +201,9 @@ class AlmacAdapter(_Adapter):
         if self._since_check >= self.f_table.lookup(c):
             self._since_check = 0
             if saw_collision:
-                grown = c * 2
-                if grown <= self.max_len and self.f_table.covers(grown):
+                if almac_may_double(self.f_table, c, self.max_len):
                     self._clean_checkpoints = 0
-                    return grown, False
+                    return c * 2, False
             else:
                 self._clean_checkpoints += 1
                 if (
@@ -213,6 +212,12 @@ class AlmacAdapter(_Adapter):
                 ):
                     return c // 2, True
         return c, False
+
+
+def almac_may_double(f_table: "FTable", c: int, max_len: int) -> bool:
+    """Whether almac may double a window of ``c`` slots: the table covers the
+    doubled length, and it is at most ``max_len``."""
+    return c * 2 <= max_len and f_table.covers(c * 2)
 
 
 @dataclass(frozen=True)

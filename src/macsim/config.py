@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-from .adaptation import default_f_table, load_f_table
+from .adaptation import almac_may_double, default_f_table, load_f_table
 from .phy import PhyParams
 from .protocols import DEFAULT_BETA
 
@@ -89,6 +89,12 @@ class SimConfig:
             return self.c
         assert self.b is not None
         return self.b
+
+    @property
+    def max_len(self) -> int:
+        """Longest length an adaptive station may double to."""
+        assert self.b is not None
+        return self.b * 2**self.c_max_exp
 
     @property
     def kinds(self) -> tuple[str | None, ...]:
@@ -328,7 +334,11 @@ def _cross_validate(cfg: SimConfig) -> list[Diagnostic]:
 def _f_table_diagnostics(cfg: SimConfig) -> list[Diagnostic]:
     """The f-table of the config's almac runs (``f_table``, else the packaged
     one) must load and cover their base length: ``b`` for an almac config,
-    ``SCENARIO_BASE_LEN`` for the almac rows a scenario adds."""
+    ``SCENARIO_BASE_LEN`` for the almac rows a scenario adds.  An almac
+    config's schedule stations (``n + join_n``, DCF partners aside) must also
+    fit the longest window almac reaches: ``b`` doubled while the table
+    covers the doubled length, up to ``max_len``.  More stations than that
+    would collide for as long as the run lasts."""
     if cfg.f_table is None and cfg.adaptation != "almac":
         return []
     try:
@@ -336,11 +346,22 @@ def _f_table_diagnostics(cfg: SimConfig) -> list[Diagnostic]:
     except (OSError, ValueError, KeyError, TypeError) as err:
         return [Diagnostic("f_table", cfg.f_table, f"cannot be read as an f-table: {err}")]
     base = cfg.b if cfg.adaptation == "almac" else SCENARIO_BASE_LEN
-    if table.covers(base):
+    if not table.covers(base):
+        if cfg.f_table:
+            return [Diagnostic("f_table", cfg.f_table, f"does not cover base length {base}")]
+        return [Diagnostic("b", str(base), "not covered by the packaged f-table; set f_table")]
+    if cfg.adaptation != "almac":
         return []
-    if cfg.f_table:
-        return [Diagnostic("f_table", cfg.f_table, f"does not cover base length {base}")]
-    return [Diagnostic("b", str(base), "not covered by the packaged f-table; set f_table")]
+    longest = base
+    while almac_may_double(table, longest, cfg.max_len):
+        longest *= 2
+    stations = cfg.n + cfg.join_n - (cfg.coexist_k if cfg.coexist_protocol == "dcf" else 0)
+    if stations <= longest:
+        return []
+    return [Diagnostic("n", str(cfg.n),
+                       f"{stations} schedule stations outnumber the {longest} slots of the "
+                       "longest window almac reaches: b doubles only to lengths the "
+                       "f-table covers, up to b * 2**c_max_exp")]
 
 
 def resolve(cfg: SimConfig) -> SimConfig:

@@ -166,7 +166,9 @@ class Lbeb(ScheduleProtocol):
 
     In a run of only Lbeb stations, ``schedulesim._play`` redraws failed
     stations from a ``ReadAhead`` of uniform draws without calling
-    ``on_schedule_end``, so a change to the rule goes there too.
+    ``on_schedule_end``.  Unlike L-MAC's failure step, which both take from
+    ``lmac_failure``, that redraw is written out in ``_play``, so a change
+    to the rule goes there too.
     """
 
     reads_idle_positions = False
@@ -216,11 +218,12 @@ def sample_slot(p: Sequence[float], rng: np.random.Generator) -> int:
 
     ``accumulate`` adds left to right as ``np.cumsum`` does, and
     ``bisect_right`` is ``searchsorted(..., side="right")``, so draws equal
-    the numpy form's bit for bit.
+    the numpy form's bit for bit.  A draw past the last CDF value, which
+    rounding can give, takes the last slot.
     """
     cdf = list(accumulate(p))
     idx = bisect_right(cdf, rng.random() * cdf[-1])
-    return min(idx, len(p) - 1) + 1
+    return idx + 1 if idx < len(cdf) else idx
 
 
 def updated_probabilities(
@@ -246,6 +249,16 @@ def updated_probabilities(
     return out
 
 
+def lmac_failure(
+    p: Sequence[float], slot: int, beta: float, rng: np.random.Generator
+) -> tuple[list[float], int]:
+    """L-MAC's failure step: the vector ``p`` updated for a failure in
+    ``slot``, and the next slot drawn from it.  ``Lmac.on_schedule_end``
+    and the all-L-MAC runs of ``schedulesim._play`` both take it."""
+    p = updated_probabilities(p, slot, beta, False)
+    return p, sample_slot(p, rng)
+
+
 class Lmac(ScheduleProtocol):
     """Learning slot selection driven only by own success/failure feedback.
 
@@ -253,6 +266,11 @@ class Lmac(ScheduleProtocol):
     the schedule.  The vector collapses to a point mass on success and
     decays multiplicatively on failure, so a station that recently held an
     uncontested slot tends to retry it even after an occasional loss.
+
+    In a run of only Lmac stations with one ``beta``,
+    ``schedulesim._play`` keeps the vectors and slots itself and applies
+    ``lmac_failure`` without calling ``on_schedule_end``; it writes ``p``
+    and ``slot`` back when the run ends.
     """
 
     reads_idle_positions = False
@@ -268,9 +286,10 @@ class Lmac(ScheduleProtocol):
         self.slot = sample_slot(self.p, rng)
 
     def on_schedule_end(self, success, idle_positions, rng):
-        self.p = updated_probabilities(self.p, self.slot, self.beta, success)
-        if not success:
-            self.slot = sample_slot(self.p, rng)
+        if success:
+            self.p = updated_probabilities(self.p, self.slot, self.beta, True)
+        else:
+            self.p, self.slot = lmac_failure(self.p, self.slot, self.beta, rng)
         return self.slot
 
     def resize(self, new_len: int) -> None:

@@ -46,12 +46,11 @@ def _make_station(
     protocol = init_protocol(kind, cfg.schedule_len, rng, beta=cfg.beta, gamma=cfg.gamma)
     adapter = None
     if cfg.adaptation != "none" and kind != "dcf":
-        max_len = cfg.b * 2**cfg.c_max_exp
         if cfg.adaptation == "alzc":
-            adapter = AlzcAdapter(cfg.b, max_len)
+            adapter = AlzcAdapter(cfg.b, cfg.max_len)
         else:
             f_table = load_f_table(cfg.f_table) if cfg.f_table else default_f_table()
-            adapter = AlmacAdapter(cfg.b, f_table, cfg.probe_period, max_len)
+            adapter = AlmacAdapter(cfg.b, f_table, cfg.probe_period, cfg.max_len)
     return Station(
         sid,
         protocol,

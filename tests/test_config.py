@@ -208,6 +208,27 @@ def test_f_table_must_cover_the_base_length(tmp_path, text, key):
     assert parse(f"protocol = lmac\nn = 4\nb = 8\nadaptation = almac\nf_table = {table}\n")
 
 
+@pytest.mark.parametrize("extra, fits", [
+    ("n = 64\n", True),
+    ("n = 65\n", False),
+    ("n = 60\njoin_n = 5\n", False),  # joiners hold slots too
+    ("n = 70\ncoexist_k = 6\ncoexist_protocol = dcf\n", True),  # DCF partners do not
+    ("n = 70\ncoexist_k = 6\ncoexist_protocol = lbeb\n", False),
+    ("n = 33\nc_max_exp = 1\n", False),  # b * 2**c_max_exp = 32 stops the doubling
+    ("n = 32\nc_max_exp = 1\n", True),
+])
+def test_almac_schedule_stations_must_fit_the_longest_window(extra, fits):
+    # the packaged table has rows 16, 32 and 64, so from b = 16 almac
+    # reaches at most 64 slots
+    text = "protocol = lmac\nb = 16\nadaptation = almac\n" + extra
+    if fits:
+        parse(text)
+        return
+    with pytest.raises(ConfigError) as err:
+        parse(text)
+    assert [d.key for d in err.value.diagnostics] == ["n"]
+
+
 @pytest.mark.parametrize("rate", ["62.5", "4000", "1e6"])
 def test_arrival_rates_up_to_one_per_microsecond_parse(rate):
     cfg = parse(f"protocol = lmac\nn = 4\nc = 8\ntraffic = poisson\nlambda_pps = {rate}\n")

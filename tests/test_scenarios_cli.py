@@ -257,6 +257,27 @@ def test_cli_lzc_partner_gets_a_stay_probability(tmp_path, gamma):
     assert all(float(row["thr_partner_mbps"]) > 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("n, rows, code", [
+    (80, None, 2),  # the packaged table stops almac at 64 slots
+    (64, None, 0),
+    (80, (16, 32, 64, 128), 0),
+])
+def test_cli_almac_stations_must_fit_the_longest_window(tmp_path, capsys, n, rows, code):
+    text = f"protocol = lmac\nn = {n}\nb = 16\nadaptation = almac\nhorizon_slots = 3000\n"
+    if rows is not None:
+        table = tmp_path / "long.csv"
+        FTable({c: FEntry(c, 2 * c, 2 * c, 2 * c) for c in rows}).save_csv(table)
+        text += f"f_table = {table}\n"
+    out = tmp_path / "o"
+    assert main(["sim", "--config", write_config(tmp_path, text), "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith(f"config error: n = '{n}': 80 schedule ")
+        assert not out.exists()
+    else:
+        assert (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["sim"], ["scenario", "delay-vs-n"]])
 @pytest.mark.parametrize("table", ["missing", "uncovered"])
 def test_cli_rejects_a_bad_f_table(tmp_path, capsys, command, table):

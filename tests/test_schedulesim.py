@@ -114,48 +114,66 @@ KERNEL_CASES = [(3, 8, DEFAULT_SCHEDULE_CAP), (8, 8, DEFAULT_SCHEDULE_CAP),
 #: ``reads_idle_positions`` from the first station alone would fail.
 MIXED = ("lbeb", "lzc", "lmac")
 
+#: Learning strengths in turn for the "lmac-two-betas" population: every
+#: station is L-MAC, but with two betas the kernel calls the protocols.
+TWO_BETAS = (0.9, 0.7)
+
 
 def stations(kind, n, c, *label):
-    kinds = iter(MIXED * n if kind == "mixed" else (kind,) * n)
-    return make(lambda r: init_protocol(next(kinds), c, r, beta=0.9, gamma=0.5), n, *label)
+    two_betas = kind == "lmac-two-betas"
+    kinds = iter(MIXED * n if kind == "mixed" else ("lmac" if two_betas else kind,) * n)
+    betas = iter(TWO_BETAS * n if two_betas else (0.9,) * n)
+    return make(lambda r: init_protocol(next(kinds), c, r, beta=next(betas), gamma=0.5),
+                n, *label)
 
 
-@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac", "mixed"])
+def final_state(protos):
+    """Each station's slot and, for an L-MAC station, a copy of its vector,
+    to compare bit for bit."""
+    return [(p.slot, list(p.p) if isinstance(p, Lmac) else None) for p in protos]
+
+
+KINDS = ["lbeb", "zc", "lzc", "lmac", "mixed", "lmac-two-betas"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n,c,cap", KERNEL_CASES)
 def test_kernel_matches_updating_every_station(kind, n, c, cap):
     # The kernel updates only stations that failed in this schedule or the
-    # one before, and an all-L-BEB run redraws from blocks; the oracle
-    # updates every station every schedule with single draws.  Both take the
-    # run's one stream, the oracle as the same generator for every station,
-    # and leave it in the same state: the block draws are rewound.
+    # one before, an all-L-BEB run redraws from blocks, and an all-L-MAC
+    # run with one beta keeps the vectors itself; the oracle updates every
+    # station every schedule with single draws through its protocol.  Both
+    # take the run's one stream, the oracle as the same generator for every
+    # station, and leave it in the same state: the block draws are rewound.
     for seed in range(8):
         ref, ref_rng = stations(kind, n, c, seed)
         k, seconds, seq = play_every_station(ref, [ref_rng] * n, cap, phy=TABLE_PHY)
         run_protos, run_rng = stations(kind, n, c, seed)
-        start = [p.slot for p in run_protos]
+        start = final_state(run_protos)
         run = converge(run_protos, run_rng, cap=cap, phy=TABLE_PHY)
         seq_protos, seq_rng = stations(kind, n, c, seed)
         got_seq, got_k = success_sequence_until_converged(seq_protos, seq_rng, cap=cap)
         assert (run.schedules, got_k) == (k, k)
         assert run.seconds_before == seconds
-        if n > c:  # censored at once: nothing played, no slot moved, nothing drawn
+        if n > c:  # censored at once: nothing played, nothing moved, nothing drawn
             assert k is None and got_seq == []
             final, state = start, stations(kind, n, c, seed)[1].bit_generator.state
         else:
             assert k is not None and got_seq == seq
-            final, state = [p.slot for p in ref], ref_rng.bit_generator.state
-        assert [p.slot for p in run_protos] == final
-        assert [p.slot for p in seq_protos] == final
+            final, state = final_state(ref), ref_rng.bit_generator.state
+        assert final_state(run_protos) == final
+        assert final_state(seq_protos) == final
         assert run_rng.bit_generator.state == state == seq_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("kind", ["lbeb", "zc", "lzc", "lmac", "mixed"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n,c,cap", KERNEL_CASES)
 def test_kernel_reports_failures_and_the_success_after_one(kind, n, c, cap, monkeypatch):
     # The every-station reference reports each station's outcome in every
     # schedule.  The kernel must report each failure and each success right
     # after a failure, the first schedule counting as one after a failure;
-    # an all-L-BEB run reports nothing, and an N > C run plays nothing.
+    # an all-L-BEB run and an all-L-MAC run with one beta report nothing,
+    # and an N > C run plays nothing.
     reports: dict[int, list[bool]] = {}
     for cls in (Lbeb, Zc, Lzc, Lmac):
         def reported(proto, success, idle_positions, rng, update=cls.on_schedule_end):
@@ -171,7 +189,7 @@ def test_kernel_reports_failures_and_the_success_after_one(kind, n, c, cap, monk
         for every, run in zip(ref, run_protos):
             outcomes = reports.pop(id(every), [])
             played += len(outcomes)
-            expected = [] if kind == "lbeb" or n > c else [
+            expected = [] if kind in ("lbeb", "lmac") or n > c else [
                 success for k, success in enumerate(outcomes)
                 if not success or k == 0 or not outcomes[k - 1]]
             assert reports.pop(id(run), []) == expected
@@ -328,9 +346,9 @@ def test_lbeb_walk_matches_updating_every_station(n, c, cap):
         seq_protos, seq_rng = stations("lbeb", n, c, "walk", seed)
         assert run == ConvergenceRun(k, seconds)
         assert success_sequence_until_converged(seq_protos, seq_rng, cap=cap) == (seq, k)
-        final = [p.slot for p in ref]
-        assert [p.slot for p in run_protos] == final
-        assert [p.slot for p in seq_protos] == final
+        final = final_state(ref)
+        assert final_state(run_protos) == final
+        assert final_state(seq_protos) == final
         state = ref_rng.bit_generator.state
         assert run_rng.bit_generator.state == state == seq_rng.bit_generator.state
         if cap == DEFAULT_SCHEDULE_CAP:
@@ -342,3 +360,20 @@ def test_lbeb_walk_matches_updating_every_station(n, c, cap):
             capped += k is None
     if cap < DEFAULT_SCHEDULE_CAP:
         assert 0 < capped < 8
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.95])
+def test_lmac_runs_stopped_at_the_cap_match_updating_every_station(beta):
+    # An all-L-MAC run keeps the vectors itself and writes them back when it
+    # ends; at the cap that includes the vectors of the stations that failed
+    # in the last schedule.  Exact against the every-station reference.
+    capped = 0
+    for seed in range(8):
+        ref, ref_rng = make(lambda r: Lmac(8, beta, r), 8, "cap", seed)
+        k, seconds, _ = play_every_station(ref, [ref_rng] * 8, 10, phy=TABLE_PHY)
+        run_protos, run_rng = make(lambda r: Lmac(8, beta, r), 8, "cap", seed)
+        assert converge(run_protos, run_rng, cap=10, phy=TABLE_PHY) == ConvergenceRun(k, seconds)
+        assert final_state(run_protos) == final_state(ref)
+        assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+        capped += k is None
+    assert 0 < capped < 8
